@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -29,26 +30,36 @@ from .canonical import canonical_dumps, signing_bytes
 SUITE_ED25519 = 1
 
 
+def _is_ed25519(suite: object) -> bool:
+    # bool is an int subclass and True == 1: only a real integer names a suite.
+    return type(suite) is int and suite == SUITE_ED25519
+
+
 class KeyError_(ValueError):
     """Raised for malformed key files or unsupported suites."""
 
 
 @dataclass(frozen=True)
 class SigningKey:
-    """An Ed25519 private key plus its identity metadata."""
+    """An Ed25519 private key plus its identity metadata.
+
+    The key object and public half are derived from ``private_bytes`` once,
+    on first use, and kept out of ``repr`` and equality.
+    """
 
     key_id: str
-    private_bytes: bytes
+    private_bytes: bytes = field(repr=False)
 
-    @property
+    @cached_property
     def public_hex(self) -> str:
-        return self._private().public_key().public_bytes_raw().hex()
+        return self._private.public_key().public_bytes_raw().hex()
 
+    @cached_property
     def _private(self) -> Ed25519PrivateKey:
         return Ed25519PrivateKey.from_private_bytes(self.private_bytes)
 
     def sign(self, data: bytes) -> bytes:
-        return self._private().sign(data)
+        return self._private.sign(data)
 
     def to_dict(self) -> dict:
         return {
@@ -77,7 +88,7 @@ def generate_key(key_id: str, seed: bytes | str | None = None) -> SigningKey:
 def load_signing_key(obj: dict) -> SigningKey:
     if not isinstance(obj, dict) or obj.get("kind") != "private_key":
         raise KeyError_("not a private key file")
-    if obj.get("suite") != SUITE_ED25519:
+    if not _is_ed25519(obj.get("suite")):
         raise KeyError_(f"unsupported signature suite {obj.get('suite')!r}")
     try:
         raw = bytes.fromhex(obj["private_key"])
@@ -94,7 +105,7 @@ def load_signing_key(obj: dict) -> SigningKey:
 
 def verify_raw(public_hex: str, signature_hex: str, data: bytes, suite: int = SUITE_ED25519) -> bool:
     """True iff the signature verifies. Unknown suites and malformed material verify as False."""
-    if suite != SUITE_ED25519:
+    if not _is_ed25519(suite):
         return False
     try:
         public = Ed25519PublicKey.from_public_bytes(bytes.fromhex(public_hex))
@@ -130,4 +141,4 @@ def check_signature(obj: dict, public_hex: str) -> bool:
         data = signing_bytes(obj)
     except Exception:
         return False
-    return verify_raw(public_hex, value, data, suite=suite if isinstance(suite, int) else -1)
+    return verify_raw(public_hex, value, data, suite=suite)

@@ -185,6 +185,15 @@ class EngineConfig:
     The engine never fetches trust material at evaluation time; registries,
     keys, profiles, and policy are loaded and verified by the operator before
     any request is consulted against them.
+
+    Pinned artifacts are immutable values, so what depends on them alone is
+    computed once, on first use, and kept on the artifact: the mapping
+    profile's duplicate-row and steward-signature verdict (per steward public
+    key), its alias index and digest, each registry's digest, and the audit
+    key's Ed25519 key object.  Everything that depends on the request or on
+    ``now`` still runs on every evaluation: the credential's issuer signature,
+    expiry, revocation, registry window and standing, proof of possession,
+    nonce replay, and the profile's ``valid_until`` staleness check.
     """
 
     evaluator_id: str

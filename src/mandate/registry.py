@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .canonical import digest_object
@@ -55,8 +56,13 @@ class TrustRegistry:
     vocabulary_refs: tuple[dict, ...]
     raw: dict
 
-    def digest(self) -> str:
+    @cached_property
+    def _digest_hex(self) -> str:
         return digest_object(self.raw)
+
+    def digest(self) -> str:
+        """Digest of the signed registry, computed once: the registry is an immutable value."""
+        return self._digest_hex
 
     def in_window(self, now: datetime) -> bool:
         return self.valid_from <= now <= self.valid_until

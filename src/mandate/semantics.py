@@ -12,8 +12,9 @@ their own namespace; nothing may squat on ``core.``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .canonical import canonical_dumps, digest_object
@@ -156,19 +157,37 @@ class AliasEntry:
 
 @dataclass(frozen=True)
 class MappingProfile:
-    """Steward-signed aliases from semantic identifiers to one receiver's local fields."""
+    """Steward-signed aliases from semantic identifiers to one receiver's local fields.
+
+    The profile is an immutable value: its digest, alias index and trust
+    verdicts are computed once, on first use, and kept on the instance.
+    """
 
     profile_id: str
     version: int
     valid_until: datetime
     aliases: tuple[AliasEntry, ...]
     raw: dict  # original object, kept for signature verification and digests
+    # steward public hex (None: no steward key for the envelope's key_id) ->
+    # duplicate-row and signature verdict; filled by validate_mapping_profile.
+    _trust_verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _alias_index(self) -> Mapping[str, tuple[AliasEntry, ...]]:
+        index: dict[str, list[AliasEntry]] = {}
+        for alias in self.aliases:
+            index.setdefault(alias.identifier, []).append(alias)
+        return {identifier: tuple(rows) for identifier, rows in index.items()}
+
+    @cached_property
+    def _digest_hex(self) -> str:
+        return digest_object(self.raw)
 
     def aliases_for(self, identifier: str) -> tuple[AliasEntry, ...]:
-        return tuple(a for a in self.aliases if a.identifier == identifier)
+        return self._alias_index.get(identifier, ())
 
     def digest(self) -> str:
-        return digest_object(self.raw)
+        return self._digest_hex
 
     def to_dict(self) -> dict:
         return dict(self.raw)
@@ -247,6 +266,23 @@ def identity_mapping_profile(
     return build_mapping_profile(profile_id, version, valid_until, aliases, steward_key)
 
 
+def _profile_trust(mapping: MappingProfile, public_hex: Optional[str]) -> Optional[DenialReason]:
+    """The time-independent half of validation: duplicate rows, then the steward signature."""
+    seen: set[str] = set()
+    for alias in mapping.aliases:
+        rendered = canonical_dumps(alias.to_dict())
+        if rendered in seen:
+            return DenialReason(
+                DenyCode.MAPPING_PROFILE_INVALID, f"duplicate alias row for {alias.identifier}"
+            )
+        seen.add(rendered)
+    if public_hex is None or not check_signature(mapping.raw, public_hex):
+        return DenialReason(
+            DenyCode.MAPPING_PROFILE_INVALID, "profile signature does not verify against any steward key"
+        )
+    return None
+
+
 def validate_mapping_profile(
     mapping: Optional[MappingProfile],
     now: datetime,
@@ -257,24 +293,22 @@ def validate_mapping_profile(
     Byte-identical duplicate alias rows make the artifact invalid; two aliases
     that disagree about one identifier are a per-identifier conflict, reported
     as semantic_alias_conflict at resolution time, not here.  None means valid.
+
+    The duplicate-row and signature verdict is computed once per profile and
+    steward public key and kept on the profile; staleness against ``now`` is
+    checked on every call.
     """
     if mapping is None:
         return DenialReason(DenyCode.MAPPING_PROFILE_MISSING, "no mapping profile configured")
-    seen: set[str] = set()
-    for alias in mapping.aliases:
-        rendered = canonical_dumps(alias.to_dict())
-        if rendered in seen:
-            return DenialReason(
-                DenyCode.MAPPING_PROFILE_INVALID, f"duplicate alias row for {alias.identifier}"
-            )
-        seen.add(rendered)
     envelope = mapping.raw.get("signature")
     key_id = envelope.get("key_id") if isinstance(envelope, dict) else None
     public_hex = steward_keys.get(key_id) if isinstance(key_id, str) else None
-    if public_hex is None or not check_signature(mapping.raw, public_hex):
-        return DenialReason(
-            DenyCode.MAPPING_PROFILE_INVALID, "profile signature does not verify against any steward key"
-        )
+    try:
+        trust = mapping._trust_verdicts[public_hex]
+    except KeyError:
+        trust = mapping._trust_verdicts[public_hex] = _profile_trust(mapping, public_hex)
+    if trust is not None:
+        return trust
     if now > mapping.valid_until:
         return DenialReason(DenyCode.MAPPING_PROFILE_INVALID, "mapping profile is stale")
     return None
@@ -300,8 +334,8 @@ def resolve_semantic_field(
     context presence.  Exactly one of (value, reason) is returned non-None.
 
     ``profile_status`` lets a caller that already validated the profile for
-    this evaluation pass the cached result instead of re-verifying the
-    signature per field.
+    this evaluation pass the result instead of validating it again per
+    field.
     """
     if profile_status is _UNVALIDATED:
         profile_status = validate_mapping_profile(mapping, now, steward_keys)

@@ -1,0 +1,53 @@
+"""Signing keys and the signature envelope."""
+
+import pytest
+
+from mandate.canonical import signing_bytes
+from mandate.keys import (
+    KeyError_,
+    SigningKey,
+    check_signature,
+    generate_key,
+    load_signing_key,
+)
+
+KEY = generate_key("steward:test", seed="keys:steward")
+
+
+def envelope_signed_with_suite(suite):
+    body = {"kind": "probe", "value": "x", "signature": {"suite": suite, "key_id": KEY.key_id}}
+    body["signature"]["value"] = KEY.sign(signing_bytes(body)).hex()
+    return body
+
+
+@pytest.mark.parametrize("suite, verifies", [(1, True), (True, False), ("1", False), (2, False), (None, False)])
+def test_only_the_integer_suite_one_verifies(suite, verifies):
+    # Each envelope is correctly signed over its own suite value.
+    assert check_signature(envelope_signed_with_suite(suite), KEY.public_hex) is verifies
+
+
+def test_key_file_with_boolean_suite_is_refused():
+    obj = dict(KEY.to_dict(), suite=True)
+    with pytest.raises(KeyError_):
+        load_signing_key(obj)
+    assert load_signing_key(KEY.to_dict()) == KEY
+
+
+def test_repr_hides_private_key():
+    key = generate_key("steward:test", seed="keys:repr")
+    key.sign(b"warm the cached key object")
+    text = repr(key)
+    assert key.private_bytes.hex() not in text
+    assert repr(key.private_bytes) not in text
+    assert "steward:test" in text
+
+
+def test_warmed_key_equals_fresh_key():
+    warmed = generate_key("steward:test", seed="keys:eq")
+    signature = warmed.sign(b"data")
+    assert warmed.public_hex
+    fresh = SigningKey(key_id=warmed.key_id, private_bytes=warmed.private_bytes)
+    assert warmed == fresh
+    assert hash(warmed) == hash(fresh)
+    assert fresh.sign(b"data") == signature
+    assert warmed != generate_key("steward:test", seed="keys:other")

@@ -234,6 +234,47 @@ def test_aliased_profile_resolves_local_field_names():
     assert evaluate(engine, credential(), ctx).allowed
 
 
+# --- memoized profile verdict -----------------------------------------------------
+
+def evaluate_at(engine, cred, at):
+    return engine.evaluate(cred, context(), cred.subject_id, pop_for(cred, at=at), now=at)
+
+
+def test_cached_profile_still_goes_stale():
+    profile = identity_mapping_profile([], NOW + timedelta(hours=1), STEWARD)
+    engine = make_engine(mapping_profile=profile)
+    cred = credential()
+    assert evaluate_at(engine, cred, NOW).allowed
+    stale = evaluate_at(engine, cred, NOW + timedelta(hours=2))
+    assert stale.reason.code is DenyCode.MAPPING_PROFILE_INVALID
+    assert stale.reason.detail == "C1: mapping profile is stale"
+
+
+@pytest.mark.parametrize(
+    "signer, rows, detail",
+    [
+        (
+            generate_key("steward:test", seed="pipeline:impostor"),
+            [AliasEntry("core.amount", "core.amount", SemanticType.DECIMAL)],
+            "profile signature does not verify against any steward key",
+        ),
+        (
+            STEWARD,
+            [AliasEntry("core.amount", "core.amount", SemanticType.DECIMAL)] * 2,
+            "duplicate alias row for core.amount",
+        ),
+    ],
+    ids=["bad-signature", "duplicate-row"],
+)
+def test_cached_profile_verdict_denies_every_time(signer, rows, detail):
+    engine = make_engine(mapping_profile=build_mapping_profile("claims", 1, UNTIL, rows, signer))
+    cred = credential()
+    for at in (NOW, NOW + timedelta(minutes=1)):
+        decision = evaluate_at(engine, cred, at)
+        assert decision.reason.code is DenyCode.MAPPING_PROFILE_INVALID
+        assert decision.reason.detail == f"C1: {detail}"
+
+
 # --- local policy ------------------------------------------------------------------
 
 def test_local_policy_pass_appears_on_trace():

@@ -4,7 +4,8 @@ from datetime import timedelta
 
 import pytest
 
-from mandate.keys import generate_key
+import mandate.semantics
+from mandate.keys import check_signature, generate_key
 from mandate.model import (
     DenyCode,
     RequestContext,
@@ -153,6 +154,24 @@ def test_profile_duplicate_rows_invalid():
     reason = validate_mapping_profile(p, NOW, STEWARD_KEYS)
     assert reason.code is DenyCode.MAPPING_PROFILE_INVALID
     assert "duplicate" in reason.detail
+
+
+def test_profile_trust_verdict_is_kept_per_steward_key(monkeypatch):
+    calls = []
+
+    def counting_check(obj, public_hex):
+        calls.append(public_hex)
+        return check_signature(obj, public_hex)
+
+    monkeypatch.setattr(mandate.semantics, "check_signature", counting_check)
+    impostor = generate_key("steward:test", seed="semantics:impostor")
+    wrong_keys = {"steward:test": impostor.public_hex}
+    p = profile([AliasEntry("core.amount", "claim_total", SemanticType.DECIMAL)])
+    for _ in range(2):
+        assert validate_mapping_profile(p, NOW, wrong_keys).code is DenyCode.MAPPING_PROFILE_INVALID
+        assert validate_mapping_profile(p, NOW, STEWARD_KEYS) is None
+    # One signature check per distinct steward key, however often the profile is validated.
+    assert calls == [impostor.public_hex, STEWARD.public_hex]
 
 
 def test_profile_round_trip_preserves_signature():
