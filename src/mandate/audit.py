@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
 from .canonical import canonical_dumps, digest_object, sha256_hex
-from .keys import SigningKey, attach_signature, check_signature
+from .keys import SigningKey, attach_signature, check_signature, envelope_public_key
 from .model import render_timestamp
 
 # Fixed anchor for the first record of every log.
@@ -175,12 +175,10 @@ def verify_audit_chain(
                 return False, index, f"record {index} is not in canonical form"
         if obj.get("prev_record") != expected_prev:
             return False, index, f"record {index} breaks the hash chain"
-        envelope = obj.get("signature")
-        key_id = envelope.get("key_id") if isinstance(envelope, dict) else None
         if isinstance(evaluator_keys, str):
             public_hex = evaluator_keys
         else:
-            public_hex = evaluator_keys.get(key_id) if isinstance(key_id, str) else None
+            public_hex = envelope_public_key(obj, evaluator_keys)
         if public_hex is None or not check_signature(obj, public_hex):
             return False, index, f"record {index} signature does not verify"
         expected_prev = sha256_hex(line)

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 from .canonical import canonical_dumps, digest_object
 from .constraints import check_attenuation, constraint_from_dict
-from .keys import SigningKey, attach_signature, check_signature
+from .keys import SigningKey, attach_signature, check_signature, is_ed25519
 from .model import (
     AuthorizationPayload,
     DenialReason,
@@ -141,6 +141,10 @@ def parse_container(data: bytes | str | dict) -> CredentialContainer:
             raise MalformedContainerError(f"{name} must be a non-empty string")
     if not isinstance(subject_key, dict) or not isinstance(subject_key.get("public_key"), str):
         raise MalformedContainerError("subject_public_key must carry a public_key")
+    if not is_ed25519(subject_key.get("suite")):
+        raise MalformedContainerError(
+            f"unsupported subject key suite {subject_key.get('suite')!r}"
+        )
     if (
         not isinstance(audience_raw, list)
         or not audience_raw

@@ -18,6 +18,7 @@ import hashlib
 import secrets
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Mapping, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -30,7 +31,7 @@ from .canonical import canonical_dumps, signing_bytes
 SUITE_ED25519 = 1
 
 
-def _is_ed25519(suite: object) -> bool:
+def is_ed25519(suite: object) -> bool:
     # bool is an int subclass and True == 1: only a real integer names a suite.
     return type(suite) is int and suite == SUITE_ED25519
 
@@ -88,7 +89,7 @@ def generate_key(key_id: str, seed: bytes | str | None = None) -> SigningKey:
 def load_signing_key(obj: dict) -> SigningKey:
     if not isinstance(obj, dict) or obj.get("kind") != "private_key":
         raise KeyError_("not a private key file")
-    if not _is_ed25519(obj.get("suite")):
+    if not is_ed25519(obj.get("suite")):
         raise KeyError_(f"unsupported signature suite {obj.get('suite')!r}")
     try:
         raw = bytes.fromhex(obj["private_key"])
@@ -105,7 +106,7 @@ def load_signing_key(obj: dict) -> SigningKey:
 
 def verify_raw(public_hex: str, signature_hex: str, data: bytes, suite: int = SUITE_ED25519) -> bool:
     """True iff the signature verifies. Unknown suites and malformed material verify as False."""
-    if not _is_ed25519(suite):
+    if not is_ed25519(suite):
         return False
     try:
         public = Ed25519PublicKey.from_public_bytes(bytes.fromhex(public_hex))
@@ -126,6 +127,14 @@ def attach_signature(obj: dict, key: SigningKey) -> dict:
     signature = key.sign(signing_bytes(body)).hex()
     body["signature"]["value"] = signature
     return body
+
+
+def envelope_public_key(obj: dict, keys_by_id: Mapping[str, str]) -> Optional[str]:
+    """The public key hex ``keys_by_id`` holds for the key_id named in the
+    signature envelope of ``obj``; None when there is no such key."""
+    envelope = obj.get("signature")
+    key_id = envelope.get("key_id") if isinstance(envelope, dict) else None
+    return keys_by_id.get(key_id) if isinstance(key_id, str) else None
 
 
 def check_signature(obj: dict, public_hex: str) -> bool:

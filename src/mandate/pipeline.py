@@ -7,9 +7,20 @@ typed reason; nothing later can resurrect an allow.  Delegation chains add a
 depth gate, per-link verification, and pairwise narrowing checks before the
 leaf payload is evaluated the ordinary way.
 
+A failing check raises ``_Denied`` where it fails; ``Engine._conclude`` is
+the one place that turns it into trace entries, a ``Decision`` and an audit
+record.  Every trace therefore has one shape: the checks performed, in order,
+then exactly one closing ``decision``/``decision`` entry reading ``ALLOW`` or
+``DENY: <code>``.  An ALLOW trace has no ``FAIL:`` entry; a DENY trace has at
+most one, directly before the closing entry (none when the request reached no
+check, as with an empty chain).
+
 Each evaluation writes exactly one audit record, allow or deny.  If the
 record cannot be written the decision itself becomes a denial: an enforcement
-point that cannot account for its decisions must stop deciding.
+point that cannot account for its decisions must stop deciding.  That is the
+one exception to the shape above: a ``decision``/``audit`` ``FAIL:`` entry
+follows the failed check's entry, if any, and the trace closes with
+``DENY: local_policy_denied``.
 """
 
 from __future__ import annotations
@@ -46,11 +57,13 @@ from .container import (
 )
 from .model import (
     ALLOW,
+    DENY,
     Decision,
     DenialReason,
     DenyCode,
     RequestContext,
     TraceEntry,
+    TypedValue,
     allow,
     deny,
     validate_payload,
@@ -235,6 +248,35 @@ class _Notes:
     workflow: Optional[dict] = None
 
 
+class _Denied(Exception):
+    """A failed check, raised where it fails and turned into a decision once.
+
+    ``note`` becomes the failing check's ``FAIL:`` trace entry under
+    ``stage``/``check`` (None when the request reached no check at all);
+    ``reason`` is the decision's one typed denial.
+    """
+
+    def __init__(
+        self,
+        stage: Optional[str],
+        check: Optional[str],
+        note: Optional[str],
+        code: DenyCode,
+        detail: str,
+        failed_constraint: Optional[str] = None,
+    ) -> None:
+        super().__init__(detail)
+        self.stage = stage
+        self.check = check
+        self.note = note
+        self.reason = DenialReason(code, detail)
+        self.failed_constraint = failed_constraint
+
+    def trace_failure(self, trace: list[TraceEntry]) -> None:
+        if self.note is not None:
+            trace.append(TraceEntry(self.stage, self.check, f"FAIL: {self.note}"))
+
+
 Credential = Union[bytes, str, dict, CredentialContainer]
 
 
@@ -263,17 +305,19 @@ class Engine:
         presented root first; a single credential is a chain of one."""
         trace: list[TraceEntry] = []
         notes = _Notes()
-        if isinstance(credential, (list, tuple)):
-            operation = "evaluate_chain" if len(credential) > 1 else "evaluate"
-            decision = self._decide_chain(
-                list(credential), context, presenter_id, pop, now, vouchers, trace, notes
-            )
-        else:
-            operation = "evaluate"
-            decision = self._decide_single(
-                credential, context, presenter_id, pop, now, vouchers, trace, notes
-            )
-        return self._record(operation, decision, context, presenter_id, now, notes)
+        is_chain = isinstance(credential, (list, tuple))
+        operation = "evaluate_chain" if is_chain and len(credential) > 1 else "evaluate"
+        try:
+            if is_chain:
+                leaf = self._verify_chain(list(credential), presenter_id, pop, now, trace, notes)
+            else:
+                leaf = self._verify_single(credential, presenter_id, pop, now, trace, notes)
+            self._evaluate_payload(leaf, context, now, vouchers, trace, notes)
+        except _Denied as denied:
+            # Concluded inside the handler, so no frame keeps the exception
+            # (and the frames its traceback holds) alive in a reference cycle.
+            return self._conclude(operation, trace, denied, context, presenter_id, now, notes)
+        return self._conclude(operation, trace, None, context, presenter_id, now, notes)
 
     def compose_workflow(
         self,
@@ -292,18 +336,12 @@ class Engine:
         """
         trace: list[TraceEntry] = []
         notes = _Notes()
-        decision, composition = self._compose(policy, credentials, now, trace, notes)
-        decision = self._record(
-            "compose_workflow",
-            decision,
-            None,
-            None,
-            now,
-            notes,
-        )
-        if not decision.allowed:
-            composition = None
-        return decision, composition
+        try:
+            composition = self._compose(policy, credentials, now, trace, notes)
+        except _Denied as denied:
+            return self._conclude("compose_workflow", trace, denied, None, None, now, notes), None
+        decision = self._conclude("compose_workflow", trace, None, None, None, now, notes)
+        return decision, composition if decision.allowed else None
 
     # -- parsing and verification ------------------------------------------
 
@@ -345,140 +383,102 @@ class Engine:
             clock_skew=cfg.clock_skew,
         )
 
-    def _trace_verify(self, trace: list[TraceEntry], reason: Optional[DenialReason]) -> None:
-        """Append one entry per verification sub-check, stopping at the failure."""
-        if reason is None:
-            for check in _VERIFY_CHECKS:
-                trace.append(TraceEntry("container", check, "PASS"))
-            return
-        failed_at = _CODE_TO_CHECK.get(reason.code, len(_VERIFY_CHECKS) - 1)
-        for check in _VERIFY_CHECKS[:failed_at]:
-            trace.append(TraceEntry("container", check, "PASS"))
-        trace.append(
-            TraceEntry("container", _VERIFY_CHECKS[failed_at], f"FAIL: {reason.detail}")
-        )
-
     # -- single credential --------------------------------------------------
 
-    def _decide_single(
+    def _verify_single(
         self,
         credential: Credential,
-        context: RequestContext,
         presenter_id: str,
         pop: Optional[PossessionProof],
         now: datetime,
-        vouchers: Optional[Sequence[StateVoucher]],
         trace: list[TraceEntry],
         notes: _Notes,
-    ) -> Decision:
+    ) -> CredentialContainer:
         try:
             container = self._parse(credential)
         except (MalformedContainerError, ValueError) as exc:
-            trace.append(TraceEntry("container", "parse", f"FAIL: {exc}"))
-            return self._finish(
-                trace, deny(DenyCode.SIGNATURE_INVALID, f"malformed container: {exc}")
+            raise _Denied(
+                "container", "parse", str(exc),
+                DenyCode.SIGNATURE_INVALID, f"malformed container: {exc}",
             )
         notes.containers.append(container)
         trace.append(TraceEntry("container", "parse", "PASS"))
 
+        # One entry per verification sub-check, stopping at the failure.
         reason = self._verify(container, presenter_id, pop, now, pop_required=True)
-        self._trace_verify(trace, reason)
+        failed_at = (
+            len(_VERIFY_CHECKS)
+            if reason is None
+            else _CODE_TO_CHECK.get(reason.code, len(_VERIFY_CHECKS) - 1)
+        )
+        for check in _VERIFY_CHECKS[:failed_at]:
+            trace.append(TraceEntry("container", check, "PASS"))
         if reason is not None:
-            return self._finish(trace, deny(reason.code, reason.detail))
-
-        return self._evaluate_payload(container, context, now, vouchers, trace, notes)
+            raise _Denied(
+                "container", _VERIFY_CHECKS[failed_at], reason.detail, reason.code, reason.detail
+            )
+        return container
 
     # -- delegation chain ----------------------------------------------------
 
-    def _decide_chain(
+    def _verify_chain(
         self,
         credentials: list[Credential],
-        context: RequestContext,
         presenter_id: str,
         pop: Optional[PossessionProof],
         now: datetime,
-        vouchers: Optional[Sequence[StateVoucher]],
         trace: list[TraceEntry],
         notes: _Notes,
-    ) -> Decision:
+    ) -> CredentialContainer:
         if not credentials:
-            return self._finish(
-                trace, deny(DenyCode.CREDENTIAL_INCOMPLETE, "no credentials presented")
-            )
+            raise _Denied(None, None, None, DenyCode.CREDENTIAL_INCOMPLETE, "no credentials presented")
         containers: list[CredentialContainer] = []
         for index, credential in enumerate(credentials, start=1):
             try:
                 containers.append(self._parse(credential))
             except (MalformedContainerError, ValueError) as exc:
-                trace.append(TraceEntry("chain", "parse", f"FAIL: link {index}: {exc}"))
-                return self._finish(
-                    trace,
-                    deny(DenyCode.SIGNATURE_INVALID, f"malformed container in link {index}: {exc}"),
+                raise _Denied(
+                    "chain", "parse", f"link {index}: {exc}",
+                    DenyCode.SIGNATURE_INVALID, f"malformed container in link {index}: {exc}",
                 )
         notes.containers.extend(containers)
         trace.append(TraceEntry("chain", "parse", f"PASS: {len(containers)} links"))
 
-        if len(containers) > self.config.max_chain_depth:
-            trace.append(
-                TraceEntry(
-                    "chain",
-                    "depth",
-                    f"FAIL: {len(containers)} links exceeds limit {self.config.max_chain_depth}",
-                )
-            )
-            return self._finish(
-                trace,
-                deny(
-                    DenyCode.DELEGATION_DEPTH_EXCEEDED,
-                    f"chain of {len(containers)} links exceeds the depth limit of "
-                    f"{self.config.max_chain_depth}",
-                ),
+        depth, limit = len(containers), self.config.max_chain_depth
+        if depth > limit:
+            raise _Denied(
+                "chain", "depth", f"{depth} links exceeds limit {limit}",
+                DenyCode.DELEGATION_DEPTH_EXCEEDED,
+                f"chain of {depth} links exceeds the depth limit of {limit}",
             )
         trace.append(TraceEntry("chain", "depth", "PASS"))
 
         for index, container in enumerate(containers, start=1):
             problem = validate_payload(container.payload)
             if problem is not None:
-                trace.append(
-                    TraceEntry("chain", f"link {index} payload", f"FAIL: {problem.detail}")
-                )
-                return self._finish(
-                    trace, deny(problem.code, f"link {index}: {problem.detail}")
+                raise _Denied(
+                    "chain", f"link {index} payload", problem.detail,
+                    problem.code, f"link {index}: {problem.detail}",
                 )
 
         # Continuity is structural and judged before signatures, so a
         # mis-chained presentation reports the chain defect, not a key defect.
         for index, (parent, child) in enumerate(zip(containers, containers[1:]), start=2):
+            check = f"link {index} continuity"
             if child.issuer_id != parent.subject_id:
-                trace.append(
-                    TraceEntry(
-                        "chain",
-                        f"link {index} continuity",
-                        f"FAIL: issuer {child.issuer_id!r} is not the parent subject",
-                    )
-                )
-                return self._finish(
-                    trace,
-                    deny(
-                        DenyCode.DELEGATION_CHAIN_BROKEN,
-                        f"link {index} issuer {child.issuer_id!r} is not the parent subject "
-                        f"{parent.subject_id!r}",
-                    ),
+                raise _Denied(
+                    "chain", check, f"issuer {child.issuer_id!r} is not the parent subject",
+                    DenyCode.DELEGATION_CHAIN_BROKEN,
+                    f"link {index} issuer {child.issuer_id!r} is not the parent subject "
+                    f"{parent.subject_id!r}",
                 )
             if child.parent_digest != parent.digest():
-                trace.append(
-                    TraceEntry(
-                        "chain", f"link {index} continuity", "FAIL: parent digest mismatch"
-                    )
+                raise _Denied(
+                    "chain", check, "parent digest mismatch",
+                    DenyCode.DELEGATION_CHAIN_BROKEN,
+                    f"link {index} does not reference its parent by digest",
                 )
-                return self._finish(
-                    trace,
-                    deny(
-                        DenyCode.DELEGATION_CHAIN_BROKEN,
-                        f"link {index} does not reference its parent by digest",
-                    ),
-                )
-            trace.append(TraceEntry("chain", f"link {index} continuity", "PASS"))
+            trace.append(TraceEntry("chain", check, "PASS"))
 
         leaf = containers[-1]
         for index, container in enumerate(containers, start=1):
@@ -501,56 +501,58 @@ class Engine:
                 use_registries=index == 1,
             )
             if reason is not None:
-                trace.append(
-                    TraceEntry("chain", f"link {index} verify", f"FAIL: {reason.detail}")
-                )
-                return self._finish(
-                    trace, deny(reason.code, f"link {index}: {reason.detail}")
+                raise _Denied(
+                    "chain", f"link {index} verify", reason.detail,
+                    reason.code, f"link {index}: {reason.detail}",
                 )
             trace.append(TraceEntry("chain", f"link {index} verify", "PASS"))
 
         for index, (parent, child) in enumerate(zip(containers, containers[1:]), start=2):
+            check = f"link {index} attenuation"
             if child.valid_from < parent.valid_from or child.valid_until > parent.valid_until:
-                trace.append(
-                    TraceEntry("chain", f"link {index} attenuation", "FAIL: validity window widened")
-                )
-                return self._finish(
-                    trace,
-                    deny(
-                        DenyCode.DELEGATION_WIDENED,
-                        f"link {index} validity window extends beyond its parent",
-                    ),
+                raise _Denied(
+                    "chain", check, "validity window widened",
+                    DenyCode.DELEGATION_WIDENED,
+                    f"link {index} validity window extends beyond its parent",
                 )
             parent_permissions = parent.payload.permissions or frozenset()
             extra = (child.payload.permissions or frozenset()) - parent_permissions
             if extra:
-                trace.append(
-                    TraceEntry(
-                        "chain", f"link {index} attenuation", f"FAIL: adds permissions {sorted(extra)}"
-                    )
-                )
-                return self._finish(
-                    trace,
-                    deny(
-                        DenyCode.DELEGATION_WIDENED,
-                        f"link {index} grants permissions its parent never held: {sorted(extra)}",
-                    ),
+                raise _Denied(
+                    "chain", check, f"adds permissions {sorted(extra)}",
+                    DenyCode.DELEGATION_WIDENED,
+                    f"link {index} grants permissions its parent never held: {sorted(extra)}",
                 )
             ok, detail = check_attenuation(
                 child.payload.constraints or (), parent.payload.constraints or ()
             )
             if not ok:
-                trace.append(
-                    TraceEntry("chain", f"link {index} attenuation", f"FAIL: {detail}")
+                raise _Denied(
+                    "chain", check, detail, DenyCode.DELEGATION_WIDENED, f"link {index}: {detail}"
                 )
-                return self._finish(
-                    trace, deny(DenyCode.DELEGATION_WIDENED, f"link {index}: {detail}")
-                )
-            trace.append(TraceEntry("chain", f"link {index} attenuation", "PASS"))
+            trace.append(TraceEntry("chain", check, "PASS"))
 
-        return self._evaluate_payload(leaf, context, now, vouchers, trace, notes)
+        return leaf
 
     # -- payload evaluation ---------------------------------------------------
+
+    def _resolve(
+        self,
+        field: str,
+        context: RequestContext,
+        now: datetime,
+        profile_status: Optional[DenialReason],
+        notes: _Notes,
+    ) -> tuple[Optional[TypedValue], Optional[DenialReason]]:
+        """Resolve one semantic field; a resolved value is noted for the audit snapshot."""
+        cfg = self.config
+        value, reason = resolve_semantic_field(
+            field, context, cfg.mapping_profile, cfg.vocabularies,
+            now, cfg.steward_keys, profile_status,
+        )
+        if value is not None:
+            notes.resolved[field] = value.text
+        return value, reason
 
     def _evaluate_payload(
         self,
@@ -560,25 +562,19 @@ class Engine:
         vouchers: Optional[Sequence[StateVoucher]],
         trace: list[TraceEntry],
         notes: _Notes,
-    ) -> Decision:
+    ) -> None:
         cfg = self.config
         payload = container.payload
 
         problem = validate_payload(payload)
         if problem is not None:
-            trace.append(TraceEntry("payload", "completeness", f"FAIL: {problem.detail}"))
-            return self._finish(trace, deny(problem.code, problem.detail))
+            raise _Denied("payload", "completeness", problem.detail, problem.code, problem.detail)
 
         if context.action not in (payload.permissions or frozenset()):
-            trace.append(
-                TraceEntry("payload", "permission", f"FAIL: {context.action!r} not granted")
-            )
-            return self._finish(
-                trace,
-                deny(
-                    DenyCode.PERMISSION_DENIED,
-                    f"action {context.action!r} is not among the granted permissions",
-                ),
+            raise _Denied(
+                "payload", "permission", f"{context.action!r} not granted",
+                DenyCode.PERMISSION_DENIED,
+                f"action {context.action!r} is not among the granted permissions",
             )
         trace.append(TraceEntry("payload", "permission", "PASS"))
 
@@ -586,40 +582,28 @@ class Engine:
 
         # Opportunistic, for the audit snapshot only: the requested resource is
         # recorded when resolvable, and its absence never alters the decision.
-        resource, _ = resolve_semantic_field(
-            "core.resource_id", context, cfg.mapping_profile, cfg.vocabularies,
-            now, cfg.steward_keys, profile_status,
-        )
-        if resource is not None:
-            notes.resolved["core.resource_id"] = resource.text
+        self._resolve("core.resource_id", context, now, profile_status, notes)
 
         constraints = payload.constraints or ()
-        needs_currency = any(
+        context_currency: Optional[str] = None
+        if any(
             isinstance(c, (NumericLimitConstraint, CumulativeLimitConstraint)) and c.currency
             for c in constraints
-        )
-        context_currency: Optional[str] = None
-        if needs_currency:
-            context_currency, reason = self._resolve_currency(context, now, profile_status, notes)
-            if reason is not None:
-                trace.append(TraceEntry("constraints", "currency", f"FAIL: {reason.detail}"))
-                return self._finish(trace, deny(reason.code, reason.detail))
+        ):
+            # An absent currency is None, which a currency-tagged limit then
+            # fails on its own terms; any other resolution defect denies as-is.
+            value, reason = self._resolve(CURRENCY_FIELD, context, now, profile_status, notes)
+            if reason is not None and reason.code is not DenyCode.CONTEXT_FIELD_MISSING:
+                raise _Denied("constraints", "currency", reason.detail, reason.code, reason.detail)
+            context_currency = value.text if value is not None else None
 
         for index, constraint in enumerate(constraints, start=1):
-            label = f"C{index}"
-            decision = self._evaluate_one_constraint(
-                label, constraint, container, context, now, context_currency,
+            self._evaluate_one_constraint(
+                f"C{index}", constraint, container, context, now, context_currency,
                 profile_status, vouchers, trace, notes,
             )
-            if decision is not None:
-                return decision
 
-        decision = self._apply_local_policy(context, now, profile_status, trace, notes)
-        if decision is not None:
-            return decision
-
-        trace.append(TraceEntry("decision", "decision", "ALLOW"))
-        return allow(trace)
+        self._apply_local_policy(context, now, profile_status, trace, notes)
 
     def _evaluate_one_constraint(
         self,
@@ -633,43 +617,27 @@ class Engine:
         vouchers: Optional[Sequence[StateVoucher]],
         trace: list[TraceEntry],
         notes: _Notes,
-    ) -> Optional[Decision]:
-        """None when the constraint passes; the final denial otherwise."""
+    ) -> None:
         cfg = self.config
-        family = family_of(constraint)
-        if isinstance(constraint, UnknownConstraint):
-            trace.append(
-                TraceEntry("constraints", label, f"FAIL: unrecognized type {constraint.type_tag!r}")
-            )
-            notes.constraint_results.append(
-                {"label": label, "type": constraint.type_tag, "field": "", "result": "FAIL"}
-            )
-            return self._finish(
-                trace,
-                deny(
-                    DenyCode.CONSTRAINT_UNKNOWN,
-                    f"{label}: constraint type {constraint.type_tag!r} is not recognized",
-                    failed_constraint=label,
-                ),
+        unknown = isinstance(constraint, UnknownConstraint)
+        # Noted as failed up front; flipped to PASS once every step has passed.
+        result = {
+            "label": label,
+            "type": constraint.type_tag if unknown else family_of(constraint),
+            "field": "" if unknown else constraint.field,
+            "result": "FAIL",
+        }
+        notes.constraint_results.append(result)
+        if unknown:
+            raise _Denied(
+                "constraints", label, f"unrecognized type {constraint.type_tag!r}",
+                DenyCode.CONSTRAINT_UNKNOWN,
+                f"{label}: constraint type {constraint.type_tag!r} is not recognized",
+                failed_constraint=label,
             )
 
-        value, reason = resolve_semantic_field(
-            constraint.field, context, cfg.mapping_profile, cfg.vocabularies,
-            now, cfg.steward_keys, profile_status,
-        )
-        if reason is not None:
-            trace.append(TraceEntry("constraints", label, f"FAIL: {reason.detail}"))
-            notes.constraint_results.append(
-                {"label": label, "type": family, "field": constraint.field, "result": "FAIL"}
-            )
-            return self._finish(
-                trace,
-                deny(reason.code, f"{label}: {reason.detail}", failed_constraint=label),
-            )
-        assert value is not None
-        notes.resolved[constraint.field] = value.text
-
-        if isinstance(constraint, CumulativeLimitConstraint):
+        value, reason = self._resolve(constraint.field, context, now, profile_status, notes)
+        if reason is None and isinstance(constraint, CumulativeLimitConstraint):
             reason = evaluate_cumulative(
                 constraint,
                 value,
@@ -686,58 +654,17 @@ class Engine:
                 voucher_memory=self.voucher_memory,
                 freshness=cfg.state_freshness,
             )
-            if reason is not None:
-                trace.append(TraceEntry("constraints", label, f"FAIL: {reason.detail}"))
-                notes.constraint_results.append(
-                    {"label": label, "type": family, "field": constraint.field, "result": "FAIL"}
-                )
-                return self._finish(
-                    trace,
-                    deny(reason.code, f"{label}: {reason.detail}", failed_constraint=label),
-                )
-        else:
+        elif reason is None:
             ok, detail = evaluate_constraint(constraint, value, context_currency)
             if not ok:
-                trace.append(TraceEntry("constraints", label, f"FAIL: {detail}"))
-                notes.constraint_results.append(
-                    {"label": label, "type": family, "field": constraint.field, "result": "FAIL"}
-                )
-                return self._finish(
-                    trace,
-                    deny(
-                        DenyCode.CONSTRAINT_FAILED,
-                        f"{label}: {detail}",
-                        failed_constraint=label,
-                    ),
-                )
-        trace.append(TraceEntry("constraints", label, "PASS"))
-        notes.constraint_results.append(
-            {"label": label, "type": family, "field": constraint.field, "result": "PASS"}
-        )
-        return None
-
-    def _resolve_currency(
-        self,
-        context: RequestContext,
-        now: datetime,
-        profile_status: Optional[DenialReason],
-        notes: _Notes,
-    ) -> tuple[Optional[str], Optional[DenialReason]]:
-        """Context currency for currency-tagged limits.  Absent is None, which
-        the constraint then fails on its own terms; any other resolution
-        defect is surfaced as-is."""
-        cfg = self.config
-        value, reason = resolve_semantic_field(
-            CURRENCY_FIELD, context, cfg.mapping_profile, cfg.vocabularies,
-            now, cfg.steward_keys, profile_status,
-        )
+                reason = DenialReason(DenyCode.CONSTRAINT_FAILED, detail)
         if reason is not None:
-            if reason.code is DenyCode.CONTEXT_FIELD_MISSING:
-                return None, None
-            return None, reason
-        assert value is not None
-        notes.resolved[CURRENCY_FIELD] = value.text
-        return value.text, None
+            raise _Denied(
+                "constraints", label, reason.detail,
+                reason.code, f"{label}: {reason.detail}", failed_constraint=label,
+            )
+        trace.append(TraceEntry("constraints", label, "PASS"))
+        result["result"] = "PASS"
 
     def _apply_local_policy(
         self,
@@ -746,62 +673,36 @@ class Engine:
         profile_status: Optional[DenialReason],
         trace: list[TraceEntry],
         notes: _Notes,
-    ) -> Optional[Decision]:
-        """None when local policy is satisfied; the final denial otherwise."""
-        cfg = self.config
-        policy = cfg.local_policy
+    ) -> None:
+        policy = self.config.local_policy
         if policy is None:
-            return None
-        witness: list[str] = []
-        for field in policy.required_context_fields:
-            value, reason = resolve_semantic_field(
-                field, context, cfg.mapping_profile, cfg.vocabularies,
-                now, cfg.steward_keys, profile_status,
-            )
+            return
+
+        def resolved(field: str) -> TypedValue:
+            value, reason = self._resolve(field, context, now, profile_status, notes)
             if reason is not None:
-                trace.append(TraceEntry("policy", "local policy", f"FAIL: {reason.detail}"))
-                return self._finish(
-                    trace, deny(reason.code, f"local policy: {reason.detail}")
+                raise _Denied(
+                    "policy", "local policy", reason.detail,
+                    reason.code, f"local policy: {reason.detail}",
                 )
-            assert value is not None
-            notes.resolved[field] = value.text
-            witness.append(value.text)
+            return value
+
+        witness = [resolved(field).text for field in policy.required_context_fields]
         for constraint in policy.constraints:
             if isinstance(constraint, UnknownConstraint):
-                trace.append(
-                    TraceEntry("policy", "local policy", "FAIL: unrecognized policy constraint")
+                raise _Denied(
+                    "policy", "local policy", "unrecognized policy constraint",
+                    DenyCode.LOCAL_POLICY_DENIED,
+                    f"policy {policy.policy_id!r} holds an unrecognized constraint type",
                 )
-                return self._finish(
-                    trace,
-                    deny(
-                        DenyCode.LOCAL_POLICY_DENIED,
-                        f"policy {policy.policy_id!r} holds an unrecognized constraint type",
-                    ),
-                )
-            value, reason = resolve_semantic_field(
-                constraint.field, context, cfg.mapping_profile, cfg.vocabularies,
-                now, cfg.steward_keys, profile_status,
-            )
-            if reason is not None:
-                trace.append(TraceEntry("policy", "local policy", f"FAIL: {reason.detail}"))
-                return self._finish(
-                    trace, deny(reason.code, f"local policy: {reason.detail}")
-                )
-            assert value is not None
-            notes.resolved[constraint.field] = value.text
-            ok, detail = evaluate_constraint(constraint, value)
+            ok, detail = evaluate_constraint(constraint, resolved(constraint.field))
             if not ok:
-                trace.append(TraceEntry("policy", "local policy", f"FAIL: {detail}"))
-                return self._finish(
-                    trace,
-                    deny(
-                        DenyCode.LOCAL_POLICY_DENIED,
-                        f"policy {policy.policy_id!r}: {detail}",
-                    ),
+                raise _Denied(
+                    "policy", "local policy", detail,
+                    DenyCode.LOCAL_POLICY_DENIED, f"policy {policy.policy_id!r}: {detail}",
                 )
         suffix = f": {', '.join(witness)}" if witness else ""
         trace.append(TraceEntry("policy", "local policy", f"PASS{suffix}"))
-        return None
 
     # -- workflow composition ---------------------------------------------------
 
@@ -812,24 +713,17 @@ class Engine:
         now: datetime,
         trace: list[TraceEntry],
         notes: _Notes,
-    ) -> tuple[Decision, Optional[WorkflowComposition]]:
+    ) -> WorkflowComposition:
         containers: list[CredentialContainer] = []
         for index, credential in enumerate(credentials, start=1):
             try:
-                container = self._parse(credential)
+                containers.append(self._parse(credential))
             except (MalformedContainerError, ValueError) as exc:
-                trace.append(TraceEntry("workflow", "parse", f"FAIL: credential {index}: {exc}"))
-                return (
-                    self._finish(
-                        trace,
-                        deny(
-                            DenyCode.SIGNATURE_INVALID,
-                            f"malformed container in workflow set ({index}): {exc}",
-                        ),
-                    ),
-                    None,
+                raise _Denied(
+                    "workflow", "parse", f"credential {index}: {exc}",
+                    DenyCode.SIGNATURE_INVALID,
+                    f"malformed container in workflow set ({index}): {exc}",
                 )
-            containers.append(container)
         notes.containers.extend(containers)
         trace.append(TraceEntry("workflow", "parse", f"PASS: {len(containers)} credentials"))
 
@@ -837,55 +731,34 @@ class Engine:
         # artifact (signature, trust, window, revocation) with possession
         # deferred to the per-step evaluations that follow.
         for index, container in enumerate(containers, start=1):
+            check = f"credential {index} verify"
             reason = self._verify(container, container.subject_id, None, now, pop_required=False)
+            if reason is None:
+                reason = validate_payload(container.payload)
             if reason is not None:
-                trace.append(
-                    TraceEntry("workflow", f"credential {index} verify", f"FAIL: {reason.detail}")
+                raise _Denied(
+                    "workflow", check, reason.detail,
+                    reason.code, f"workflow credential {index}: {reason.detail}",
                 )
-                return (
-                    self._finish(
-                        trace, deny(reason.code, f"workflow credential {index}: {reason.detail}")
-                    ),
-                    None,
-                )
-            problem = validate_payload(container.payload)
-            if problem is not None:
-                trace.append(
-                    TraceEntry("workflow", f"credential {index} verify", f"FAIL: {problem.detail}")
-                )
-                return (
-                    self._finish(
-                        trace, deny(problem.code, f"workflow credential {index}: {problem.detail}")
-                    ),
-                    None,
-                )
-            trace.append(TraceEntry("workflow", f"credential {index} verify", "PASS"))
+            trace.append(TraceEntry("workflow", check, "PASS"))
 
         assignments: dict[str, str] = {}
         for role in policy.roles:
-            filled = None
-            for container in containers:
-                if container.digest() in assignments.values():
-                    continue
-                if not glob_match(role.issuer_pattern, container.issuer_id):
-                    continue
-                if role.required_permission not in (container.payload.permissions or frozenset()):
-                    continue
-                filled = container
-                break
+            filled = next(
+                (
+                    c
+                    for c in containers
+                    if c.digest() not in assignments.values()
+                    and glob_match(role.issuer_pattern, c.issuer_id)
+                    and role.required_permission in (c.payload.permissions or frozenset())
+                ),
+                None,
+            )
             if filled is None:
-                trace.append(
-                    TraceEntry("workflow", f"role {role.role_id}", "FAIL: unfilled")
-                )
-                return (
-                    self._finish(
-                        trace,
-                        deny(
-                            DenyCode.WORKFLOW_POLICY_DENIED,
-                            f"role {role.role_id!r} is not filled by any presented credential",
-                        ),
-                    ),
-                    None,
+                raise _Denied(
+                    "workflow", f"role {role.role_id}", "unfilled",
+                    DenyCode.WORKFLOW_POLICY_DENIED,
+                    f"role {role.role_id!r} is not filled by any presented credential",
                 )
             assignments[role.role_id] = filled.digest()
             trace.append(
@@ -903,12 +776,9 @@ class Engine:
             effective.extend(group)
             conflict = _joint_conflict(field, group)
             if conflict is not None:
-                trace.append(TraceEntry("workflow", f"shared field {field}", f"FAIL: {conflict}"))
-                return (
-                    self._finish(
-                        trace, deny(DenyCode.WORKFLOW_POLICY_DENIED, f"{field}: {conflict}")
-                    ),
-                    None,
+                raise _Denied(
+                    "workflow", f"shared field {field}", conflict,
+                    DenyCode.WORKFLOW_POLICY_DENIED, f"{field}: {conflict}",
                 )
             trace.append(TraceEntry("workflow", f"shared field {field}", "PASS"))
 
@@ -917,42 +787,33 @@ class Engine:
             "assignments": dict(assignments),
             "shared_fields": list(policy.shared_fields),
         }
-        trace.append(TraceEntry("decision", "decision", "ALLOW"))
-        return (
-            allow(trace),
-            WorkflowComposition(
-                workflow_id=policy.workflow_id,
-                assignments=assignments,
-                effective_constraints=tuple(effective),
-            ),
+        return WorkflowComposition(
+            workflow_id=policy.workflow_id,
+            assignments=assignments,
+            effective_constraints=tuple(effective),
         )
 
-    # -- audit -------------------------------------------------------------------
+    # -- decision and audit ------------------------------------------------------
 
-    def _finish(self, trace: list[TraceEntry], decision: Decision) -> Decision:
-        """Attach the trace (plus the closing decision entry) to a denial."""
-        if decision.outcome != ALLOW and (not trace or trace[-1].stage != "decision"):
-            assert decision.reason is not None
-            trace.append(
-                TraceEntry("decision", "decision", f"DENY: {decision.reason.code.value}")
-            )
-        return Decision(
-            outcome=decision.outcome,
-            reason=decision.reason,
-            trace=tuple(trace),
-            failed_constraint=decision.failed_constraint,
-        )
-
-    def _record(
+    def _conclude(
         self,
         operation: str,
-        decision: Decision,
+        trace: list[TraceEntry],
+        denied: Optional[_Denied],
         context: Optional[RequestContext],
         presenter_id: Optional[str],
         now: datetime,
         notes: _Notes,
     ) -> Decision:
+        """Write the audit record, close the trace and build the decision.
+
+        This is the only place a decision is made.  ``denied`` is the failed
+        check that ended the evaluation, or None when every check passed.  A
+        record that cannot be written turns the decision into a denial.
+        """
         cfg = self.config
+        if denied is not None:
+            denied.trace_failure(trace)
         leaf = notes.containers[-1] if notes.containers else None
         governance = {
             "tier": cfg.tier,
@@ -966,6 +827,7 @@ class Engine:
             "trust_anchor": cfg.trusted_issuers.get(leaf.issuer_id) if leaf else None,
             "local_policy": cfg.local_policy.policy_id if cfg.local_policy else None,
         }
+        reason = denied.reason if denied is not None else None
         try:
             cfg.audit_log.append(
                 operation=operation,
@@ -978,22 +840,26 @@ class Engine:
                 resource=notes.resolved.get("core.resource_id"),
                 context_snapshot=notes.resolved,
                 constraint_results=notes.constraint_results,
-                decision_outcome=decision.outcome,
-                decision_code=decision.reason.code.value if decision.reason else None,
-                decision_detail=decision.reason.detail if decision.reason else "",
-                failed_constraint=decision.failed_constraint,
+                decision_outcome=DENY if reason else ALLOW,
+                decision_code=reason.code.value if reason else None,
+                decision_detail=reason.detail if reason else "",
+                failed_constraint=denied.failed_constraint if denied is not None else None,
                 governance=governance,
                 workflow=notes.workflow,
             )
         except AuditError as exc:
-            trace = list(decision.trace)
-            trace.append(TraceEntry("decision", "audit", f"FAIL: {exc}"))
-            return deny(
+            denied = _Denied(
+                "decision", "audit", str(exc),
                 DenyCode.LOCAL_POLICY_DENIED,
                 f"audit append failed, refusing to decide without a record: {exc}",
-                trace=trace,
             )
-        return decision
+            denied.trace_failure(trace)
+        if denied is None:
+            trace.append(TraceEntry("decision", "decision", "ALLOW"))
+            return allow(trace)
+        code = denied.reason.code
+        trace.append(TraceEntry("decision", "decision", f"DENY: {code.value}"))
+        return deny(code, denied.reason.detail, trace, denied.failed_constraint)
 
 
 def _joint_conflict(field: str, group: Sequence[Constraint]) -> Optional[str]:

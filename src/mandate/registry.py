@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .canonical import digest_object
-from .keys import SigningKey, attach_signature, check_signature
+from .keys import SigningKey, attach_signature, check_signature, envelope_public_key
 from .model import parse_timestamp, render_timestamp
 
 STANDING_ACTIVE = "active"
@@ -172,9 +172,7 @@ def load_registry(
     else:
         obj = data
     registry = _parse_registry(obj)
-    envelope = registry.raw.get("signature")
-    key_id = envelope.get("key_id") if isinstance(envelope, dict) else None
-    public_hex = steward_keys.get(key_id) if isinstance(key_id, str) else None
+    public_hex = envelope_public_key(registry.raw, steward_keys)
     if public_hex is None or not check_signature(registry.raw, public_hex):
         raise RegistryError("bad_signature", "registry signature does not verify against any steward key")
     if now is not None and not registry.in_window(now):

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .canonical import canonical_dumps, digest_object
-from .keys import attach_signature, check_signature
+from .keys import attach_signature, check_signature, envelope_public_key
 from .model import (
     DenialReason,
     DenyCode,
@@ -300,9 +300,7 @@ def validate_mapping_profile(
     """
     if mapping is None:
         return DenialReason(DenyCode.MAPPING_PROFILE_MISSING, "no mapping profile configured")
-    envelope = mapping.raw.get("signature")
-    key_id = envelope.get("key_id") if isinstance(envelope, dict) else None
-    public_hex = steward_keys.get(key_id) if isinstance(key_id, str) else None
+    public_hex = envelope_public_key(mapping.raw, steward_keys)
     try:
         trust = mapping._trust_verdicts[public_hex]
     except KeyError:

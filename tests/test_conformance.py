@@ -8,6 +8,8 @@ import pytest
 from mandate.conformance import (
     LEVEL_DIRS,
     FixtureError,
+    _run_input,
+    build_engine,
     iter_vector_files,
     run_vector,
     run_vectors,
@@ -22,6 +24,30 @@ def test_shipped_suite_passes_completely():
     report = run_vectors(VECTOR_ROOT)
     assert report.ok, report.to_dict()["failures"]
     assert report.total == report.passed == 59
+
+
+@pytest.mark.parametrize(
+    "path", iter_vector_files(VECTOR_ROOT), ids=lambda p: f"{p.parent.name}/{p.stem}"
+)
+def test_trace_shape(path):
+    """One closing decision entry; a DENY's single FAIL entry sits just before it."""
+    vector = json.loads(path.read_text("utf-8"))
+    engine, now = build_engine(vector["fixtures"])
+    for prior in vector["input"].get("prior", ()):
+        _run_input(engine, now, prior)
+    decision = _run_input(engine, now, vector["input"])
+    expected = vector["expected"]
+    assert decision.outcome == expected["outcome"]
+
+    *checks, closing = [(e.stage, e.check, e.result) for e in decision.trace]
+    closing_result = "ALLOW" if decision.allowed else f"DENY: {expected['code']}"
+    assert closing == ("decision", "decision", closing_result)
+    assert all((stage, check) != ("decision", "decision") for stage, check, _ in checks)
+    failures = [i for i, (_, _, result) in enumerate(checks) if result.startswith("FAIL:")]
+    if decision.allowed:
+        assert failures == []
+    else:
+        assert failures in ([], [len(checks) - 1])
 
 
 def test_every_level_directory_contributes_vectors():

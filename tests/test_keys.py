@@ -7,6 +7,7 @@ from mandate.keys import (
     KeyError_,
     SigningKey,
     check_signature,
+    envelope_public_key,
     generate_key,
     load_signing_key,
 )
@@ -51,3 +52,12 @@ def test_warmed_key_equals_fresh_key():
     assert hash(warmed) == hash(fresh)
     assert fresh.sign(b"data") == signature
     assert warmed != generate_key("steward:test", seed="keys:other")
+
+
+def test_envelope_public_key_looks_up_the_named_key():
+    keys = {KEY.key_id: KEY.public_hex}
+    assert envelope_public_key(envelope_signed_with_suite(1), keys) == KEY.public_hex
+    assert envelope_public_key({"kind": "probe"}, keys) is None
+    assert envelope_public_key({"signature": "not-an-envelope"}, keys) is None
+    assert envelope_public_key({"signature": {"key_id": 7}}, {7: KEY.public_hex}) is None
+    assert envelope_public_key({"signature": {"key_id": "steward:other"}}, keys) is None

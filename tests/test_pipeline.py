@@ -1,11 +1,13 @@
 """Engine pipeline: ordering, traces, chains, policy, workflow, audit coupling."""
 
+import gc
 from datetime import timedelta
 from decimal import Decimal
 
 import pytest
 
 from mandate.audit import AuditLog, verify_audit_chain
+from mandate.canonical import digest_object
 from mandate.constraints import (
     EnumeratedListConstraint,
     NumericLimitConstraint,
@@ -388,6 +390,51 @@ def manual_link(issuer_key, issuer_id, subject_key, parent, permissions=("task.r
     return parse_container(attach_signature(body, issuer_key))
 
 
+MISSING = object()
+
+
+def with_subject_suite(cred, issuer_key, suite):
+    """``cred`` as a dict re-signed by ``issuer_key``, its subject key's suite
+    replaced (dropped when ``suite`` is MISSING)."""
+    body = {k: v for k, v in cred.raw.items() if k != "signature"}
+    body["subject_public_key"] = {"public_key": cred.subject_public_key}
+    if suite is not MISSING:
+        body["subject_public_key"]["suite"] = suite
+    return attach_signature(body, issuer_key)
+
+
+SUITES = pytest.mark.parametrize(
+    "suite, allowed", [(1, True), (7, False), (True, False), (MISSING, False)],
+    ids=["1", "7", "true", "missing"],
+)
+
+
+@SUITES
+def test_subject_key_suite_must_be_ed25519(suite, allowed):
+    resigned = with_subject_suite(credential(), ISSUER, suite)
+    pop = make_possession_proof(digest_object(resigned), RECEIVER, f"suite-{suite!r}", NOW, SUBJECT)
+    decision = make_engine().evaluate(resigned, context(), SUBJECT.key_id, pop, now=NOW)
+    assert decision.allowed is allowed
+    if not allowed:
+        assert decision.reason.code is DenyCode.SIGNATURE_INVALID
+        assert "subject key suite" in decision.reason.detail
+
+
+@SUITES
+def test_chain_link_subject_key_suite_must_be_ed25519(suite, allowed):
+    links, keys = chain_of(2)
+    leaf = with_subject_suite(links[1], keys[0], suite)
+    pop = make_possession_proof(digest_object(leaf), RECEIVER, f"suite-{suite!r}", NOW, keys[1])
+    decision = make_engine().evaluate(
+        [links[0], leaf], context(amount="100"), keys[1].key_id, pop, now=NOW
+    )
+    assert decision.allowed is allowed
+    if not allowed:
+        assert decision.reason.code is DenyCode.SIGNATURE_INVALID
+        assert decision.reason.detail.startswith("malformed container in link 2")
+        assert "subject key suite" in decision.reason.detail
+
+
 def test_three_link_chain_allows_and_traces():
     links, keys = chain_of(3)
     engine = make_engine()
@@ -660,6 +707,56 @@ def test_unwritable_audit_log_turns_allow_into_deny(tmp_path):
     assert decision.outcome == "DENY"
     assert decision.reason.code is DenyCode.LOCAL_POLICY_DENIED
     assert "audit" in decision.reason.detail
+    audit_entry, closing = decision.trace[-2:]
+    assert (audit_entry.stage, audit_entry.check) == ("decision", "audit")
+    assert audit_entry.result.startswith("FAIL: cannot append audit record")
+    assert (closing.stage, closing.check, closing.result) == (
+        "decision", "decision", "DENY: local_policy_denied",
+    )
+    assert not any(entry.result == "ALLOW" for entry in decision.trace)
+
+
+def test_unwritable_audit_log_keeps_the_failed_check_of_a_denial(tmp_path):
+    log = AuditLog(RECEIVER, AUDIT, path=tmp_path / "missing" / "audit.log")
+    engine = make_engine(audit_log=log)
+    decision = evaluate(engine, credential(), context(amount="5000"))
+    assert decision.reason.code is DenyCode.LOCAL_POLICY_DENIED
+    assert decision.failed_constraint is None
+    assert [(e.stage, e.check, e.result.split(":")[0]) for e in decision.trace[-3:]] == [
+        ("constraints", "C1", "FAIL"),
+        ("decision", "audit", "FAIL"),
+        ("decision", "decision", "DENY"),
+    ]
+    assert decision.trace[-1].result == "DENY: local_policy_denied"
+
+
+def test_denials_leave_no_reference_cycles():
+    # A caught denial must not stay reachable from the frame that caught it:
+    # its traceback would pin every frame of the evaluation until a GC pass.
+    engine = make_engine()
+    # The second link names the root's issuer, not the root's subject, as issuer.
+    broken_chain = [credential(), credential()]
+    gc.collect()
+    gc.disable()
+    try:
+        decisions = [
+            evaluate(engine, credential(), context(amount="5000")),
+            evaluate(engine, credential(), context(action="task.delete")),
+            evaluate(engine, broken_chain),
+            engine.evaluate([], context(), SUBJECT.key_id, now=NOW),
+            engine.compose_workflow(workflow_policy(), [], now=NOW)[0],
+        ]
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert [d.reason.code for d in decisions] == [
+        DenyCode.CONSTRAINT_FAILED,
+        DenyCode.PERMISSION_DENIED,
+        DenyCode.DELEGATION_CHAIN_BROKEN,
+        DenyCode.CREDENTIAL_INCOMPLETE,
+        DenyCode.WORKFLOW_POLICY_DENIED,
+    ]
+    assert garbage == 0
 
 
 # --- determinism -----------------------------------------------------------------------
