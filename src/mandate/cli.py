@@ -157,12 +157,7 @@ def _load_credential_entries(paths: Sequence[str]) -> list:
     entries: list = []
     for path in paths:
         obj = _read_json(path)
-        rows = obj if isinstance(obj, list) else [obj]
-        for row in rows:
-            if isinstance(row, dict) and row.get("encoding") == "base64url":
-                entries.append(from_transport(str(row.get("value", ""))))
-            else:
-                entries.append(row)
+        entries.extend(_load_credential_entries_from(obj if isinstance(obj, list) else [obj]))
     return entries
 
 

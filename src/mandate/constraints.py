@@ -27,6 +27,7 @@ from .model import (
     TypedValue,
     ValueParseError,
     parse_timestamp,
+    parse_typed_value,
     render_timestamp,
 )
 
@@ -302,7 +303,7 @@ def constraint_from_dict(obj: dict) -> Constraint:
             return NumericLimitConstraint(
                 field=_expect_str(obj, "field"),
                 operator=_expect_str(obj, "operator"),
-                value=_parse_decimal(obj["value"]),
+                value=parse_typed_value(obj["value"], SemanticType.DECIMAL).value,
                 currency=_opt_str(obj, "currency"),
                 unit=_opt_str(obj, "unit"),
             )
@@ -336,7 +337,7 @@ def constraint_from_dict(obj: dict) -> Constraint:
             _expect_keys(obj, {"type", "field", "budget", "period", "state_authority_pointer"}, {"currency"})
             return CumulativeLimitConstraint(
                 field=_expect_str(obj, "field"),
-                budget=_parse_decimal(obj["budget"]),
+                budget=parse_typed_value(obj["budget"], SemanticType.DECIMAL).value,
                 period=Period.from_dict(obj["period"]),
                 state_authority_pointer=_expect_str(obj, "state_authority_pointer"),
                 currency=_opt_str(obj, "currency"),
@@ -370,14 +371,6 @@ def _expect_str_list(value: object) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ValueParseError("expected a list of strings")
     return value
-
-
-def _parse_decimal(text: object) -> Decimal:
-    if not isinstance(text, str):
-        raise ValueParseError("decimal constraint values travel as strings")
-    if not re.match(r"^[+-]?[0-9]+(\.[0-9]+)?$", text):
-        raise ValueParseError(f"invalid decimal {text!r}")
-    return Decimal(text)
 
 
 # --- timezone resolution ----------------------------------------------------
@@ -633,6 +626,36 @@ def _group(constraints: Iterable[Constraint]) -> dict:
     return groups
 
 
+def joint_conflict(group: Sequence[Constraint]) -> Optional[str]:
+    """A reason the conjunction of same-field constraints can never hold, or None.
+
+    Built from the reducers attenuation uses, and conservative: it decides
+    numeric limits (with currency), instant windows, weekday gates under one
+    timezone, and enumerations.  Anything it cannot prove empty (patterns,
+    cumulative limits, day gates across timezones) stays in force as a
+    conjunction at evaluation time.
+    """
+    numeric = [c for c in group if isinstance(c, NumericLimitConstraint)]
+    windows = [c for c in group if isinstance(c, TemporalWindowConstraint)]
+    enums = [c for c in group if isinstance(c, EnumeratedListConstraint)]
+    currencies = {c.currency for c in numeric if c.currency is not None}
+    if len(currencies) > 1:
+        return f"limits pin different currencies {sorted(currencies)}"
+    if _interval_empty(*_numeric_interval(numeric)):
+        return "joint numeric bounds admit no value"
+    if windows:
+        start, end = _window(windows)
+        if start > end:
+            return "joint temporal windows do not overlap"
+        gated_zones = {c.timezone for c in windows if c.allowed_days is not None}
+        if len(gated_zones) <= 1 and not _combined_days(windows):
+            return "joint day gates admit no weekday"
+    allowed = _combined_allowed(enums)
+    if allowed is not None and not allowed - _combined_denied(enums):
+        return "joint enumerations admit no value"
+    return None
+
+
 def _numeric_interval(group: Sequence[NumericLimitConstraint]):
     """Intersect a group's bounds into one interval: (lo, lo_closed, hi, hi_closed)."""
     lo = hi = None
@@ -689,10 +712,8 @@ def _narrows_temporal(child_group, parent_group) -> tuple[bool, str]:
         zones = {c.timezone for c in list(child_group) + list(parent_group)}
         if len(zones) > 1:
             return False, "day-of-week narrowing requires identical timezones"
-    p_from = max(c.valid_from for c in parent_group)
-    p_until = min(c.valid_until for c in parent_group)
-    c_from = max(c.valid_from for c in child_group)
-    c_until = min(c.valid_until for c in child_group)
+    p_from, p_until = _window(parent_group)
+    c_from, c_until = _window(child_group)
     if c_from > c_until:
         return True, ""
     if p_from > p_until:
@@ -704,6 +725,11 @@ def _narrows_temporal(child_group, parent_group) -> tuple[bool, str]:
     if not c_days.issubset(p_days):
         return False, "allowed days widened"
     return True, ""
+
+
+def _window(group) -> tuple[datetime, datetime]:
+    """Intersect a group's instant windows: (latest start, earliest end)."""
+    return max(c.valid_from for c in group), min(c.valid_until for c in group)
 
 
 def _combined_days(group) -> frozenset[str]:

@@ -27,23 +27,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timedelta
-from decimal import Decimal
 from typing import Mapping, Optional, Sequence, Union
 
 from .audit import AuditError, AuditLog
 from .constraints import (
     Constraint,
     CumulativeLimitConstraint,
-    EnumeratedListConstraint,
     NumericLimitConstraint,
-    StringPatternConstraint,
-    TemporalWindowConstraint,
     UnknownConstraint,
     constraint_from_dict,
     evaluate_constraint,
     check_attenuation,
     family_of,
     glob_match,
+    joint_conflict,
 )
 from .container import (
     CredentialContainer,
@@ -332,7 +329,11 @@ class Engine:
         matches the role's issuer pattern and whose permissions include the
         role's required permission.  Constraints on declared shared fields
         are conjoined across all participants; a conjunction that no request
-        could ever satisfy is refused here, before any step runs.
+        could ever satisfy is refused here, before any step runs.  That
+        planning-time check (``constraints.joint_conflict``) covers numeric
+        limits with their currencies, instant windows, weekday gates in one
+        timezone, and enumerations.  String patterns and cumulative limits
+        are not judged here; they stay in force at evaluation.
         """
         trace: list[TraceEntry] = []
         notes = _Notes()
@@ -411,7 +412,10 @@ class Engine:
             if reason is None
             else _CODE_TO_CHECK.get(reason.code, len(_VERIFY_CHECKS) - 1)
         )
-        for check in _VERIFY_CHECKS[:failed_at]:
+        passed = _VERIFY_CHECKS[:failed_at]
+        if reason is not None and reason.code is DenyCode.ISSUER_UNTRUSTED:
+            passed = ()  # no trusted key, so the signature was never checked
+        for check in passed:
             trace.append(TraceEntry("container", check, "PASS"))
         if reason is not None:
             raise _Denied(
@@ -774,7 +778,7 @@ class Engine:
                 if not isinstance(c, UnknownConstraint) and c.field == field
             ]
             effective.extend(group)
-            conflict = _joint_conflict(field, group)
+            conflict = joint_conflict(group)
             if conflict is not None:
                 raise _Denied(
                     "workflow", f"shared field {field}", conflict,
@@ -860,80 +864,3 @@ class Engine:
         code = denied.reason.code
         trace.append(TraceEntry("decision", "decision", f"DENY: {code.value}"))
         return deny(code, denied.reason.detail, trace, denied.failed_constraint)
-
-
-def _joint_conflict(field: str, group: Sequence[Constraint]) -> Optional[str]:
-    """A reason the conjunction of same-field constraints can never hold, or None.
-
-    This is a conservative emptiness check per family; anything it cannot
-    prove empty stays in force as a conjunction at evaluation time.
-    """
-    lows: list[tuple[Decimal, bool]] = []
-    highs: list[tuple[Decimal, bool]] = []
-    pins: list[Decimal] = []
-    currencies: set[Optional[str]] = set()
-    for c in group:
-        if isinstance(c, NumericLimitConstraint):
-            if c.currency is not None:
-                currencies.add(c.currency)
-            if c.operator == "eq":
-                pins.append(c.value)
-            elif c.operator == "lt":
-                highs.append((c.value, False))
-            elif c.operator == "lte":
-                highs.append((c.value, True))
-            elif c.operator == "gt":
-                lows.append((c.value, False))
-            elif c.operator == "gte":
-                lows.append((c.value, True))
-    if len(currencies) > 1:
-        return f"limits pin different currencies {sorted(currencies)}"
-    if len(set(pins)) > 1:
-        return "equality limits pin different values"
-    if pins:
-        pin = pins[0]
-        for bound, inclusive in highs:
-            if pin > bound or (pin == bound and not inclusive):
-                return "equality limit falls outside a joint bound"
-        for bound, inclusive in lows:
-            if pin < bound or (pin == bound and not inclusive):
-                return "equality limit falls outside a joint bound"
-    if lows and highs:
-        low, low_inc = max(lows, key=lambda b: (b[0], b[1]))
-        high, high_inc = min(highs, key=lambda b: (b[0], -b[1]))
-        if low > high or (low == high and not (low_inc and high_inc)):
-            return "joint numeric bounds admit no value"
-
-    froms = [c.valid_from for c in group if isinstance(c, TemporalWindowConstraint)]
-    untils = [c.valid_until for c in group if isinstance(c, TemporalWindowConstraint)]
-    if froms and untils and max(froms) > min(untils):
-        return "joint temporal windows do not overlap"
-    day_sets = [
-        frozenset(c.allowed_days)
-        for c in group
-        if isinstance(c, TemporalWindowConstraint) and c.allowed_days is not None
-    ]
-    timezones = {
-        c.timezone for c in group if isinstance(c, TemporalWindowConstraint) and c.allowed_days
-    }
-    if day_sets and len(timezones) <= 1:
-        joint = frozenset.intersection(*day_sets)
-        if not joint:
-            return "joint day gates admit no weekday"
-
-    alloweds = [
-        frozenset(c.allowed)
-        for c in group
-        if isinstance(c, EnumeratedListConstraint) and c.allowed is not None
-    ]
-    denieds = [
-        frozenset(c.denied)
-        for c in group
-        if isinstance(c, EnumeratedListConstraint) and c.denied is not None
-    ]
-    if alloweds:
-        joint_allowed = frozenset.intersection(*alloweds)
-        joint_denied = frozenset.union(*denieds) if denieds else frozenset()
-        if not joint_allowed - joint_denied:
-            return "joint enumerations admit no value"
-    return None

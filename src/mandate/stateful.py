@@ -188,12 +188,6 @@ class EpochAllocation:
     quotas: tuple[EpochQuota, ...]
     max_concurrent_exposure: Decimal  # worst case if every enforcer spends its slice before sync
 
-    def quota_for(self, enforcer_id: str) -> Optional[EpochQuota]:
-        for quota in self.quotas:
-            if quota.enforcer_id == enforcer_id:
-                return quota
-        return None
-
 
 def allocate_epoch_quotas(
     budget: Decimal,

@@ -1,13 +1,16 @@
 """Independent oracles the implementation is tested against.
 
 These are deliberately naive and written before (and apart from) the engine
-code: a recursive reference matcher for the restricted glob language, and
-language enumeration over a small alphabet for containment.  They are frozen;
-when engine and oracle disagree, the engine is wrong until proven otherwise.
+code: a recursive reference matcher for the restricted glob language,
+language enumeration over a small alphabet for containment, and per-value
+membership tests for deciding whether a conjunction of limits admits
+anything.  They are frozen; when engine and oracle disagree, the engine is
+wrong until proven otherwise.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import product
 
@@ -59,3 +62,25 @@ def all_patterns(max_len: int = 5, max_stars: int = 2) -> list[str]:
             if combo.count("*") <= max_stars:
                 patterns.append("".join(combo))
     return patterns
+
+
+_COMPARE = {
+    "eq": operator.eq,
+    "lt": operator.lt,
+    "lte": operator.le,
+    "gt": operator.gt,
+    "gte": operator.ge,
+}
+
+
+def numeric_admits(limits, value) -> bool:
+    """Whether ``value`` meets every ``(operator, bound)`` limit of a conjunction."""
+    return all(_COMPARE[op](value, bound) for op, bound in limits)
+
+
+def enumeration_admits(lists, value: str) -> bool:
+    """Whether ``value`` passes every ``(allowed, denied)`` pair; None means unset."""
+    return all(
+        (allowed is None or value in allowed) and (denied is None or value not in denied)
+        for allowed, denied in lists
+    )

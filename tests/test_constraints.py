@@ -2,12 +2,14 @@
 
 from datetime import timedelta
 from decimal import Decimal
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mandate.constraints import (
+    NUMERIC_OPERATORS,
     ConstraintError,
     CumulativeLimitConstraint,
     EnumeratedListConstraint,
@@ -20,13 +22,19 @@ from mandate.constraints import (
     constraint_from_dict,
     evaluate_constraint,
     glob_match,
+    joint_conflict,
     normalize_pattern,
     pattern_subsumes,
     resolve_timezone,
 )
 from mandate.model import SemanticType, parse_timestamp, parse_typed_value
 
-from oracles import enumeration_subsumes, reference_glob_match
+from oracles import (
+    enumeration_admits,
+    enumeration_subsumes,
+    numeric_admits,
+    reference_glob_match,
+)
 
 
 def dec(text):
@@ -368,6 +376,20 @@ def test_decimal_values_travel_as_strings():
     assert isinstance(constraint_from_dict(obj), UnknownConstraint)
 
 
+@pytest.mark.parametrize(
+    "text, accepted",
+    [("5", True), ("-5", True), ("+5.25", True), ("007", True), ("1e3", False),
+     ("5.", False), (".5", False), ("NaN", False), ("Infinity", False), (" 5", False),
+     ("1_000", False), ("", False), ("\u0663", False)],
+)
+def test_decimal_constraint_values_use_the_context_decimal_grammar(text, accepted):
+    obj = {"type": "NumericLimitConstraint", "field": "f", "operator": "lte", "value": text}
+    parsed = constraint_from_dict(obj)
+    assert isinstance(parsed, NumericLimitConstraint) is accepted
+    if accepted:
+        assert parsed.value == Decimal(text)
+
+
 # --- attenuation -------------------------------------------------------------
 
 def num(op, value, field="core.amount", currency=None):
@@ -527,3 +549,60 @@ def test_attenuation_cumulative():
 def test_attenuation_numeric_matches_interval_order(parent, child):
     ok, _ = check_attenuation([num("lte", child)], [num("lte", parent)])
     assert ok == (child <= parent)
+
+
+# --- joint satisfiability ------------------------------------------------------
+
+LIMITS = [(op, Decimal(v)) for op in NUMERIC_OPERATORS for v in ("4", "5", "6")]
+# Every bound is 4, 5 or 6, so a non-empty conjunction holds a bound or a
+# point between, below or above them: one of 3.5, 4.0, ..., 6.5.
+WITNESSES = [Decimal(n) / 2 for n in range(7, 14)]
+
+
+def test_joint_conflict_matches_numeric_oracle_exhaustively():
+    groups = [g for size in (1, 2, 3) for g in combinations_with_replacement(LIMITS, size)]
+    assert len(groups) == 815
+    for group in groups:
+        admitted = any(numeric_admits(group, w) for w in WITNESSES)
+        conflict = joint_conflict([num(op, value) for op, value in group])
+        assert conflict == (None if admitted else "joint numeric bounds admit no value"), group
+
+
+def test_joint_conflict_matches_enumeration_oracle_exhaustively():
+    sets = (None, frozenset("a"), frozenset("b"), frozenset("ab"))
+    lists = [(a, d) for a in sets for d in sets if (a, d) != (None, None)]
+    for size in (1, 2):
+        for group in combinations_with_replacement(lists, size):
+            admitted = any(enumeration_admits(group, v) for v in "abc")
+            conflict = joint_conflict(
+                [EnumeratedListConstraint(field="f", allowed=a, denied=d) for a, d in group]
+            )
+            assert conflict == (None if admitted else "joint enumerations admit no value"), group
+
+
+def window(start, end, days=None, zone="UTC"):
+    return TemporalWindowConstraint(
+        field="t",
+        valid_from=parse_timestamp(start),
+        valid_until=parse_timestamp(end),
+        timezone=zone,
+        allowed_days=frozenset(days) if days is not None else None,
+    )
+
+
+def test_joint_conflict_details_per_family():
+    march = ("2026-03-01T00:00:00Z", "2026-03-31T00:00:00Z")
+    april = ("2026-04-01T00:00:00Z", "2026-04-30T00:00:00Z")
+    usd, eur = num("lte", "5", currency="USD"), num("gte", "1", currency="EUR")
+    assert joint_conflict([usd, eur]) == "limits pin different currencies ['EUR', 'USD']"
+    assert joint_conflict([usd, num("gte", "1")]) is None
+    assert joint_conflict([window(*march), window(*april)]) == "joint temporal windows do not overlap"
+    monday, tuesday = window(*march, days={"monday"}), window(*march, days={"tuesday"})
+    assert joint_conflict([monday, tuesday]) == "joint day gates admit no weekday"
+    # Across timezones the same weekday names cover different instants.
+    assert joint_conflict([monday, window(*march, days={"tuesday"}, zone="+09:00")]) is None
+    assert joint_conflict([monday, window(*march)]) is None
+    # Patterns and cumulative limits are left to evaluation.
+    exact = [StringPatternConstraint(field="f", match="exact", pattern=p) for p in "xy"]
+    assert joint_conflict(exact) is None
+    assert joint_conflict([]) is None

@@ -145,6 +145,17 @@ def test_allow_trace_shape():
     assert decision.trace[-1].result == "ALLOW"
 
 
+def test_untrusted_issuer_trace_has_no_signature_verdict():
+    # No trusted key means the signature was never checked, so no PASS for it.
+    decision = evaluate(make_engine(trusted_issuers={}), credential())
+    assert decision.reason.code is DenyCode.ISSUER_UNTRUSTED
+    assert [(e.stage, e.check, e.result.split(":")[0]) for e in decision.trace] == [
+        ("container", "parse", "PASS"),
+        ("container", "issuer trust", "FAIL"),
+        ("decision", "decision", "DENY"),
+    ]
+
+
 def test_accepts_bytes_text_and_dict_forms():
     cred = credential()
     for form in (cred.dumps().encode(), cred.dumps(), cred.to_dict()):
@@ -444,6 +455,22 @@ def test_three_link_chain_allows_and_traces():
     assert "link 2 continuity" in checks and "link 3 attenuation" in checks
 
 
+def test_chain_child_audience_beyond_its_parent_cannot_be_used():
+    # Audiences are not compared at issue time; every link must name the
+    # receiver instead, so the child's extra entry opens nothing.
+    root = credential(audience=["svc:1"])
+    child = delegate_credential(root, DELEGATES[0], SUBJECT, audience=["svc:1", "svc:evil"])
+    for receiver, allowed in (("svc:evil", False), ("svc:1", True)):
+        pop = make_possession_proof(child, receiver, f"aud-{receiver}", NOW, DELEGATES[0])
+        decision = make_engine(evaluator_id=receiver).evaluate(
+            [root, child], context(amount="100"), DELEGATES[0].key_id, pop, now=NOW
+        )
+        assert decision.allowed is allowed
+        if not allowed:
+            assert decision.reason.code is DenyCode.AUDIENCE_MISMATCH
+            assert decision.reason.detail.startswith("link 1:")
+
+
 def test_chain_depth_gate():
     links, keys = chain_of(5)
     engine = make_engine()
@@ -597,14 +624,14 @@ def workflow_policy(shared=("core.amount",)):
     )
 
 
-def reviewer_credential(limit="800"):
+def reviewer_credential(limit="800", floor="0"):
     reviewer = generate_key("agent:test:reviewer", seed="pipeline:reviewer")
     return credential(
         payload=payload(
             agent_id="agent:test:reviewer",
             permissions=("task.review",),
             constraints=(
-                NumericLimitConstraint(field="core.amount", operator="gte", value=Decimal("0")),
+                NumericLimitConstraint(field="core.amount", operator="gte", value=Decimal(floor)),
                 NumericLimitConstraint(
                     field="core.amount", operator="lte", value=Decimal(limit)
                 ),
@@ -654,6 +681,23 @@ def test_workflow_joint_conflict_on_shared_field():
     assert decision.reason.code is DenyCode.WORKFLOW_POLICY_DENIED
     assert composition is None
     assert "no value" in decision.reason.detail
+
+
+def test_workflow_joint_conflict_keeps_the_stricter_bound_at_a_tie():
+    # gt 5 and gte 5 meet at 5: the exclusive bound wins, so lte 5 leaves nothing.
+    runner = credential(
+        payload=payload(
+            constraints=(
+                NumericLimitConstraint(field="core.amount", operator="gt", value=Decimal("5")),
+            )
+        )
+    )
+    decision, composition = make_engine().compose_workflow(
+        workflow_policy(), [runner, reviewer_credential(floor="5", limit="5")], now=NOW
+    )
+    assert decision.reason.code is DenyCode.WORKFLOW_POLICY_DENIED
+    assert decision.reason.detail == "core.amount: joint numeric bounds admit no value"
+    assert composition is None
 
 
 def test_workflow_untrusted_credential_fails_verification():
