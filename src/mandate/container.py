@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Mapping, Optional, Sequence
 
@@ -51,6 +51,10 @@ class AttenuationViolation(ContainerError):
 
 @dataclass(frozen=True)
 class CredentialContainer:
+    """A parsed credential.  Immutable, ``raw`` included: the digest and the
+    issuer-signature verdicts are derived from ``raw`` and kept, so ``raw``
+    must never be mutated, nested values included."""
+
     credential_id: str
     issuer_id: str
     subject_id: str
@@ -62,9 +66,25 @@ class CredentialContainer:
     parent_digest: Optional[str]
     raw: dict
     digest_hex: str
+    # issuer public hex -> whether the issuer signature verifies against it;
+    # filled by signature_verifies.
+    _signature_verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def digest(self) -> str:
         return self.digest_hex
+
+    def signature_verifies(self, public_hex: str) -> bool:
+        """Whether the issuer signature verifies against ``public_hex``.
+
+        Checked once per key and kept on the container, so a container seen
+        again is not re-verified, while any other key (a re-keyed issuer, a
+        different parent link) gets a check of its own.
+        """
+        try:
+            return self._signature_verdicts[public_hex]
+        except KeyError:
+            verdict = self._signature_verdicts[public_hex] = check_signature(self.raw, public_hex)
+            return verdict
 
     def to_dict(self) -> dict:
         return dict(self.raw)
@@ -106,8 +126,16 @@ def parse_container(data: bytes | str | dict) -> CredentialContainer:
     identity bindings must be internally consistent and the audience must be
     non-empty: a container violating its own format invariants is rejected
     outright.  Unknown top-level fields are preserved: they stay under the
-    signature and in digests.
+    signature and in digests.  Nesting too deep to decode or digest is
+    malformed too, never an escaping ``RecursionError``.
     """
+    try:
+        return _parse_container(data)
+    except RecursionError as exc:
+        raise MalformedContainerError("container nesting is too deep") from exc
+
+
+def _parse_container(data: bytes | str | dict) -> CredentialContainer:
     if isinstance(data, (bytes, str)):
         try:
             if isinstance(data, bytes):
@@ -435,7 +463,7 @@ def verify_container(
     there is no key to verify against.
     """
     issuer_key = trusted_issuers.get(container.issuer_id)
-    if issuer_key is not None and not check_signature(container.raw, issuer_key):
+    if issuer_key is not None and not container.signature_verifies(issuer_key):
         return DenialReason(DenyCode.SIGNATURE_INVALID, "issuer signature does not verify")
     if issuer_key is None:
         return DenialReason(

@@ -25,6 +25,7 @@ follows the failed check's entry, if any, and the trace closes with
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timedelta
 from typing import Mapping, Optional, Sequence, Union
@@ -79,6 +80,13 @@ from .stateful import (
 )
 
 CURRENCY_FIELD = "core.currency_code"
+
+# Distinct presented credential bytes or texts an engine remembers, least
+# recently presented forgotten first; fixed, because presentations are
+# outside input.  Only bytes presented again keep their parsed container:
+# presentations that never repeat, such as fresh delegation chains, would
+# otherwise leave parsed objects behind that the cyclic collector must scan.
+PARSED_CREDENTIALS_KEPT = 64
 
 # Verification sub-checks in the order verify_container performs them, so a
 # denial code can be placed on the trace at the right step.
@@ -200,10 +208,18 @@ class EngineConfig:
     computed once, on first use, and kept on the artifact: the mapping
     profile's duplicate-row and steward-signature verdict (per steward public
     key), its alias index and digest, each registry's digest, and the audit
-    key's Ed25519 key object.  Everything that depends on the request or on
-    ``now`` still runs on every evaluation: the credential's issuer signature,
-    expiry, revocation, registry window and standing, proof of possession,
-    nonce replay, and the profile's ``valid_until`` staleness check.
+    key's Ed25519 key object.
+
+    Presented credentials are immutable values too.  The engine remembers
+    the last ``PARSED_CREDENTIALS_KEPT`` (64) distinct byte strings or texts
+    presented to it (dict and container inputs are not remembered) and,
+    from the second presentation on, keeps their parsed container.  Each
+    container keeps its issuer-signature verdict per issuer public key, so a
+    re-keyed issuer or a different parent link is verified afresh.  Everything that depends on the request or on ``now`` still runs
+    on every evaluation: proof of possession, nonce replay, the validity
+    window, revocation, registry window and standing, audience, subject
+    binding, payload completeness, the profile's ``valid_until`` staleness
+    check, constraints, and the audit sign.
     """
 
     evaluator_id: str
@@ -285,6 +301,10 @@ class Engine:
         self.config = config
         self.nonce_cache = NonceCache()
         self.voucher_memory = VoucherMemory()
+        # Presented bytes or text -> parsed container (None when presented
+        # once), least recently presented first.
+        self._parsed: dict[Union[bytes, str], CredentialContainer] = {}
+        self._parsed_lock = threading.Lock()
 
     # -- public operations -----------------------------------------------
 
@@ -347,9 +367,24 @@ class Engine:
     # -- parsing and verification ------------------------------------------
 
     def _parse(self, credential: Credential) -> CredentialContainer:
+        """Parse a presented credential, reusing the container kept for the
+        same bytes or text.  A parse failure is never remembered."""
         if isinstance(credential, CredentialContainer):
             return credential
-        return parse_container(credential)
+        if not isinstance(credential, (bytes, str)):
+            return parse_container(credential)
+        with self._parsed_lock:
+            seen = credential in self._parsed
+            if seen:  # re-inserted, so it is now the most recently presented
+                container = self._parsed[credential] = self._parsed.pop(credential)
+                if container is not None:
+                    return container
+        container = parse_container(credential)
+        with self._parsed_lock:
+            self._parsed[credential] = container if seen else None
+            if len(self._parsed) > PARSED_CREDENTIALS_KEPT:
+                del self._parsed[next(iter(self._parsed))]
+        return container
 
     def _verify(
         self,

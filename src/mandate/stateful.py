@@ -72,6 +72,14 @@ def _window_key(period: Period, now: datetime) -> str:
     raise ValueError("rolling periods are accounted by pruning, not window keys")
 
 
+def _admit(spent: Decimal, amount: Decimal, budget: Decimal) -> Decimal:
+    """The running total after spending ``amount``; OverBudgetError past ``budget``."""
+    total = spent + amount
+    if total > budget:
+        raise OverBudgetError(f"{format(total, 'f')} would exceed budget {format(budget, 'f')}")
+    return total
+
+
 class InMemoryStateAuthority:
     """Linearizable in-process reserve ledger: one lock, check then commit."""
 
@@ -86,22 +94,14 @@ class InMemoryStateAuthority:
             if period.kind == "rolling":
                 window = timedelta(seconds=period.duration_seconds or 0)
                 events = [e for e in self._events.get(key, []) if now - e[0] <= window]
-                spent = sum((e[1] for e in events), Decimal(0))
-                if spent + amount > budget:
-                    raise OverBudgetError(
-                        f"{format(spent + amount, 'f')} would exceed budget {format(budget, 'f')}"
-                    )
+                total = _admit(sum((e[1] for e in events), Decimal(0)), amount, budget)
                 events.append((now, amount))
                 self._events[key] = events
-                return spent + amount
+                return total
             bucket = (key, _window_key(period, now))
-            spent = self._totals.get(bucket, Decimal(0))
-            if spent + amount > budget:
-                raise OverBudgetError(
-                    f"{format(spent + amount, 'f')} would exceed budget {format(budget, 'f')}"
-                )
-            self._totals[bucket] = spent + amount
-            return spent + amount
+            total = _admit(self._totals.get(bucket, Decimal(0)), amount, budget)
+            self._totals[bucket] = total
+            return total
 
     def record(self, key: str, amount: Decimal, period: Period, now: datetime) -> None:
         """Add history without enforcing a budget: ledger replay and fixtures."""
@@ -125,8 +125,10 @@ class InMemoryStateAuthority:
 class FileStateAuthority:
     """Reserve ledger persisted as canonical append-only lines.
 
-    Reservations are replayed at load, so restarts keep their running totals;
-    the in-memory core still serializes all reserve calls.
+    Reservations are replayed at load, so restarts keep their running totals.
+    A reserve is checked, written, then committed to the in-memory core, all
+    under one lock: a line that cannot be written spends nothing, so memory
+    never holds a spend that a reopened ledger would not.
     """
 
     def __init__(self, authority_id: str, path: Union[str, Path]) -> None:
@@ -148,7 +150,7 @@ class FileStateAuthority:
 
     def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
         with self._io_lock:
-            total = self._core.reserve(key, amount, budget, period, now)
+            _admit(self._core.spent(key, period, now), amount, budget)
             row = {
                 "key": key,
                 "amount": format(amount, "f"),
@@ -161,7 +163,9 @@ class FileStateAuthority:
                     handle.flush()
             except OSError as exc:
                 raise StateUnreachableError(f"state ledger not writable: {exc}") from exc
-            return total
+            # The core changes only under this lock, so its own reserve (which
+            # also prunes expired rolling events) admits what was checked above.
+            return self._core.reserve(key, amount, budget, period, now)
 
 
 class UnreachableStateAuthority:

@@ -21,7 +21,7 @@ from mandate.container import (
     parse_container,
     revoke,
 )
-from mandate.keys import attach_signature, generate_key
+from mandate.keys import attach_signature, check_signature, generate_key
 from mandate.model import (
     AuthorizationPayload,
     DenyCode,
@@ -814,3 +814,252 @@ def test_identical_configurations_decide_identically():
     da = a.evaluate(cred, ctx, "agent:test:worker", pop, now=NOW)
     db = b.evaluate(cred, ctx, "agent:test:worker", pop, now=NOW)
     assert da.to_dict() == db.to_dict()
+
+
+# --- totality on deep nesting ------------------------------------------------------------
+
+def nested_in_extra_field(depth):
+    text = credential().dumps()
+    return (text[:-1] + ',"zz_extra":' + "[" * depth + "]" * depth + "}").encode()
+
+
+@pytest.mark.parametrize(
+    "wire",
+    [nested_in_extra_field(990), b"[" * 100000],
+    ids=["depth-990-extra-field", "depth-100000-array"],
+)
+def test_deeply_nested_bytes_deny_and_are_audited(wire):
+    engine = make_engine()
+    decision = engine.evaluate(wire, context(), SUBJECT.key_id, None, now=NOW)
+    assert decision.reason.code is DenyCode.SIGNATURE_INVALID
+    assert decision.reason.detail == "malformed container: container nesting is too deep"
+    assert len(engine.config.audit_log.records()) == 1
+
+
+# --- verified-credential cache -------------------------------------------------------------
+
+OTHER_ISSUER_KEY = generate_key("iss:test:authority", seed="pipeline:rotated-issuer")
+
+
+def present(engine, cred, at=NOW, pop=None):
+    """Evaluate ``cred`` presented as its wire bytes, as a receiver receives it."""
+    return engine.evaluate(
+        cred.dumps().encode(), context(), cred.subject_id, pop or pop_for(cred, at=at), now=at
+    )
+
+
+def warm(engine, cred):
+    """Present ``cred`` until the engine keeps its parsed container."""
+    for _ in range(2):
+        assert present(engine, cred).allowed
+    assert engine._parsed[cred.dumps().encode()] is not None
+
+
+def present_chain(engine, links, holder_key, amount="100"):
+    return engine.evaluate(
+        [link.dumps().encode() for link in links],
+        context(amount=amount),
+        links[-1].subject_id,
+        pop_for(links[-1], holder_key),
+        now=NOW,
+    )
+
+
+def vetting_registry(version, issuer_ids):
+    from mandate.registry import IssuerEntry, build_registry
+
+    return build_registry(
+        registry_id="registry:test",
+        version=version,
+        valid_from=FROM,
+        valid_until=UNTIL,
+        issuers=[
+            IssuerEntry(
+                issuer_id=issuer_id,
+                standing="active",
+                credential_classes=frozenset({"*"}),
+                profiles=frozenset({"*"}),
+            )
+            for issuer_id in issuer_ids
+        ],
+        steward_key=STEWARD,
+    )
+
+
+def test_cached_credential_denies_once_its_revocation_list_names_it():
+    cred = credential()
+    store = RevocationStore()
+    revocations = new_revocation_list(ISSUER.key_id, ISSUER, now=NOW)
+    store.update(revocations, ISSUER.public_hex)
+    engine = make_engine(revocations=store)
+    warm(engine, cred)
+    store.update(revoke(revocations, cred.credential_id, ISSUER, now=NOW), ISSUER.public_hex)
+    assert present(engine, cred).reason.code is DenyCode.CREDENTIAL_REVOKED
+
+
+def test_cached_credential_denies_after_valid_until():
+    cred = credential(valid_until=NOW + timedelta(hours=1))
+    engine = make_engine()
+    warm(engine, cred)
+    assert present(engine, cred, at=NOW + timedelta(hours=2)).reason.code is DenyCode.CREDENTIAL_EXPIRED
+
+
+def test_cached_credential_is_verified_afresh_against_a_rekeyed_issuer():
+    from dataclasses import replace
+
+    cred = credential()
+    engine = make_engine()
+    warm(engine, cred)
+    pinned = engine.config
+    engine.config = replace(pinned, trusted_issuers={ISSUER.key_id: OTHER_ISSUER_KEY.public_hex})
+    decision = present(engine, cred)
+    assert decision.reason.code is DenyCode.SIGNATURE_INVALID
+    assert decision.reason.detail == "issuer signature does not verify"
+    engine.config = pinned
+    assert present(engine, cred).allowed
+
+
+def test_cached_credential_denies_once_the_registry_drops_its_issuer():
+    from dataclasses import replace
+
+    cred = credential()
+    engine = make_engine(registries=(vetting_registry(1, [ISSUER.key_id]),))
+    warm(engine, cred)
+    engine.config = replace(engine.config, registries=(vetting_registry(2, []),))
+    assert present(engine, cred).reason.code is DenyCode.ISSUER_NOT_VETTED
+
+
+def test_cached_credential_denies_a_replayed_nonce():
+    cred = credential()
+    engine = make_engine()
+    warm(engine, cred)
+    pop = pop_for(cred)
+    assert present(engine, cred, pop=pop).allowed
+    decision = present(engine, cred, pop=pop)
+    assert decision.reason.code is DenyCode.PROOF_OF_POSSESSION_FAILED
+    assert decision.reason.detail == "nonce replayed"
+
+
+def test_parsed_credentials_kept_never_exceed_the_bound(monkeypatch):
+    import mandate.pipeline
+    from mandate.pipeline import PARSED_CREDENTIALS_KEPT
+
+    parsed = []
+
+    def counting_parse(data):
+        parsed.append(data)
+        return parse_container(data)
+
+    monkeypatch.setattr(mandate.pipeline, "parse_container", counting_parse)
+    creds = [credential(credential_id=f"cred-bound-{i}") for i in range(PARSED_CREDENTIALS_KEPT + 2)]
+    wires = [cred.dumps().encode() for cred in creds]
+    engine = make_engine()
+    for cred in creds[:PARSED_CREDENTIALS_KEPT]:
+        assert present(engine, cred).allowed
+    assert parsed == wires[:PARSED_CREDENTIALS_KEPT]
+    # Bytes presented once keep no parsed container.
+    assert set(engine._parsed.values()) == {None}
+    # The second presentation is parsed and kept, the third is not parsed;
+    # each makes its bytes the most recently presented, so the next new
+    # credential evicts the oldest other one.
+    for cred in (creds[0], creds[0], creds[PARSED_CREDENTIALS_KEPT], creds[1]):
+        assert present(engine, cred).allowed
+        assert len(engine._parsed) <= PARSED_CREDENTIALS_KEPT
+    assert parsed[PARSED_CREDENTIALS_KEPT:] == [wires[0], wires[PARSED_CREDENTIALS_KEPT], wires[1]]
+    for _ in range(2):
+        for cred in creds:
+            present(engine, cred)
+            assert len(engine._parsed) <= PARSED_CREDENTIALS_KEPT
+    assert len(engine._parsed) == PARSED_CREDENTIALS_KEPT
+
+
+def test_malformed_presentations_are_never_kept():
+    engine = make_engine()
+    for _ in range(2):
+        decision = engine.evaluate(b"\x00garbage", context(), SUBJECT.key_id, None, now=NOW)
+        assert decision.reason.code is DenyCode.SIGNATURE_INVALID
+    assert engine._parsed == {}
+
+
+def test_issuer_signature_is_checked_once_per_container_and_key(monkeypatch):
+    import mandate.container
+
+    checked = []
+
+    def counting_check(obj, public_hex):
+        if obj.get("kind") == "credential":
+            checked.append((obj["credential_id"], public_hex))
+        return check_signature(obj, public_hex)
+
+    monkeypatch.setattr(mandate.container, "check_signature", counting_check)
+    cred = credential(credential_id="cred-single")
+    links, keys = chain_of(3)
+    engine = make_engine()
+    # The first presentation's container is not kept; the second's is.
+    for _ in range(2):
+        assert present(engine, cred).allowed
+        assert present_chain(engine, links, keys[-1]).allowed
+    assert sorted(set(checked)) == sorted(
+        [(cred.credential_id, ISSUER.public_hex), (links[0].credential_id, ISSUER.public_hex)]
+        + [(link.credential_id, holder.public_hex) for link, holder in zip(links[1:], keys)]
+    )
+    assert len(checked) == 2 * 4
+    checked.clear()
+    for _ in range(3):
+        assert present(engine, cred).allowed
+        assert present_chain(engine, links, keys[-1]).allowed
+    assert checked == []
+    # A container presented as such keeps its verdicts across engines; a
+    # different key for the same issuer gets its own check.
+    rekeyed = make_engine(trusted_issuers={ISSUER.key_id: OTHER_ISSUER_KEY.public_hex})
+    for _ in range(2):
+        assert evaluate(engine, cred).allowed
+        assert evaluate(rekeyed, cred).reason.code is DenyCode.SIGNATURE_INVALID
+    assert checked == [
+        (cred.credential_id, ISSUER.public_hex),
+        (cred.credential_id, OTHER_ISSUER_KEY.public_hex),
+    ]
+
+
+def test_long_lived_engine_decides_like_a_fresh_engine_per_request():
+    cred = credential()
+    links, keys = chain_of(3)
+    revoked = credential(credential_id="cred-revoked")
+    store = RevocationStore()
+    store.update(
+        new_revocation_list(ISSUER.key_id, ISSUER, now=NOW, revoked=[revoked.credential_id]),
+        ISSUER.public_hex,
+    )
+    wire = cred.dumps().encode()
+    chain_wire = [link.dumps().encode() for link in links]
+
+    def requests():
+        # Each request carries its own nonce, so a fresh engine sees no replay.
+        for _ in range(3):
+            yield wire, context(), cred.subject_id, pop_for(cred)
+            yield wire, context(amount="5000"), cred.subject_id, pop_for(cred)
+            yield cred.dumps(), context(action="task.delete"), cred.subject_id, pop_for(cred)
+            yield cred.to_dict(), context(), cred.subject_id, pop_for(cred)
+            yield chain_wire, context(amount="100"), links[-1].subject_id, pop_for(links[-1], keys[-1])
+            yield chain_wire, context(amount="900"), links[-1].subject_id, pop_for(links[-1], keys[-1])
+            yield revoked.dumps().encode(), context(), revoked.subject_id, pop_for(revoked)
+            yield b"\x00garbage", context(), SUBJECT.key_id, None
+
+    long_lived = make_engine(revocations=store)
+    kept, fresh_records, fresh_decisions = [], [], []
+    for presented, ctx, presenter, pop in requests():
+        kept.append(long_lived.evaluate(presented, ctx, presenter, pop, now=NOW).to_dict())
+        fresh = make_engine(revocations=store)
+        fresh_decisions.append(fresh.evaluate(presented, ctx, presenter, pop, now=NOW).to_dict())
+        fresh_records.extend(fresh.config.audit_log.records())
+    assert kept == fresh_decisions
+    assert {d["outcome"] for d in kept} == {"ALLOW", "DENY"}
+
+    def unlinked(record):
+        # prev_record, and the record id and signature that cover it, differ
+        # between one chain and many one-record chains.
+        return {k: v for k, v in record.raw.items() if k not in ("prev_record", "record_id", "signature")}
+
+    assert [unlinked(r) for r in long_lived.config.audit_log.records()] == [
+        unlinked(r) for r in fresh_records
+    ]

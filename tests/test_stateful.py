@@ -16,6 +16,7 @@ from mandate.stateful import (
     FileStateAuthority,
     InMemoryStateAuthority,
     OverBudgetError,
+    StateUnreachableError,
     UnreachableStateAuthority,
     VoucherMemory,
     allocate_epoch_quotas,
@@ -128,6 +129,22 @@ def test_file_ledger_replays_on_restart(tmp_path):
     assert resumed.reserve("k", Decimal("400"), Decimal("1000"), period, NOW) == Decimal("1000")
     with pytest.raises(OverBudgetError):
         resumed.reserve("k", Decimal("1"), Decimal("1000"), period, NOW)
+
+
+def test_file_ledger_write_failure_spends_nothing(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    period = Period(kind="per_credential")
+    ledger = FileStateAuthority(POINTER, path)
+    path.mkdir()  # the next append cannot open the ledger file
+    with pytest.raises(StateUnreachableError):
+        ledger.reserve("k", Decimal("60"), Decimal("100"), period, NOW)
+    path.rmdir()
+    assert ledger.reserve("k", Decimal("60"), Decimal("100"), period, NOW) == Decimal("60")
+    with pytest.raises(OverBudgetError):
+        ledger.reserve("k", Decimal("41"), Decimal("100"), period, NOW)
+    assert len(path.read_text("utf-8").splitlines()) == 1  # one line per granted reserve
+    resumed = FileStateAuthority(POINTER, path)
+    assert resumed.reserve("k", Decimal("40"), Decimal("100"), period, NOW) == Decimal("100")
 
 
 def test_concurrent_reserves_never_oversubscribe():
