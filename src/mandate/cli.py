@@ -20,23 +20,24 @@ import json
 import os
 import sys
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .audit import verify_audit_chain
-from .canonical import canonical_dumps, from_transport
-from .conformance import FixtureError, build_engine, run_vectors
-from .constraints import CumulativeLimitConstraint, Period, constraint_from_dict
+from .canonical import canonical_dumps
+from .conformance import FixtureError, build_engine, decode_credential, run_vectors
+from .constraints import CumulativeLimitConstraint, Period
 from .container import (
+    DEFAULT_CREDENTIAL_CLASS,
     AttenuationViolation,
     ContainerError,
-    CredentialContainer,
     PossessionProof,
     RevocationList,
     issue_credential,
     new_revocation_list,
     parse_container,
+    parse_payload,
     revoke,
 )
 from .discovery import (
@@ -47,9 +48,9 @@ from .discovery import (
     preflight,
     verify_manifest,
 )
-from .keys import KeyError_, generate_key, load_signing_key
-from .model import AuthorizationPayload, RequestContext, parse_timestamp, render_timestamp
-from .registry import IssuerEntry, RegistryError, StateAuthorityEntry, build_registry, load_registry
+from .keys import KeyError_, generate_key, load_signing_key, parse_key_map
+from .model import RequestContext, parse_decimal, parse_timestamp, render_timestamp
+from .registry import RegistryError, build_registry, load_registry, parse_registry_entries
 from .stateful import (
     OverBudgetError,
     StateVoucher,
@@ -97,31 +98,12 @@ def _parse_now(text: Optional[str]) -> datetime:
         raise CliError(f"bad --now value: {exc}") from exc
 
 
-def _load_key(path: str):
+def _parse_file(path: str, parse):
+    """Hand a JSON file to the library's reader for its format; a refusal
+    names the file and exits 2."""
     try:
-        return load_signing_key(_read_json(path))
-    except KeyError_ as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _load_payload(path: str) -> AuthorizationPayload:
-    obj = _read_json(path)
-    if not isinstance(obj, dict):
-        raise CliError(f"{path}: payload must be an object")
-    permissions = obj.get("permissions")
-    constraints = obj.get("constraints")
-    try:
-        return AuthorizationPayload(
-            agent_id=obj.get("agent_id"),
-            issuer_id=obj.get("issuer_id"),
-            permissions=frozenset(permissions) if permissions is not None else None,
-            constraints=(
-                tuple(constraint_from_dict(c) for c in constraints)
-                if constraints is not None
-                else None
-            ),
-        )
-    except (TypeError, ValueError) as exc:
+        return parse(_read_json(path))
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -135,30 +117,26 @@ def _subject_public(args) -> str:
     return public
 
 
-def _key_map(path: str) -> Mapping[str, str]:
-    obj = _read_json(path)
-    if not isinstance(obj, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in obj.items()
-    ):
-        raise CliError(f"{path}: expected an object mapping identity to public key hex")
-    return obj
-
-
 def _decimal(text: str, flag: str) -> Decimal:
     try:
-        return Decimal(text)
-    except InvalidOperation as exc:
+        return parse_decimal(text)
+    except ValueError as exc:
         raise CliError(f"bad {flag} value {text!r}") from exc
 
 
-def _load_credential_entries(paths: Sequence[str]) -> list:
-    """Each file may hold one credential, a chain (JSON list), or a
-    base64url transport wrapping; chains stay in presented order."""
-    entries: list = []
-    for path in paths:
-        obj = _read_json(path)
-        entries.extend(_load_credential_entries_from(obj if isinstance(obj, list) else [obj]))
-    return entries
+def _as_list(obj) -> list:
+    return obj if isinstance(obj, list) else [obj]
+
+
+def _credential_entries(obj) -> list:
+    """One credential entry or a chain list, root first, each read as the
+    vectors read theirs (a base64url transport wrapping included)."""
+    return [decode_credential(row) for row in _as_list(obj)]
+
+
+def _vouchers(obj) -> list:
+    """One voucher or a chain list, oldest first."""
+    return [StateVoucher.from_dict(row) for row in _as_list(obj)]
 
 
 def _config_fixtures(args, now: datetime) -> dict:
@@ -183,8 +161,8 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_issue(args) -> int:
-    issuer_key = _load_key(args.key)
-    payload = _load_payload(args.payload)
+    issuer_key = _parse_file(args.key, load_signing_key)
+    payload = _parse_file(args.payload, parse_payload)
     try:
         credential = issue_credential(
             payload,
@@ -203,9 +181,9 @@ def _cmd_issue(args) -> int:
 
 
 def _cmd_delegate(args) -> int:
-    parent = _parse_credential_file(args.parent)
-    delegator_key = _load_key(args.key)
-    payload = _load_payload(args.payload)
+    parent = _parse_file(args.parent, parse_container)
+    delegator_key = _parse_file(args.key, load_signing_key)
+    payload = _parse_file(args.payload, parse_payload)
     audience = args.audience or sorted(parent.audience)
     valid_from = _parse_now(args.valid_from) if args.valid_from else parent.valid_from
     valid_until = _parse_now(args.valid_until) if args.valid_until else parent.valid_until
@@ -231,25 +209,17 @@ def _cmd_delegate(args) -> int:
     return 0
 
 
-def _parse_credential_file(path: str) -> CredentialContainer:
-    try:
-        return parse_container(_read_json(path))
-    except ContainerError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
 def _cmd_evaluate(args) -> int:
     now = _parse_now(args.now)
     fixtures = _config_fixtures(args, now)
     audit_path = Path(args.audit_path) if args.audit_path else None
     engine, engine_now = build_engine(fixtures, label="config", audit_path=audit_path)
-    credentials = _load_credential_entries(args.credential)
+    credentials = [
+        entry for path in args.credential for entry in _parse_file(path, _credential_entries)
+    ]
     context = RequestContext.from_dict(_read_json(args.context))
     pop = PossessionProof.from_dict(_read_json(args.pop)) if args.pop else None
-    vouchers = None
-    if args.vouchers:
-        rows = _read_json(args.vouchers)
-        vouchers = [StateVoucher.from_dict(v) for v in (rows if isinstance(rows, list) else [rows])]
+    vouchers = _parse_file(args.vouchers, _vouchers) if args.vouchers else None
     decision = engine.evaluate(
         credentials if len(credentials) != 1 else credentials[0],
         context,
@@ -270,7 +240,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_revoke(args) -> int:
-    issuer_key = _load_key(args.key)
+    issuer_key = _parse_file(args.key, load_signing_key)
     now = _parse_now(args.now)
     if args.list:
         current = RevocationList.from_dict(_read_json(args.list))
@@ -291,7 +261,7 @@ def _cmd_manifest_build(args) -> int:
     engine, _ = build_engine(fixtures, label="config")
     manifest = build_manifest(
         engine.config,
-        _load_key(args.key),
+        _parse_file(args.key, load_signing_key),
         version=args.version,
         valid_from=_parse_now(args.valid_from),
         valid_until=_parse_now(args.valid_until),
@@ -305,7 +275,7 @@ def _cmd_manifest_verify(args) -> int:
     now = _parse_now(args.now)
     raw = _read_json(args.manifest)
     try:
-        manifest = verify_manifest(raw, _key_map(args.keys), now)
+        manifest = verify_manifest(raw, _parse_file(args.keys, parse_key_map), now)
     except ManifestError as exc:
         _emit({"kind": "manifest_verification", "ok": False, "code": exc.code, "detail": exc.detail})
         _note(f"manifest rejected: {exc}")
@@ -327,7 +297,7 @@ def _cmd_preflight(args) -> int:
     now = _parse_now(args.now)
     raw = _read_json(args.manifest)
     try:
-        manifest = verify_manifest(raw, _key_map(args.keys), now)
+        manifest = verify_manifest(raw, _parse_file(args.keys, parse_key_map), now)
     except ManifestError as exc:
         _emit({"kind": "preflight_report", "compatible": False, "manifest_error": exc.code})
         _note(f"manifest rejected: {exc}")
@@ -335,12 +305,13 @@ def _cmd_preflight(args) -> int:
     caps = _read_json(args.capabilities)
     if not isinstance(caps, dict):
         raise CliError(f"{args.capabilities}: capabilities must be an object")
-    credential_class = str(caps.get("credential_class", "agent-authorization"))
+    credential_class = str(caps.get("credential_class", DEFAULT_CREDENTIAL_CLASS))
     summaries = []
-    for row in _load_credential_entries_from(caps.get("credentials", ())):
+    for row in caps.get("credentials", ()):
         try:
-            summaries.append(CredentialSummary.of(parse_container(row), credential_class))
-        except ContainerError as exc:
+            container = parse_container(decode_credential(row))
+            summaries.append(CredentialSummary.of(container, credential_class))
+        except (ContainerError, FixtureError) as exc:
             raise CliError(f"capabilities credential does not parse: {exc}") from exc
     sender = SenderCapabilities(
         credentials=tuple(summaries),
@@ -354,44 +325,18 @@ def _cmd_preflight(args) -> int:
     return 0 if report.compatible else 1
 
 
-def _load_credential_entries_from(rows) -> list:
-    entries = []
-    for row in rows:
-        if isinstance(row, dict) and row.get("encoding") == "base64url":
-            entries.append(from_transport(str(row.get("value", ""))))
-        else:
-            entries.append(row)
-    return entries
-
-
 def _cmd_registry_build(args) -> int:
-    steward_key = _load_key(args.key)
-    issuers_raw = _read_json(args.issuers)
-    if not isinstance(issuers_raw, dict):
-        raise CliError(f"{args.issuers}: expected an object keyed by issuer id")
-    issuers = [
-        IssuerEntry(
-            issuer_id=issuer_id,
-            standing=str(entry.get("standing", "active")),
-            credential_classes=frozenset(entry.get("credential_classes", ())),
-            profiles=frozenset(entry.get("profiles", ())),
-        )
-        for issuer_id, entry in issuers_raw.items()
-    ]
-    authorities = []
+    steward_key = _parse_file(args.key, load_signing_key)
+    issuers, _ = _parse_file(args.issuers, parse_registry_entries)
+    authorities: tuple = ()
     if args.state_authorities:
-        for row in _read_json(args.state_authorities):
-            authorities.append(
-                StateAuthorityEntry(
-                    pointer=str(row["pointer"]), profiles=frozenset(row.get("profiles", ()))
-                )
-            )
+        _, authorities = parse_registry_entries({}, _read_json(args.state_authorities))
     registry = build_registry(
         registry_id=args.registry_id,
         version=args.version,
         valid_from=_parse_now(args.valid_from),
         valid_until=_parse_now(args.valid_until),
-        issuers=issuers,
+        issuers=list(issuers.values()),
         steward_key=steward_key,
         state_authorities=authorities,
     )
@@ -403,7 +348,7 @@ def _cmd_registry_check(args) -> int:
     raw = _read_json(args.registry)
     now = _parse_now(args.now) if args.now else None
     try:
-        registry = load_registry(raw, _key_map(args.keys), now=now)
+        registry = load_registry(raw, _parse_file(args.keys, parse_key_map), now=now)
     except RegistryError as exc:
         _emit({"kind": "registry_check", "ok": False, "code": exc.code, "detail": exc.detail})
         _note(f"registry rejected: {exc}")
@@ -433,7 +378,7 @@ def _cmd_audit_verify(args) -> int:
         ]
     except OSError as exc:
         raise CliError(f"cannot read {args.log}: {exc}") from exc
-    ok, bad_index, detail = verify_audit_chain(lines, _key_map(args.keys))
+    ok, bad_index, detail = verify_audit_chain(lines, _parse_file(args.keys, parse_key_map))
     _emit(
         {
             "kind": "audit_verification",
@@ -455,12 +400,12 @@ def _cmd_conformance_run(args) -> int:
 
 
 def _cmd_voucher_init(args) -> int:
-    authority_key = _load_key(args.key)
+    authority_key = _parse_file(args.key, load_signing_key)
     digest = args.credential_digest
     if not digest:
         if not args.credential:
             raise CliError("pass --credential or --credential-digest")
-        digest = _parse_credential_file(args.credential).digest()
+        digest = _parse_file(args.credential, parse_container).digest()
     voucher = make_voucher(
         digest, _decimal(args.budget, "--budget"), args.pointer, authority_key, _parse_now(args.now)
     )
@@ -469,7 +414,7 @@ def _cmd_voucher_init(args) -> int:
 
 
 def _cmd_voucher_update(args) -> int:
-    authority_key = _load_key(args.key)
+    authority_key = _parse_file(args.key, load_signing_key)
     previous = StateVoucher.from_dict(_read_json(args.voucher))
     try:
         voucher = update_voucher(
@@ -484,10 +429,9 @@ def _cmd_voucher_update(args) -> int:
 
 
 def _cmd_voucher_verify(args) -> int:
-    rows = _read_json(args.vouchers)
-    vouchers = [StateVoucher.from_dict(v) for v in (rows if isinstance(rows, list) else [rows])]
+    vouchers = _parse_file(args.vouchers, _vouchers)
     if args.authority_key:
-        public = _load_key(args.authority_key).public_hex
+        public = _parse_file(args.authority_key, load_signing_key).public_hex
     elif args.authority_public:
         public = args.authority_public
     else:
@@ -629,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--keys", required=True, help="file mapping steward id to public key hex")
     c.add_argument("--now")
     c.add_argument("--issuer")
-    c.add_argument("--credential-class", default="agent-authorization")
+    c.add_argument("--credential-class", default=DEFAULT_CREDENTIAL_CLASS)
     c.add_argument("--profile", default="")
     c.set_defaults(handler=_cmd_registry_check)
 

@@ -17,19 +17,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import timedelta
-from decimal import Decimal
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .audit import AuditLog
 from .canonical import from_transport
 from .container import PossessionProof, RevocationList, RevocationStore
-from .keys import load_signing_key
-from .model import Decision, RequestContext, parse_timestamp
+from .keys import load_signing_key, parse_key_map
+from .model import Decision, RequestContext, parse_decimal, parse_timestamp
 from .pipeline import Engine, EngineConfig, LocalPolicy, WorkflowPolicy
 from .registry import load_registry
 from .semantics import MappingProfile, Vocabulary
-from .stateful import EpochLedger, EpochQuota, InMemoryStateAuthority, Period, StateVoucher
+from .stateful import EpochLedger, EpochQuota, InMemoryStateAuthority, StateVoucher
 
 LEVEL_DIRS = (
     "level1_evaluation",
@@ -74,13 +73,32 @@ class ConformanceReport:
         }
 
 
-def _decode_credential(entry: object) -> Union[dict, bytes]:
-    """Vector credentials are plain objects or base64url transport wrappings."""
+def decode_credential(entry: object) -> Union[dict, bytes]:
+    """The one reader of a presented credential entry, in vectors and CLI
+    files alike: a plain object or a base64url transport wrapping."""
     if isinstance(entry, dict) and entry.get("encoding") == "base64url":
         return from_transport(str(entry.get("value", "")))
     if isinstance(entry, dict):
         return entry
     raise FixtureError(f"unsupported credential entry of type {type(entry).__name__}")
+
+
+# Optional top-level keys named after the EngineConfig field they set, with
+# the JSON type each must have.  A key left out takes the field's default.
+_SCALAR_OPTIONS = {
+    "credential_class": str,
+    "profile_id": str,
+    "tier": str,
+    "max_chain_depth": int,
+    "pop_required": bool,
+}
+
+
+def _scalar_option(name: str, value: object) -> object:
+    kind = _SCALAR_OPTIONS[name]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def build_engine(
@@ -89,8 +107,9 @@ def build_engine(
     """Build a fresh engine and its clock from a fixtures/config object.
 
     The same schema serves conformance vectors and the CLI's config file:
-    one documented shape, one loader.  ``audit_path`` additionally persists
-    the audit chain to a file (vectors keep theirs in memory).
+    one documented shape, one loader.  An optional scalar key that is left
+    out keeps its ``EngineConfig`` default.  ``audit_path`` additionally
+    persists the audit chain to a file (vectors keep theirs in memory).
     """
     try:
         now = parse_timestamp(fixtures["now"])
@@ -101,7 +120,7 @@ def build_engine(
         )
         mapping_raw = fixtures.get("mapping_profile")
         mapping = MappingProfile.from_dict(mapping_raw) if mapping_raw is not None else None
-        steward_keys = {str(k): str(v) for k, v in fixtures.get("steward_keys", {}).items()}
+        steward_keys = parse_key_map(fixtures.get("steward_keys", {}))
         registries = tuple(
             load_registry(r, steward_keys) for r in fixtures.get("registries", ())
         )
@@ -123,52 +142,40 @@ def build_engine(
         clients = {}
         for row in state.get("clients", ()):
             pointer = str(row["pointer"])
-            client = InMemoryStateAuthority(pointer)
-            for event in row.get("reservations", ()):
-                client.record(
-                    key=str(event["key"]),
-                    amount=Decimal(str(event["amount"])),
-                    period=Period.from_dict(event["period"]),
-                    now=parse_timestamp(event["timestamp"]),
-                )
-            clients[pointer] = client
+            clients[pointer] = InMemoryStateAuthority(pointer)
+            clients[pointer].replay(row.get("reservations", ()))
         epoch_raw = state.get("epoch")
         epoch_ledger = None
         if epoch_raw is not None:
             epoch_ledger = EpochLedger(
                 EpochQuota(
                     enforcer_id=str(epoch_raw["enforcer_id"]),
-                    allocation=Decimal(str(epoch_raw["allocation"])),
+                    allocation=parse_decimal(epoch_raw["allocation"]),
                     epoch_length_seconds=int(epoch_raw["epoch_length_seconds"]),
                 )
             )
-        freshness_raw = state.get("freshness_seconds")
+        options = {
+            name: _scalar_option(name, fixtures[name])
+            for name in _SCALAR_OPTIONS
+            if name in fixtures
+        }
+        if "freshness_seconds" in state:
+            options["state_freshness"] = timedelta(seconds=state["freshness_seconds"])
 
         config = EngineConfig(
             evaluator_id=evaluator_id,
             audit_log=AuditLog(evaluator_id, audit_key, path=audit_path),
-            trusted_issuers={
-                str(k): str(v) for k, v in fixtures.get("trusted_issuers", {}).items()
-            },
+            trusted_issuers=parse_key_map(fixtures.get("trusted_issuers", {})),
             steward_keys=steward_keys,
             mapping_profile=mapping,
             vocabularies=vocabularies,
             registries=registries,
             revocations=revocations,
             local_policy=local_policy,
-            credential_class=str(fixtures.get("credential_class", "agent-authorization")),
-            profile_id=str(fixtures.get("profile_id", "")),
-            tier=str(fixtures.get("tier", "synchronous")),
             state_clients=clients,
-            state_authority_keys={
-                str(k): str(v) for k, v in state.get("authority_keys", {}).items()
-            },
+            state_authority_keys=parse_key_map(state.get("authority_keys", {})),
             epoch_ledger=epoch_ledger,
-            max_chain_depth=int(fixtures.get("max_chain_depth", 4)),
-            pop_required=bool(fixtures.get("pop_required", True)),
-            state_freshness=(
-                timedelta(seconds=freshness_raw) if freshness_raw is not None else timedelta(seconds=300)
-            ),
+            **options,
         )
         return Engine(config), now
     except FixtureError:
@@ -178,7 +185,7 @@ def build_engine(
 
 
 def _run_input(engine: Engine, now, entry: dict) -> Decision:
-    credentials = [_decode_credential(c) for c in entry.get("credentials", ())]
+    credentials = [decode_credential(c) for c in entry.get("credentials", ())]
     workflow_raw = entry.get("workflow")
     if workflow_raw is not None:
         policy = WorkflowPolicy.from_dict(workflow_raw)

@@ -315,7 +315,7 @@ def constraint_from_dict(obj: dict) -> Constraint:
                 valid_from=parse_timestamp(_expect_str(obj, "valid_from")),
                 valid_until=parse_timestamp(_expect_str(obj, "valid_until")),
                 timezone=_expect_str(obj, "timezone"),
-                allowed_days=frozenset(_expect_str_list(days)) if days is not None else None,
+                allowed_days=frozenset(expect_str_list(days)) if days is not None else None,
             )
         if tag == "EnumeratedListConstraint":
             _expect_keys(obj, {"type", "field"}, {"allowed", "denied"})
@@ -323,8 +323,8 @@ def constraint_from_dict(obj: dict) -> Constraint:
             denied = obj.get("denied")
             return EnumeratedListConstraint(
                 field=_expect_str(obj, "field"),
-                allowed=frozenset(_expect_str_list(allowed)) if allowed is not None else None,
-                denied=frozenset(_expect_str_list(denied)) if denied is not None else None,
+                allowed=frozenset(expect_str_list(allowed)) if allowed is not None else None,
+                denied=frozenset(expect_str_list(denied)) if denied is not None else None,
             )
         if tag == "StringPatternConstraint":
             _expect_keys(obj, {"type", "field", "match", "pattern"}, set())
@@ -367,7 +367,9 @@ def _opt_str(obj: dict, key: str) -> Optional[str]:
     return value
 
 
-def _expect_str_list(value: object) -> list[str]:
+def expect_str_list(value: object) -> list[str]:
+    """The one reader of a JSON list of strings (identities, fields, names):
+    a bare string is refused, never split into characters."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ValueParseError("expected a list of strings")
     return value

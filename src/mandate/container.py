@@ -33,6 +33,9 @@ from .model import (
 )
 
 
+DEFAULT_CREDENTIAL_CLASS = "agent-authorization"
+
+
 class ContainerError(ValueError):
     """Base for container handling failures outside the decision domain."""
 
@@ -93,7 +96,10 @@ class CredentialContainer:
         return canonical_dumps(self.raw)
 
 
-def _parse_payload(obj: object) -> AuthorizationPayload:
+def parse_payload(obj: object) -> AuthorizationPayload:
+    """The one reader of a credential's ``payload`` object, also used for the
+    CLI's payload files.  Fields may be absent (completeness is a decision),
+    but a field that is present must have its exact type."""
     if not isinstance(obj, dict):
         raise MalformedContainerError("payload must be an object")
     agent_id = obj.get("agent_id")
@@ -155,7 +161,7 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
         audience_raw = obj["audience"]
         valid_from = parse_timestamp(obj["valid_from"])
         valid_until = parse_timestamp(obj["valid_until"])
-        payload = _parse_payload(obj["payload"])
+        payload = parse_payload(obj["payload"])
     except MalformedContainerError:
         raise
     except Exception as exc:
@@ -446,7 +452,7 @@ def verify_container(
     now: datetime,
     nonce_cache: NonceCache,
     registries: Sequence = (),
-    credential_class: str = "agent-authorization",
+    credential_class: str = DEFAULT_CREDENTIAL_CLASS,
     profile_id: str = "",
     revocations: Optional[RevocationStore] = None,
     pop_required: bool = True,

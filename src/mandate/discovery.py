@@ -21,11 +21,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from .canonical import canonical_dumps, digest_object
-from .container import CredentialContainer
-from .constraints import CumulativeLimitConstraint, UnknownConstraint
+from .container import DEFAULT_CREDENTIAL_CLASS, CredentialContainer
+from .constraints import CumulativeLimitConstraint, UnknownConstraint, expect_str_list
 from .keys import SigningKey, attach_signature, check_signature
 from .model import parse_timestamp, render_timestamp
 from .pipeline import EngineConfig
@@ -148,17 +148,15 @@ def _manifest_from_dict(obj: dict) -> GovernanceManifest:
             supported_vocabularies=tuple(
                 VocabularyRange.from_dict(row) for row in obj.get("supported_vocabularies", ())
             ),
-            accepted_registries=tuple(
-                str(r) for r in obj.get("accepted_registries", ())
-            ),
+            accepted_registries=tuple(expect_str_list(obj.get("accepted_registries", []))),
             accepted_credential_classes=frozenset(
-                str(c) for c in obj.get("accepted_credential_classes", ())
+                expect_str_list(obj.get("accepted_credential_classes", []))
             ),
             required_context_fields=frozenset(
-                str(f) for f in obj.get("required_context_fields", ())
+                expect_str_list(obj.get("required_context_fields", []))
             ),
             accepted_state_authorities=tuple(
-                str(a) for a in obj.get("accepted_state_authorities", ())
+                expect_str_list(obj.get("accepted_state_authorities", []))
             ),
             raw=obj,
         )
@@ -212,7 +210,7 @@ class CredentialSummary:
 
     @staticmethod
     def of(
-        container: CredentialContainer, credential_class: str = "agent-authorization"
+        container: CredentialContainer, credential_class: str = DEFAULT_CREDENTIAL_CLASS
     ) -> "CredentialSummary":
         identifiers: set[str] = set()
         authorities: set[str] = set()

@@ -104,6 +104,16 @@ def load_signing_key(obj: dict) -> SigningKey:
     return key
 
 
+def parse_key_map(obj: object) -> dict[str, str]:
+    """The one reader of an identity -> public key hex object (trusted issuers,
+    steward, state authority and audit keys): nothing is coerced."""
+    if not isinstance(obj, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in obj.items()
+    ):
+        raise KeyError_("expected an object mapping identity to public key hex")
+    return dict(obj)
+
+
 def verify_raw(public_hex: str, signature_hex: str, data: bytes, suite: int = SUITE_ED25519) -> bool:
     """True iff the signature verifies. Unknown suites and malformed material verify as False."""
     if not is_ed25519(suite):

@@ -16,7 +16,7 @@ import ipaddress
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -174,18 +174,20 @@ class TypedValue:
         return parse_typed_value(obj["value"], SemanticType(obj["type"]))
 
 
+def parse_decimal(text: object) -> Decimal:
+    """The one reader of decimal text (optional sign, digits, optional
+    fraction), as limits, budgets and ledger amounts travel."""
+    if not isinstance(text, str) or not _DECIMAL_RE.match(text):
+        raise ValueParseError(f"invalid decimal {text!r}")
+    return Decimal(text)
+
+
 def parse_typed_value(text: str, kind: SemanticType) -> TypedValue:
     """Parse a text form by declared type.  Anything ambiguous or lossy is a parse error."""
     if not isinstance(text, str):
         raise ValueParseError(f"{kind.value} values travel as text, got {type(text).__name__}")
     if kind is SemanticType.DECIMAL:
-        if not _DECIMAL_RE.match(text):
-            raise ValueParseError(f"invalid decimal {text!r}")
-        try:
-            value = Decimal(text)
-        except InvalidOperation as exc:
-            raise ValueParseError(f"invalid decimal {text!r}") from exc
-        return TypedValue(kind, value, text)
+        return TypedValue(kind, parse_decimal(text), text)
     if kind is SemanticType.INTEGER:
         if not _INTEGER_RE.match(text):
             raise ValueParseError(f"invalid integer {text!r}")

@@ -38,12 +38,14 @@ from .constraints import (
     UnknownConstraint,
     constraint_from_dict,
     evaluate_constraint,
+    expect_str_list,
     check_attenuation,
     family_of,
     glob_match,
     joint_conflict,
 )
 from .container import (
+    DEFAULT_CREDENTIAL_CLASS,
     CredentialContainer,
     MalformedContainerError,
     NonceCache,
@@ -134,7 +136,7 @@ class LocalPolicy:
     def from_dict(obj: dict) -> "LocalPolicy":
         return LocalPolicy(
             policy_id=str(obj["policy_id"]),
-            required_context_fields=tuple(obj.get("required_context_fields", ())),
+            required_context_fields=tuple(expect_str_list(obj.get("required_context_fields", []))),
             constraints=tuple(constraint_from_dict(c) for c in obj.get("constraints", ())),
         )
 
@@ -182,7 +184,7 @@ class WorkflowPolicy:
         return WorkflowPolicy(
             workflow_id=str(obj["workflow_id"]),
             roles=tuple(WorkflowRole.from_dict(r) for r in obj.get("roles", ())),
-            shared_fields=tuple(obj.get("shared_fields", ())),
+            shared_fields=tuple(expect_str_list(obj.get("shared_fields", []))),
         )
 
 
@@ -231,7 +233,7 @@ class EngineConfig:
     registries: tuple[TrustRegistry, ...] = ()
     revocations: Optional[RevocationStore] = None
     local_policy: Optional[LocalPolicy] = None
-    credential_class: str = "agent-authorization"
+    credential_class: str = DEFAULT_CREDENTIAL_CLASS
     profile_id: str = ""
     tier: str = TIER_SYNCHRONOUS
     state_clients: Mapping[str, StateAuthority] = dc_field(default_factory=dict)

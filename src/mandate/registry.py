@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .canonical import digest_object
+from .constraints import expect_str_list
 from .keys import SigningKey, attach_signature, check_signature, envelope_public_key
 from .model import parse_timestamp, render_timestamp
 
@@ -118,25 +119,43 @@ def build_registry(
     return _parse_registry(signed)
 
 
+def parse_registry_entries(
+    issuers: object, state_authorities: object = ()
+) -> tuple[dict[str, IssuerEntry], tuple[StateAuthorityEntry, ...]]:
+    """Read a registry's ``issuers`` object (keyed by issuer id) and its
+    ``state_authorities`` list; the CLI's registry input files have the same
+    shapes.  Anything else raises RegistryError with code malformed."""
+    try:
+        entries = {}
+        for issuer_id, entry in issuers.items():
+            standing = entry["standing"]
+            if standing not in STANDING_VALUES:
+                raise RegistryError("malformed", f"unknown standing {standing!r}")
+            entries[issuer_id] = IssuerEntry(
+                issuer_id=issuer_id,
+                standing=standing,
+                credential_classes=frozenset(expect_str_list(entry["credential_classes"])),
+                profiles=frozenset(expect_str_list(entry["profiles"])),
+            )
+        authorities = tuple(
+            StateAuthorityEntry(
+                pointer=str(e["pointer"]), profiles=frozenset(expect_str_list(e["profiles"]))
+            )
+            for e in state_authorities
+        )
+    except RegistryError:
+        raise
+    except Exception as exc:
+        raise RegistryError("malformed", f"registry structure: {exc}") from exc
+    return entries, authorities
+
+
 def _parse_registry(obj: dict) -> TrustRegistry:
     if not isinstance(obj, dict) or obj.get("kind") != "trust_registry":
         raise RegistryError("malformed", "not a trust registry object")
     try:
-        issuers_raw = obj["issuers"]
-        issuers = {}
-        for issuer_id, entry in issuers_raw.items():
-            standing = entry["standing"]
-            if standing not in STANDING_VALUES:
-                raise RegistryError("malformed", f"unknown standing {standing!r}")
-            issuers[issuer_id] = IssuerEntry(
-                issuer_id=issuer_id,
-                standing=standing,
-                credential_classes=frozenset(entry["credential_classes"]),
-                profiles=frozenset(entry["profiles"]),
-            )
-        authorities = tuple(
-            StateAuthorityEntry(pointer=str(e["pointer"]), profiles=frozenset(e["profiles"]))
-            for e in obj.get("state_authorities", [])
+        issuers, authorities = parse_registry_entries(
+            obj["issuers"], obj.get("state_authorities", [])
         )
         return TrustRegistry(
             registry_id=str(obj["registry_id"]),

@@ -33,6 +33,7 @@ from .model import (
     DenialReason,
     DenyCode,
     TypedValue,
+    parse_decimal,
     parse_timestamp,
     render_timestamp,
 )
@@ -103,14 +104,33 @@ class InMemoryStateAuthority:
             self._totals[bucket] = total
             return total
 
-    def record(self, key: str, amount: Decimal, period: Period, now: datetime) -> None:
-        """Add history without enforcing a budget: ledger replay and fixtures."""
+    def replay(self, rows: Iterable[Mapping]) -> None:
+        """Add ledger rows as history without enforcing a budget.
+
+        This is the one reader of the ledger row ``{key, amount, period,
+        timestamp}``: a reopened file ledger and a fixture's reservations
+        both come through here.  ``amount`` is decimal text, as the ledger
+        writes it; anything else raises ValueError.
+        """
+        period_raw = period = None
         with self._lock:
-            if period.kind == "rolling":
-                self._events.setdefault(key, []).append((now, amount))
-                return
-            bucket = (key, _window_key(period, now))
-            self._totals[bucket] = self._totals.get(bucket, Decimal(0)) + amount
+            for row in rows:
+                key = row["key"]
+                if not isinstance(key, str):
+                    raise ValueError("ledger key must be a string")
+                amount = parse_decimal(row["amount"])
+                # The rows of one ledger nearly always share a period, and
+                # equal JSON values read as equal periods: parse it only when
+                # it differs from the previous row's.
+                if period is None or row["period"] != period_raw:
+                    period_raw = row["period"]
+                    period = Period.from_dict(period_raw)
+                now = parse_timestamp(row["timestamp"])
+                if period.kind == "rolling":
+                    self._events.setdefault(key, []).append((now, amount))
+                    continue
+                bucket = (key, _window_key(period, now))
+                self._totals[bucket] = self._totals.get(bucket, Decimal(0)) + amount
 
     def spent(self, key: str, period: Period, now: datetime) -> Decimal:
         with self._lock:
@@ -137,16 +157,8 @@ class FileStateAuthority:
         self._core = InMemoryStateAuthority(authority_id)
         self._io_lock = threading.Lock()
         if self.path.exists():
-            for line in self.path.read_text("utf-8").splitlines():
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                self._core.record(
-                    key=row["key"],
-                    amount=Decimal(row["amount"]),
-                    period=Period.from_dict(row["period"]),
-                    now=parse_timestamp(row["timestamp"]),
-                )
+            lines = self.path.read_text("utf-8").splitlines()
+            self._core.replay([json.loads(line) for line in lines if line.strip()])
 
     def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
         with self._io_lock:

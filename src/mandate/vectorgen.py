@@ -44,7 +44,6 @@ from .model import (
 from .registry import IssuerEntry, StateAuthorityEntry, build_registry
 from .scenarios import load_scenario
 from .semantics import (
-    CORE_VOCABULARY,
     STATUS_CONDITIONAL,
     AliasEntry,
     Vocabulary,
@@ -277,17 +276,6 @@ def _deny(code: str, **extra) -> dict:
     row = {"outcome": "DENY", "code": code}
     row.update(extra)
     return row
-
-
-def _identity_aliases(vocabularies: Sequence[Vocabulary]) -> list[AliasEntry]:
-    rows = [
-        AliasEntry(identifier=name, field=name, declared_type=entry.semantic_type)
-        for name, entry in CORE_VOCABULARY.items()
-    ]
-    for vocabulary in vocabularies:
-        for name, entry in vocabulary.entries.items():
-            rows.append(AliasEntry(identifier=name, field=name, declared_type=entry.semantic_type))
-    return rows
 
 
 def _worked_trace_vectors() -> list[tuple[str, dict]]:
@@ -685,7 +673,7 @@ def _level2_vectors(kit: _Kit) -> list[tuple[str, dict]]:
         _deny("mapping_profile_invalid"),
         fixtures=kit.fixtures(mapping_profile=stale.to_dict()),
     )
-    duplicated_rows = _identity_aliases([kit.vocabulary])
+    duplicated_rows = list(kit.mapping.aliases)
     duplicated_rows.append(duplicated_rows[-1])
     duplicated = build_mapping_profile(
         PROFILE, 1, parse_timestamp("2027-01-01T00:00:00Z"), duplicated_rows, kit.steward
@@ -714,7 +702,7 @@ def _level2_vectors(kit: _Kit) -> list[tuple[str, dict]]:
         _deny("semantic_identifier_unknown", failed_constraint="C1"),
     )
     conflicted_rows = [
-        row for row in _identity_aliases([kit.vocabulary]) if row.identifier != "vectors.category"
+        row for row in kit.mapping.aliases if row.identifier != "vectors.category"
     ]
     conflicted_rows.append(AliasEntry("vectors.category", "cat_a", SemanticType.STRING_ID))
     conflicted_rows.append(AliasEntry("vectors.category", "cat_b", SemanticType.STRING_ID))
@@ -729,7 +717,7 @@ def _level2_vectors(kit: _Kit) -> list[tuple[str, dict]]:
         fixtures=kit.fixtures(mapping_profile=conflicted.to_dict()),
     )
     missing_rows = [
-        row for row in _identity_aliases([kit.vocabulary]) if row.identifier != "vectors.category"
+        row for row in kit.mapping.aliases if row.identifier != "vectors.category"
     ]
     lacking = build_mapping_profile(
         PROFILE, 1, parse_timestamp("2027-01-01T00:00:00Z"), missing_rows, kit.steward
@@ -742,7 +730,7 @@ def _level2_vectors(kit: _Kit) -> list[tuple[str, dict]]:
         fixtures=kit.fixtures(mapping_profile=lacking.to_dict()),
     )
     retyped_rows = [
-        row for row in _identity_aliases([kit.vocabulary]) if row.identifier != "vectors.category"
+        row for row in kit.mapping.aliases if row.identifier != "vectors.category"
     ]
     retyped_rows.append(AliasEntry("vectors.category", "vectors.category", SemanticType.DECIMAL))
     retyped = build_mapping_profile(

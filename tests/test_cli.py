@@ -1,7 +1,7 @@
 """Command line round trips over file-based artifacts."""
 
 import json
-from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +206,48 @@ def test_evaluate_missing_file_is_a_usage_error(workspace, capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("permissions", ["read", {"read": 1}])
+def test_issue_refuses_a_payload_the_credential_parser_refuses(workspace, capsys, permissions):
+    # "read" used to be signed as the permissions {"r", "e", "a", "d"}.
+    body = json.loads(Path(workspace["payload"]).read_text())
+    body["permissions"] = permissions
+    payload_path = write(workspace["dir"] / "payload-bad.json", body)
+    out = workspace["dir"] / "credential-bad.json"
+    code, _, err = run(
+        capsys,
+        "issue",
+        "--key", workspace["issuer_key"],
+        "--payload", payload_path,
+        "--subject-key", workspace["subject_key"],
+        "--audience", RECEIVER_ID,
+        "--valid-from", FROM,
+        "--valid-until", UNTIL,
+        "--out", out,
+    )
+    assert code == 2
+    assert not out.exists()
+    assert payload_path in err and "permissions must be a list of strings" in err
+
+
+def test_evaluate_refuses_a_credential_file_with_a_non_object_row(workspace, capsys):
+    credential_path = issue(capsys, workspace)
+    chain_path = write(
+        workspace["dir"] / "chain-bad.json", [json.loads(credential_path.read_text()), 7]
+    )
+    code, _, err = run(
+        capsys,
+        "evaluate",
+        "--config", workspace["config"],
+        "--credential", chain_path,
+        "--context", workspace["context"],
+        "--presenter", SUBJECT.key_id,
+        "--pop", pop_file(workspace, credential_path, "bad-row"),
+        "--now", NOW,
+    )
+    assert code == 2
+    assert chain_path in err and "unsupported credential entry of type int" in err
+
+
 # --- delegation -------------------------------------------------------------------
 
 def narrowed_payload(ws, limit="500"):
@@ -290,7 +332,7 @@ def test_revocation_flows_into_evaluation(workspace, capsys):
     revocation = json.loads(list_path.read_text())
     assert revocation["version"] == 2
 
-    config = json.loads(open(workspace["config"]).read())
+    config = json.loads(Path(workspace["config"]).read_text())
     config["revocation_lists"] = [
         {"list": revocation, "issuer_public": ISSUER.public_hex}
     ]
@@ -353,7 +395,7 @@ def build_registry_file(workspace, capsys):
 
 def test_manifest_build_verify_preflight(workspace, capsys):
     registry_path = build_registry_file(workspace, capsys)
-    config = json.loads(open(workspace["config"]).read())
+    config = json.loads(Path(workspace["config"]).read_text())
     config["registries"] = [json.loads(registry_path.read_text())]
     write(workspace["dir"] / "config.json", config)
 
@@ -458,11 +500,37 @@ def test_registry_build_and_check(workspace, capsys):
     assert code == 1 and verdict["code"] == "bad_signature"
 
 
+def test_registry_build_refuses_a_string_for_a_list(workspace, capsys):
+    issuers_path = write(
+        workspace["dir"] / "issuers-bad.json",
+        {
+            ISSUER.key_id: {
+                "standing": "active",
+                "credential_classes": ["agent-authorization"],
+                "profiles": "p*",
+            }
+        },
+    )
+    out = workspace["dir"] / "registry-bad.json"
+    code, _, err = run(
+        capsys,
+        "registry", "build",
+        "--key", write(workspace["dir"] / "steward.json", STEWARD.to_dict()),
+        "--registry-id", "registry:cli",
+        "--version", "1",
+        "--valid-from", FROM,
+        "--valid-until", UNTIL,
+        "--issuers", issuers_path,
+        "--out", out,
+    )
+    assert code == 2
+    assert not out.exists()
+    assert "malformed" in err
+
+
 # --- conformance -------------------------------------------------------------------
 
 def test_conformance_run_over_shipped_vectors(capsys):
-    from pathlib import Path
-
     vectors = Path(__file__).resolve().parent.parent / "vectors"
     code, report, err = run(capsys, "conformance", "run", "--vectors", vectors)
     assert code == 0
@@ -537,3 +605,21 @@ def test_voucher_init_update_verify(workspace, capsys):
     )
     assert code == 1
     assert verdict["ok"] is False
+
+
+@pytest.mark.parametrize("budget", ["1e3", "NaN", "Infinity", " 1000"])
+def test_voucher_init_reads_the_budget_as_decimal_text(workspace, capsys, budget):
+    out = workspace["dir"] / "voucher-bad.json"
+    code, _, err = run(
+        capsys,
+        "voucher", "init",
+        "--key", workspace["authority_key"],
+        "--credential-digest", "d" * 64,
+        "--budget", budget,
+        "--pointer", "https://state.cli.example/ledger",
+        "--now", NOW,
+        "--out", out,
+    )
+    assert code == 2
+    assert not out.exists()
+    assert "bad --budget value" in err

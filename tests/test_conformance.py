@@ -10,11 +10,15 @@ from mandate.conformance import (
     FixtureError,
     _run_input,
     build_engine,
+    decode_credential,
     iter_vector_files,
     run_vector,
     run_vectors,
 )
+from mandate.audit import AuditLog
+from mandate.keys import generate_key
 from mandate.model import DenyCode
+from mandate.pipeline import EngineConfig
 from mandate.vectorgen import generate_vectors, write_vectors
 
 VECTOR_ROOT = Path(__file__).resolve().parent.parent / "vectors"
@@ -105,3 +109,60 @@ def test_generated_ids_name_their_level():
     for level, vector in generate_vectors():
         prefix, _, name = vector["vector_id"].partition("/")
         assert name and level.startswith(prefix)
+
+
+AUDIT_KEY = generate_key("svc:conformance:receiver#audit", seed="conformance:audit")
+MINIMAL_FIXTURES = {
+    "now": "2026-05-01T12:00:00Z",
+    "evaluator_id": "svc:conformance:receiver",
+    "audit_key": AUDIT_KEY.to_dict(),
+}
+
+
+def test_a_fixture_without_optional_keys_takes_every_engine_config_default():
+    engine, _ = build_engine(dict(MINIMAL_FIXTURES))
+    audit_log = engine.config.audit_log
+    assert isinstance(audit_log, AuditLog)
+    assert engine.config == EngineConfig(evaluator_id="svc:conformance:receiver", audit_log=audit_log)
+
+
+def test_optional_keys_that_are_present_reach_the_engine_config():
+    fixtures = dict(
+        MINIMAL_FIXTURES,
+        credential_class="payment-mandate",
+        profile_id="claims",
+        tier="stateless",
+        max_chain_depth=2,
+        pop_required=False,
+        state={"freshness_seconds": 60},
+    )
+    config = build_engine(fixtures)[0].config
+    assert config.credential_class == "payment-mandate"
+    assert (config.profile_id, config.tier) == ("claims", "stateless")
+    assert (config.max_chain_depth, config.pop_required) == (2, False)
+    assert config.state_freshness.total_seconds() == 60
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("pop_required", "false"),
+        ("max_chain_depth", "4"),
+        ("max_chain_depth", True),
+        ("tier", 1),
+        ("credential_class", ["agent-authorization"]),
+        ("trusted_issuers", {"iss:a": 5}),
+        ("steward_keys", ["steward:a"]),
+        ("state", {"authority_keys": {"ptr": None}}),
+        ("state", {"epoch": {"enforcer_id": "e", "allocation": 200, "epoch_length_seconds": 60}}),
+    ],
+)
+def test_a_config_value_of_the_wrong_type_is_a_fixture_error(key, value):
+    with pytest.raises(FixtureError):
+        build_engine(dict(MINIMAL_FIXTURES, **{key: value}))
+
+
+@pytest.mark.parametrize("entry", [7, "text", ["nested"], None])
+def test_a_credential_entry_must_be_an_object(entry):
+    with pytest.raises(FixtureError):
+        decode_credential(entry)

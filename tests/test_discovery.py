@@ -140,6 +140,24 @@ def test_verify_rejects_missing_field():
     assert err.value.code == "malformed"
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "accepted_registries",
+        "accepted_credential_classes",
+        "required_context_fields",
+        "accepted_state_authorities",
+    ],
+)
+def test_verify_rejects_a_string_where_a_list_is_expected(field):
+    body = manifest().to_dict()
+    del body["signature"]
+    body[field] = "registry:test"
+    with pytest.raises(ManifestError) as err:
+        verify_manifest(attach_signature(body, RECEIVER), RECEIVER_KEYS, NOW)
+    assert err.value.code == "malformed"
+
+
 def test_verify_rejects_unknown_receiver():
     with pytest.raises(ManifestError) as err:
         verify_manifest(manifest().to_dict(), {}, NOW)

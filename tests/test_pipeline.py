@@ -27,6 +27,7 @@ from mandate.model import (
     DenyCode,
     RequestContext,
     SemanticType,
+    ValueParseError,
     parse_timestamp,
     parse_typed_value,
     render_timestamp,
@@ -698,6 +699,34 @@ def test_workflow_joint_conflict_keeps_the_stricter_bound_at_a_tie():
     assert decision.reason.code is DenyCode.WORKFLOW_POLICY_DENIED
     assert decision.reason.detail == "core.amount: joint numeric bounds admit no value"
     assert composition is None
+
+
+def test_workflow_policy_refuses_a_string_for_its_shared_fields():
+    # Read as characters, "core.amount" shares no real field, so the runner
+    # gte 900 and reviewer lte 100 pair below would compose.
+    body = workflow_policy().to_dict()
+    body["shared_fields"] = "core.amount"
+    with pytest.raises(ValueParseError):
+        WorkflowPolicy.from_dict(body)
+    runner = credential(
+        payload=payload(
+            constraints=(
+                NumericLimitConstraint(field="core.amount", operator="gte", value=Decimal("900")),
+            )
+        )
+    )
+    decision, _ = make_engine().compose_workflow(
+        WorkflowPolicy.from_dict(workflow_policy().to_dict()),
+        [runner, reviewer_credential(limit="100")],
+        now=NOW,
+    )
+    assert decision.reason.code is DenyCode.WORKFLOW_POLICY_DENIED
+
+
+@pytest.mark.parametrize("fields", ["core.workflow_id", ["core.workflow_id", 7]])
+def test_local_policy_refuses_anything_but_a_list_of_field_names(fields):
+    with pytest.raises(ValueParseError):
+        LocalPolicy.from_dict({"policy_id": "p", "required_context_fields": fields})
 
 
 def test_workflow_untrusted_credential_fails_verification():

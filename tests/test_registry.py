@@ -2,7 +2,7 @@
 
 import pytest
 
-from mandate.keys import generate_key
+from mandate.keys import attach_signature, generate_key
 from mandate.model import parse_timestamp
 from mandate.registry import (
     IssuerEntry,
@@ -138,3 +138,19 @@ def test_load_rejects_malformed():
     with pytest.raises(RegistryError) as exc:
         load_registry({"kind": "trust_registry", "issuers": {"x": {"standing": "maybe"}}}, STEWARD_KEYS)
     assert exc.value.code == "malformed"
+
+
+@pytest.mark.parametrize("where", ["credential_classes", "profiles", "state_authority_profiles"])
+def test_a_string_where_a_list_is_expected_is_malformed(where):
+    # A signed "p*" must not be read as the characters {"p", "*"}, which would
+    # permit any profile.
+    authorities = [StateAuthorityEntry(pointer="x", profiles=frozenset({"claims"}))]
+    body = registry(authorities=authorities).to_dict()
+    del body["signature"]
+    if where == "state_authority_profiles":
+        body["state_authorities"][0]["profiles"] = "p*"
+    else:
+        body["issuers"]["iss:test:authority"][where] = "p*"
+    with pytest.raises(RegistryError) as err:
+        load_registry(attach_signature(body, STEWARD), STEWARD_KEYS, NOW)
+    assert err.value.code == "malformed"

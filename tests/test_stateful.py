@@ -1,11 +1,13 @@
 """Stateful cumulative governance: reserve ledgers, epoch slices, voucher chains."""
 
+import json
 import threading
 from datetime import timedelta
 from decimal import Decimal
 
 import pytest
 
+from mandate.conformance import FixtureError, build_engine
 from mandate.constraints import CumulativeLimitConstraint, Period
 from mandate.keys import generate_key
 from mandate.model import DenyCode, SemanticType, parse_timestamp, parse_typed_value
@@ -145,6 +147,72 @@ def test_file_ledger_write_failure_spends_nothing(tmp_path):
     assert len(path.read_text("utf-8").splitlines()) == 1  # one line per granted reserve
     resumed = FileStateAuthority(POINTER, path)
     assert resumed.reserve("k", Decimal("40"), Decimal("100"), period, NOW) == Decimal("100")
+
+
+LEDGER_PERIODS = (
+    Period(kind="per_credential"),
+    Period(kind="calendar", calendar_unit="day"),
+    Period(kind="rolling", duration_seconds=3600),
+)
+
+
+def fixtures_with_reservations(rows):
+    return {
+        "now": "2026-05-01T12:00:00Z",
+        "evaluator_id": "svc:test:receiver",
+        "audit_key": generate_key("svc:test:receiver#audit", seed="stateful:audit").to_dict(),
+        "state": {"clients": [{"pointer": POINTER, "reservations": rows}]},
+    }
+
+
+def test_ledger_replay_and_fixture_reservations_agree(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    ledger = FileStateAuthority(POINTER, path)
+    for i, period in enumerate(LEDGER_PERIODS):
+        ledger.reserve(f"k{i}", Decimal("12.50"), Decimal("100"), period, NOW - timedelta(hours=2))
+        ledger.reserve(f"k{i}", Decimal("7"), Decimal("100"), period, NOW - timedelta(minutes=30))
+        ledger.reserve(f"k{i}", Decimal("0.25"), Decimal("100"), period, NOW)
+    rows = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    engine, _ = build_engine(fixtures_with_reservations(rows))
+    from_fixture = engine.config.state_clients[POINTER]
+    reopened = FileStateAuthority(POINTER, path)
+    expected = (Decimal("19.75"), Decimal("19.75"), Decimal("7.25"))  # the rolling hour drops 12.50
+    for i, period in enumerate(LEDGER_PERIODS):
+        assert from_fixture.spent(f"k{i}", period, NOW) == expected[i]
+        # A zero reserve returns the running total without changing it.
+        assert reopened.reserve(f"k{i}", Decimal(0), Decimal("100"), period, NOW) == expected[i]
+
+
+@pytest.mark.parametrize("amount", [900, "1e3", "NaN", " 5", "", None])
+def test_ledger_rows_carry_decimal_text_amounts(tmp_path, amount):
+    row = {
+        "key": "k",
+        "amount": amount,
+        "period": {"kind": "per_credential"},
+        "timestamp": "2026-05-01T11:00:00Z",
+    }
+    with pytest.raises(ValueError):
+        InMemoryStateAuthority(POINTER).replay([row])
+    with pytest.raises(FixtureError):
+        build_engine(fixtures_with_reservations([row]))
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        FileStateAuthority(POINTER, path)
+
+
+def test_ledger_replay_checks_every_rows_period():
+    # Rows usually share a period, so replay parses it only when it changes;
+    # a malformed period after a good one must still be refused.
+    good = {
+        "key": "k",
+        "amount": "1",
+        "period": {"kind": "per_credential"},
+        "timestamp": "2026-05-01T11:00:00Z",
+    }
+    for period in ({"kind": "rolling"}, {"kind": "per_credential", "unit": "day"}, None):
+        with pytest.raises(ValueError):
+            InMemoryStateAuthority(POINTER).replay([good, dict(good, period=period)])
 
 
 def test_concurrent_reserves_never_oversubscribe():
