@@ -50,7 +50,8 @@ from .discovery import (
 )
 from .keys import KeyError_, generate_key, load_signing_key, parse_key_map
 from .model import RequestContext, parse_decimal, parse_timestamp, render_timestamp
-from .registry import RegistryError, build_registry, load_registry, parse_registry_entries
+from .registry import RegistryError, build_registry, load_registry
+from .registry import parse_issuer_entries, parse_state_authority_entries
 from .stateful import (
     OverBudgetError,
     StateVoucher,
@@ -327,10 +328,10 @@ def _cmd_preflight(args) -> int:
 
 def _cmd_registry_build(args) -> int:
     steward_key = _parse_file(args.key, load_signing_key)
-    issuers, _ = _parse_file(args.issuers, parse_registry_entries)
+    issuers = _parse_file(args.issuers, parse_issuer_entries)
     authorities: tuple = ()
     if args.state_authorities:
-        _, authorities = parse_registry_entries({}, _read_json(args.state_authorities))
+        authorities = _parse_file(args.state_authorities, parse_state_authority_entries)
     registry = build_registry(
         registry_id=args.registry_id,
         version=args.version,

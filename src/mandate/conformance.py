@@ -94,8 +94,8 @@ _SCALAR_OPTIONS = {
 }
 
 
-def _scalar_option(name: str, value: object) -> object:
-    kind = _SCALAR_OPTIONS[name]
+def _typed(name: str, value: object, kind: type) -> object:
+    """Return a config value that already has its JSON type; bool is not an int."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
     return value
@@ -113,7 +113,7 @@ def build_engine(
     """
     try:
         now = parse_timestamp(fixtures["now"])
-        evaluator_id = str(fixtures["evaluator_id"])
+        evaluator_id = _typed("evaluator_id", fixtures["evaluator_id"], str)
         audit_key = load_signing_key(fixtures["audit_key"])
         vocabularies = tuple(
             Vocabulary.from_dict(v) for v in fixtures.get("vocabularies", ())
@@ -141,7 +141,7 @@ def build_engine(
         state = fixtures.get("state", {})
         clients = {}
         for row in state.get("clients", ()):
-            pointer = str(row["pointer"])
+            pointer = _typed("state.clients[].pointer", row["pointer"], str)
             clients[pointer] = InMemoryStateAuthority(pointer)
             clients[pointer].replay(row.get("reservations", ()))
         epoch_raw = state.get("epoch")
@@ -149,18 +149,21 @@ def build_engine(
         if epoch_raw is not None:
             epoch_ledger = EpochLedger(
                 EpochQuota(
-                    enforcer_id=str(epoch_raw["enforcer_id"]),
+                    enforcer_id=_typed("enforcer_id", epoch_raw["enforcer_id"], str),
                     allocation=parse_decimal(epoch_raw["allocation"]),
-                    epoch_length_seconds=int(epoch_raw["epoch_length_seconds"]),
+                    epoch_length_seconds=_typed(
+                        "epoch_length_seconds", epoch_raw["epoch_length_seconds"], int
+                    ),
                 )
             )
         options = {
-            name: _scalar_option(name, fixtures[name])
-            for name in _SCALAR_OPTIONS
+            name: _typed(name, fixtures[name], kind)
+            for name, kind in _SCALAR_OPTIONS.items()
             if name in fixtures
         }
         if "freshness_seconds" in state:
-            options["state_freshness"] = timedelta(seconds=state["freshness_seconds"])
+            seconds = _typed("freshness_seconds", state["freshness_seconds"], int)
+            options["state_freshness"] = timedelta(seconds=seconds)
 
         config = EngineConfig(
             evaluator_id=evaluator_id,

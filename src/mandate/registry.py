@@ -11,10 +11,11 @@ suspension and revocation both read as not vetted.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .canonical import digest_object
 from .constraints import expect_str_list
@@ -119,58 +120,63 @@ def build_registry(
     return _parse_registry(signed)
 
 
-def parse_registry_entries(
-    issuers: object, state_authorities: object = ()
-) -> tuple[dict[str, IssuerEntry], tuple[StateAuthorityEntry, ...]]:
-    """Read a registry's ``issuers`` object (keyed by issuer id) and its
-    ``state_authorities`` list; the CLI's registry input files have the same
-    shapes.  Anything else raises RegistryError with code malformed."""
+@contextmanager
+def _malformed(what: str) -> Iterator[None]:
+    """Raise any failure to read ``what`` as RegistryError with code malformed."""
     try:
-        entries = {}
+        yield
+    except RegistryError:
+        raise
+    except Exception as exc:
+        raise RegistryError("malformed", f"{what}: {exc}") from exc
+
+
+def parse_issuer_entries(issuers: object) -> dict[str, IssuerEntry]:
+    """Read a registry's ``issuers`` object, keyed by issuer id; the CLI's
+    ``--issuers`` file has the same shape."""
+    entries = {}
+    with _malformed("registry issuers"):
         for issuer_id, entry in issuers.items():
             standing = entry["standing"]
             if standing not in STANDING_VALUES:
-                raise RegistryError("malformed", f"unknown standing {standing!r}")
+                raise ValueError(f"unknown standing {standing!r}")
             entries[issuer_id] = IssuerEntry(
                 issuer_id=issuer_id,
                 standing=standing,
                 credential_classes=frozenset(expect_str_list(entry["credential_classes"])),
                 profiles=frozenset(expect_str_list(entry["profiles"])),
             )
-        authorities = tuple(
-            StateAuthorityEntry(
-                pointer=str(e["pointer"]), profiles=frozenset(expect_str_list(e["profiles"]))
-            )
-            for e in state_authorities
-        )
-    except RegistryError:
-        raise
-    except Exception as exc:
-        raise RegistryError("malformed", f"registry structure: {exc}") from exc
-    return entries, authorities
+    return entries
+
+
+def parse_state_authority_entries(rows: object) -> tuple[StateAuthorityEntry, ...]:
+    """Read a registry's ``state_authorities`` list of ``{pointer, profiles}``
+    rows; the CLI's ``--state-authorities`` file has the same shape."""
+    entries = []
+    with _malformed("registry state authorities"):
+        for row in rows:
+            pointer = row["pointer"]
+            if not isinstance(pointer, str):
+                raise ValueError(f"pointer {pointer!r} is not a string")
+            profiles = frozenset(expect_str_list(row["profiles"]))
+            entries.append(StateAuthorityEntry(pointer=pointer, profiles=profiles))
+    return tuple(entries)
 
 
 def _parse_registry(obj: dict) -> TrustRegistry:
     if not isinstance(obj, dict) or obj.get("kind") != "trust_registry":
         raise RegistryError("malformed", "not a trust registry object")
-    try:
-        issuers, authorities = parse_registry_entries(
-            obj["issuers"], obj.get("state_authorities", [])
-        )
+    with _malformed("registry structure"):
         return TrustRegistry(
             registry_id=str(obj["registry_id"]),
             version=int(obj["version"]),
             valid_from=parse_timestamp(obj["valid_from"]),
             valid_until=parse_timestamp(obj["valid_until"]),
-            issuers=issuers,
-            state_authorities=authorities,
+            issuers=parse_issuer_entries(obj["issuers"]),
+            state_authorities=parse_state_authority_entries(obj.get("state_authorities", [])),
             vocabulary_refs=tuple(dict(r) for r in obj.get("vocabulary_refs", [])),
             raw=obj,
         )
-    except RegistryError:
-        raise
-    except Exception as exc:
-        raise RegistryError("malformed", f"registry structure: {exc}") from exc
 
 
 def load_registry(

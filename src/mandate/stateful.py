@@ -112,19 +112,13 @@ class InMemoryStateAuthority:
         both come through here.  ``amount`` is decimal text, as the ledger
         writes it; anything else raises ValueError.
         """
-        period_raw = period = None
         with self._lock:
             for row in rows:
                 key = row["key"]
                 if not isinstance(key, str):
                     raise ValueError("ledger key must be a string")
                 amount = parse_decimal(row["amount"])
-                # The rows of one ledger nearly always share a period, and
-                # equal JSON values read as equal periods: parse it only when
-                # it differs from the previous row's.
-                if period is None or row["period"] != period_raw:
-                    period_raw = row["period"]
-                    period = Period.from_dict(period_raw)
+                period = Period.from_dict(row["period"])
                 now = parse_timestamp(row["timestamp"])
                 if period.kind == "rolling":
                     self._events.setdefault(key, []).append((now, amount))
@@ -157,8 +151,10 @@ class FileStateAuthority:
         self._core = InMemoryStateAuthority(authority_id)
         self._io_lock = threading.Lock()
         if self.path.exists():
+            # Rows are decoded one at a time, so a long ledger never holds
+            # every row's objects at once.
             lines = self.path.read_text("utf-8").splitlines()
-            self._core.replay([json.loads(line) for line in lines if line.strip()])
+            self._core.replay(json.loads(line) for line in lines if line.strip())
 
     def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
         with self._io_lock:

@@ -528,6 +528,34 @@ def test_registry_build_refuses_a_string_for_a_list(workspace, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize(
+    "row", [{"pointer": "https://ledger.example/a"}, {"pointer": 5, "profiles": ["*"]}]
+)
+def test_registry_build_refuses_a_malformed_state_authority_row(workspace, capsys, row):
+    # Each row needs a string pointer and an explicit profiles list.
+    issuers_path = write(
+        workspace["dir"] / "issuers.json",
+        {ISSUER.key_id: {"standing": "active", "credential_classes": ["*"], "profiles": ["*"]}},
+    )
+    authorities_path = write(workspace["dir"] / "authorities.json", [row])
+    out = workspace["dir"] / "registry-bad.json"
+    code, _, err = run(
+        capsys,
+        "registry", "build",
+        "--key", write(workspace["dir"] / "steward.json", STEWARD.to_dict()),
+        "--registry-id", "registry:cli",
+        "--version", "1",
+        "--valid-from", FROM,
+        "--valid-until", UNTIL,
+        "--issuers", issuers_path,
+        "--state-authorities", authorities_path,
+        "--out", out,
+    )
+    assert code == 2
+    assert not out.exists()
+    assert str(authorities_path) in err and "malformed" in err
+
+
 # --- conformance -------------------------------------------------------------------
 
 def test_conformance_run_over_shipped_vectors(capsys):

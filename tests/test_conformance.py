@@ -155,6 +155,14 @@ def test_optional_keys_that_are_present_reach_the_engine_config():
         ("steward_keys", ["steward:a"]),
         ("state", {"authority_keys": {"ptr": None}}),
         ("state", {"epoch": {"enforcer_id": "e", "allocation": 200, "epoch_length_seconds": 60}}),
+        ("state", {"epoch": {"enforcer_id": 5, "allocation": "200", "epoch_length_seconds": 60}}),
+        ("state", {"epoch": {"enforcer_id": "e", "allocation": "200", "epoch_length_seconds": "60"}}),
+        ("state", {"epoch": {"enforcer_id": "e", "allocation": "200", "epoch_length_seconds": True}}),
+        ("state", {"freshness_seconds": True}),
+        ("state", {"freshness_seconds": 1.5}),
+        ("state", {"freshness_seconds": None}),
+        ("state", {"clients": [{"pointer": 5}]}),
+        ("evaluator_id", 5),
     ],
 )
 def test_a_config_value_of_the_wrong_type_is_a_fixture_error(key, value):

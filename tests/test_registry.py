@@ -154,3 +154,14 @@ def test_a_string_where_a_list_is_expected_is_malformed(where):
     with pytest.raises(RegistryError) as err:
         load_registry(attach_signature(body, STEWARD), STEWARD_KEYS, NOW)
     assert err.value.code == "malformed"
+
+
+@pytest.mark.parametrize("pointer", [5, None, ["x"]])
+def test_a_state_authority_pointer_must_be_a_string(pointer):
+    authorities = [StateAuthorityEntry(pointer="x", profiles=frozenset({"*"}))]
+    body = registry(authorities=authorities).to_dict()
+    del body["signature"]
+    body["state_authorities"][0]["pointer"] = pointer
+    with pytest.raises(RegistryError) as err:
+        load_registry(attach_signature(body, STEWARD), STEWARD_KEYS, NOW)
+    assert err.value.code == "malformed"

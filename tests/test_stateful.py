@@ -202,17 +202,24 @@ def test_ledger_rows_carry_decimal_text_amounts(tmp_path, amount):
 
 
 def test_ledger_replay_checks_every_rows_period():
-    # Rows usually share a period, so replay parses it only when it changes;
-    # a malformed period after a good one must still be refused.
+    # A malformed period after a good one is refused, including one that
+    # compares equal to the good one as JSON (3600.0 == 3600).
     good = {
         "key": "k",
         "amount": "1",
         "period": {"kind": "per_credential"},
         "timestamp": "2026-05-01T11:00:00Z",
     }
-    for period in ({"kind": "rolling"}, {"kind": "per_credential", "unit": "day"}, None):
+    rolling = dict(good, period={"kind": "rolling", "seconds": 3600})
+    cases = [
+        (good, {"kind": "rolling"}),
+        (good, {"kind": "per_credential", "unit": "day"}),
+        (good, None),
+        (rolling, {"kind": "rolling", "seconds": 3600.0}),
+    ]
+    for first, period in cases:
         with pytest.raises(ValueError):
-            InMemoryStateAuthority(POINTER).replay([good, dict(good, period=period)])
+            InMemoryStateAuthority(POINTER).replay([first, dict(first, period=period)])
 
 
 def test_concurrent_reserves_never_oversubscribe():
