@@ -76,9 +76,26 @@ class AuditLog:
         self._memory: list[AuditRecord] = []
         self._last_digest = GENESIS_DIGEST
         if self.path is not None and self.path.exists():
-            for line in self.path.read_text("utf-8").splitlines():
-                if line.strip():
-                    self._last_digest = sha256_hex(line)
+            self._last_digest = self._reopen(self.path.read_bytes())
+
+    def _reopen(self, data: bytes) -> str:
+        """The digest the next record chains to.  The log must end in a newline
+        and its last line must be a canonical record, signed by this log's key,
+        linking to the line before it (or to genesis): a record chained onto a
+        torn tail would never verify.  Earlier lines are not re-read."""
+        if not data:
+            return GENESIS_DIGEST
+        if not data.endswith(b"\n"):
+            raise AuditError(f"audit log {self.path} ends in a partial line")
+        # Only the last two lines are sliced out: the log is not copied.
+        start = data.rfind(b"\n", 0, -1) + 1
+        previous = data[data.rfind(b"\n", 0, start - 1) + 1 : start - 1] if start else None
+        line = data[start:-1].decode("utf-8", "replace").strip()
+        after = sha256_hex(previous.strip()) if previous is not None else GENESIS_DIGEST
+        ok, _, detail = verify_audit_chain([line], self._key.public_hex, after=after)
+        if not ok:
+            raise AuditError(f"audit log {self.path} does not end in a verifiable record: {detail}")
+        return sha256_hex(line)
 
     def append(
         self,
@@ -150,13 +167,15 @@ class AuditLog:
 def verify_audit_chain(
     lines_or_records: Iterable[Union[str, dict, AuditRecord]],
     evaluator_keys: Union[str, Mapping[str, str]],
+    after: str = GENESIS_DIGEST,
 ) -> tuple[bool, Optional[int], str]:
     """Walk a log and verify linkage, canonical form, and every signature.
 
     Returns (ok, first_bad_index, detail).  ``evaluator_keys`` is one public
-    key hex or a map of key_id to public key hex.
+    key hex or a map of key_id to public key hex.  ``after`` is the digest
+    the first record links to: genesis for a whole log.
     """
-    expected_prev = GENESIS_DIGEST
+    expected_prev = after
     index = -1
     for index, item in enumerate(lines_or_records):
         if isinstance(item, AuditRecord):

@@ -49,7 +49,16 @@ from .discovery import (
     verify_manifest,
 )
 from .keys import KeyError_, generate_key, load_signing_key, parse_key_map
-from .model import RequestContext, parse_decimal, parse_timestamp, render_timestamp
+from .model import (
+    RequestContext,
+    ValueParseError,
+    expect,
+    expect_list,
+    parse_decimal,
+    parse_timestamp,
+    reading,
+    render_timestamp,
+)
 from .registry import RegistryError, build_registry, load_registry
 from .registry import parse_issuer_entries, parse_state_authority_entries
 from .stateful import (
@@ -103,7 +112,8 @@ def _parse_file(path: str, parse):
     """Hand a JSON file to the library's reader for its format; a refusal
     names the file and exits 2."""
     try:
-        return parse(_read_json(path))
+        with reading(ValueParseError):
+            return parse(_read_json(path))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -111,11 +121,7 @@ def _parse_file(path: str, parse):
 def _subject_public(args) -> str:
     if args.subject_public:
         return args.subject_public
-    obj = _read_json(args.subject_key)
-    public = obj.get("public_key") if isinstance(obj, dict) else None
-    if not isinstance(public, str):
-        raise CliError(f"{args.subject_key}: no public_key field")
-    return public
+    return _parse_file(args.subject_key, lambda key_file: expect(key_file, "public_key", str))
 
 
 def _decimal(text: str, flag: str) -> Decimal:
@@ -138,6 +144,21 @@ def _credential_entries(obj) -> list:
 def _vouchers(obj) -> list:
     """One voucher or a chain list, oldest first."""
     return [StateVoucher.from_dict(row) for row in _as_list(obj)]
+
+
+def _capabilities(caps) -> SenderCapabilities:
+    """The sender's holdings in a preflight capabilities file."""
+    credential_class = expect(caps, "credential_class", str, optional=True) or DEFAULT_CREDENTIAL_CLASS
+    versions = expect(caps, "profile_versions", dict, optional=True) or {}
+    return SenderCapabilities(
+        credentials=tuple(
+            CredentialSummary.of(parse_container(decode_credential(row)), credential_class)
+            for row in expect_list(caps.get("credentials", []), dict)
+        ),
+        profile_versions={name: expect(versions, name, int) for name in versions},
+        trust_anchors=frozenset(expect_list(caps.get("trust_anchors", []), str)),
+        producible_fields=frozenset(expect_list(caps.get("producible_fields", []), str)),
+    )
 
 
 def _config_fixtures(args, now: datetime) -> dict:
@@ -218,8 +239,8 @@ def _cmd_evaluate(args) -> int:
     credentials = [
         entry for path in args.credential for entry in _parse_file(path, _credential_entries)
     ]
-    context = RequestContext.from_dict(_read_json(args.context))
-    pop = PossessionProof.from_dict(_read_json(args.pop)) if args.pop else None
+    context = _parse_file(args.context, RequestContext.from_dict)
+    pop = _parse_file(args.pop, PossessionProof.from_dict) if args.pop else None
     vouchers = _parse_file(args.vouchers, _vouchers) if args.vouchers else None
     decision = engine.evaluate(
         credentials if len(credentials) != 1 else credentials[0],
@@ -244,7 +265,7 @@ def _cmd_revoke(args) -> int:
     issuer_key = _parse_file(args.key, load_signing_key)
     now = _parse_now(args.now)
     if args.list:
-        current = RevocationList.from_dict(_read_json(args.list))
+        current = _parse_file(args.list, RevocationList.from_dict)
         updated = revoke(current, args.credential_id, issuer_key, now=now)
     else:
         if not args.issuer_id:
@@ -303,23 +324,7 @@ def _cmd_preflight(args) -> int:
         _emit({"kind": "preflight_report", "compatible": False, "manifest_error": exc.code})
         _note(f"manifest rejected: {exc}")
         return 1
-    caps = _read_json(args.capabilities)
-    if not isinstance(caps, dict):
-        raise CliError(f"{args.capabilities}: capabilities must be an object")
-    credential_class = str(caps.get("credential_class", DEFAULT_CREDENTIAL_CLASS))
-    summaries = []
-    for row in caps.get("credentials", ()):
-        try:
-            container = parse_container(decode_credential(row))
-            summaries.append(CredentialSummary.of(container, credential_class))
-        except (ContainerError, FixtureError) as exc:
-            raise CliError(f"capabilities credential does not parse: {exc}") from exc
-    sender = SenderCapabilities(
-        credentials=tuple(summaries),
-        profile_versions={str(k): int(v) for k, v in caps.get("profile_versions", {}).items()},
-        trust_anchors=frozenset(str(a) for a in caps.get("trust_anchors", ())),
-        producible_fields=frozenset(str(f) for f in caps.get("producible_fields", ())),
-    )
+    sender = _parse_file(args.capabilities, _capabilities)
     report = preflight(sender, manifest)
     _emit(report.to_dict())
     _note("compatible" if report.compatible else f"{len(report.findings)} finding(s)")
@@ -375,7 +380,7 @@ def _cmd_registry_check(args) -> int:
 def _cmd_audit_verify(args) -> int:
     try:
         lines = [
-            line for line in Path(args.log).read_text("utf-8").splitlines() if line.strip()
+            line for line in Path(args.log).read_text("utf-8").split("\n") if line.strip()
         ]
     except OSError as exc:
         raise CliError(f"cannot read {args.log}: {exc}") from exc
@@ -416,7 +421,7 @@ def _cmd_voucher_init(args) -> int:
 
 def _cmd_voucher_update(args) -> int:
     authority_key = _parse_file(args.key, load_signing_key)
-    previous = StateVoucher.from_dict(_read_json(args.voucher))
+    previous = _parse_file(args.voucher, StateVoucher.from_dict)
     try:
         voucher = update_voucher(
             previous, _decimal(args.amount, "--amount"), authority_key, _parse_now(args.now)

@@ -24,7 +24,15 @@ from .audit import AuditLog
 from .canonical import from_transport
 from .container import PossessionProof, RevocationList, RevocationStore
 from .keys import load_signing_key, parse_key_map
-from .model import Decision, RequestContext, parse_decimal, parse_timestamp
+from .model import (
+    Decision,
+    RequestContext,
+    expect,
+    expect_list,
+    parse_decimal,
+    parse_timestamp,
+    reading,
+)
 from .pipeline import Engine, EngineConfig, LocalPolicy, WorkflowPolicy
 from .registry import load_registry
 from .semantics import MappingProfile, Vocabulary
@@ -76,11 +84,9 @@ class ConformanceReport:
 def decode_credential(entry: object) -> Union[dict, bytes]:
     """The one reader of a presented credential entry, in vectors and CLI
     files alike: a plain object or a base64url transport wrapping."""
-    if isinstance(entry, dict) and entry.get("encoding") == "base64url":
-        return from_transport(str(entry.get("value", "")))
-    if isinstance(entry, dict):
-        return entry
-    raise FixtureError(f"unsupported credential entry of type {type(entry).__name__}")
+    if not isinstance(entry, dict):
+        raise FixtureError(f"unsupported credential entry of type {type(entry).__name__}")
+    return from_transport(expect(entry, "value", str)) if entry.get("encoding") == "base64url" else entry
 
 
 # Optional top-level keys named after the EngineConfig field they set, with
@@ -92,13 +98,6 @@ _SCALAR_OPTIONS = {
     "max_chain_depth": int,
     "pop_required": bool,
 }
-
-
-def _typed(name: str, value: object, kind: type) -> object:
-    """Return a config value that already has its JSON type; bool is not an int."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
-    return value
 
 
 def build_engine(
@@ -113,35 +112,31 @@ def build_engine(
     """
     try:
         now = parse_timestamp(fixtures["now"])
-        evaluator_id = _typed("evaluator_id", fixtures["evaluator_id"], str)
+        evaluator_id = expect(fixtures, "evaluator_id", str)
         audit_key = load_signing_key(fixtures["audit_key"])
-        vocabularies = tuple(
-            Vocabulary.from_dict(v) for v in fixtures.get("vocabularies", ())
-        )
+        vocabulary_rows = expect_list(fixtures.get("vocabularies", []), dict)
+        vocabularies = tuple(map(Vocabulary.from_dict, vocabulary_rows))
         mapping_raw = fixtures.get("mapping_profile")
         mapping = MappingProfile.from_dict(mapping_raw) if mapping_raw is not None else None
         steward_keys = parse_key_map(fixtures.get("steward_keys", {}))
-        registries = tuple(
-            load_registry(r, steward_keys) for r in fixtures.get("registries", ())
-        )
+        registry_rows = expect_list(fixtures.get("registries", []), dict)
+        registries = tuple(load_registry(r, steward_keys) for r in registry_rows)
         revocations = None
-        revocation_rows = fixtures.get("revocation_lists", ())
-        max_age = fixtures.get("revocation_max_age_seconds")
+        revocation_rows = expect_list(fixtures.get("revocation_lists", []), dict)
+        seconds = expect(fixtures, "revocation_max_age_seconds", int, optional=True)
+        max_age = timedelta(seconds=seconds) if seconds is not None else None
         if revocation_rows or max_age is not None:
-            revocations = RevocationStore(
-                max_age=timedelta(seconds=max_age) if max_age is not None else None
-            )
+            revocations = RevocationStore(max_age=max_age)
             for row in revocation_rows:
-                revocations.update(
-                    RevocationList.from_dict(row["list"]), str(row["issuer_public"])
-                )
+                issuer_public = expect(row, "issuer_public", str)
+                revocations.update(RevocationList.from_dict(row["list"]), issuer_public)
         policy_raw = fixtures.get("local_policy")
         local_policy = LocalPolicy.from_dict(policy_raw) if policy_raw is not None else None
 
-        state = fixtures.get("state", {})
+        state = expect(fixtures, "state", dict, optional=True) or {}
         clients = {}
-        for row in state.get("clients", ()):
-            pointer = _typed("state.clients[].pointer", row["pointer"], str)
+        for row in expect_list(state.get("clients", []), dict):
+            pointer = expect(row, "pointer", str)
             clients[pointer] = InMemoryStateAuthority(pointer)
             clients[pointer].replay(row.get("reservations", ()))
         epoch_raw = state.get("epoch")
@@ -149,21 +144,18 @@ def build_engine(
         if epoch_raw is not None:
             epoch_ledger = EpochLedger(
                 EpochQuota(
-                    enforcer_id=_typed("enforcer_id", epoch_raw["enforcer_id"], str),
+                    enforcer_id=expect(epoch_raw, "enforcer_id", str),
                     allocation=parse_decimal(epoch_raw["allocation"]),
-                    epoch_length_seconds=_typed(
-                        "epoch_length_seconds", epoch_raw["epoch_length_seconds"], int
-                    ),
+                    epoch_length_seconds=expect(epoch_raw, "epoch_length_seconds", int),
                 )
             )
         options = {
-            name: _typed(name, fixtures[name], kind)
+            name: expect(fixtures, name, kind)
             for name, kind in _SCALAR_OPTIONS.items()
             if name in fixtures
         }
         if "freshness_seconds" in state:
-            seconds = _typed("freshness_seconds", state["freshness_seconds"], int)
-            options["state_freshness"] = timedelta(seconds=seconds)
+            options["state_freshness"] = timedelta(seconds=expect(state, "freshness_seconds", int))
 
         config = EngineConfig(
             evaluator_id=evaluator_id,
@@ -198,17 +190,10 @@ def _run_input(engine: Engine, now, entry: dict) -> Decision:
     pop_raw = entry.get("pop")
     pop = PossessionProof.from_dict(pop_raw) if pop_raw is not None else None
     vouchers_raw = entry.get("vouchers")
-    vouchers = (
-        [StateVoucher.from_dict(v) for v in vouchers_raw] if vouchers_raw is not None else None
-    )
+    vouchers = [StateVoucher.from_dict(v) for v in vouchers_raw] if vouchers_raw is not None else None
     payload = credentials if len(credentials) != 1 else credentials[0]
     return engine.evaluate(
-        payload,
-        context,
-        str(entry.get("presenter", "")),
-        pop,
-        now=now,
-        vouchers=vouchers,
+        payload, context, expect(entry, "presenter", str), pop, now=now, vouchers=vouchers
     )
 
 
@@ -216,12 +201,12 @@ def run_vector(vector: dict) -> tuple[dict, dict]:
     """Execute one parsed vector; returns (expected, actual) comparison rows."""
     if not isinstance(vector, dict) or vector.get("kind") != "test_vector":
         raise FixtureError("not a test vector")
-    vector_id = str(vector.get("vector_id", "(missing id)"))
-    fixtures = vector.get("fixtures")
-    entry = vector.get("input")
-    expected = vector.get("expected")
-    if not isinstance(fixtures, dict) or not isinstance(entry, dict) or not isinstance(expected, dict):
-        raise FixtureError(f"{vector_id}: vector must carry fixtures, input, and expected")
+    with reading(FixtureError):
+        vector_id = expect(vector, "vector_id", str)
+        fixtures = expect(vector, "fixtures", dict)
+        entry = expect(vector, "input", dict)
+        expected = expect(vector, "expected", dict)
+        expected_row = _expected_row(expected)
     engine, now = build_engine(fixtures, label=vector_id)
     try:
         for prior in entry.get("prior", ()):
@@ -231,23 +216,23 @@ def run_vector(vector: dict) -> tuple[dict, dict]:
         raise
     except Exception as exc:  # an escaping exception is itself a conformance failure
         actual = {"outcome": "EXCEPTION", "code": None, "detail": f"{type(exc).__name__}: {exc}"}
-        return _expected_row(expected), actual
+        return expected_row, actual
     actual = {
         "outcome": decision.outcome,
         "code": decision.reason.code.value if decision.reason else None,
     }
     if "failed_constraint" in expected:
         actual["failed_constraint"] = decision.failed_constraint
-    return _expected_row(expected), actual
+    return expected_row, actual
 
 
 def _expected_row(expected: dict) -> dict:
     row = {
-        "outcome": str(expected.get("outcome", "")),
-        "code": expected.get("code"),
+        "outcome": expect(expected, "outcome", str),
+        "code": expect(expected, "code", str, optional=True),
     }
     if "failed_constraint" in expected:
-        row["failed_constraint"] = expected.get("failed_constraint")
+        row["failed_constraint"] = expect(expected, "failed_constraint", str, optional=True)
     return row
 
 
@@ -272,9 +257,10 @@ def run_vectors(root: Union[str, Path]) -> ConformanceReport:
             vector = json.loads(path.read_text("utf-8"))
         except Exception as exc:
             raise FixtureError(f"{path}: fixture_error: {exc}") from exc
-        vector_id = str(vector.get("vector_id", path.stem)) if isinstance(vector, dict) else path.stem
         total += 1
         expected, actual = run_vector(vector)
         if expected != actual:
-            failures.append(VectorFailure(vector_id=vector_id, expected=expected, actual=actual))
+            failures.append(
+                VectorFailure(vector_id=vector["vector_id"], expected=expected, actual=actual)
+            )
     return ConformanceReport(total=total, passed=total - len(failures), failures=tuple(failures))

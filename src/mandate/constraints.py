@@ -26,6 +26,8 @@ from .model import (
     SemanticType,
     TypedValue,
     ValueParseError,
+    expect,
+    expect_list,
     parse_timestamp,
     parse_typed_value,
     render_timestamp,
@@ -40,7 +42,7 @@ CALENDAR_UNITS = ("day", "week", "month")
 _FIXED_OFFSET_RE = re.compile(r"^([+-])([01][0-9]|2[0-3]):([0-5][0-9])$")
 
 
-class ConstraintError(ValueError):
+class ConstraintError(ValueParseError):
     """Raised when a constraint value itself is malformed at construction."""
 
 
@@ -181,7 +183,7 @@ class Period:
         if self.kind not in PERIOD_KINDS:
             raise ConstraintError(f"unknown period kind {self.kind!r}")
         if self.kind == "rolling":
-            if not isinstance(self.duration_seconds, int) or self.duration_seconds <= 0:
+            if type(self.duration_seconds) is not int or self.duration_seconds <= 0:
                 raise ConstraintError("rolling period requires a positive duration in seconds")
         elif self.duration_seconds is not None:
             raise ConstraintError("duration_seconds only applies to rolling periods")
@@ -204,9 +206,9 @@ class Period:
         if not isinstance(obj, dict):
             raise ConstraintError("period must be an object")
         return Period(
-            kind=obj.get("kind", ""),
-            duration_seconds=obj.get("seconds"),
-            calendar_unit=obj.get("unit"),
+            kind=expect(obj, "kind", str),
+            duration_seconds=expect(obj, "seconds", int, optional=True),
+            calendar_unit=expect(obj, "unit", str, optional=True),
         )
 
 
@@ -301,48 +303,48 @@ def constraint_from_dict(obj: dict) -> Constraint:
         if tag == "NumericLimitConstraint":
             _expect_keys(obj, {"type", "field", "operator", "value"}, {"currency", "unit"})
             return NumericLimitConstraint(
-                field=_expect_str(obj, "field"),
-                operator=_expect_str(obj, "operator"),
+                field=expect(obj, "field", str),
+                operator=expect(obj, "operator", str),
                 value=parse_typed_value(obj["value"], SemanticType.DECIMAL).value,
-                currency=_opt_str(obj, "currency"),
-                unit=_opt_str(obj, "unit"),
+                currency=expect(obj, "currency", str, optional=True),
+                unit=expect(obj, "unit", str, optional=True),
             )
         if tag == "TemporalWindowConstraint":
             _expect_keys(obj, {"type", "field", "valid_from", "valid_until", "timezone"}, {"allowed_days"})
             days = obj.get("allowed_days")
             return TemporalWindowConstraint(
-                field=_expect_str(obj, "field"),
-                valid_from=parse_timestamp(_expect_str(obj, "valid_from")),
-                valid_until=parse_timestamp(_expect_str(obj, "valid_until")),
-                timezone=_expect_str(obj, "timezone"),
-                allowed_days=frozenset(expect_str_list(days)) if days is not None else None,
+                field=expect(obj, "field", str),
+                valid_from=parse_timestamp(expect(obj, "valid_from", str)),
+                valid_until=parse_timestamp(expect(obj, "valid_until", str)),
+                timezone=expect(obj, "timezone", str),
+                allowed_days=frozenset(expect_list(days, str)) if days is not None else None,
             )
         if tag == "EnumeratedListConstraint":
             _expect_keys(obj, {"type", "field"}, {"allowed", "denied"})
             allowed = obj.get("allowed")
             denied = obj.get("denied")
             return EnumeratedListConstraint(
-                field=_expect_str(obj, "field"),
-                allowed=frozenset(expect_str_list(allowed)) if allowed is not None else None,
-                denied=frozenset(expect_str_list(denied)) if denied is not None else None,
+                field=expect(obj, "field", str),
+                allowed=frozenset(expect_list(allowed, str)) if allowed is not None else None,
+                denied=frozenset(expect_list(denied, str)) if denied is not None else None,
             )
         if tag == "StringPatternConstraint":
             _expect_keys(obj, {"type", "field", "match", "pattern"}, set())
             return StringPatternConstraint(
-                field=_expect_str(obj, "field"),
-                match=_expect_str(obj, "match"),
-                pattern=_expect_str(obj, "pattern"),
+                field=expect(obj, "field", str),
+                match=expect(obj, "match", str),
+                pattern=expect(obj, "pattern", str),
             )
         if tag == "CumulativeLimitConstraint":
             _expect_keys(obj, {"type", "field", "budget", "period", "state_authority_pointer"}, {"currency"})
             return CumulativeLimitConstraint(
-                field=_expect_str(obj, "field"),
+                field=expect(obj, "field", str),
                 budget=parse_typed_value(obj["budget"], SemanticType.DECIMAL).value,
                 period=Period.from_dict(obj["period"]),
-                state_authority_pointer=_expect_str(obj, "state_authority_pointer"),
-                currency=_opt_str(obj, "currency"),
+                state_authority_pointer=expect(obj, "state_authority_pointer", str),
+                currency=expect(obj, "currency", str, optional=True),
             )
-    except (ConstraintError, ValueParseError, KeyError, TypeError):
+    except (ValueParseError, KeyError, TypeError):
         return UnknownConstraint(type_tag=tag, body=canonical_dumps(obj))
     return UnknownConstraint(type_tag=tag, body=canonical_dumps(obj))
 
@@ -351,28 +353,6 @@ def _expect_keys(obj: dict, required: set, optional: set) -> None:
     keys = set(obj.keys())
     if not required.issubset(keys) or not keys.issubset(required | optional):
         raise ValueParseError(f"constraint keys {sorted(keys)} do not fit the declared type")
-
-
-def _expect_str(obj: dict, key: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ValueParseError(f"constraint field {key!r} must be a string")
-    return value
-
-
-def _opt_str(obj: dict, key: str) -> Optional[str]:
-    value = obj.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ValueParseError(f"constraint field {key!r} must be a string")
-    return value
-
-
-def expect_str_list(value: object) -> list[str]:
-    """The one reader of a JSON list of strings (identities, fields, names):
-    a bare string is refused, never split into characters."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueParseError("expected a list of strings")
-    return value
 
 
 # --- timezone resolution ----------------------------------------------------

@@ -27,7 +27,10 @@ from .model import (
     AuthorizationPayload,
     DenialReason,
     DenyCode,
+    expect,
+    expect_list,
     parse_timestamp,
+    reading,
     render_timestamp,
     validate_payload,
 )
@@ -284,18 +287,14 @@ class PossessionProof:
     def from_dict(obj: dict) -> "PossessionProof":
         if not isinstance(obj, dict) or obj.get("kind") != "possession_proof":
             raise MalformedContainerError("not a possession proof")
-        try:
+        with reading(MalformedContainerError):
             return PossessionProof(
-                credential_digest=str(obj["credential_digest"]),
-                audience=str(obj["audience"]),
-                nonce=str(obj["nonce"]),
+                credential_digest=expect(obj, "credential_digest", str),
+                audience=expect(obj, "audience", str),
+                nonce=expect(obj, "nonce", str),
                 timestamp=parse_timestamp(obj["timestamp"]),
                 raw=obj,
             )
-        except MalformedContainerError:
-            raise
-        except Exception as exc:
-            raise MalformedContainerError(f"malformed possession proof: {exc}") from exc
 
 
 def make_possession_proof(
@@ -352,21 +351,14 @@ class RevocationList:
     def from_dict(obj: dict) -> "RevocationList":
         if not isinstance(obj, dict) or obj.get("kind") != "revocation_list":
             raise RevocationError("not a revocation list")
-        try:
-            revoked = obj["revoked"]
-            if not isinstance(revoked, list) or not all(isinstance(r, str) for r in revoked):
-                raise RevocationError("revoked must be a list of credential ids")
+        with reading(RevocationError):
             return RevocationList(
-                issuer_id=str(obj["issuer_id"]),
-                version=int(obj["version"]),
-                revoked=frozenset(revoked),
+                issuer_id=expect(obj, "issuer_id", str),
+                version=expect(obj, "version", int),
+                revoked=frozenset(expect_list(obj["revoked"], str)),
                 updated_at=parse_timestamp(obj["updated_at"]),
                 raw=obj,
             )
-        except RevocationError:
-            raise
-        except Exception as exc:
-            raise RevocationError(f"malformed revocation list: {exc}") from exc
 
 
 def new_revocation_list(

@@ -25,9 +25,16 @@ from typing import Mapping, Optional, Union
 
 from .canonical import canonical_dumps, digest_object
 from .container import DEFAULT_CREDENTIAL_CLASS, CredentialContainer
-from .constraints import CumulativeLimitConstraint, UnknownConstraint, expect_str_list
+from .constraints import CumulativeLimitConstraint, UnknownConstraint
 from .keys import SigningKey, attach_signature, check_signature
-from .model import parse_timestamp, render_timestamp
+from .model import (
+    ValueParseError,
+    expect,
+    expect_list,
+    parse_timestamp,
+    reading,
+    render_timestamp,
+)
 from .pipeline import EngineConfig
 
 WELL_KNOWN_PATH = "/.well-known/agent-governance"
@@ -62,11 +69,12 @@ class VocabularyRange:
 
     @staticmethod
     def from_dict(obj: dict) -> "VocabularyRange":
-        return VocabularyRange(
-            profile_id=str(obj["profile_id"]),
-            min_version=int(obj["min_version"]),
-            max_version=int(obj["max_version"]),
-        )
+        with reading(ValueParseError):
+            return VocabularyRange(
+                profile_id=expect(obj, "profile_id", str),
+                min_version=expect(obj, "min_version", int),
+                max_version=expect(obj, "max_version", int),
+            )
 
 
 @dataclass(frozen=True)
@@ -139,31 +147,28 @@ def build_manifest(
 
 
 def _manifest_from_dict(obj: dict) -> GovernanceManifest:
-    try:
+    with reading(ManifestError, "malformed"):
         return GovernanceManifest(
-            receiver_id=str(obj["receiver_id"]),
-            version=int(obj["version"]),
+            receiver_id=expect(obj, "receiver_id", str),
+            version=expect(obj, "version", int),
             valid_from=parse_timestamp(obj["valid_from"]),
             valid_until=parse_timestamp(obj["valid_until"]),
             supported_vocabularies=tuple(
-                VocabularyRange.from_dict(row) for row in obj.get("supported_vocabularies", ())
+                VocabularyRange.from_dict(row)
+                for row in expect_list(obj.get("supported_vocabularies", []), dict)
             ),
-            accepted_registries=tuple(expect_str_list(obj.get("accepted_registries", []))),
+            accepted_registries=tuple(expect_list(obj.get("accepted_registries", []), str)),
             accepted_credential_classes=frozenset(
-                expect_str_list(obj.get("accepted_credential_classes", []))
+                expect_list(obj.get("accepted_credential_classes", []), str)
             ),
             required_context_fields=frozenset(
-                expect_str_list(obj.get("required_context_fields", []))
+                expect_list(obj.get("required_context_fields", []), str)
             ),
             accepted_state_authorities=tuple(
-                expect_str_list(obj.get("accepted_state_authorities", []))
+                expect_list(obj.get("accepted_state_authorities", []), str)
             ),
             raw=obj,
         )
-    except ManifestError:
-        raise
-    except Exception as exc:
-        raise ManifestError("malformed", f"manifest field missing or malformed: {exc}") from exc
 
 
 def verify_manifest(
@@ -176,13 +181,10 @@ def verify_manifest(
     ``receiver_keys`` maps receiver identity to public key hex.  Raises
     ManifestError with code malformed, bad_signature, or out_of_window.
     """
+    obj = data
     if isinstance(data, (bytes, str)):
-        try:
+        with reading(ManifestError, "malformed"):
             obj = json.loads(data if isinstance(data, str) else data.decode("utf-8"))
-        except Exception as exc:
-            raise ManifestError("malformed", f"manifest is not valid text: {exc}") from exc
-    else:
-        obj = data
     if not isinstance(obj, dict) or obj.get("kind") != "governance_manifest":
         raise ManifestError("malformed", "not a governance manifest")
     manifest = _manifest_from_dict(obj)

@@ -27,6 +27,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .canonical import canonical_dumps, signing_bytes
+from .model import expect, reading
 
 SUITE_ED25519 = 1
 
@@ -91,14 +92,12 @@ def load_signing_key(obj: dict) -> SigningKey:
         raise KeyError_("not a private key file")
     if not is_ed25519(obj.get("suite")):
         raise KeyError_(f"unsupported signature suite {obj.get('suite')!r}")
-    try:
-        raw = bytes.fromhex(obj["private_key"])
-        key = SigningKey(key_id=str(obj["key_id"]), private_bytes=raw)
-    except (KeyError, ValueError) as exc:
-        raise KeyError_(f"malformed private key file: {exc}") from exc
+    with reading(KeyError_):
+        raw = bytes.fromhex(expect(obj, "private_key", str))
+        key = SigningKey(key_id=expect(obj, "key_id", str), private_bytes=raw)
+        declared = expect(obj, "public_key", str, optional=True)
     if len(raw) != 32:
         raise KeyError_("Ed25519 private keys are 32 bytes")
-    declared = obj.get("public_key")
     if declared is not None and declared != key.public_hex:
         raise KeyError_("public_key does not match private_key")
     return key

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import ipaddress
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 ALLOW = "ALLOW"
 DENY = "DENY"
@@ -99,7 +100,8 @@ class DenialReason:
 
     @staticmethod
     def from_dict(obj: dict) -> "DenialReason":
-        return DenialReason(code=DenyCode(obj["code"]), detail=str(obj.get("detail", "")))
+        detail = expect(obj, "detail", str, optional=True) or ""
+        return DenialReason(DenyCode(expect(obj, "code", str)), detail)
 
 
 # --- timestamps -------------------------------------------------------------
@@ -169,9 +171,44 @@ class TypedValue:
 
     @staticmethod
     def from_dict(obj: dict) -> "TypedValue":
-        if not isinstance(obj, dict) or "type" not in obj or "value" not in obj:
-            raise ValueParseError("typed value requires 'type' and 'value'")
-        return parse_typed_value(obj["value"], SemanticType(obj["type"]))
+        with reading(ValueParseError):
+            return parse_typed_value(obj["value"], SemanticType(expect(obj, "type", str)))
+
+
+# --- field readers: every artifact and config reader takes its fields through
+# these, so a field has its exact JSON type or the read fails; nothing is coerced.
+
+def expect(obj: Mapping, key: str, kind: type, optional: bool = False):
+    """The field ``key`` of ``obj``, of exactly the JSON type ``kind`` (str,
+    int, bool, list or dict; bool is not an int).  An ``optional`` field may
+    also be absent or null, and reads as None."""
+    value = obj.get(key)
+    if type(value) is not kind and not (optional and value is None):
+        problem = f"must be {kind.__name__}, got {type(value).__name__}" if key in obj else "is missing"
+        raise ValueParseError(f"field {key!r} {problem}")
+    return value
+
+
+def expect_list(value: object, kind: type) -> list:
+    """The one reader of a JSON list whose items all have the JSON type
+    ``kind``: str for identities, fields and names, dict for rows and nested
+    artifacts.  A bare string is refused, never split into characters."""
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise ValueParseError(f"expected a list of {kind.__name__}")
+    return value
+
+
+@contextmanager
+def reading(error: type, *args: object) -> Iterator[None]:
+    """Raise a missing or ill-typed field met in the block as ``error(*args,
+    detail)``, the artifact's own typed error; that error passes through."""
+    try:
+        yield
+    except error:
+        raise
+    except (LookupError, TypeError, AttributeError, ValueError, RecursionError) as exc:
+        detail = f"field {exc.args[0]!r} is missing" if isinstance(exc, KeyError) else str(exc)
+        raise error(*args, detail) from exc
 
 
 def parse_decimal(text: object) -> Decimal:
@@ -243,13 +280,12 @@ class RequestContext:
 
     @staticmethod
     def from_dict(obj: dict) -> "RequestContext":
-        if not isinstance(obj, dict) or not isinstance(obj.get("action"), str):
-            raise ValueParseError("request context requires an 'action'")
-        raw_fields = obj.get("fields", {})
-        if not isinstance(raw_fields, dict):
-            raise ValueParseError("context 'fields' must be an object")
-        fields = {name: TypedValue.from_dict(value) for name, value in raw_fields.items()}
-        return RequestContext(action=obj["action"], fields=fields)
+        with reading(ValueParseError):
+            fields = expect(obj, "fields", dict, optional=True) or {}
+            return RequestContext(
+                action=expect(obj, "action", str),
+                fields={name: TypedValue.from_dict(value) for name, value in fields.items()},
+            )
 
 
 # --- authorization payload --------------------------------------------------
@@ -320,7 +356,7 @@ class TraceEntry:
 
     @staticmethod
     def from_dict(obj: dict) -> "TraceEntry":
-        return TraceEntry(stage=str(obj["stage"]), check=str(obj["check"]), result=str(obj["result"]))
+        return TraceEntry(*(expect(obj, key, str) for key in ("stage", "check", "result")))
 
 
 @dataclass(frozen=True)
@@ -361,13 +397,14 @@ class Decision:
 
     @staticmethod
     def from_dict(obj: dict) -> "Decision":
-        reason = obj.get("reason")
-        return Decision(
-            outcome=str(obj["outcome"]),
-            reason=DenialReason.from_dict(reason) if reason else None,
-            trace=tuple(TraceEntry.from_dict(e) for e in obj.get("trace", [])),
-            failed_constraint=obj.get("failed_constraint"),
-        )
+        with reading(ValueParseError):
+            reason = obj.get("reason")
+            return Decision(
+                outcome=expect(obj, "outcome", str),
+                reason=DenialReason.from_dict(reason) if reason else None,
+                trace=tuple(TraceEntry.from_dict(e) for e in obj.get("trace", [])),
+                failed_constraint=expect(obj, "failed_constraint", str, optional=True),
+            )
 
 
 def allow(trace: Sequence[TraceEntry] = ()) -> Decision:

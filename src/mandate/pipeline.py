@@ -38,7 +38,6 @@ from .constraints import (
     UnknownConstraint,
     constraint_from_dict,
     evaluate_constraint,
-    expect_str_list,
     check_attenuation,
     family_of,
     glob_match,
@@ -64,8 +63,12 @@ from .model import (
     RequestContext,
     TraceEntry,
     TypedValue,
+    ValueParseError,
     allow,
     deny,
+    expect,
+    expect_list,
+    reading,
     validate_payload,
 )
 from .registry import TrustRegistry
@@ -134,11 +137,12 @@ class LocalPolicy:
 
     @staticmethod
     def from_dict(obj: dict) -> "LocalPolicy":
-        return LocalPolicy(
-            policy_id=str(obj["policy_id"]),
-            required_context_fields=tuple(expect_str_list(obj.get("required_context_fields", []))),
-            constraints=tuple(constraint_from_dict(c) for c in obj.get("constraints", ())),
-        )
+        with reading(ValueParseError):
+            return LocalPolicy(
+                policy_id=expect(obj, "policy_id", str),
+                required_context_fields=tuple(expect_list(obj.get("required_context_fields", []), str)),
+                constraints=tuple(map(constraint_from_dict, expect_list(obj.get("constraints", []), dict))),
+            )
 
 
 @dataclass(frozen=True)
@@ -156,11 +160,12 @@ class WorkflowRole:
 
     @staticmethod
     def from_dict(obj: dict) -> "WorkflowRole":
-        return WorkflowRole(
-            role_id=str(obj["role_id"]),
-            issuer_pattern=str(obj["issuer_pattern"]),
-            required_permission=str(obj["required_permission"]),
-        )
+        with reading(ValueParseError):
+            return WorkflowRole(
+                role_id=expect(obj, "role_id", str),
+                issuer_pattern=expect(obj, "issuer_pattern", str),
+                required_permission=expect(obj, "required_permission", str),
+            )
 
 
 @dataclass(frozen=True)
@@ -181,11 +186,12 @@ class WorkflowPolicy:
 
     @staticmethod
     def from_dict(obj: dict) -> "WorkflowPolicy":
-        return WorkflowPolicy(
-            workflow_id=str(obj["workflow_id"]),
-            roles=tuple(WorkflowRole.from_dict(r) for r in obj.get("roles", ())),
-            shared_fields=tuple(expect_str_list(obj.get("shared_fields", []))),
-        )
+        with reading(ValueParseError):
+            return WorkflowPolicy(
+                workflow_id=expect(obj, "workflow_id", str),
+                roles=tuple(WorkflowRole.from_dict(r) for r in expect_list(obj.get("roles", []), dict)),
+                shared_fields=tuple(expect_list(obj.get("shared_fields", []), str)),
+            )
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,20 @@ suspension and revocation both read as not vetted.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .canonical import digest_object
-from .constraints import expect_str_list
 from .keys import SigningKey, attach_signature, check_signature, envelope_public_key
-from .model import parse_timestamp, render_timestamp
+from .model import (
+    expect,
+    expect_list,
+    parse_timestamp,
+    reading,
+    render_timestamp,
+)
 
 STANDING_ACTIVE = "active"
 STANDING_VALUES = ("active", "suspended", "revoked")
@@ -120,31 +124,20 @@ def build_registry(
     return _parse_registry(signed)
 
 
-@contextmanager
-def _malformed(what: str) -> Iterator[None]:
-    """Raise any failure to read ``what`` as RegistryError with code malformed."""
-    try:
-        yield
-    except RegistryError:
-        raise
-    except Exception as exc:
-        raise RegistryError("malformed", f"{what}: {exc}") from exc
-
-
 def parse_issuer_entries(issuers: object) -> dict[str, IssuerEntry]:
     """Read a registry's ``issuers`` object, keyed by issuer id; the CLI's
     ``--issuers`` file has the same shape."""
     entries = {}
-    with _malformed("registry issuers"):
+    with reading(RegistryError, "malformed"):
         for issuer_id, entry in issuers.items():
-            standing = entry["standing"]
+            standing = expect(entry, "standing", str)
             if standing not in STANDING_VALUES:
-                raise ValueError(f"unknown standing {standing!r}")
+                raise RegistryError("malformed", f"unknown standing {standing!r}")
             entries[issuer_id] = IssuerEntry(
                 issuer_id=issuer_id,
                 standing=standing,
-                credential_classes=frozenset(expect_str_list(entry["credential_classes"])),
-                profiles=frozenset(expect_str_list(entry["profiles"])),
+                credential_classes=frozenset(expect_list(entry["credential_classes"], str)),
+                profiles=frozenset(expect_list(entry["profiles"], str)),
             )
     return entries
 
@@ -152,29 +145,25 @@ def parse_issuer_entries(issuers: object) -> dict[str, IssuerEntry]:
 def parse_state_authority_entries(rows: object) -> tuple[StateAuthorityEntry, ...]:
     """Read a registry's ``state_authorities`` list of ``{pointer, profiles}``
     rows; the CLI's ``--state-authorities`` file has the same shape."""
-    entries = []
-    with _malformed("registry state authorities"):
-        for row in rows:
-            pointer = row["pointer"]
-            if not isinstance(pointer, str):
-                raise ValueError(f"pointer {pointer!r} is not a string")
-            profiles = frozenset(expect_str_list(row["profiles"]))
-            entries.append(StateAuthorityEntry(pointer=pointer, profiles=profiles))
-    return tuple(entries)
+    with reading(RegistryError, "malformed"):
+        return tuple(
+            StateAuthorityEntry(expect(row, "pointer", str), frozenset(expect_list(row["profiles"], str)))
+            for row in expect_list(rows, dict)
+        )
 
 
 def _parse_registry(obj: dict) -> TrustRegistry:
     if not isinstance(obj, dict) or obj.get("kind") != "trust_registry":
         raise RegistryError("malformed", "not a trust registry object")
-    with _malformed("registry structure"):
+    with reading(RegistryError, "malformed"):
         return TrustRegistry(
-            registry_id=str(obj["registry_id"]),
-            version=int(obj["version"]),
+            registry_id=expect(obj, "registry_id", str),
+            version=expect(obj, "version", int),
             valid_from=parse_timestamp(obj["valid_from"]),
             valid_until=parse_timestamp(obj["valid_until"]),
             issuers=parse_issuer_entries(obj["issuers"]),
             state_authorities=parse_state_authority_entries(obj.get("state_authorities", [])),
-            vocabulary_refs=tuple(dict(r) for r in obj.get("vocabulary_refs", [])),
+            vocabulary_refs=tuple(expect_list(obj.get("vocabulary_refs", []), dict)),
             raw=obj,
         )
 
@@ -189,13 +178,10 @@ def load_registry(
     Errors carry a code: malformed, bad_signature, or out_of_window.  An
     out-of-window registry is unusable for evaluation, full stop.
     """
+    obj = data
     if isinstance(data, (bytes, str)):
-        try:
+        with reading(RegistryError, "malformed"):
             obj = json.loads(data if isinstance(data, str) else data.decode("utf-8"))
-        except Exception as exc:
-            raise RegistryError("malformed", f"registry bytes: {exc}") from exc
-    else:
-        obj = data
     registry = _parse_registry(obj)
     public_hex = envelope_public_key(registry.raw, steward_keys)
     if public_hex is None or not check_signature(registry.raw, public_hex):

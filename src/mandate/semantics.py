@@ -26,7 +26,10 @@ from .model import (
     SemanticType,
     TypedValue,
     ValueParseError,
+    expect,
+    expect_list,
     parse_timestamp,
+    reading,
     render_timestamp,
 )
 
@@ -115,21 +118,17 @@ class Vocabulary:
     def from_dict(obj: dict) -> "Vocabulary":
         if not isinstance(obj, dict) or obj.get("kind") != "vocabulary":
             raise ValueParseError("not a vocabulary object")
-        profile_id = obj.get("profile_id")
-        version = obj.get("version")
-        identifiers = obj.get("identifiers")
-        if not isinstance(profile_id, str) or not isinstance(version, int) or not isinstance(identifiers, dict):
-            raise ValueParseError("malformed vocabulary")
-        entries = {}
-        for name, spec in identifiers.items():
-            if not isinstance(spec, dict):
-                raise ValueParseError(f"malformed vocabulary entry {name!r}")
-            entries[name] = VocabularyEntry(
-                identifier=name,
-                semantic_type=SemanticType(spec["type"]),
-                status=str(spec.get("status", STATUS_CONDITIONAL)),
-            )
-        return Vocabulary(profile_id=profile_id, version=version, entries=entries)
+        with reading(ValueParseError):
+            entries = {
+                name: VocabularyEntry(
+                    identifier=name,
+                    semantic_type=SemanticType(expect(spec, "type", str)),
+                    status=expect(spec, "status", str, optional=True) or STATUS_CONDITIONAL,
+                )
+                for name, spec in obj["identifiers"].items()
+            }
+            profile_id, version = expect(obj, "profile_id", str), expect(obj, "version", int)
+            return Vocabulary(profile_id=profile_id, version=version, entries=entries)
 
 
 def lookup_identifier(
@@ -196,35 +195,21 @@ class MappingProfile:
     def from_dict(obj: dict) -> "MappingProfile":
         if not isinstance(obj, dict) or obj.get("kind") != "mapping_profile":
             raise ValueParseError("not a mapping profile object")
-        profile_id = obj.get("profile_id")
-        version = obj.get("version")
-        valid_until = obj.get("valid_until")
-        aliases_raw = obj.get("aliases")
-        if (
-            not isinstance(profile_id, str)
-            or not isinstance(version, int)
-            or not isinstance(valid_until, str)
-            or not isinstance(aliases_raw, list)
-        ):
-            raise ValueParseError("malformed mapping profile")
-        aliases = []
-        for row in aliases_raw:
-            if not isinstance(row, dict):
-                raise ValueParseError("malformed alias row")
-            aliases.append(
-                AliasEntry(
-                    identifier=str(row["identifier"]),
-                    field=str(row["field"]),
-                    declared_type=SemanticType(row["type"]),
-                )
+        with reading(ValueParseError):
+            return MappingProfile(
+                profile_id=expect(obj, "profile_id", str),
+                version=expect(obj, "version", int),
+                valid_until=parse_timestamp(obj["valid_until"]),
+                aliases=tuple(
+                    AliasEntry(
+                        identifier=expect(row, "identifier", str),
+                        field=expect(row, "field", str),
+                        declared_type=SemanticType(expect(row, "type", str)),
+                    )
+                    for row in expect_list(obj["aliases"], dict)
+                ),
+                raw=obj,
             )
-        return MappingProfile(
-            profile_id=profile_id,
-            version=version,
-            valid_until=parse_timestamp(valid_until),
-            aliases=tuple(aliases),
-            raw=obj,
-        )
 
 
 def build_mapping_profile(

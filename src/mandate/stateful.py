@@ -33,8 +33,11 @@ from .model import (
     DenialReason,
     DenyCode,
     TypedValue,
+    ValueParseError,
+    expect,
     parse_decimal,
     parse_timestamp,
+    reading,
     render_timestamp,
 )
 
@@ -110,13 +113,11 @@ class InMemoryStateAuthority:
         This is the one reader of the ledger row ``{key, amount, period,
         timestamp}``: a reopened file ledger and a fixture's reservations
         both come through here.  ``amount`` is decimal text, as the ledger
-        writes it; anything else raises ValueError.
+        writes it; anything else raises ValueParseError.
         """
-        with self._lock:
+        with self._lock, reading(ValueParseError):
             for row in rows:
-                key = row["key"]
-                if not isinstance(key, str):
-                    raise ValueError("ledger key must be a string")
+                key = expect(row, "key", str)
                 amount = parse_decimal(row["amount"])
                 period = Period.from_dict(row["period"])
                 now = parse_timestamp(row["timestamp"])
@@ -153,7 +154,7 @@ class FileStateAuthority:
         if self.path.exists():
             # Rows are decoded one at a time, so a long ledger never holds
             # every row's objects at once.
-            lines = self.path.read_text("utf-8").splitlines()
+            lines = self.path.read_text("utf-8").split("\n")
             self._core.replay(json.loads(line) for line in lines if line.strip())
 
     def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
@@ -290,17 +291,18 @@ class StateVoucher:
     @staticmethod
     def from_dict(obj: dict) -> "StateVoucher":
         if not isinstance(obj, dict) or obj.get("kind") != "state_voucher":
-            raise ValueError("not a state voucher")
-        return StateVoucher(
-            authority_id=str(obj["authority_id"]),
-            credential_digest=str(obj["credential_digest"]),
-            sequence=int(obj["sequence"]),
-            spent=Decimal(str(obj["spent"])),
-            remaining=Decimal(str(obj["remaining"])),
-            observed_at=parse_timestamp(obj["observed_at"]),
-            prev_signature=str(obj["prev_signature"]),
-            raw=obj,
-        )
+            raise ValueParseError("not a state voucher")
+        with reading(ValueParseError):
+            return StateVoucher(
+                authority_id=expect(obj, "authority_id", str),
+                credential_digest=expect(obj, "credential_digest", str),
+                sequence=expect(obj, "sequence", int),
+                spent=parse_decimal(obj["spent"]),
+                remaining=parse_decimal(obj["remaining"]),
+                observed_at=parse_timestamp(obj["observed_at"]),
+                prev_signature=expect(obj, "prev_signature", str),
+                raw=obj,
+            )
 
 
 def make_voucher(

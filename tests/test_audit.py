@@ -79,6 +79,55 @@ def test_file_backed_log_survives_reopen(tmp_path):
     assert ok, bad
 
 
+def _written_log(tmp_path, count=3):
+    path = tmp_path / "audit.log"
+    append_some(AuditLog("svc:test:receiver", AUDIT_KEY, path=path), count)
+    return path
+
+
+@pytest.mark.parametrize(
+    "tear",
+    [
+        pytest.param(lambda data: data[:-40], id="last-record-truncated"),
+        pytest.param(lambda data: data[:-1], id="final-newline-missing"),
+        pytest.param(lambda data: data + b"\n", id="blank-last-line"),
+        pytest.param(lambda data: data[:-2] + b"\xff\n", id="torn-utf8"),
+    ],
+)
+def test_a_torn_tail_refuses_to_reopen(tmp_path, tear):
+    path = _written_log(tmp_path)
+    path.write_bytes(tear(path.read_bytes()))
+    torn = path.read_bytes()
+    with pytest.raises(AuditError):
+        AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+    assert path.read_bytes() == torn  # nothing is appended or repaired
+
+
+def test_a_tail_that_does_not_link_or_verify_refuses_to_reopen(tmp_path):
+    path = _written_log(tmp_path)
+    lines = path.read_text().splitlines()
+    # Swapped last two records: each still verifies on its own, but the last
+    # line no longer links to the line before it.
+    path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
+    with pytest.raises(AuditError):
+        AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+    # A log signed by another key is not this log's to extend.
+    path.write_text("\n".join(lines) + "\n")
+    other = generate_key("svc:test:receiver#audit", seed="audit:other")
+    with pytest.raises(AuditError):
+        AuditLog("svc:test:receiver", other, path=path)
+
+
+def test_reopen_after_a_single_record_or_an_empty_file(tmp_path):
+    path = _written_log(tmp_path, 1)
+    append_some(AuditLog("svc:test:receiver", AUDIT_KEY, path=path), 1)
+    assert verify_audit_chain(path.read_text().splitlines(), AUDIT_KEY.public_hex)[0]
+    empty = tmp_path / "empty.log"
+    empty.write_bytes(b"")
+    append_some(AuditLog("svc:test:receiver", AUDIT_KEY, path=empty), 1)
+    assert verify_audit_chain(empty.read_text().splitlines(), AUDIT_KEY.public_hex)[0]
+
+
 def test_tampered_line_detected(tmp_path):
     path = tmp_path / "audit.log"
     log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mandate.audit import AuditLog
 from mandate.cli import main
 from mandate.container import make_possession_proof, parse_container
 from mandate.keys import generate_key
@@ -344,6 +345,22 @@ def test_revocation_flows_into_evaluation(workspace, capsys):
 
 # --- audit -----------------------------------------------------------------------
 
+@pytest.mark.parametrize("cut", [40, 1], ids=["last-record-truncated", "final-newline-missing"])
+def test_evaluate_refuses_an_audit_log_with_a_torn_tail(workspace, capsys, cut):
+    credential_path = issue(capsys, workspace)
+    log_path = workspace["dir"] / "audit.log"
+    for nonce in ("t1", "t2"):
+        evaluate(capsys, workspace, [credential_path], nonce, extra=["--audit-path", str(log_path)])
+    log_path.write_bytes(log_path.read_bytes()[:-cut])
+    torn = log_path.read_bytes()
+    code, decision, err = evaluate(
+        capsys, workspace, [credential_path], "t3", extra=["--audit-path", str(log_path)]
+    )
+    assert code == 2 and decision is None
+    assert "audit log" in err and "Traceback" not in err
+    assert log_path.read_bytes() == torn
+
+
 def test_audit_chain_survives_cli_appends_and_detects_tamper(workspace, capsys):
     credential_path = issue(capsys, workspace)
     log_path = workspace["dir"] / "audit.log"
@@ -362,6 +379,23 @@ def test_audit_chain_survives_cli_appends_and_detects_tamper(workspace, capsys):
     code, report, _ = run(capsys, "audit", "verify", "--log", log_path, "--keys", keys_path)
     assert code == 1
     assert report["ok"] is False and report["bad_index"] == 1
+
+
+def test_audit_verify_splits_records_only_at_newlines(workspace, capsys):
+    log_path = workspace["dir"] / "audit.log"
+    log = AuditLog(RECEIVER_ID, AUDIT, path=log_path)
+    for resource in ("jobs/1", "jobs/\u2028two", "jobs/3"):  # U+2028 is text, not a line end
+        log.append(
+            operation="evaluate", timestamp=parse_timestamp(NOW), credential_digests=[],
+            presenter_id=None, subject_id=None, issuer_id=None, action="task.run",
+            resource=resource, context_snapshot={"core.resource_id": resource},
+            constraint_results=[], decision_outcome="ALLOW", decision_code=None,
+            decision_detail="", failed_constraint=None, governance={},
+        )
+    keys_path = write(workspace["dir"] / "audit-keys.json", {AUDIT.key_id: AUDIT.public_hex})
+    code, report, _ = run(capsys, "audit", "verify", "--log", log_path, "--keys", keys_path)
+    assert code == 0
+    assert report["ok"] is True and report["records"] == 3
 
 
 # --- manifest and preflight ---------------------------------------------------------
@@ -633,6 +667,28 @@ def test_voucher_init_update_verify(workspace, capsys):
     )
     assert code == 1
     assert verdict["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "vouchers",
+    [
+        {"kind": "state_voucher"},
+        [{"kind": "state_voucher", "authority_id": "a", "sequence": True, "spent": "1e3"}],
+        "state_voucher",
+    ],
+)
+def test_voucher_verify_refuses_a_malformed_voucher_file(workspace, capsys, vouchers):
+    code, verdict, err = run(
+        capsys,
+        "voucher", "verify",
+        "--vouchers", write(workspace["dir"] / "vouchers.json", vouchers),
+        "--authority-key", workspace["authority_key"],
+        "--pointer", "https://state.cli.example/ledger",
+        "--budget", "1000",
+        "--now", NOW,
+    )
+    assert code == 2 and verdict is None
+    assert err.startswith("error: ") and "vouchers.json" in err
 
 
 @pytest.mark.parametrize("budget", ["1e3", "NaN", "Infinity", " 1000"])

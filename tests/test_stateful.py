@@ -133,6 +133,16 @@ def test_file_ledger_replays_on_restart(tmp_path):
         resumed.reserve("k", Decimal("1"), Decimal("1000"), period, NOW)
 
 
+def test_file_ledger_splits_rows_only_at_newlines(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    period = Period(kind="per_credential")
+    key = "k\u2028ey"  # U+2028 is text, not a line end
+    FileStateAuthority(POINTER, path).reserve(key, Decimal("600"), Decimal("1000"), period, NOW)
+    resumed = FileStateAuthority(POINTER, path)
+    with pytest.raises(OverBudgetError):
+        resumed.reserve(key, Decimal("401"), Decimal("1000"), period, NOW)
+
+
 def test_file_ledger_write_failure_spends_nothing(tmp_path):
     path = tmp_path / "ledger.jsonl"
     period = Period(kind="per_credential")
