@@ -16,17 +16,23 @@ import json
 import threading
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
-from .canonical import canonical_dumps, digest_object, sha256_hex
-from .keys import SigningKey, attach_signature, check_signature, envelope_public_key
+from .canonical import CanonicalizationError, canonical_dumps, digest_object, sha256_hex
+from .keys import SUITE_ED25519, SigningKey, attach_signature, check_signature, envelope_public_key
 from .model import render_timestamp
 
 # Fixed anchor for the first record of every log.
 GENESIS_DIGEST = sha256_hex(b"audit-log-genesis")
 
 KEY_PROTECTION_CLASSES = ("hardware", "software", "unknown")
+
+
+def _join(*members: str) -> str:
+    """A JSON object from runs of canonical members, in order."""
+    return "{" + ",".join(member for member in members if member) + "}"
 
 
 class AuditError(RuntimeError):
@@ -77,6 +83,24 @@ class AuditLog:
         self._last_digest = GENESIS_DIGEST
         if self.path is not None and self.path.exists():
             self._last_digest = self._reopen(self.path.read_bytes())
+
+    @cached_property
+    def _envelope(self) -> str:
+        """The signature member up to its proof value, built on first append:
+        ``"signature":{"key_id":…,"suite":1``."""
+        envelope = {"key_id": self._key.key_id, "suite": SUITE_ED25519}
+        return '"signature":' + canonical_dumps(envelope)[:-1]
+
+    @staticmethod
+    def _render(body: dict) -> list[str]:
+        """The body's canonical members, braces stripped, in three runs: those
+        sorting before ``record_id``, between it and ``signature``, and after.
+        Each member is serialised once; the record_id preimage, the signing
+        bytes and the line are all joined from these runs."""
+        runs: list[dict] = [{}, {}, {}]
+        for key, value in body.items():
+            runs[0 if key < "record_id" else 1 if key < "signature" else 2][key] = value
+        return [canonical_dumps(run)[1:-1] for run in runs]
 
     def _reopen(self, data: bytes) -> str:
         """The digest the next record chains to.  The log must end in a newline
@@ -145,10 +169,16 @@ class AuditLog:
             body["workflow"] = dict(workflow)
         with self._lock:
             body["prev_record"] = self._last_digest
-            body["record_id"] = "rec-" + digest_object(body)[:16]
-            signed = attach_signature(body, self._key)
-            record = AuditRecord(record_id=body["record_id"], prev_record=body["prev_record"], raw=signed)
-            line = record.dumps()
+            head, middle, tail = self._render(body)
+            record_id = "rec-" + sha256_hex(_join(head, middle, tail))[:16]
+            body["record_id"] = record_id
+            # record_id ("rec-" + hex) and the signature value (hex) need no JSON escaping.
+            member = f'"record_id":"{record_id}"'
+            rendered = _join(head, member, middle, self._envelope + "}", tail).encode("utf-8")
+            signed = attach_signature(body, self._key, rendered=rendered)
+            value = signed["signature"]["value"]
+            line = _join(head, member, middle, f'{self._envelope},"value":"{value}"}}', tail)
+            record = AuditRecord(record_id=record_id, prev_record=body["prev_record"], raw=signed)
             if self.path is not None:
                 try:
                     with self.path.open("a", encoding="utf-8") as handle:
@@ -178,20 +208,23 @@ def verify_audit_chain(
     expected_prev = after
     index = -1
     for index, item in enumerate(lines_or_records):
-        if isinstance(item, AuditRecord):
-            obj = item.raw
-            line = item.dumps()
-        elif isinstance(item, dict):
-            obj = item
-            line = canonical_dumps(item)
+        presented = None
+        if isinstance(item, (AuditRecord, dict)):
+            obj = item.raw if isinstance(item, AuditRecord) else item
         else:
-            line = item.strip()
+            presented = item.strip()
             try:
-                obj = json.loads(line)
+                obj = json.loads(presented)
             except Exception as exc:
                 return False, index, f"record {index} is not parseable: {exc}"
-            if canonical_dumps(obj) != line:
-                return False, index, f"record {index} is not in canonical form"
+            if not isinstance(obj, dict):
+                return False, index, f"record {index} is not a JSON object"
+        try:
+            line = canonical_dumps(obj)
+        except CanonicalizationError:  # a float or another value JSON records never hold
+            line = None
+        if line is None or (presented is not None and presented != line):
+            return False, index, f"record {index} is not in canonical form"
         if obj.get("prev_record") != expected_prev:
             return False, index, f"record {index} breaks the hash chain"
         if isinstance(evaluator_keys, str):

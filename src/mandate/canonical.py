@@ -37,8 +37,43 @@ def _reject_floats(obj: Any, path: str = "$") -> None:
         raise CanonicalizationError(f"unsupported type {type(obj).__name__} at {path}")
 
 
+_MAX_DEPTH = 1000  # deeper nesting is left to _reject_floats, which then raises RecursionError
+
+
+def _plain(obj: Any) -> bool:
+    """True when ``obj`` is built only of exact ``str``/``int``/``bool``/None
+    scalars, lists, tuples and dicts with exact ``str`` keys.
+
+    No path is formatted: only when this returns False does ``_reject_floats``
+    walk again, to accept the rest of what it accepts (subclasses) or to raise
+    with the path of the first offence.
+    """
+    stack = [iter((obj,))]
+    while stack:
+        for item in stack[-1]:
+            kind = type(item)
+            if kind is str or kind is int or kind is bool or item is None:
+                continue
+            if kind is dict:
+                for key in item:
+                    if type(key) is not str:
+                        return False
+                stack.append(iter(item.values()))
+            elif kind is list or kind is tuple:
+                stack.append(iter(item))
+            else:
+                return False
+            if len(stack) > _MAX_DEPTH:
+                return False
+            break
+        else:
+            stack.pop()
+    return True
+
+
 def canonical_dumps(obj: Any) -> str:
-    _reject_floats(obj)
+    if not _plain(obj):
+        _reject_floats(obj)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 

@@ -125,15 +125,21 @@ def verify_raw(public_hex: str, signature_hex: str, data: bytes, suite: int = SU
         return False
 
 
-def attach_signature(obj: dict, key: SigningKey) -> dict:
+def attach_signature(obj: dict, key: SigningKey, *, rendered: Optional[bytes] = None) -> dict:
     """Return ``obj`` with a detached signature over its canonical bytes.
 
     The envelope's suite and key_id are placed before signing so they are
     covered by the signature; only the proof value stands outside it.
+
+    ``rendered``, when given, is the caller's own rendering of those bytes,
+    ``signing_bytes`` of the returned object, and is signed as it stands
+    instead of being rendered again.  A caller that already holds the
+    canonical text of the body (the audit log) passes it to skip one
+    serialisation; it is not checked, so it must be exactly those bytes.
     """
     body = dict(obj)
     body["signature"] = {"suite": SUITE_ED25519, "key_id": key.key_id}
-    signature = key.sign(signing_bytes(body)).hex()
+    signature = key.sign(signing_bytes(body) if rendered is None else rendered).hex()
     body["signature"]["value"] = signature
     return body
 

@@ -195,6 +195,12 @@ class EpochQuota:
     allocation: Decimal
     epoch_length_seconds: int
 
+    def __post_init__(self) -> None:
+        # A zero length divides by zero in EpochLedger.reserve; a negative one
+        # counts epochs backwards.
+        if self.epoch_length_seconds <= 0:
+            raise ValueError("epoch length must be positive")
+
 
 @dataclass(frozen=True)
 class EpochAllocation:
@@ -214,8 +220,6 @@ def allocate_epoch_quotas(
     """
     if not enforcer_ids:
         raise ValueError("at least one enforcer required")
-    if epoch_length_seconds <= 0:
-        raise ValueError("epoch length must be positive")
     exponent = budget.as_tuple().exponent
     quantum = Decimal(1).scaleb(exponent if isinstance(exponent, int) else 0)
     total_quanta = int(budget / quantum)

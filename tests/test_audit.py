@@ -1,12 +1,17 @@
 """Hash-chained audit records: appending, persistence, and chain verification."""
 
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mandate.audit import GENESIS_DIGEST, AuditError, AuditLog, verify_audit_chain
-from mandate.canonical import canonical_dumps
-from mandate.keys import generate_key
+from mandate.canonical import canonical_dumps, digest_object
+from mandate.keys import check_signature, generate_key
 from mandate.model import parse_timestamp
 
 NOW = parse_timestamp("2026-05-01T12:00:00Z")
@@ -43,8 +48,6 @@ def test_records_chain_from_genesis():
     records = append_some(log)
     assert records[0].prev_record == GENESIS_DIGEST
     for prev, record in zip(records, records[1:]):
-        import hashlib
-
         assert record.prev_record == hashlib.sha256(prev.dumps().encode()).hexdigest()
 
 
@@ -182,3 +185,121 @@ def test_append_failure_surfaces_as_audit_error(tmp_path):
     log = AuditLog("svc:test:receiver", AUDIT_KEY, path=target)
     with pytest.raises(AuditError):
         append_some(log, 1)
+
+
+def _float_line(record):
+    raw = dict(record.raw, governance={"x": 1.5})
+    return json.dumps(raw, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def test_a_float_line_fails_at_its_index():
+    records = append_some(AuditLog("svc:test:receiver", AUDIT_KEY), 2)
+    lines = [records[0].dumps(), _float_line(records[1])]
+    ok, bad, detail = verify_audit_chain(lines, AUDIT_KEY.public_hex)
+    assert (ok, bad, detail) == (False, 1, "record 1 is not in canonical form")
+    as_dicts = [records[0].raw, json.loads(lines[1])]
+    assert verify_audit_chain(as_dicts, AUDIT_KEY.public_hex) == (False, 1, detail)
+
+
+def test_a_float_tail_refuses_to_reopen(tmp_path):
+    path = _written_log(tmp_path, 2)
+    records = AuditLog("svc:test:receiver", AUDIT_KEY, path=tmp_path / "other.log")
+    tail = _float_line(append_some(records, 1)[0])
+    path.write_text(path.read_text() + tail + "\n")
+    with pytest.raises(AuditError, match="not in canonical form"):
+        AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+
+
+@pytest.mark.parametrize("line", ["5", "[1]", '"text"', "null"])
+def test_a_line_that_is_not_an_object_fails_at_its_index(line):
+    ok, bad, detail = verify_audit_chain([line], AUDIT_KEY.public_hex)
+    assert (ok, bad, detail) == (False, 0, "record 0 is not a JSON object")
+
+
+# --- rendering ------------------------------------------------------------------
+
+# Quotes, backslashes, braces, a line separator that JSON leaves unescaped, an
+# astral-plane character, NUL, and member text that would mislead a renderer
+# that split a record by searching its text.
+FRAGMENTS = ['"', "\\", "{", "}", "\u2028", "\U0001f600", "\x00", ',"subject_id":', ',"signature":{']
+CHARACTERS = st.characters(blacklist_categories=("Cs",))  # lone surrogates are tested on their own
+ADVERSARIAL = st.lists(
+    st.one_of(st.sampled_from(FRAGMENTS), st.text(CHARACTERS, max_size=4)), max_size=5
+).map("".join)
+
+
+def _append(log, resource, context, detail, workflow):
+    return log.append(
+        operation="evaluate",
+        timestamp=NOW,
+        credential_digests=["digest-0"],
+        presenter_id="agent:test:worker",
+        subject_id=resource,
+        issuer_id="iss:test:authority",
+        action="task.run",
+        resource=resource,
+        context_snapshot=context,
+        constraint_results=[{"label": "C1", "passed": True, "note": detail}],
+        decision_outcome="DENY",
+        decision_code="constraint_failed",
+        decision_detail=detail,
+        failed_constraint="C1",
+        governance={"registry_versions": {resource: 1}, "profile_version": 1},
+        workflow=workflow,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    resource=ADVERSARIAL,
+    context=st.dictionaries(ADVERSARIAL, ADVERSARIAL, max_size=3),
+    detail=ADVERSARIAL,
+    environment=st.none() | ADVERSARIAL,
+    workflow=st.none()
+    | st.dictionaries(ADVERSARIAL, ADVERSARIAL | st.lists(ADVERSARIAL, max_size=2), max_size=3),
+)
+def test_each_rendering_of_a_record_is_its_canonical_form(
+    resource, context, detail, environment, workflow
+):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "audit.log"
+        log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path, environment=environment)
+        records = [_append(log, resource, context, detail, workflow) for _ in range(2)]
+        lines = path.read_text("utf-8").split("\n")[:-1]
+        assert lines == [canonical_dumps(record.raw) for record in records]
+        for record in records:
+            assert ("workflow" in record.raw) is (workflow is not None)
+            body = {k: v for k, v in record.raw.items() if k not in ("record_id", "signature")}
+            assert record.record_id == record.raw["record_id"] == "rec-" + digest_object(body)[:16]
+            assert check_signature(record.raw, AUDIT_KEY.public_hex)
+        assert verify_audit_chain(lines, AUDIT_KEY.public_hex)[0]
+        reopened = AuditLog("svc:test:receiver", AUDIT_KEY, path=path, environment=environment)
+        _append(reopened, resource, context, detail, workflow)
+        assert verify_audit_chain(path.read_text("utf-8").split("\n")[:-1], AUDIT_KEY.public_hex)[0]
+
+
+def test_a_lone_surrogate_appends_nothing(tmp_path):
+    path = _written_log(tmp_path, 1)
+    log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        _append(log, "jobs/\ud800", {}, "", None)
+    assert path.read_bytes() == before and log.records() == []
+    # The chain still links to the last written line.
+    _append(log, "jobs/2", {}, "", None)
+    ok, _, detail = verify_audit_chain(path.read_text("utf-8").splitlines(), AUDIT_KEY.public_hex)
+    assert ok and detail == "2 records verified"
+
+
+# SHA-256 of the whole log file below.  Any change to key order, escaping,
+# record_id derivation or the signed bytes changes it.
+GOLDEN_LOG_SHA256 = "fdb6f06d793a3579bdafbabbe56a1e7e3624c976616d66d3e0bacf4c0572189c"
+
+
+def test_audit_bytes_are_pinned(tmp_path):
+    path = tmp_path / "audit.log"
+    log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path, environment='eu "west" ')
+    append_some(log, 2)
+    _append(log, 'jobs/\\"1"\U0001f600', {"core.note": ',"subject_id":"x"'}, "}{", None)
+    _append(log, "jobs/2", {}, "detail", {"workflow_id": "wf-1", "roles": ["a", "b"]})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LOG_SHA256

@@ -1,0 +1,117 @@
+"""Canonical serialisation: the path-free accept check and its fallback walk."""
+
+import json
+from collections import OrderedDict
+from decimal import Decimal
+from enum import IntEnum
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mandate.canonical import CanonicalizationError, _reject_floats, canonical_dumps
+
+
+class Text(str):
+    pass
+
+
+class Number(int):
+    pass
+
+
+class Record(dict):
+    pass
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+PLAIN_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))
+ODD_SCALARS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(float("nan")),
+    st.decimals(),
+    st.sets(st.integers(), max_size=2),
+    st.binary(max_size=3),
+    st.builds(Text, st.text(max_size=3)),
+    st.builds(Number, st.integers()),
+    st.sampled_from(Level),
+)
+# int, bool and None keys: json.dumps would quietly turn each into a string.
+ODD_KEYS = st.one_of(st.integers(), st.booleans(), st.none(), st.builds(Text, st.text(max_size=3)))
+
+
+def _containers(children, keys):
+    return st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(keys, children, max_size=3),
+    )
+
+
+PLAIN = st.recursive(
+    PLAIN_SCALARS, lambda children: _containers(children, st.text(max_size=4)), max_leaves=12
+)
+ANY = st.recursive(
+    st.one_of(PLAIN_SCALARS, ODD_SCALARS),
+    lambda children: st.one_of(
+        _containers(children, st.one_of(st.text(max_size=4), ODD_KEYS)),
+        st.dictionaries(st.text(max_size=3), children, max_size=3).map(Record),
+        st.dictionaries(st.text(max_size=3), children, max_size=3).map(OrderedDict),
+    ),
+    max_leaves=12,
+)
+
+
+def _walk_verdict(obj):
+    try:
+        _reject_floats(obj)
+    except CanonicalizationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=st.one_of(PLAIN, ANY))
+def test_canonical_dumps_rejects_exactly_what_the_walk_rejects(obj):
+    expected = _walk_verdict(obj)
+    if expected is not None:
+        with pytest.raises(CanonicalizationError) as raised:
+            canonical_dumps(obj)
+        assert str(raised.value) == expected
+    else:
+        text = canonical_dumps(obj)
+        assert text == json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"a": [1, {"b": 1.5}]}, "float at $.a[1].b is not canonicalizable; use a string decimal"),
+        ({"a": float("nan")}, "float at $.a is not canonicalizable; use a string decimal"),
+        ({"a": {1: "x"}}, "non-string key at $.a"),
+        ({"a": {None: "x"}}, "non-string key at $.a"),
+        ((1, Decimal("1")), "unsupported type Decimal at $[1]"),
+        ({"a": b"x"}, "unsupported type bytes at $.a"),
+        ([{1, 2}], "unsupported type set at $[0]"),
+    ],
+)
+def test_a_rejection_names_the_path_of_the_first_offence(obj, message):
+    with pytest.raises(CanonicalizationError) as raised:
+        canonical_dumps(obj)
+    assert str(raised.value) == message
+
+
+def test_subclasses_are_still_accepted():
+    obj = OrderedDict(b=Level.HIGH, a=Record({Text("k"): Number(3)}), c=(Text("t"),))
+    assert canonical_dumps(obj) == '{"a":{"k":3},"b":2,"c":["t"]}'
+
+
+def test_a_cyclic_object_raises_instead_of_looping():
+    loop: list = []
+    loop.append(loop)
+    with pytest.raises(RecursionError):
+        canonical_dumps(loop)

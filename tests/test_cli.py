@@ -398,6 +398,28 @@ def test_audit_verify_splits_records_only_at_newlines(workspace, capsys):
     assert report["ok"] is True and report["records"] == 3
 
 
+def test_audit_verify_reports_a_float_line_at_its_index(workspace, capsys):
+    log_path = workspace["dir"] / "audit.log"
+    log = AuditLog(RECEIVER_ID, AUDIT, path=log_path)
+    for resource in ("jobs/1", "jobs/2"):
+        log.append(
+            operation="evaluate", timestamp=parse_timestamp(NOW), credential_digests=[],
+            presenter_id=None, subject_id=None, issuer_id=None, action="task.run",
+            resource=resource, context_snapshot={}, constraint_results=[],
+            decision_outcome="ALLOW", decision_code=None, decision_detail="",
+            failed_constraint=None, governance={},
+        )
+    lines = log_path.read_text().splitlines()
+    raw = dict(json.loads(lines[1]), governance={"x": 1.5})
+    lines[1] = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    log_path.write_text("\n".join(lines) + "\n")
+    keys_path = write(workspace["dir"] / "audit-keys.json", {AUDIT.key_id: AUDIT.public_hex})
+    code, report, _ = run(capsys, "audit", "verify", "--log", log_path, "--keys", keys_path)
+    assert code == 1
+    assert report["ok"] is False and report["bad_index"] == 1
+    assert report["detail"] == "record 1 is not in canonical form"
+
+
 # --- manifest and preflight ---------------------------------------------------------
 
 def build_registry_file(workspace, capsys):

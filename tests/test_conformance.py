@@ -158,6 +158,8 @@ def test_optional_keys_that_are_present_reach_the_engine_config():
         ("state", {"epoch": {"enforcer_id": 5, "allocation": "200", "epoch_length_seconds": 60}}),
         ("state", {"epoch": {"enforcer_id": "e", "allocation": "200", "epoch_length_seconds": "60"}}),
         ("state", {"epoch": {"enforcer_id": "e", "allocation": "200", "epoch_length_seconds": True}}),
+        ("state", {"epoch": {"enforcer_id": "e", "allocation": "200", "epoch_length_seconds": 0}}),
+        ("state", {"epoch": {"enforcer_id": "e", "allocation": "200", "epoch_length_seconds": -60}}),
         ("state", {"freshness_seconds": True}),
         ("state", {"freshness_seconds": 1.5}),
         ("state", {"freshness_seconds": None}),

@@ -1,6 +1,7 @@
 """Engine pipeline: ordering, traces, chains, policy, workflow, audit coupling."""
 
 import gc
+import json
 from datetime import timedelta
 from decimal import Decimal
 
@@ -169,6 +170,17 @@ def test_malformed_bytes_deny_as_signature_invalid():
     assert decision.reason.code is DenyCode.SIGNATURE_INVALID
     assert decision.trace[0].result.startswith("FAIL")
     assert decision.trace[-1].result == "DENY: signature_invalid"
+
+
+def test_a_float_in_a_credential_denies_with_its_path_in_the_audit_record():
+    engine = make_engine()
+    cred = credential()
+    raw = dict(cred.to_dict(), x_extra=1.5)
+    decision = engine.evaluate(json.dumps(raw).encode(), context(), cred.subject_id, pop_for(cred), now=NOW)
+    detail = "malformed container: float at $.x_extra is not canonicalizable; use a string decimal"
+    assert (decision.reason.code, decision.reason.detail) == (DenyCode.SIGNATURE_INVALID, detail)
+    [record] = engine.config.audit_log.records()
+    assert record.raw["decision"]["detail"] == detail
 
 
 def test_constraint_order_defines_labels():

@@ -274,6 +274,14 @@ def test_allocation_respects_budget_granularity():
     assert slices == [Decimal("0.04"), Decimal("0.03"), Decimal("0.03")]
 
 
+@pytest.mark.parametrize("length", [0, -60])
+def test_an_epoch_length_must_be_positive(length):
+    with pytest.raises(ValueError, match="epoch length must be positive"):
+        EpochQuota("e1", Decimal("100"), epoch_length_seconds=length)
+    with pytest.raises(ValueError, match="epoch length must be positive"):
+        allocate_epoch_quotas(Decimal("100"), ["e1"], length)
+
+
 def test_epoch_ledger_resets_each_epoch():
     ledger = EpochLedger(EpochQuota("e1", Decimal("100"), epoch_length_seconds=600))
     ledger.reserve(Decimal("100"), NOW)
