@@ -12,7 +12,6 @@ the log explains decisions without archiving whole requests.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from datetime import datetime
@@ -20,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
-from .canonical import CanonicalizationError, canonical_dumps, digest_object, sha256_hex
+from .canonical import CanonicalizationError, canonical_dumps, digest_object, load_json, sha256_hex
 from .keys import SUITE_ED25519, SigningKey, attach_signature, check_signature, envelope_public_key
 from .model import render_timestamp
 
@@ -214,7 +213,7 @@ def verify_audit_chain(
         else:
             presented = item.strip()
             try:
-                obj = json.loads(presented)
+                obj = load_json(presented)
             except Exception as exc:
                 return False, index, f"record {index} is not parseable: {exc}"
             if not isinstance(obj, dict):

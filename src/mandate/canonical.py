@@ -77,6 +77,23 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def _unique_members(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        names = [name for name, _ in pairs]
+        raise ValueError(f"duplicate member name {next(n for n in names if names.count(n) > 1)!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_members)
+
+
+def load_json(data: bytes | str) -> Any:
+    """The one reader of JSON text: bytes as strict UTF-8 (no UTF-16/32 detection),
+    member names unique in each object.  Malformed text raises ValueError."""
+    return _DECODER.decode(data.decode("utf-8") if isinstance(data, bytes) else data)
+
+
 def canonical_bytes(obj: Any) -> bytes:
     return canonical_dumps(obj).encode("utf-8")
 
@@ -116,7 +133,11 @@ def to_transport(data: bytes) -> str:
 
 
 def from_transport(text: str) -> bytes:
+    """Padded base64url to bytes, accepted only in the form ``to_transport`` writes."""
     try:
-        return base64.urlsafe_b64decode(text.encode("ascii"))
+        data = base64.urlsafe_b64decode(text.encode("ascii"))
     except Exception as exc:
         raise CanonicalizationError(f"invalid base64url transport wrapping: {exc}") from exc
+    if to_transport(data) != text:
+        raise CanonicalizationError("invalid base64url transport wrapping: not in canonical form")
+    return data

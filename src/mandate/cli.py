@@ -16,7 +16,6 @@ An optional --now on evaluating subcommands injects the clock.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from datetime import datetime, timedelta, timezone
@@ -25,7 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .audit import verify_audit_chain
-from .canonical import canonical_dumps
+from .canonical import canonical_dumps, load_json
 from .conformance import FixtureError, build_engine, decode_credential, run_vectors
 from .constraints import CumulativeLimitConstraint, Period
 from .container import (
@@ -86,7 +85,7 @@ def _note(text: str) -> None:
 
 def _read_json(path: str):
     try:
-        return json.loads(Path(path).read_text("utf-8"))
+        return load_json(Path(path).read_bytes())
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 

@@ -14,14 +14,13 @@ encoding on top of canonical bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
 from typing import Optional, Union
 
 from .audit import AuditLog
-from .canonical import from_transport
+from .canonical import CanonicalizationError, from_transport, load_json
 from .container import PossessionProof, RevocationList, RevocationStore
 from .keys import load_signing_key, parse_key_map
 from .model import (
@@ -82,11 +81,16 @@ class ConformanceReport:
 
 
 def decode_credential(entry: object) -> Union[dict, bytes]:
-    """The one reader of a presented credential entry, in vectors and CLI
-    files alike: a plain object or a base64url transport wrapping."""
+    """The one reader of a presented credential entry, in vectors and CLI files alike: a plain
+    object, or a base64url wrapping (a refused one reads as {}, which the engine denies)."""
     if not isinstance(entry, dict):
         raise FixtureError(f"unsupported credential entry of type {type(entry).__name__}")
-    return from_transport(expect(entry, "value", str)) if entry.get("encoding") == "base64url" else entry
+    if entry.get("encoding") != "base64url":
+        return entry
+    try:
+        return from_transport(expect(entry, "value", str))
+    except CanonicalizationError:
+        return {}
 
 
 # Optional top-level keys named after the EngineConfig field they set, with
@@ -254,7 +258,7 @@ def run_vectors(root: Union[str, Path]) -> ConformanceReport:
     total = 0
     for path in iter_vector_files(root):
         try:
-            vector = json.loads(path.read_text("utf-8"))
+            vector = load_json(path.read_bytes())
         except Exception as exc:
             raise FixtureError(f"{path}: fixture_error: {exc}") from exc
         total += 1

@@ -11,15 +11,15 @@ containment check counts as a failure, never as a pass.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from decimal import Decimal
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 from zoneinfo import ZoneInfo
 
-from .canonical import canonical_dumps
+from .canonical import canonical_dumps, load_json
 from .model import (
     NUMERIC_KINDS,
     STRING_KINDS,
@@ -28,6 +28,7 @@ from .model import (
     ValueParseError,
     expect,
     expect_list,
+    parse_offset,
     parse_timestamp,
     parse_typed_value,
     render_timestamp,
@@ -38,8 +39,6 @@ PATTERN_MODES = ("exact", "prefix", "suffix", "restricted_glob")
 WEEKDAYS = ("monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday")
 PERIOD_KINDS = ("per_credential", "rolling", "calendar")
 CALENDAR_UNITS = ("day", "week", "month")
-
-_FIXED_OFFSET_RE = re.compile(r"^([+-])([01][0-9]|2[0-3]):([0-5][0-9])$")
 
 
 class ConstraintError(ValueParseError):
@@ -205,11 +204,15 @@ class Period:
     def from_dict(obj: dict) -> "Period":
         if not isinstance(obj, dict):
             raise ConstraintError("period must be an object")
-        return Period(
-            kind=expect(obj, "kind", str),
-            duration_seconds=expect(obj, "seconds", int, optional=True),
-            calendar_unit=expect(obj, "unit", str, optional=True),
+        return _period(
+            expect(obj, "kind", str),
+            expect(obj, "seconds", int, optional=True),
+            expect(obj, "unit", str, optional=True),
         )
+
+
+# Periods are few and recur in every ledger row, so equal ones share one checked instance.
+_period = lru_cache(maxsize=64)(Period)
 
 
 @dataclass(frozen=True)
@@ -259,7 +262,7 @@ class UnknownConstraint:
     body: str  # canonical serialization of the original object
 
     def to_dict(self) -> dict:
-        return json.loads(self.body)
+        return load_json(self.body)
 
 
 Constraint = Union[
@@ -361,13 +364,8 @@ def resolve_timezone(name: str):
     """IANA zone name or fixed ±HH:MM offset to a tzinfo; None when unresolvable."""
     if name == "UTC":
         return timezone.utc
-    match = _FIXED_OFFSET_RE.match(name)
-    if match:
-        sign = 1 if match.group(1) == "+" else -1
-        delta = timedelta(hours=int(match.group(2)), minutes=int(match.group(3)))
-        return timezone(sign * delta)
     try:
-        return ZoneInfo(name)
+        return parse_offset(name) or ZoneInfo(name)
     except Exception:
         return None
 
@@ -775,8 +773,8 @@ def _narrows_pattern(child_group, parent_group) -> tuple[bool, str]:
 
 
 def _narrows_cumulative(child_group, parent_group) -> tuple[bool, str]:
-    p_sigs = {(c.currency, canonical_dumps(c.period.to_dict()), c.state_authority_pointer) for c in parent_group}
-    c_sigs = {(c.currency, canonical_dumps(c.period.to_dict()), c.state_authority_pointer) for c in child_group}
+    p_sigs = {(c.currency, c.period, c.state_authority_pointer) for c in parent_group}
+    c_sigs = {(c.currency, c.period, c.state_authority_pointer) for c in child_group}
     if len(p_sigs) > 1 or len(c_sigs) > 1:
         return False, "mixed cumulative accounting terms are incomparable"
     if p_sigs != c_sigs:

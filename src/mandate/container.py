@@ -14,13 +14,12 @@ credential, not in its favor.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Mapping, Optional, Sequence
 
-from .canonical import canonical_dumps, digest_object
+from .canonical import canonical_dumps, digest_object, load_json
 from .constraints import check_attenuation, constraint_from_dict
 from .keys import SigningKey, attach_signature, check_signature, is_ed25519
 from .model import (
@@ -145,15 +144,10 @@ def parse_container(data: bytes | str | dict) -> CredentialContainer:
 
 
 def _parse_container(data: bytes | str | dict) -> CredentialContainer:
-    if isinstance(data, (bytes, str)):
-        try:
-            if isinstance(data, bytes):
-                data = data.decode("utf-8")
-            obj = json.loads(data)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedContainerError(f"container bytes are not canonical text: {exc}") from exc
-    else:
-        obj = data
+    try:
+        obj = load_json(data) if isinstance(data, (bytes, str)) else data
+    except ValueError as exc:
+        raise MalformedContainerError(f"container bytes are not canonical text: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("kind") != "credential":
         raise MalformedContainerError("not a credential container")
     try:

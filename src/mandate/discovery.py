@@ -18,12 +18,11 @@ over whatever transport the receiver already secures.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime
 from typing import Mapping, Optional, Union
 
-from .canonical import canonical_dumps, digest_object
+from .canonical import canonical_dumps, digest_object, load_json
 from .container import DEFAULT_CREDENTIAL_CLASS, CredentialContainer
 from .constraints import CumulativeLimitConstraint, UnknownConstraint
 from .keys import SigningKey, attach_signature, check_signature
@@ -181,10 +180,8 @@ def verify_manifest(
     ``receiver_keys`` maps receiver identity to public key hex.  Raises
     ManifestError with code malformed, bad_signature, or out_of_window.
     """
-    obj = data
-    if isinstance(data, (bytes, str)):
-        with reading(ManifestError, "malformed"):
-            obj = json.loads(data if isinstance(data, str) else data.decode("utf-8"))
+    with reading(ManifestError, "malformed"):
+        obj = load_json(data) if isinstance(data, (bytes, str)) else data
     if not isinstance(obj, dict) or obj.get("kind") != "governance_manifest":
         raise ManifestError("malformed", "not a governance manifest")
     manifest = _manifest_from_dict(obj)

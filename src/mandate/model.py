@@ -16,7 +16,7 @@ import ipaddress
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence
@@ -27,10 +27,16 @@ DENY = "DENY"
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
-_DECIMAL_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
-_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
-_URI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:[^\s]+$")
-_FRACTION_RE = re.compile(r"\.([0-9]+)(?=$|[+-])")
+# Patterns are applied with fullmatch: "$" would also admit a trailing newline.
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_URI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:[^\s]+")
+# RFC 3339 section 5.6 date-time; ASCII digits only, as "\d" would admit others.
+_OFFSET = r"[+-](?:[01][0-9]|2[0-3]):[0-5][0-9]"
+_DATE_TIME_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.([0-9]+))?(?:[Zz]|(" + _OFFSET + "))"
+)
+_TWO_DIGITS = {f"{n:02}": n for n in range(100)}  # its fixed-width fields, read faster than by int()
 
 
 class ValueParseError(ValueError):
@@ -107,41 +113,42 @@ class DenialReason:
 # --- timestamps -------------------------------------------------------------
 
 def parse_timestamp(text: str) -> datetime:
-    """RFC 3339 text to an aware instant.  Naive timestamps are ambiguous and rejected."""
-    if not isinstance(text, str) or not text:
-        raise ValueParseError("timestamp must be RFC 3339 text")
-    normalized = text.strip()
-    if normalized.endswith(("Z", "z")):
-        normalized = normalized[:-1] + "+00:00"
-    # Python 3.10 only parses 3- or 6-digit fractions; RFC 3339 allows any
-    # length, and render_timestamp itself emits trimmed fractions.
-    fraction = _FRACTION_RE.search(normalized)
-    if fraction and len(fraction.group(1)) not in (3, 6):
-        digits = fraction.group(1)[:6].ljust(6, "0")
-        normalized = normalized[: fraction.start(1)] + digits + normalized[fraction.end(1):]
+    """The one reader of timestamps: RFC 3339 ``date-time`` text to an aware
+    UTC instant.  Fraction digits past microseconds are dropped."""
+    match = _DATE_TIME_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueParseError(f"timestamp {text!r} is not RFC 3339 date-time text")
+    fraction, offset = match.groups()
+    microsecond = int(fraction[:6].ljust(6, "0")) if fraction else 0
+    zone = parse_offset(offset) if offset else timezone.utc
     try:
-        value = datetime.fromisoformat(normalized)
-    except ValueError as exc:
+        return datetime(
+            int(text[:4]), _TWO_DIGITS[text[5:7]], _TWO_DIGITS[text[8:10]], _TWO_DIGITS[text[11:13]],
+            _TWO_DIGITS[text[14:16]], _TWO_DIGITS[text[17:19]], microsecond, zone,
+        ).astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise ValueParseError(f"invalid timestamp {text!r}: {exc}") from exc
-    if value.tzinfo is None:
-        raise ValueParseError(f"timestamp {text!r} has no UTC offset")
-    return value.astimezone(timezone.utc)
+
+
+def parse_offset(text: str) -> Optional[timezone]:
+    """A fixed ``±HH:MM`` UTC offset as RFC 3339 writes it; None for other text."""
+    if not re.fullmatch(_OFFSET, text):
+        return None
+    offset = timedelta(hours=int(text[1:3]), minutes=int(text[4:6]))
+    return timezone(-offset if text[0] == "-" else offset)
 
 
 def render_timestamp(value: datetime) -> str:
     """Canonical UTC text form, 'Z' suffix, sub-second digits only when present."""
     if value.tzinfo is None:
         raise ValueParseError("cannot render a naive timestamp")
-    value = value.astimezone(timezone.utc)
-    if value.microsecond:
-        return value.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
-    return value.strftime("%Y-%m-%dT%H:%M:%SZ")
+    text = value.astimezone(timezone.utc).replace(tzinfo=None).isoformat()
+    return (text.rstrip("0") if "." in text else text) + "Z"
 
 
 def _reject_control_chars(text: str, kind: SemanticType) -> None:
-    for ch in text:
-        if ord(ch) < 0x20 or ord(ch) == 0x7F:
-            raise ValueParseError(f"{kind.value} value contains a control character")
+    if any(ord(ch) < 0x20 or ord(ch) == 0x7F for ch in text):
+        raise ValueParseError(f"{kind.value} value contains a control character")
 
 
 # --- typed values -----------------------------------------------------------
@@ -214,7 +221,7 @@ def reading(error: type, *args: object) -> Iterator[None]:
 def parse_decimal(text: object) -> Decimal:
     """The one reader of decimal text (optional sign, digits, optional
     fraction), as limits, budgets and ledger amounts travel."""
-    if not isinstance(text, str) or not _DECIMAL_RE.match(text):
+    if not isinstance(text, str) or not _DECIMAL_RE.fullmatch(text):
         raise ValueParseError(f"invalid decimal {text!r}")
     return Decimal(text)
 
@@ -226,7 +233,7 @@ def parse_typed_value(text: str, kind: SemanticType) -> TypedValue:
     if kind is SemanticType.DECIMAL:
         return TypedValue(kind, parse_decimal(text), text)
     if kind is SemanticType.INTEGER:
-        if not _INTEGER_RE.match(text):
+        if not _INTEGER_RE.fullmatch(text):
             raise ValueParseError(f"invalid integer {text!r}")
         number = int(text)
         if not _INT64_MIN <= number <= _INT64_MAX:
@@ -244,7 +251,7 @@ def parse_typed_value(text: str, kind: SemanticType) -> TypedValue:
         return TypedValue(kind, text, text)
     if kind is SemanticType.URI:
         _reject_control_chars(text, kind)
-        if not _URI_RE.match(text):
+        if not _URI_RE.fullmatch(text):
             raise ValueParseError(f"invalid uri {text!r}")
         return TypedValue(kind, text, text)
     if kind in (SemanticType.STRING_ID, SemanticType.STRING_CODE):
@@ -331,15 +338,9 @@ def validate_payload(payload: AuthorizationPayload) -> Optional[DenialReason]:
         return DenialReason(DenyCode.CREDENTIAL_INCOMPLETE, "payload permissions absent or empty")
     if payload.constraints is None:
         return DenialReason(DenyCode.CREDENTIAL_INCOMPLETE, "payload constraint list absent")
-    seen: set[str] = set()
-    for constraint in payload.constraints:
-        rendered_parts = []
-        for key, value in sorted(constraint.to_dict().items()):
-            rendered_parts.append(f"{key}={value!r}")
-        rendered = ";".join(rendered_parts)
-        if rendered in seen:
-            return DenialReason(DenyCode.CREDENTIAL_INCOMPLETE, "payload carries duplicate constraints")
-        seen.add(rendered)
+    rendered = [repr(sorted(c.to_dict().items())) for c in payload.constraints]
+    if len(set(rendered)) < len(rendered):
+        return DenialReason(DenyCode.CREDENTIAL_INCOMPLETE, "payload carries duplicate constraints")
     return None
 
 

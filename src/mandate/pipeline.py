@@ -46,7 +46,6 @@ from .constraints import (
 from .container import (
     DEFAULT_CREDENTIAL_CLASS,
     CredentialContainer,
-    MalformedContainerError,
     NonceCache,
     PossessionProof,
     RevocationStore,
@@ -394,6 +393,17 @@ class Engine:
                 del self._parsed[next(iter(self._parsed))]
         return container
 
+    def _parse_or_deny(self, credential: Credential, stage: str, note="", where="") -> CredentialContainer:
+        """The one denial of a presented credential that does not parse: the
+        ``note`` and ``where`` prefixes place it in a chain or workflow set."""
+        try:
+            return self._parse(credential)
+        except ValueError as exc:  # a MalformedContainerError among them
+            raise _Denied(
+                stage, "parse", f"{note}{exc}",
+                DenyCode.SIGNATURE_INVALID, f"malformed container{where}: {exc}",
+            )
+
     def _verify(
         self,
         container: CredentialContainer,
@@ -438,13 +448,7 @@ class Engine:
         trace: list[TraceEntry],
         notes: _Notes,
     ) -> CredentialContainer:
-        try:
-            container = self._parse(credential)
-        except (MalformedContainerError, ValueError) as exc:
-            raise _Denied(
-                "container", "parse", str(exc),
-                DenyCode.SIGNATURE_INVALID, f"malformed container: {exc}",
-            )
+        container = self._parse_or_deny(credential, "container")
         notes.containers.append(container)
         trace.append(TraceEntry("container", "parse", "PASS"))
 
@@ -464,6 +468,9 @@ class Engine:
             raise _Denied(
                 "container", _VERIFY_CHECKS[failed_at], reason.detail, reason.code, reason.detail
             )
+        problem = validate_payload(container.payload)
+        if problem is not None:
+            raise _Denied("payload", "completeness", problem.detail, problem.code, problem.detail)
         return container
 
     # -- delegation chain ----------------------------------------------------
@@ -479,15 +486,10 @@ class Engine:
     ) -> CredentialContainer:
         if not credentials:
             raise _Denied(None, None, None, DenyCode.CREDENTIAL_INCOMPLETE, "no credentials presented")
-        containers: list[CredentialContainer] = []
-        for index, credential in enumerate(credentials, start=1):
-            try:
-                containers.append(self._parse(credential))
-            except (MalformedContainerError, ValueError) as exc:
-                raise _Denied(
-                    "chain", "parse", f"link {index}: {exc}",
-                    DenyCode.SIGNATURE_INVALID, f"malformed container in link {index}: {exc}",
-                )
+        containers = [
+            self._parse_or_deny(c, "chain", f"link {i}: ", f" in link {i}")
+            for i, c in enumerate(credentials, start=1)
+        ]
         notes.containers.extend(containers)
         trace.append(TraceEntry("chain", "parse", f"PASS: {len(containers)} links"))
 
@@ -612,11 +614,6 @@ class Engine:
     ) -> None:
         cfg = self.config
         payload = container.payload
-
-        problem = validate_payload(payload)
-        if problem is not None:
-            raise _Denied("payload", "completeness", problem.detail, problem.code, problem.detail)
-
         if context.action not in (payload.permissions or frozenset()):
             raise _Denied(
                 "payload", "permission", f"{context.action!r} not granted",
@@ -761,16 +758,10 @@ class Engine:
         trace: list[TraceEntry],
         notes: _Notes,
     ) -> WorkflowComposition:
-        containers: list[CredentialContainer] = []
-        for index, credential in enumerate(credentials, start=1):
-            try:
-                containers.append(self._parse(credential))
-            except (MalformedContainerError, ValueError) as exc:
-                raise _Denied(
-                    "workflow", "parse", f"credential {index}: {exc}",
-                    DenyCode.SIGNATURE_INVALID,
-                    f"malformed container in workflow set ({index}): {exc}",
-                )
+        containers = [
+            self._parse_or_deny(c, "workflow", f"credential {i}: ", f" in workflow set ({i})")
+            for i, c in enumerate(credentials, start=1)
+        ]
         notes.containers.extend(containers)
         trace.append(TraceEntry("workflow", "parse", f"PASS: {len(containers)} credentials"))
 

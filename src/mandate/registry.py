@@ -10,13 +10,12 @@ suspension and revocation both read as not vetted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .canonical import digest_object
+from .canonical import digest_object, load_json
 from .keys import SigningKey, attach_signature, check_signature, envelope_public_key
 from .model import (
     expect,
@@ -178,10 +177,8 @@ def load_registry(
     Errors carry a code: malformed, bad_signature, or out_of_window.  An
     out-of-window registry is unusable for evaluation, full stop.
     """
-    obj = data
-    if isinstance(data, (bytes, str)):
-        with reading(RegistryError, "malformed"):
-            obj = json.loads(data if isinstance(data, str) else data.decode("utf-8"))
+    with reading(RegistryError, "malformed"):
+        obj = load_json(data) if isinstance(data, (bytes, str)) else data
     registry = _parse_registry(obj)
     public_hex = envelope_public_key(registry.raw, steward_keys)
     if public_hex is None or not check_signature(registry.raw, public_hex):

@@ -17,7 +17,6 @@ Every check here fails toward denial, and the budget boundary is inclusive:
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -25,7 +24,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Protocol, Sequence, Union
 
-from .canonical import canonical_dumps, sha256_hex
+from .canonical import canonical_dumps, load_json, sha256_hex
 from .constraints import CumulativeLimitConstraint, Period
 from .keys import SigningKey, attach_signature, check_signature
 from .model import (
@@ -155,7 +154,7 @@ class FileStateAuthority:
             # Rows are decoded one at a time, so a long ledger never holds
             # every row's objects at once.
             lines = self.path.read_text("utf-8").split("\n")
-            self._core.replay(json.loads(line) for line in lines if line.strip())
+            self._core.replay(load_json(line) for line in lines if line.strip())
 
     def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
         with self._io_lock:

@@ -16,7 +16,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .canonical import canonical_bytes, canonical_dumps, sha256_hex, to_transport
+from .canonical import canonical_bytes, canonical_dumps, load_json, sha256_hex, to_transport
 from .constraints import (
     Constraint,
     CumulativeLimitConstraint,
@@ -59,7 +59,7 @@ PROFILE = "vectors"
 
 
 def _copy(obj: dict) -> dict:
-    return json.loads(canonical_dumps(obj))
+    return load_json(canonical_dumps(obj))
 
 
 class _Kit:
@@ -377,6 +377,30 @@ def _level1_vectors(kit: _Kit) -> list[tuple[str, dict]]:
         },
         _deny("signature_invalid"),
     )
+    duplicated = b'{"audience":["svc:attacker"],' + canonical_bytes(cred.to_dict())[1:]
+    add(
+        "signature-invalid-duplicate-member",
+        "a member named twice, which first-wins and last-wins parsers read as different grants",
+        {
+            "credentials": [{"encoding": "base64url", "value": to_transport(duplicated)}],
+            "presenter": kit.subject.key_id,
+            "pop": kit.pop(cred, "nonce-signature-invalid-duplicate-member"),
+            "context": kit.context(),
+        },
+        _deny("signature_invalid"),
+    )
+    basic_format = attach_signature({**cred.to_dict(), "valid_until": "20261231T235959Z"}, kit.issuer)
+    add(
+        "signature-invalid-timestamp-not-rfc3339",
+        "a signed validity bound in ISO 8601 basic format, which RFC 3339 does not allow",
+        {
+            "credentials": [basic_format],
+            "presenter": kit.subject.key_id,
+            "pop": kit.pop(basic_format, "nonce-signature-invalid-timestamp-not-rfc3339"),
+            "context": kit.context(),
+        },
+        _deny("signature_invalid"),
+    )
     add(
         "issuer-untrusted",
         "issuer absent from the receiver's trusted set",
@@ -514,6 +538,20 @@ def _level1_vectors(kit: _Kit) -> list[tuple[str, dict]]:
             "context": kit.context(),
         },
         _deny("constraint_unknown", failed_constraint="C5"),
+    )
+    newline_body = _copy(cred.to_dict())
+    newline_body["payload"]["constraints"][0]["value"] = "1000\n"
+    newline_limit = attach_signature(newline_body, kit.issuer)
+    add(
+        "constraint-unknown-trailing-newline",
+        "a signed limit of decimal text with a trailing newline is no decimal the engine reads",
+        {
+            "credentials": [newline_limit],
+            "presenter": kit.subject.key_id,
+            "pop": kit.pop(newline_limit, "nonce-constraint-unknown-trailing-newline"),
+            "context": kit.context(),
+        },
+        _deny("constraint_unknown", failed_constraint="C1"),
     )
     add(
         "context-field-missing",
@@ -807,6 +845,18 @@ def _level3_vectors(kit: _Kit) -> list[tuple[str, dict]]:
             "context": kit.context(),
         },
         _allow(),
+    )
+    wrapped = to_transport(canonical_bytes(cred.to_dict()))
+    add(
+        "transport-noncanonical",
+        "characters outside the base64url alphabet, which a lenient decoder drops",
+        {
+            "credentials": [{"encoding": "base64url", "value": wrapped[:8] + "!*" + wrapped[8:]}],
+            "presenter": kit.subject.key_id,
+            "pop": kit.pop(cred, "nonce-l3-noncanonical"),
+            "context": kit.context(),
+        },
+        _deny("signature_invalid"),
     )
     relaxed_text = json.dumps(cred.to_dict(), indent=2, sort_keys=False, ensure_ascii=True)
     add(

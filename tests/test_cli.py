@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from mandate.audit import AuditLog
+from mandate.canonical import to_transport
 from mandate.cli import main
 from mandate.container import make_possession_proof, parse_container
 from mandate.keys import generate_key
@@ -247,6 +248,32 @@ def test_evaluate_refuses_a_credential_file_with_a_non_object_row(workspace, cap
     )
     assert code == 2
     assert chain_path in err and "unsupported credential entry of type int" in err
+
+
+@pytest.mark.parametrize("stray, code", [("", 0), ("!*", 1)])
+def test_evaluate_decides_on_a_transport_wrapping(workspace, capsys, stray, code):
+    # A wrapping with characters outside the alphabet carries no credential:
+    # it denies like any malformed credential, with its audit record.
+    credential_path = issue(capsys, workspace)
+    wrapped = to_transport(credential_path.read_text().strip().encode())
+    wrapping_path = write(
+        workspace["dir"] / "wrapped.json",
+        {"encoding": "base64url", "value": wrapped[:8] + stray + wrapped[8:]},
+    )
+    exit_code, decision, _ = run(
+        capsys,
+        "evaluate",
+        "--config", workspace["config"],
+        "--credential", wrapping_path,
+        "--context", workspace["context"],
+        "--presenter", SUBJECT.key_id,
+        "--pop", pop_file(workspace, credential_path, f"wrapped{stray}"),
+        "--now", NOW,
+    )
+    assert exit_code == code
+    assert decision["outcome"] == ("ALLOW" if code == 0 else "DENY")
+    if code:
+        assert decision["reason"]["code"] == "signature_invalid"
 
 
 # --- delegation -------------------------------------------------------------------
@@ -618,8 +645,8 @@ def test_conformance_run_over_shipped_vectors(capsys):
     vectors = Path(__file__).resolve().parent.parent / "vectors"
     code, report, err = run(capsys, "conformance", "run", "--vectors", vectors)
     assert code == 0
-    assert report["total"] == 59 and report["failed"] == 0
-    assert "59/59" in err
+    assert report["total"] == 63 and report["failed"] == 0
+    assert "63/63" in err
 
 
 # --- vouchers ----------------------------------------------------------------------

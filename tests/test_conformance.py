@@ -27,7 +27,7 @@ VECTOR_ROOT = Path(__file__).resolve().parent.parent / "vectors"
 def test_shipped_suite_passes_completely():
     report = run_vectors(VECTOR_ROOT)
     assert report.ok, report.to_dict()["failures"]
-    assert report.total == report.passed == 59
+    assert report.total == report.passed == 63
 
 
 @pytest.mark.parametrize(

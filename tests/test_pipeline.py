@@ -32,7 +32,9 @@ from mandate.model import (
     parse_timestamp,
     parse_typed_value,
     render_timestamp,
+    validate_payload,
 )
+from mandate import pipeline
 from mandate.pipeline import Engine, EngineConfig, LocalPolicy, WorkflowPolicy, WorkflowRole
 from mandate.semantics import AliasEntry, build_mapping_profile, identity_mapping_profile
 from mandate.stateful import InMemoryStateAuthority
@@ -466,6 +468,21 @@ def test_three_link_chain_allows_and_traces():
     assert decision.allowed
     checks = [e.check for e in decision.trace if e.stage == "chain"]
     assert "link 2 continuity" in checks and "link 3 attenuation" in checks
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_each_presented_container_is_checked_for_completeness_once(monkeypatch, length):
+    checked = []
+
+    def counted(payload):
+        checked.append(payload)
+        return validate_payload(payload)
+
+    monkeypatch.setattr(pipeline, "validate_payload", counted)
+    links, keys = chain_of(length)
+    presented = links if length > 1 else links[0]
+    assert evaluate(make_engine(), presented, context(amount="100"), subject_key=keys[-1]).allowed
+    assert len(checked) == length
 
 
 def test_chain_child_audience_beyond_its_parent_cannot_be_used():
