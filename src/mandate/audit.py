@@ -19,7 +19,16 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
-from .canonical import CanonicalizationError, canonical_dumps, digest_object, load_json, sha256_hex
+from .canonical import (
+    CanonicalizationError,
+    canonical_dumps,
+    digest_object,
+    join_members,
+    load_json,
+    plain_dumps,
+    sha256_hex,
+    split_members,
+)
 from .keys import SUITE_ED25519, SigningKey, attach_signature, check_signature, envelope_public_key
 from .model import render_timestamp
 
@@ -27,11 +36,6 @@ from .model import render_timestamp
 GENESIS_DIGEST = sha256_hex(b"audit-log-genesis")
 
 KEY_PROTECTION_CLASSES = ("hardware", "software", "unknown")
-
-
-def _join(*members: str) -> str:
-    """A JSON object from runs of canonical members, in order."""
-    return "{" + ",".join(member for member in members if member) + "}"
 
 
 class AuditError(RuntimeError):
@@ -60,6 +64,11 @@ class AuditLog:
     With a path, every record is written and flushed as one canonical line;
     without one, records are kept in memory (tests, vector runs).  Appends are
     serialized under a lock so the chain never forks inside one process.
+
+    Records are rendered without a walk, so every value passed to ``append``
+    must already be plain JSON: ``str``, ``int``, ``bool`` or None, lists,
+    and dicts with ``str`` keys.  The engine types what it passes where it
+    enters; this log types its own identities here.
     """
 
     def __init__(
@@ -72,6 +81,9 @@ class AuditLog:
     ) -> None:
         if key_protection not in KEY_PROTECTION_CLASSES:
             raise AuditError(f"unknown key protection class {key_protection!r}")
+        # The key id is typed by SigningKey; these two reach every record.
+        if not isinstance(evaluator_id, str) or (environment is not None and not isinstance(environment, str)):
+            raise TypeError("audit log evaluator_id must be str, environment a str or None")
         self.evaluator_id = evaluator_id
         self._key = signing_key
         self.path = Path(path) if path is not None else None
@@ -89,17 +101,6 @@ class AuditLog:
         ``"signature":{"key_id":…,"suite":1``."""
         envelope = {"key_id": self._key.key_id, "suite": SUITE_ED25519}
         return '"signature":' + canonical_dumps(envelope)[:-1]
-
-    @staticmethod
-    def _render(body: dict) -> list[str]:
-        """The body's canonical members, braces stripped, in three runs: those
-        sorting before ``record_id``, between it and ``signature``, and after.
-        Each member is serialised once; the record_id preimage, the signing
-        bytes and the line are all joined from these runs."""
-        runs: list[dict] = [{}, {}, {}]
-        for key, value in body.items():
-            runs[0 if key < "record_id" else 1 if key < "signature" else 2][key] = value
-        return [canonical_dumps(run)[1:-1] for run in runs]
 
     def _reopen(self, data: bytes) -> str:
         """The digest the next record chains to.  The log must end in a newline
@@ -168,15 +169,18 @@ class AuditLog:
             body["workflow"] = dict(workflow)
         with self._lock:
             body["prev_record"] = self._last_digest
-            head, middle, tail = self._render(body)
-            record_id = "rec-" + sha256_hex(_join(head, middle, tail))[:16]
+            # The body's members are rendered once, walk-free, in three runs
+            # split where record_id and signature sort in; the record_id
+            # preimage, the signing bytes and the line are joined from them.
+            head, middle, tail = split_members(body, "record_id", "signature")
+            record_id = "rec-" + sha256_hex(join_members(head, middle, tail))[:16]
             body["record_id"] = record_id
             # record_id ("rec-" + hex) and the signature value (hex) need no JSON escaping.
             member = f'"record_id":"{record_id}"'
-            rendered = _join(head, member, middle, self._envelope + "}", tail).encode("utf-8")
+            rendered = join_members(head, member, middle, self._envelope + "}", tail).encode("utf-8")
             signed = attach_signature(body, self._key, rendered=rendered)
             value = signed["signature"]["value"]
-            line = _join(head, member, middle, f'{self._envelope},"value":"{value}"}}', tail)
+            line = join_members(head, member, middle, f'{self._envelope},"value":"{value}"}}', tail)
             record = AuditRecord(record_id=record_id, prev_record=body["prev_record"], raw=signed)
             if self.path is not None:
                 try:
@@ -207,23 +211,24 @@ def verify_audit_chain(
     expected_prev = after
     index = -1
     for index, item in enumerate(lines_or_records):
-        presented = None
         if isinstance(item, (AuditRecord, dict)):
             obj = item.raw if isinstance(item, AuditRecord) else item
-        else:
-            presented = item.strip()
             try:
-                obj = load_json(presented)
+                line = canonical_dumps(obj)
+            except CanonicalizationError:  # a float or another value JSON records never hold
+                return False, index, f"record {index} is not in canonical form"
+        else:
+            line = item.strip()
+            try:
+                obj = load_json(line)
+            except CanonicalizationError:  # a float: JSON, but never a record's canonical form
+                return False, index, f"record {index} is not in canonical form"
             except Exception as exc:
                 return False, index, f"record {index} is not parseable: {exc}"
             if not isinstance(obj, dict):
                 return False, index, f"record {index} is not a JSON object"
-        try:
-            line = canonical_dumps(obj)
-        except CanonicalizationError:  # a float or another value JSON records never hold
-            line = None
-        if line is None or (presented is not None and presented != line):
-            return False, index, f"record {index} is not in canonical form"
+            if plain_dumps(obj) != line:
+                return False, index, f"record {index} is not in canonical form"
         if obj.get("prev_record") != expected_prev:
             return False, index, f"record {index} breaks the hash chain"
         if isinstance(evaluator_keys, str):

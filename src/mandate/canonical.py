@@ -8,6 +8,12 @@ what makes detached signatures and hash chains stable.
 Floats are rejected outright.  Exact quantities travel as strings and are
 parsed with decimal arithmetic; letting a binary float slip into a signed
 artifact would silently break byte-stability.
+
+Values are typed once, where they enter.  ``load_json`` refuses floats,
+``NaN`` and ``±Infinity`` as it decodes, so what it returns is plain by
+construction and is rendered by ``plain_dumps`` without a walk.
+``canonical_dumps`` keeps its walk for everything else: dicts handed to the
+public API may hold any Python value.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+from bisect import bisect_right
 from typing import Any
 
 
@@ -71,10 +78,38 @@ def _plain(obj: Any) -> bool:
     return True
 
 
+# One encoder for every rendering; json.dumps would build a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_dumps(obj: Any) -> str:
     if not _plain(obj):
         _reject_floats(obj)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(obj)
+
+
+def plain_dumps(obj: Any) -> str:
+    """``canonical_dumps`` of a value that is plain by construction: decoded
+    by ``load_json``, or built only from type-checked values.  Nothing is
+    walked, so a float or an unsupported type is not refused here."""
+    return _ENCODER.encode(obj)
+
+
+def split_members(obj: dict, *names: str) -> list[str]:
+    """The canonical members of plain ``obj``, braces stripped, in runs split
+    where each of the sorted ``names`` sorts in: ``len(names) + 1`` runs.
+    Members so named are left out, for the caller to place between the runs;
+    ``join_members`` puts a rendering back together."""
+    runs: list[dict] = [{} for _ in range(len(names) + 1)]
+    for key, value in obj.items():
+        if key not in names:
+            runs[bisect_right(names, key)][key] = value
+    return [_ENCODER.encode(run)[1:-1] for run in runs]
+
+
+def join_members(*members: str) -> str:
+    """A JSON object from runs of canonical members, in order."""
+    return "{" + ",".join(member for member in members if member) + "}"
 
 
 def _unique_members(pairs: list) -> dict:
@@ -85,13 +120,31 @@ def _unique_members(pairs: list) -> dict:
     return obj
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_members)
+def _refuse_number(text: str) -> None:
+    raise CanonicalizationError(f"number {text} is not canonicalizable; use a string decimal")
+
+
+_DECODER = json.JSONDecoder(
+    object_pairs_hook=_unique_members, parse_float=_refuse_number, parse_constant=_refuse_number
+)
+_LENIENT_DECODER = json.JSONDecoder(object_pairs_hook=_unique_members)
 
 
 def load_json(data: bytes | str) -> Any:
     """The one reader of JSON text: bytes as strict UTF-8 (no UTF-16/32 detection),
-    member names unique in each object.  Malformed text raises ValueError."""
-    return _DECODER.decode(data.decode("utf-8") if isinstance(data, bytes) else data)
+    member names unique in each object, and no floats, ``NaN`` or ``±Infinity``.
+    Malformed text raises ValueError; a refused number raises its subclass
+    CanonicalizationError, naming the path of the first one.  What is returned
+    is plain by construction."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        return _DECODER.decode(text)
+    except CanonicalizationError:
+        # Decoded again, numbers admitted, only to name the first offence by
+        # its path; a duplicate member name still raises first, as it would
+        # have without the refusal.
+        _reject_floats(_LENIENT_DECODER.decode(text))
+        raise
 
 
 def canonical_bytes(obj: Any) -> bytes:
@@ -125,6 +178,23 @@ def signed_view(obj: dict) -> dict:
 
 def signing_bytes(obj: dict) -> bytes:
     return canonical_bytes(signed_view(obj))
+
+
+def render_signed(obj: dict) -> tuple[bytes, bytes]:
+    """``(canonical_bytes(obj), signing_bytes(obj))`` for an ``obj`` that is
+    plain by construction, from one walk-free pass: the members around the
+    signature envelope are rendered once and shared by both."""
+    head, tail = split_members(obj, "signature")
+    if "signature" not in obj:
+        whole = signed = join_members(head, tail)
+    else:
+        envelope = obj["signature"]
+        whole = join_members(head, '"signature":' + plain_dumps(envelope), tail)
+        # The envelope as signed_view keeps it: without its value, or dropped
+        # altogether when it is not an object.
+        view = signed_view({"signature": envelope}).get("signature")
+        signed = join_members(head, "" if view is None else '"signature":' + plain_dumps(view), tail)
+    return whole.encode("utf-8"), signed.encode("utf-8")
 
 
 def to_transport(data: bytes) -> str:

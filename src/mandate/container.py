@@ -17,9 +17,16 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
-from .canonical import canonical_dumps, digest_object, load_json
+from .canonical import (
+    CanonicalizationError,
+    canonical_dumps,
+    digest_object,
+    load_json,
+    render_signed,
+    sha256_hex,
+)
 from .constraints import check_attenuation, constraint_from_dict
 from .keys import SigningKey, attach_signature, check_signature, is_ed25519
 from .model import (
@@ -56,9 +63,10 @@ class AttenuationViolation(ContainerError):
 
 @dataclass(frozen=True)
 class CredentialContainer:
-    """A parsed credential.  Immutable, ``raw`` included: the digest and the
-    issuer-signature verdicts are derived from ``raw`` and kept, so ``raw``
-    must never be mutated, nested values included."""
+    """A parsed credential.  Immutable, ``raw`` included: the digest, the
+    signing bytes, the issuer-signature verdicts and the payload-completeness
+    verdict are derived from ``raw`` and kept, so ``raw`` must never be
+    mutated, nested values included."""
 
     credential_id: str
     issuer_id: str
@@ -71,9 +79,14 @@ class CredentialContainer:
     parent_digest: Optional[str]
     raw: dict
     digest_hex: str
+    # signing_bytes(raw), when parse_container rendered them from decoded
+    # text; None to render them from raw when first needed.
+    rendered: Optional[bytes] = field(default=None, repr=False, compare=False)
     # issuer public hex -> whether the issuer signature verifies against it;
     # filled by signature_verifies.
     _signature_verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The payload-completeness verdict, once payload_problem has computed it.
+    _payload_verdict: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def digest(self) -> str:
         return self.digest_hex
@@ -88,8 +101,19 @@ class CredentialContainer:
         try:
             return self._signature_verdicts[public_hex]
         except KeyError:
-            verdict = self._signature_verdicts[public_hex] = check_signature(self.raw, public_hex)
+            verdict = check_signature(self.raw, public_hex, rendered=self.rendered)
+            self._signature_verdicts[public_hex] = verdict
             return verdict
+
+    def payload_problem(
+        self, validate: Callable[[AuthorizationPayload], Optional[DenialReason]]
+    ) -> Optional[DenialReason]:
+        """``validate(self.payload)``, the completeness check the caller names,
+        computed on the first call and kept: the payload never changes."""
+        kept = self._payload_verdict
+        if not kept:
+            kept.append(validate(self.payload))
+        return kept[0]
 
     def to_dict(self) -> dict:
         return dict(self.raw)
@@ -144,8 +168,11 @@ def parse_container(data: bytes | str | dict) -> CredentialContainer:
 
 
 def _parse_container(data: bytes | str | dict) -> CredentialContainer:
+    decoded = isinstance(data, (bytes, str))
     try:
-        obj = load_json(data) if isinstance(data, (bytes, str)) else data
+        obj = load_json(data) if decoded else data
+    except CanonicalizationError:  # a float, named by its path as a dict's digest names it
+        raise
     except ValueError as exc:
         raise MalformedContainerError(f"container bytes are not canonical text: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("kind") != "credential":
@@ -189,6 +216,13 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
     parent_digest = obj.get("parent_digest")
     if parent_digest is not None and not isinstance(parent_digest, str):
         raise MalformedContainerError("parent_digest must be a digest string")
+    # Decoded text is plain by construction, so its digest and signing bytes
+    # come from one walk-free rendering; a dict is walked by digest_object.
+    if decoded:
+        whole, rendered = render_signed(obj)
+        digest_hex = sha256_hex(whole)
+    else:
+        digest_hex, rendered = digest_object(obj), None
     return CredentialContainer(
         credential_id=credential_id,
         issuer_id=issuer_id,
@@ -200,7 +234,8 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
         payload=payload,
         parent_digest=parent_digest,
         raw=obj,
-        digest_hex=digest_object(obj),
+        digest_hex=digest_hex,
+        rendered=rendered,
     )
 
 

@@ -15,9 +15,10 @@ federation roots; the trust decision lives in which file the receiver loads.
 from __future__ import annotations
 
 import hashlib
+import re
 import secrets
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional
 
 from cryptography.exceptions import InvalidSignature
@@ -31,6 +32,16 @@ from .model import expect, reading
 
 SUITE_ED25519 = 1
 
+# Ed25519 sizes in bytes; each travels as exactly twice as many hex digits.
+PUBLIC_KEY_SIZE = PRIVATE_KEY_SIZE = 32
+SIGNATURE_SIZE = 64
+
+# Public-key objects kept by hex, least recently used dropped first: a fixed
+# bound, because the keys a receiver meets include those of presented subjects.
+PUBLIC_KEYS_KEPT = 256
+
+_HEX_RE = re.compile("[0-9a-f]*")
+
 
 def is_ed25519(suite: object) -> bool:
     # bool is an int subclass and True == 1: only a real integer names a suite.
@@ -39,6 +50,21 @@ def is_ed25519(suite: object) -> bool:
 
 class KeyError_(ValueError):
     """Raised for malformed key files or unsupported suites."""
+
+
+def read_hex(text: object, size: int) -> bytes:
+    """The one reader of key and signature hex: exactly ``size`` bytes as
+    ``2 * size`` lowercase hex digits, nothing before, between or after.
+    ``bytes.fromhex`` alone would also take upper case and whitespace, so one
+    signature or key could be spelled many ways."""
+    if not isinstance(text, str) or len(text) != 2 * size or not _HEX_RE.fullmatch(text):
+        raise KeyError_(f"expected {size} bytes as {2 * size} lowercase hex digits")
+    return bytes.fromhex(text)
+
+
+@lru_cache(maxsize=PUBLIC_KEYS_KEPT)
+def _public_key(public_hex: str) -> Ed25519PublicKey:
+    return Ed25519PublicKey.from_public_bytes(read_hex(public_hex, PUBLIC_KEY_SIZE))
 
 
 @dataclass(frozen=True)
@@ -51,6 +77,10 @@ class SigningKey:
 
     key_id: str
     private_bytes: bytes = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.key_id, str):  # it is signed into every envelope
+            raise TypeError(f"key_id must be str, got {type(self.key_id).__name__}")
 
     @cached_property
     def public_hex(self) -> str:
@@ -93,11 +123,9 @@ def load_signing_key(obj: dict) -> SigningKey:
     if not is_ed25519(obj.get("suite")):
         raise KeyError_(f"unsupported signature suite {obj.get('suite')!r}")
     with reading(KeyError_):
-        raw = bytes.fromhex(expect(obj, "private_key", str))
+        raw = read_hex(expect(obj, "private_key", str), PRIVATE_KEY_SIZE)
         key = SigningKey(key_id=expect(obj, "key_id", str), private_bytes=raw)
         declared = expect(obj, "public_key", str, optional=True)
-    if len(raw) != 32:
-        raise KeyError_("Ed25519 private keys are 32 bytes")
     if declared is not None and declared != key.public_hex:
         raise KeyError_("public_key does not match private_key")
     return key
@@ -114,12 +142,12 @@ def parse_key_map(obj: object) -> dict[str, str]:
 
 
 def verify_raw(public_hex: str, signature_hex: str, data: bytes, suite: int = SUITE_ED25519) -> bool:
-    """True iff the signature verifies. Unknown suites and malformed material verify as False."""
+    """True iff the signature verifies. Unknown suites and malformed material
+    (hex that ``read_hex`` refuses among it) verify as False."""
     if not is_ed25519(suite):
         return False
     try:
-        public = Ed25519PublicKey.from_public_bytes(bytes.fromhex(public_hex))
-        public.verify(bytes.fromhex(signature_hex), data)
+        _public_key(public_hex).verify(read_hex(signature_hex, SIGNATURE_SIZE), data)
         return True
     except (InvalidSignature, ValueError, TypeError):
         return False
@@ -152,8 +180,13 @@ def envelope_public_key(obj: dict, keys_by_id: Mapping[str, str]) -> Optional[st
     return keys_by_id.get(key_id) if isinstance(key_id, str) else None
 
 
-def check_signature(obj: dict, public_hex: str) -> bool:
-    """Verify the detached signature envelope on ``obj`` against one public key."""
+def check_signature(obj: dict, public_hex: str, *, rendered: Optional[bytes] = None) -> bool:
+    """Verify the detached signature envelope on ``obj`` against one public key.
+
+    ``rendered``, when given, is ``signing_bytes(obj)`` as the caller already
+    rendered it (a credential decoded from text), verified as it stands, as
+    ``attach_signature`` signs it; it is not checked against ``obj``.
+    """
     envelope = obj.get("signature")
     if not isinstance(envelope, dict):
         return False
@@ -161,8 +194,9 @@ def check_signature(obj: dict, public_hex: str) -> bool:
     value = envelope.get("value")
     if not isinstance(value, str):
         return False
-    try:
-        data = signing_bytes(obj)
-    except Exception:
-        return False
-    return verify_raw(public_hex, value, data, suite=suite)
+    if rendered is None:
+        try:
+            rendered = signing_bytes(obj)
+        except Exception:
+            return False
+    return verify_raw(public_hex, value, rendered, suite=suite)

@@ -126,6 +126,10 @@ class LocalPolicy:
     required_context_fields: tuple[str, ...] = ()
     constraints: tuple[Constraint, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.policy_id, str):  # it reaches every audit record
+            raise TypeError(f"policy_id must be str, got {type(self.policy_id).__name__}")
+
     def to_dict(self) -> dict:
         return {
             "kind": "local_policy",
@@ -215,18 +219,31 @@ class EngineConfig:
     computed once, on first use, and kept on the artifact: the mapping
     profile's duplicate-row and steward-signature verdict (per steward public
     key), its alias index and digest, each registry's digest, and the audit
-    key's Ed25519 key object.
+    key's Ed25519 key object.  Public-key objects are kept by hex, up to
+    ``keys.PUBLIC_KEYS_KEPT`` (256).
 
     Presented credentials are immutable values too.  The engine remembers
     the last ``PARSED_CREDENTIALS_KEPT`` (64) distinct byte strings or texts
     presented to it (dict and container inputs are not remembered) and,
-    from the second presentation on, keeps their parsed container.  Each
-    container keeps its issuer-signature verdict per issuer public key, so a
-    re-keyed issuer or a different parent link is verified afresh.  Everything that depends on the request or on ``now`` still runs
-    on every evaluation: proof of possession, nonce replay, the validity
-    window, revocation, registry window and standing, audience, subject
-    binding, payload completeness, the profile's ``valid_until`` staleness
-    check, constraints, and the audit sign.
+    from the second presentation on, keeps their parsed container.  A kept
+    container holds its digest, its signing bytes, its issuer-signature
+    verdict per issuer public key (so a re-keyed issuer or a different
+    parent link is verified afresh) and its payload-completeness verdict.
+    Everything that depends on the request or on ``now`` still runs on every
+    evaluation: proof of possession, nonce replay, the validity window,
+    revocation, registry window and standing, audience, subject binding, the
+    profile's ``valid_until`` staleness check, constraints, and the audit
+    sign.
+
+    Audit records are rendered without a walk, so every value that reaches
+    one is typed where it enters, and a mistyped one raises TypeError there.
+    Decoded artifacts are plain by construction (``canonical.load_json``
+    refuses floats).  This config types its identities, manifest digest and
+    trusted issuer keys; registries, the local policy and signing keys type
+    their own ids where they are built; ``AuditLog`` types its evaluator id
+    and environment; ``Engine.evaluate`` and ``Engine.compose_workflow`` type
+    the request, the workflow policy and any container presented as an
+    object before any check runs.
     """
 
     evaluator_id: str
@@ -256,6 +273,48 @@ class EngineConfig:
             raise ValueError(f"unknown enforcement tier {self.tier!r}")
         if self.max_chain_depth < 1:
             raise ValueError("max_chain_depth must be at least 1")
+        # Registries and the local policy type their own ids where they are built.
+        if not (
+            isinstance(self.evaluator_id, str)
+            and isinstance(self.profile_id, str)
+            and isinstance(self.credential_class, str)
+            and (self.manifest_digest is None or isinstance(self.manifest_digest, str))
+        ):
+            raise TypeError("evaluator_id, profile_id and credential_class must be str, manifest_digest a str or None")
+        for issuer_id, public_hex in self.trusted_issuers.items():
+            if not isinstance(issuer_id, str) or not isinstance(public_hex, str):
+                raise TypeError("trusted_issuers must map str issuer ids to str public key hex")
+
+
+def _expect_str(name: str, value: object) -> None:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be str, got {type(value).__name__}")
+
+
+def _admit_request(context: RequestContext, presenter_id: str) -> None:
+    """Type what a request brings to the audit record: checked before any
+    check runs, so a mistyped request changes no state (no nonce, no budget,
+    no record) and raises TypeError."""
+    _expect_str("presenter_id", presenter_id)
+    if not isinstance(context, RequestContext) or not isinstance(context.action, str):
+        raise TypeError("context must be a RequestContext with a str action")
+    for name, value in context.fields.items():
+        if not isinstance(name, str) or not isinstance(value, TypedValue) or not isinstance(value.text, str):
+            raise TypeError(f"context field {name!r} must be a str name for a TypedValue with str text")
+
+
+def _admit_credentials(credentials: Sequence) -> None:
+    """Type the fields that reach the audit record of each container
+    presented as an object; bytes, text and dicts are typed by their parse."""
+    for credential in credentials:
+        if isinstance(credential, CredentialContainer):
+            _expect_str("credential_id", credential.credential_id)
+            _expect_str("subject_id", credential.subject_id)
+            _expect_str("issuer_id", credential.issuer_id)
+            _expect_str("digest", credential.digest_hex)
+            for constraint in credential.payload.constraints or ():
+                unknown = isinstance(constraint, UnknownConstraint)
+                _expect_str("constraint field", constraint.type_tag if unknown else constraint.field)
 
 
 @dataclass
@@ -326,10 +385,13 @@ class Engine:
         vouchers: Optional[Sequence[StateVoucher]] = None,
     ) -> Decision:
         """Decide one request.  A list of credentials is a delegation chain,
-        presented root first; a single credential is a chain of one."""
+        presented root first; a single credential is a chain of one.  A
+        mistyped request raises TypeError before any check runs."""
+        is_chain = isinstance(credential, (list, tuple))
+        _admit_request(context, presenter_id)
+        _admit_credentials(credential if is_chain else (credential,))
         trace: list[TraceEntry] = []
         notes = _Notes()
-        is_chain = isinstance(credential, (list, tuple))
         operation = "evaluate_chain" if is_chain and len(credential) > 1 else "evaluate"
         try:
             if is_chain:
@@ -360,8 +422,15 @@ class Engine:
         planning-time check (``constraints.joint_conflict``) covers numeric
         limits with their currencies, instant windows, weekday gates in one
         timezone, and enumerations.  String patterns and cumulative limits
-        are not judged here; they stay in force at evaluation.
+        are not judged here; they stay in force at evaluation.  A mistyped
+        policy or container raises TypeError before any check runs.
         """
+        _expect_str("workflow_id", policy.workflow_id)
+        for role in policy.roles:
+            _expect_str("role_id", role.role_id)
+        for field in policy.shared_fields:
+            _expect_str("shared field", field)
+        _admit_credentials(credentials)
         trace: list[TraceEntry] = []
         notes = _Notes()
         try:
@@ -468,7 +537,7 @@ class Engine:
             raise _Denied(
                 "container", _VERIFY_CHECKS[failed_at], reason.detail, reason.code, reason.detail
             )
-        problem = validate_payload(container.payload)
+        problem = container.payload_problem(validate_payload)
         if problem is not None:
             raise _Denied("payload", "completeness", problem.detail, problem.code, problem.detail)
         return container
@@ -503,7 +572,7 @@ class Engine:
         trace.append(TraceEntry("chain", "depth", "PASS"))
 
         for index, container in enumerate(containers, start=1):
-            problem = validate_payload(container.payload)
+            problem = container.payload_problem(validate_payload)
             if problem is not None:
                 raise _Denied(
                     "chain", f"link {index} payload", problem.detail,
@@ -772,7 +841,7 @@ class Engine:
             check = f"credential {index} verify"
             reason = self._verify(container, container.subject_id, None, now, pop_required=False)
             if reason is None:
-                reason = validate_payload(container.payload)
+                reason = container.payload_problem(validate_payload)
             if reason is not None:
                 raise _Denied(
                     "workflow", check, reason.detail,

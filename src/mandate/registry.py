@@ -61,6 +61,11 @@ class TrustRegistry:
     vocabulary_refs: tuple[dict, ...]
     raw: dict
 
+    def __post_init__(self) -> None:
+        # Both reach every audit record, rendered there without a walk.
+        if not isinstance(self.registry_id, str) or type(self.version) is not int:
+            raise TypeError("a registry's registry_id must be str and its version int")
+
     @cached_property
     def _digest_hex(self) -> str:
         return digest_object(self.raw)

@@ -389,6 +389,19 @@ def _level1_vectors(kit: _Kit) -> list[tuple[str, dict]]:
         },
         _deny("signature_invalid"),
     )
+    uppercase = _copy(cred.to_dict())
+    uppercase["signature"]["value"] = uppercase["signature"]["value"].upper()
+    add(
+        "signature-invalid-uppercase-hex",
+        "the signature value re-spelled in upper-case hex, which would give the same grant a new digest",
+        {
+            "credentials": [uppercase],
+            "presenter": kit.subject.key_id,
+            "pop": kit.pop(uppercase, "nonce-signature-invalid-uppercase-hex"),
+            "context": kit.context(),
+        },
+        _deny("signature_invalid"),
+    )
     basic_format = attach_signature({**cred.to_dict(), "valid_until": "20261231T235959Z"}, kit.issuer)
     add(
         "signature-invalid-timestamp-not-rfc3339",

@@ -9,7 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mandate.canonical import CanonicalizationError, _reject_floats, canonical_dumps
+from mandate.canonical import (
+    CanonicalizationError,
+    _reject_floats,
+    canonical_bytes,
+    canonical_dumps,
+    join_members,
+    load_json,
+    plain_dumps,
+    render_signed,
+    signing_bytes,
+    split_members,
+)
 
 
 class Text(str):
@@ -115,3 +126,43 @@ def test_a_cyclic_object_raises_instead_of_looping():
     loop.append(loop)
     with pytest.raises(RecursionError):
         canonical_dumps(loop)
+
+
+# --- walk-free renderings of values that are plain by construction --------------------
+
+NAMES = st.sampled_from(["a", "prev_record", "record_id", "s", "signature", "sig", "z", "é"])
+PLAIN_OBJECTS = st.dictionaries(st.one_of(NAMES, st.text(max_size=4)), PLAIN, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=PLAIN_OBJECTS, envelope=st.one_of(PLAIN, st.dictionaries(st.sampled_from(["key_id", "suite", "value", "zz"]), PLAIN)))
+def test_walk_free_renderings_equal_canonical_dumps(obj, envelope):
+    assert plain_dumps(obj) == canonical_dumps(obj)
+    runs = split_members(obj, "record_id", "signature")
+    members = {k: v for k, v in obj.items() if k not in ("record_id", "signature")}
+    assert join_members(*runs) == canonical_dumps(members)
+    signed = dict(obj, signature=envelope)
+    assert render_signed(signed) == (canonical_bytes(signed), signing_bytes(signed))
+    assert render_signed(members) == (canonical_bytes(members), signing_bytes(members))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.5", "float at $ is"),
+        ('{"a":[1,{"b":1e3}]}', "float at $.a[1].b is"),
+        ('{"a":NaN}', "float at $.a is"),
+        ('[-Infinity]', "float at $[0] is"),
+        ('{"n":Infinity}', "float at $.n is"),
+    ],
+)
+def test_load_json_refuses_floats_by_their_path(text, message):
+    with pytest.raises(CanonicalizationError) as raised:
+        load_json(text)
+    assert str(raised.value) == message + " not canonicalizable; use a string decimal"
+
+
+def test_a_duplicate_name_is_still_reported_before_a_float():
+    with pytest.raises(ValueError, match="duplicate member name 'a'") as raised:
+        load_json('{"a":1.5,"a":2}')
+    assert not isinstance(raised.value, CanonicalizationError)

@@ -15,9 +15,11 @@ from mandate.conformance import (
     run_vector,
     run_vectors,
 )
-from mandate.audit import AuditLog
-from mandate.keys import generate_key
-from mandate.model import DenyCode
+from mandate.audit import AuditLog, verify_audit_chain
+from mandate.canonical import canonical_bytes, canonical_dumps, load_json, render_signed, signing_bytes
+from mandate.container import parse_container
+from mandate.keys import generate_key, load_signing_key
+from mandate.model import DenyCode, validate_payload
 from mandate.pipeline import EngineConfig
 from mandate.vectorgen import generate_vectors, write_vectors
 
@@ -27,7 +29,7 @@ VECTOR_ROOT = Path(__file__).resolve().parent.parent / "vectors"
 def test_shipped_suite_passes_completely():
     report = run_vectors(VECTOR_ROOT)
     assert report.ok, report.to_dict()["failures"]
-    assert report.total == report.passed == 63
+    assert report.total == report.passed == 64
 
 
 @pytest.mark.parametrize(
@@ -176,3 +178,64 @@ def test_a_config_value_of_the_wrong_type_is_a_fixture_error(key, value):
 def test_a_credential_entry_must_be_an_object(entry):
     with pytest.raises(FixtureError):
         decode_credential(entry)
+
+
+# --- what the walk-free paths produce, over every shipped vector -------------------------
+
+def _shipped_credentials():
+    """Every credential and chain link the shipped vectors present as an object."""
+    for path in iter_vector_files(VECTOR_ROOT):
+        vector = load_json(path.read_bytes())
+        for entry in vector["input"].get("credentials", ()):
+            decoded = decode_credential(entry)
+            if isinstance(decoded, dict) and decoded.get("kind") == "credential":
+                yield vector["vector_id"], decoded
+
+
+def test_a_credential_decoded_from_text_renders_as_its_object_does():
+    cases = 0
+    for vector_id, credential in _shipped_credentials():
+        wire = canonical_bytes(credential)
+        assert render_signed(load_json(wire)) == (wire, signing_bytes(credential)), vector_id
+        try:
+            from_text, from_dict = parse_container(wire), parse_container(credential)
+        except ValueError:
+            continue  # malformed on purpose; the vector denies it
+        assert from_text.digest() == from_dict.digest(), vector_id
+        assert from_text.rendered == signing_bytes(credential) and from_dict.rendered is None
+        cases += 1
+    assert cases > 60
+
+
+def test_the_kept_payload_verdict_equals_a_fresh_one():
+    checked = []
+
+    def counted(payload):
+        checked.append(payload)
+        return validate_payload(payload)
+
+    for vector_id, credential in _shipped_credentials():
+        try:
+            container = parse_container(canonical_bytes(credential))
+        except ValueError:
+            continue
+        fresh = validate_payload(parse_container(credential).payload)
+        checked.clear()
+        for _ in range(3):
+            assert container.payload_problem(counted) == fresh, vector_id
+        assert len(checked) == 1
+
+
+@pytest.mark.parametrize(
+    "path", iter_vector_files(VECTOR_ROOT), ids=lambda p: f"{p.parent.name}/{p.stem}"
+)
+def test_every_audit_line_a_vector_writes_is_canonical(path, tmp_path):
+    vector = load_json(path.read_bytes())
+    log = tmp_path / "audit.log"
+    engine, now = build_engine(vector["fixtures"], audit_path=log)
+    for entry in (*vector["input"].get("prior", ()), vector["input"]):
+        _run_input(engine, now, entry)
+    lines = log.read_text("utf-8").splitlines()
+    records = engine.config.audit_log.records()
+    assert lines and [canonical_dumps(r.raw) for r in records] == lines
+    assert verify_audit_chain(lines, load_signing_key(vector["fixtures"]["audit_key"]).public_hex)[0]

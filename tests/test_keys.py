@@ -2,14 +2,18 @@
 
 import pytest
 
+from mandate import keys
 from mandate.canonical import signing_bytes
 from mandate.keys import (
+    PUBLIC_KEYS_KEPT,
     KeyError_,
     SigningKey,
     check_signature,
     envelope_public_key,
     generate_key,
     load_signing_key,
+    read_hex,
+    verify_raw,
 )
 
 KEY = generate_key("steward:test", seed="keys:steward")
@@ -61,3 +65,45 @@ def test_envelope_public_key_looks_up_the_named_key():
     assert envelope_public_key({"signature": "not-an-envelope"}, keys) is None
     assert envelope_public_key({"signature": {"key_id": 7}}, {7: KEY.public_hex}) is None
     assert envelope_public_key({"signature": {"key_id": "steward:other"}}, keys) is None
+
+
+# --- one spelling of hex ----------------------------------------------------------
+
+SIGNATURE = KEY.sign(b"data").hex()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [SIGNATURE.upper(), SIGNATURE[:-2] + "AB", " " + SIGNATURE[1:], SIGNATURE[:64] + " " + SIGNATURE[65:],
+     SIGNATURE[:-2], SIGNATURE + "00", "0x" + SIGNATURE[2:], SIGNATURE[:-1] + "\n", b"ab" * 64, None],
+    ids=["upper", "upper-tail", "leading-space", "inner-space", "short", "long", "0x", "newline", "bytes", "none"],
+)
+def test_hex_is_read_in_one_spelling_only(text):
+    with pytest.raises(KeyError_):
+        read_hex(text, 64)
+    assert verify_raw(KEY.public_hex, text, b"data") is False
+
+
+def test_lowercase_hex_reads_and_verifies():
+    assert read_hex(SIGNATURE, 64) == bytes.fromhex(SIGNATURE)
+    assert verify_raw(KEY.public_hex, SIGNATURE, b"data") is True
+    assert verify_raw(KEY.public_hex.upper(), SIGNATURE, b"data") is False
+
+
+def test_a_key_file_with_upper_case_private_hex_is_refused():
+    obj = dict(KEY.to_dict(), private_key=KEY.to_dict()["private_key"].upper())
+    with pytest.raises(KeyError_, match="lowercase hex"):
+        load_signing_key(obj)
+
+
+def test_the_public_key_cache_stays_at_its_bound():
+    keys._public_key.cache_clear()
+    signers = [generate_key(f"k{i}", seed=f"keys:cache:{i}") for i in range(PUBLIC_KEYS_KEPT + 20)]
+    for signer in signers:
+        assert verify_raw(signer.public_hex, signer.sign(b"data").hex(), b"data")
+        assert keys._public_key.cache_info().currsize <= PUBLIC_KEYS_KEPT
+    info = keys._public_key.cache_info()
+    assert (info.maxsize, info.currsize) == (PUBLIC_KEYS_KEPT, PUBLIC_KEYS_KEPT)
+    # Refused hex is never kept.
+    assert verify_raw("zz" * 32, SIGNATURE, b"data") is False
+    assert keys._public_key.cache_info().currsize == PUBLIC_KEYS_KEPT

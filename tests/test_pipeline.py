@@ -4,6 +4,7 @@ import gc
 import json
 from datetime import timedelta
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -600,7 +601,9 @@ def test_empty_chain_is_incomplete():
 
 # --- stateful constraint through the engine -----------------------------------------
 
-def test_cumulative_constraint_spends_through_state_client():
+def budget_engine():
+    """An engine whose credential spends a per-credential budget of 1000 on an
+    in-memory state authority; returns the engine, the credential and the authority."""
     from mandate.constraints import CumulativeLimitConstraint, Period
     from mandate.registry import IssuerEntry, StateAuthorityEntry, build_registry
 
@@ -630,10 +633,13 @@ def test_cumulative_constraint_spends_through_state_client():
         ),
     )
     cred = credential(payload=payload(constraints=constraints))
-    engine = make_engine(
-        registries=(registry,),
-        state_clients={pointer: InMemoryStateAuthority(pointer)},
-    )
+    authority = InMemoryStateAuthority(pointer)
+    engine = make_engine(registries=(registry,), state_clients={pointer: authority})
+    return engine, cred, authority
+
+
+def test_cumulative_constraint_spends_through_state_client():
+    engine, cred, _ = budget_engine()
     assert evaluate(engine, cred, context(amount="600")).allowed
     assert evaluate(engine, cred, context(amount="400")).allowed
     decision = evaluate(engine, cred, context(amount="1"))
@@ -1044,10 +1050,10 @@ def test_issuer_signature_is_checked_once_per_container_and_key(monkeypatch):
 
     checked = []
 
-    def counting_check(obj, public_hex):
+    def counting_check(obj, public_hex, **kwargs):
         if obj.get("kind") == "credential":
             checked.append((obj["credential_id"], public_hex))
-        return check_signature(obj, public_hex)
+        return check_signature(obj, public_hex, **kwargs)
 
     monkeypatch.setattr(mandate.container, "check_signature", counting_check)
     cred = credential(credential_id="cred-single")
@@ -1121,3 +1127,145 @@ def test_long_lived_engine_decides_like_a_fresh_engine_per_request():
     assert [unlinked(r) for r in long_lived.config.audit_log.records()] == [
         unlinked(r) for r in fresh_records
     ]
+
+
+# --- the request is typed at the door -------------------------------------------------
+
+def _mistyped(request: str, ctx, presenter):
+    from mandate.model import TypedValue
+
+    fields = dict(ctx.fields)
+    if request == "presenter":
+        return ctx, 2.5
+    if request == "action":
+        return RequestContext(action=2.5, fields=fields), presenter
+    if request == "context":
+        return ctx.to_dict(), presenter
+    if request == "field value":
+        fields["core.amount"] = "250"
+    elif request == "field text":
+        fields["core.amount"] = TypedValue(SemanticType.DECIMAL, Decimal("250"), 250.0)
+    elif request == "field name":
+        fields[7] = fields["core.amount"]
+    return RequestContext(action=ctx.action, fields=fields), presenter
+
+
+@pytest.mark.parametrize("request_part", ["presenter", "action", "context", "field value", "field text", "field name"])
+def test_a_mistyped_request_raises_before_any_state_changes(request_part):
+    from mandate.constraints import Period
+
+    engine, cred, authority = budget_engine()
+    wire, pop = cred.dumps().encode(), pop_for(cred)
+    ctx, presenter = _mistyped(request_part, context(), cred.subject_id)
+    with pytest.raises(TypeError):
+        engine.evaluate(wire, ctx, presenter, pop, now=NOW)
+    # No record, no spend, and the proof's nonce is still unused.
+    assert engine.config.audit_log.records() == []
+    assert authority.spent(cred.digest(), Period(kind="per_credential"), NOW) == 0
+    assert engine.evaluate(wire, context(), cred.subject_id, pop, now=NOW).allowed
+
+
+def test_a_container_object_with_a_mistyped_field_raises_before_any_check():
+    from dataclasses import replace
+
+    cred = credential()
+    for name, value in (("subject_id", 2.5), ("digest_hex", None)):
+        mistyped = replace(cred, **{name: value})
+        engine = make_engine()
+        with pytest.raises(TypeError, match=name.removesuffix("_hex")):
+            engine.evaluate(mistyped, context(), cred.subject_id, pop_for(cred), now=NOW)
+        assert engine.config.audit_log.records() == []
+
+
+@pytest.mark.parametrize("part", ["workflow_id", "role_id", "shared field"])
+def test_a_mistyped_workflow_policy_raises_before_any_check(part):
+    policy = workflow_policy()
+    if part == "workflow_id":
+        policy = WorkflowPolicy(1.5, policy.roles, policy.shared_fields)
+    elif part == "role_id":
+        policy = WorkflowPolicy(policy.workflow_id, (WorkflowRole(1.5, "iss:test:*", "task.run"),))
+    else:
+        policy = WorkflowPolicy(policy.workflow_id, policy.roles, (1.5,))
+    engine = make_engine()
+    with pytest.raises(TypeError, match=part):
+        engine.compose_workflow(policy, [credential(), reviewer_credential()], now=NOW)
+    assert engine.config.audit_log.records() == []
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"evaluator_id": 1.5},
+        {"profile_id": None},
+        {"credential_class": b"agent-authorization"},
+        {"manifest_digest": 7},
+        {"trusted_issuers": {ISSUER.key_id: 1.5}},
+        {"trusted_issuers": {7: ISSUER.public_hex}},
+    ],
+    ids=lambda override: next(iter(override)) + "=" + repr(next(iter(override.values()))),
+)
+def test_a_mistyped_engine_config_field_raises(override):
+    with pytest.raises(TypeError):
+        make_engine(**override)
+
+
+def test_each_artifact_types_the_ids_it_brings_to_the_audit_record():
+    from dataclasses import replace
+    from mandate.keys import SigningKey
+
+    registry = vetting_registry(1, [ISSUER.key_id])
+    for field, value in (("registry_id", 5), ("version", True), ("version", 1.0)):
+        with pytest.raises(TypeError):
+            replace(registry, **{field: value})
+    with pytest.raises(TypeError):
+        LocalPolicy(policy_id=1.5)
+    with pytest.raises(TypeError):
+        SigningKey(key_id=1.5, private_bytes=AUDIT.private_bytes)
+    with pytest.raises(TypeError):
+        AuditLog(1.5, AUDIT)
+    with pytest.raises(TypeError):
+        AuditLog(RECEIVER, AUDIT, environment=1.5)
+
+
+# --- what a kept credential holds -----------------------------------------------------
+
+def test_a_kept_container_holds_its_verdicts_and_signing_bytes():
+    from mandate.canonical import signing_bytes
+
+    cred = credential()
+    engine = make_engine()
+    warm(engine, cred)
+    kept = engine._parsed[cred.dumps().encode()]
+    assert kept.rendered == signing_bytes(cred.raw)
+    assert kept._payload_verdict == [None]
+    assert kept._signature_verdicts == {ISSUER.public_hex: True}
+
+
+# --- one spelling per signature ----------------------------------------------------------
+
+def test_a_respelled_spent_credential_opens_no_fresh_budget():
+    """The shipped budget is keyed by the credential's digest.  Upper-case
+    signature hex would give the same grant a new digest, so it is refused;
+    text that only re-spells the JSON keeps the digest, and the spent budget."""
+    from mandate.canonical import load_json
+    from mandate.conformance import build_engine
+
+    vectors = Path(__file__).resolve().parent.parent / "vectors"
+    vector = load_json((vectors / "stateful" / "state-limit-exceeded.json").read_bytes())
+    entry, original = vector["input"], vector["input"]["credentials"][0]
+    subject = generate_key("agent:vectors:worker", seed="vectors:subject")
+    assert subject.public_hex == original["subject_public_key"]["public_key"]
+
+    def present_spelling(raw: dict, presented):
+        digest = parse_container(raw).digest()
+        pop = make_possession_proof(digest, "svc:vectors:receiver", f"respelled-{digest}", NOW, subject)
+        engine, now = build_engine(vector["fixtures"], label=vector["vector_id"])
+        ctx = RequestContext.from_dict(entry["context"])
+        return engine.evaluate(presented, ctx, entry["presenter"], pop, now=now)
+
+    uppercase = json.loads(json.dumps(original))
+    uppercase["signature"]["value"] = uppercase["signature"]["value"].upper()
+    assert present_spelling(uppercase, uppercase).reason.code is DenyCode.SIGNATURE_INVALID
+    spaced = json.dumps(original, indent=2, ensure_ascii=True).encode()
+    decision = present_spelling(original, spaced)
+    assert (decision.reason.code, decision.failed_constraint) == (DenyCode.STATE_LIMIT_EXCEEDED, "C1")

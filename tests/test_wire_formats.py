@@ -172,6 +172,62 @@ def test_a_vector_file_with_a_duplicate_member_is_a_fixture_error(tmp_path):
         run_vectors(tmp_path)
 
 
+# Each number JSON allows but canonical text never holds, and the member it replaces.
+NOT_CANONICAL_NUMBERS = ["1.5", "1e3", "NaN", "-Infinity"]
+
+
+def _with_number(obj: dict, name: str, number: str) -> str:
+    """``obj`` as JSON text with member ``name`` holding the bare ``number``."""
+    return canonical_dumps(dict(obj, **{name: "@"})).replace('"@"', number)
+
+
+@pytest.mark.parametrize("number", NOT_CANONICAL_NUMBERS)
+def test_a_float_in_container_text_is_refused_by_its_path(number):
+    credential = load_json(BASELINE.read_bytes())["input"]["credentials"][0]
+    with pytest.raises(CanonicalizationError, match=r"float at \$\.x_extra is not canonicalizable"):
+        parse_container(_with_number(credential, "x_extra", number).encode())
+
+
+@pytest.mark.parametrize("number", NOT_CANONICAL_NUMBERS)
+def test_a_float_in_registry_or_manifest_text_is_malformed(number):
+    with pytest.raises(RegistryError) as raised:
+        load_registry(_with_number(_registry(), "version", number), {KEY.key_id: KEY.public_hex})
+    assert raised.value.code == "malformed" and "float at $.version" in str(raised.value)
+    with pytest.raises(ManifestError) as raised:
+        verify_manifest(_with_number(_manifest(), "version", number), {"svc:a": KEY.public_hex}, NOW)
+    assert raised.value.code == "malformed"
+
+
+@pytest.mark.parametrize("number", NOT_CANONICAL_NUMBERS)
+def test_a_float_in_a_ledger_line_is_a_value_parse_error(number, tmp_path):
+    row = {"key": "digest", "period": {"kind": "per_credential"}, "timestamp": "2026-05-01T12:00:00Z"}
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(_with_number(row, "amount", number) + "\n", encoding="utf-8")
+    with pytest.raises(ValueParseError, match=r"float at \$\.amount"):
+        FileStateAuthority("ledger:a", path)
+
+
+@pytest.mark.parametrize("number", NOT_CANONICAL_NUMBERS)
+def test_a_float_in_an_audit_line_is_not_in_canonical_form(number):
+    line = _audit_line()
+    ok, index, detail = verify_audit_chain([line, _with_number(json.loads(line), "kind", number)], KEY.public_hex)
+    assert (ok, index, detail) == (False, 1, "record 1 is not in canonical form")
+
+
+@pytest.mark.parametrize("number", NOT_CANONICAL_NUMBERS)
+def test_a_float_in_a_cli_or_vector_file_is_refused(number, tmp_path, capsys):
+    log = tmp_path / "audit.log"
+    log.write_text(_audit_line() + "\n", encoding="utf-8")
+    keys = tmp_path / "keys.json"
+    keys.write_text(_with_number({KEY.key_id: KEY.public_hex}, "other", number), encoding="utf-8")
+    assert main(["audit", "verify", "--log", str(log), "--keys", str(keys)]) == 2
+    assert f"cannot read {keys}: float at $.other" in capsys.readouterr().err
+    vector = load_json(BASELINE.read_bytes())
+    (tmp_path / "float.json").write_text(_with_number(vector, "x_extra", number), encoding="utf-8")
+    with pytest.raises(FixtureError, match=r"float at \$\.x_extra"):
+        run_vectors(tmp_path)
+
+
 def _presented(entry: dict):
     """The credential object a vector entry carries, or None for bytes that are not one."""
     decoded = decode_credential(entry)
