@@ -123,6 +123,5 @@ from .discovery import (
 )
 from .conformance import ConformanceReport, FixtureError, build_engine, run_vector, run_vectors
 from .scenarios import SCENARIO_NAMES, ScenarioBundle, UnknownScenarioError, load_scenario
-from .vectorgen import generate_vectors, write_vectors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

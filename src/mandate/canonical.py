@@ -82,9 +82,16 @@ def _plain(obj: Any) -> bool:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def canonical_dumps(obj: Any) -> str:
+def check_canonical(obj: Any) -> None:
+    """Raise CanonicalizationError unless ``obj`` renders canonically: the
+    walk ``canonical_dumps`` runs.  Once it passes, ``plain_dumps(obj)`` is
+    ``canonical_dumps(obj)``."""
     if not _plain(obj):
         _reject_floats(obj)
+
+
+def canonical_dumps(obj: Any) -> str:
+    check_canonical(obj)
     return _ENCODER.encode(obj)
 
 
@@ -182,8 +189,9 @@ def signing_bytes(obj: dict) -> bytes:
 
 def render_signed(obj: dict) -> tuple[bytes, bytes]:
     """``(canonical_bytes(obj), signing_bytes(obj))`` for an ``obj`` that is
-    plain by construction, from one walk-free pass: the members around the
-    signature envelope are rendered once and shared by both."""
+    plain by construction or has passed ``check_canonical``, from one
+    walk-free pass: the members around the signature envelope are rendered
+    once and shared by both."""
     head, tail = split_members(obj, "signature")
     if "signature" not in obj:
         whole = signed = join_members(head, tail)

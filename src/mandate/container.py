@@ -17,17 +17,18 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .canonical import (
     CanonicalizationError,
     canonical_dumps,
+    check_canonical,
     digest_object,
     load_json,
     render_signed,
     sha256_hex,
 )
-from .constraints import check_attenuation, constraint_from_dict
+from .constraints import UnknownConstraint, check_attenuation, constraint_from_dict
 from .keys import SigningKey, attach_signature, check_signature, is_ed25519
 from .model import (
     AuthorizationPayload,
@@ -64,9 +65,15 @@ class AttenuationViolation(ContainerError):
 @dataclass(frozen=True)
 class CredentialContainer:
     """A parsed credential.  Immutable, ``raw`` included: the digest, the
-    signing bytes, the issuer-signature verdicts and the payload-completeness
-    verdict are derived from ``raw`` and kept, so ``raw`` must never be
-    mutated, nested values included."""
+    signing bytes and the issuer-signature verdicts are derived from ``raw``
+    and kept, so ``raw`` must never be mutated, nested values included.
+
+    Complete when constructed, however it is built (``parse_container`` or
+    ``dataclasses.replace``): the fields an audit record carries (the ids,
+    ``digest_hex``, each constraint's field or type tag) are typed, and a
+    mistyped one raises TypeError; ``completeness`` is
+    ``validate_payload(payload)``, computed once.
+    """
 
     credential_id: str
     issuer_id: str
@@ -79,14 +86,25 @@ class CredentialContainer:
     parent_digest: Optional[str]
     raw: dict
     digest_hex: str
-    # signing_bytes(raw), when parse_container rendered them from decoded
-    # text; None to render them from raw when first needed.
-    rendered: Optional[bytes] = field(default=None, repr=False, compare=False)
+    rendered: bytes = field(repr=False, compare=False)  # signing_bytes(raw)
+    # None when the payload is complete, else its credential_incomplete denial.
+    completeness: Optional[DenialReason] = field(init=False, repr=False, compare=False)
     # issuer public hex -> whether the issuer signature verifies against it;
     # filled by signature_verifies.
     _signature_verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # The payload-completeness verdict, once payload_problem has computed it.
-    _payload_verdict: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Audit records are rendered without a walk, so what reaches one is
+        # typed here, before any check can run.
+        for name in ("credential_id", "issuer_id", "subject_id", "digest_hex"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"{name} must be str, got {type(value).__name__}")
+        for constraint in self.payload.constraints or ():
+            unknown = isinstance(constraint, UnknownConstraint)
+            if not isinstance(constraint.type_tag if unknown else constraint.field, str):
+                raise TypeError("a constraint's field and type tag must be str")
+        object.__setattr__(self, "completeness", validate_payload(self.payload))
 
     def digest(self) -> str:
         return self.digest_hex
@@ -104,16 +122,6 @@ class CredentialContainer:
             verdict = check_signature(self.raw, public_hex, rendered=self.rendered)
             self._signature_verdicts[public_hex] = verdict
             return verdict
-
-    def payload_problem(
-        self, validate: Callable[[AuthorizationPayload], Optional[DenialReason]]
-    ) -> Optional[DenialReason]:
-        """``validate(self.payload)``, the completeness check the caller names,
-        computed on the first call and kept: the payload never changes."""
-        kept = self._payload_verdict
-        if not kept:
-            kept.append(validate(self.payload))
-        return kept[0]
 
     def to_dict(self) -> dict:
         return dict(self.raw)
@@ -216,13 +224,12 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
     parent_digest = obj.get("parent_digest")
     if parent_digest is not None and not isinstance(parent_digest, str):
         raise MalformedContainerError("parent_digest must be a digest string")
-    # Decoded text is plain by construction, so its digest and signing bytes
-    # come from one walk-free rendering; a dict is walked by digest_object.
-    if decoded:
-        whole, rendered = render_signed(obj)
-        digest_hex = sha256_hex(whole)
-    else:
-        digest_hex, rendered = digest_object(obj), None
+    # Decoded text is plain by construction; a dict gets canonical_dumps's
+    # walk.  Either way the digest and the signing bytes come from one
+    # walk-free rendering.
+    if not decoded:
+        check_canonical(obj)
+    whole, rendered = render_signed(obj)
     return CredentialContainer(
         credential_id=credential_id,
         issuer_id=issuer_id,
@@ -234,7 +241,7 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
         payload=payload,
         parent_digest=parent_digest,
         raw=obj,
-        digest_hex=digest_hex,
+        digest_hex=sha256_hex(whole),
         rendered=rendered,
     )
 

@@ -68,7 +68,6 @@ from .model import (
     expect,
     expect_list,
     reading,
-    validate_payload,
 )
 from .registry import TrustRegistry
 from .semantics import MappingProfile, Vocabulary, resolve_semantic_field, validate_mapping_profile
@@ -225,10 +224,11 @@ class EngineConfig:
     Presented credentials are immutable values too.  The engine remembers
     the last ``PARSED_CREDENTIALS_KEPT`` (64) distinct byte strings or texts
     presented to it (dict and container inputs are not remembered) and,
-    from the second presentation on, keeps their parsed container.  A kept
-    container holds its digest, its signing bytes, its issuer-signature
+    from the second presentation on, keeps their parsed container.  A
+    container's digest, signing bytes and payload-completeness verdict are
+    fixed when it is constructed; a kept one also holds its issuer-signature
     verdict per issuer public key (so a re-keyed issuer or a different
-    parent link is verified afresh) and its payload-completeness verdict.
+    parent link is verified afresh).
     Everything that depends on the request or on ``now`` still runs on every
     evaluation: proof of possession, nonce replay, the validity window,
     revocation, registry window and standing, audience, subject binding, the
@@ -239,11 +239,11 @@ class EngineConfig:
     one is typed where it enters, and a mistyped one raises TypeError there.
     Decoded artifacts are plain by construction (``canonical.load_json``
     refuses floats).  This config types its identities, manifest digest and
-    trusted issuer keys; registries, the local policy and signing keys type
-    their own ids where they are built; ``AuditLog`` types its evaluator id
-    and environment; ``Engine.evaluate`` and ``Engine.compose_workflow`` type
-    the request, the workflow policy and any container presented as an
-    object before any check runs.
+    trusted issuer keys; registries, the local policy, signing keys and
+    credential containers type their own fields where they are built;
+    ``AuditLog`` types its evaluator id and environment; ``Engine.evaluate``
+    and ``Engine.compose_workflow`` type the request and the workflow policy
+    before any check runs.
     """
 
     evaluator_id: str
@@ -301,20 +301,6 @@ def _admit_request(context: RequestContext, presenter_id: str) -> None:
     for name, value in context.fields.items():
         if not isinstance(name, str) or not isinstance(value, TypedValue) or not isinstance(value.text, str):
             raise TypeError(f"context field {name!r} must be a str name for a TypedValue with str text")
-
-
-def _admit_credentials(credentials: Sequence) -> None:
-    """Type the fields that reach the audit record of each container
-    presented as an object; bytes, text and dicts are typed by their parse."""
-    for credential in credentials:
-        if isinstance(credential, CredentialContainer):
-            _expect_str("credential_id", credential.credential_id)
-            _expect_str("subject_id", credential.subject_id)
-            _expect_str("issuer_id", credential.issuer_id)
-            _expect_str("digest", credential.digest_hex)
-            for constraint in credential.payload.constraints or ():
-                unknown = isinstance(constraint, UnknownConstraint)
-                _expect_str("constraint field", constraint.type_tag if unknown else constraint.field)
 
 
 @dataclass
@@ -389,7 +375,6 @@ class Engine:
         mistyped request raises TypeError before any check runs."""
         is_chain = isinstance(credential, (list, tuple))
         _admit_request(context, presenter_id)
-        _admit_credentials(credential if is_chain else (credential,))
         trace: list[TraceEntry] = []
         notes = _Notes()
         operation = "evaluate_chain" if is_chain and len(credential) > 1 else "evaluate"
@@ -423,14 +408,13 @@ class Engine:
         limits with their currencies, instant windows, weekday gates in one
         timezone, and enumerations.  String patterns and cumulative limits
         are not judged here; they stay in force at evaluation.  A mistyped
-        policy or container raises TypeError before any check runs.
+        policy raises TypeError before any check runs.
         """
         _expect_str("workflow_id", policy.workflow_id)
         for role in policy.roles:
             _expect_str("role_id", role.role_id)
         for field in policy.shared_fields:
             _expect_str("shared field", field)
-        _admit_credentials(credentials)
         trace: list[TraceEntry] = []
         notes = _Notes()
         try:
@@ -537,7 +521,7 @@ class Engine:
             raise _Denied(
                 "container", _VERIFY_CHECKS[failed_at], reason.detail, reason.code, reason.detail
             )
-        problem = container.payload_problem(validate_payload)
+        problem = container.completeness
         if problem is not None:
             raise _Denied("payload", "completeness", problem.detail, problem.code, problem.detail)
         return container
@@ -555,24 +539,25 @@ class Engine:
     ) -> CredentialContainer:
         if not credentials:
             raise _Denied(None, None, None, DenyCode.CREDENTIAL_INCOMPLETE, "no credentials presented")
-        containers = [
-            self._parse_or_deny(c, "chain", f"link {i}: ", f" in link {i}")
-            for i, c in enumerate(credentials, start=1)
-        ]
-        notes.containers.extend(containers)
-        trace.append(TraceEntry("chain", "parse", f"PASS: {len(containers)} links"))
-
-        depth, limit = len(containers), self.config.max_chain_depth
+        # Judged on the count alone, so an over-deep chain costs no parse; a
+        # passing depth keeps its trace entry after the parse entry.
+        depth, limit = len(credentials), self.config.max_chain_depth
         if depth > limit:
             raise _Denied(
                 "chain", "depth", f"{depth} links exceeds limit {limit}",
                 DenyCode.DELEGATION_DEPTH_EXCEEDED,
                 f"chain of {depth} links exceeds the depth limit of {limit}",
             )
+        containers = [
+            self._parse_or_deny(c, "chain", f"link {i}: ", f" in link {i}")
+            for i, c in enumerate(credentials, start=1)
+        ]
+        notes.containers.extend(containers)
+        trace.append(TraceEntry("chain", "parse", f"PASS: {len(containers)} links"))
         trace.append(TraceEntry("chain", "depth", "PASS"))
 
         for index, container in enumerate(containers, start=1):
-            problem = container.payload_problem(validate_payload)
+            problem = container.completeness
             if problem is not None:
                 raise _Denied(
                     "chain", f"link {index} payload", problem.detail,
@@ -658,15 +643,13 @@ class Engine:
         self,
         field: str,
         context: RequestContext,
-        now: datetime,
         profile_status: Optional[DenialReason],
         notes: _Notes,
     ) -> tuple[Optional[TypedValue], Optional[DenialReason]]:
         """Resolve one semantic field; a resolved value is noted for the audit snapshot."""
         cfg = self.config
         value, reason = resolve_semantic_field(
-            field, context, cfg.mapping_profile, cfg.vocabularies,
-            now, cfg.steward_keys, profile_status,
+            field, context, cfg.mapping_profile, cfg.vocabularies, profile_status
         )
         if value is not None:
             notes.resolved[field] = value.text
@@ -695,7 +678,7 @@ class Engine:
 
         # Opportunistic, for the audit snapshot only: the requested resource is
         # recorded when resolvable, and its absence never alters the decision.
-        self._resolve("core.resource_id", context, now, profile_status, notes)
+        self._resolve("core.resource_id", context, profile_status, notes)
 
         constraints = payload.constraints or ()
         context_currency: Optional[str] = None
@@ -705,7 +688,7 @@ class Engine:
         ):
             # An absent currency is None, which a currency-tagged limit then
             # fails on its own terms; any other resolution defect denies as-is.
-            value, reason = self._resolve(CURRENCY_FIELD, context, now, profile_status, notes)
+            value, reason = self._resolve(CURRENCY_FIELD, context, profile_status, notes)
             if reason is not None and reason.code is not DenyCode.CONTEXT_FIELD_MISSING:
                 raise _Denied("constraints", "currency", reason.detail, reason.code, reason.detail)
             context_currency = value.text if value is not None else None
@@ -716,7 +699,7 @@ class Engine:
                 profile_status, vouchers, trace, notes,
             )
 
-        self._apply_local_policy(context, now, profile_status, trace, notes)
+        self._apply_local_policy(context, profile_status, trace, notes)
 
     def _evaluate_one_constraint(
         self,
@@ -749,7 +732,7 @@ class Engine:
                 failed_constraint=label,
             )
 
-        value, reason = self._resolve(constraint.field, context, now, profile_status, notes)
+        value, reason = self._resolve(constraint.field, context, profile_status, notes)
         if reason is None and isinstance(constraint, CumulativeLimitConstraint):
             reason = evaluate_cumulative(
                 constraint,
@@ -782,7 +765,6 @@ class Engine:
     def _apply_local_policy(
         self,
         context: RequestContext,
-        now: datetime,
         profile_status: Optional[DenialReason],
         trace: list[TraceEntry],
         notes: _Notes,
@@ -792,7 +774,7 @@ class Engine:
             return
 
         def resolved(field: str) -> TypedValue:
-            value, reason = self._resolve(field, context, now, profile_status, notes)
+            value, reason = self._resolve(field, context, profile_status, notes)
             if reason is not None:
                 raise _Denied(
                     "policy", "local policy", reason.detail,
@@ -841,7 +823,7 @@ class Engine:
             check = f"credential {index} verify"
             reason = self._verify(container, container.subject_id, None, now, pop_required=False)
             if reason is None:
-                reason = container.payload_problem(validate_payload)
+                reason = container.completeness
             if reason is not None:
                 raise _Denied(
                     "workflow", check, reason.detail,

@@ -297,35 +297,25 @@ def validate_mapping_profile(
     return None
 
 
-_UNVALIDATED = object()
-
-
 def resolve_semantic_field(
     field: str,
     ctx: RequestContext,
     mapping: Optional[MappingProfile],
     vocabularies: Sequence[Vocabulary],
-    now: datetime,
-    steward_keys: Mapping[str, str],
-    profile_status: object = _UNVALIDATED,
+    profile_status: Optional[DenialReason],
 ) -> tuple[Optional[TypedValue], Optional[DenialReason]]:
     """Resolve one semantic identifier to a typed context value.
 
-    Checks run in a fixed order so outcomes are deterministic even when a
-    profile has several defects: profile presence and trust, identifier
-    existence, alias conflict, alias presence, declared type agreement,
-    context presence.  Exactly one of (value, reason) is returned non-None.
-
-    ``profile_status`` lets a caller that already validated the profile for
-    this evaluation pass the result instead of validating it again per
-    field.
+    ``profile_status`` is ``validate_mapping_profile`` of ``mapping``, taken
+    once per evaluation by the caller: a missing (None), untrusted or stale
+    profile denies with it, so resolution goes on only with a valid one.
+    Then checks run in a fixed order so outcomes are deterministic:
+    identifier existence, alias conflict, alias presence, declared type
+    agreement, context presence.  Exactly one of (value, reason) is
+    returned non-None.
     """
-    if profile_status is _UNVALIDATED:
-        profile_status = validate_mapping_profile(mapping, now, steward_keys)
-    if mapping is None:
-        return None, DenialReason(DenyCode.MAPPING_PROFILE_MISSING, "no mapping profile configured")
     if profile_status is not None:
-        return None, profile_status  # type: ignore[return-value]
+        return None, profile_status
 
     entry = lookup_identifier(field, vocabularies)
     if entry is None:

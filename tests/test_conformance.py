@@ -16,12 +16,19 @@ from mandate.conformance import (
     run_vectors,
 )
 from mandate.audit import AuditLog, verify_audit_chain
-from mandate.canonical import canonical_bytes, canonical_dumps, load_json, render_signed, signing_bytes
+from mandate.canonical import (
+    canonical_bytes,
+    canonical_dumps,
+    digest_object,
+    load_json,
+    render_signed,
+    signing_bytes,
+)
 from mandate.container import parse_container
 from mandate.keys import generate_key, load_signing_key
 from mandate.model import DenyCode, validate_payload
 from mandate.pipeline import EngineConfig
-from mandate.vectorgen import generate_vectors, write_vectors
+from vectorgen import generate_vectors, write_vectors
 
 VECTOR_ROOT = Path(__file__).resolve().parent.parent / "vectors"
 
@@ -192,38 +199,41 @@ def _shipped_credentials():
                 yield vector["vector_id"], decoded
 
 
-def test_a_credential_decoded_from_text_renders_as_its_object_does():
+def test_a_credential_parses_to_the_same_facts_from_its_dict_and_its_bytes():
     cases = 0
     for vector_id, credential in _shipped_credentials():
         wire = canonical_bytes(credential)
         assert render_signed(load_json(wire)) == (wire, signing_bytes(credential)), vector_id
         try:
-            from_text, from_dict = parse_container(wire), parse_container(credential)
+            parsed = parse_container(wire), parse_container(credential)
         except ValueError:
             continue  # malformed on purpose; the vector denies it
-        assert from_text.digest() == from_dict.digest(), vector_id
-        assert from_text.rendered == signing_bytes(credential) and from_dict.rendered is None
+        assert parsed[0].digest() == parsed[1].digest() == digest_object(credential), vector_id
+        for container in parsed:
+            assert container.rendered == signing_bytes(credential), vector_id
+            assert container.completeness == validate_payload(container.payload), vector_id
         cases += 1
     assert cases > 60
 
 
-def test_the_kept_payload_verdict_equals_a_fresh_one():
+def test_completeness_is_computed_once_per_construction(monkeypatch):
+    from mandate import container as container_module
+
     checked = []
 
     def counted(payload):
         checked.append(payload)
         return validate_payload(payload)
 
+    monkeypatch.setattr(container_module, "validate_payload", counted)
     for vector_id, credential in _shipped_credentials():
+        checked.clear()
         try:
             container = parse_container(canonical_bytes(credential))
         except ValueError:
             continue
-        fresh = validate_payload(parse_container(credential).payload)
-        checked.clear()
-        for _ in range(3):
-            assert container.payload_problem(counted) == fresh, vector_id
-        assert len(checked) == 1
+        verdicts = {container.completeness for _ in range(3)}
+        assert verdicts == {validate_payload(container.payload)} and len(checked) == 1, vector_id
 
 
 @pytest.mark.parametrize(

@@ -473,17 +473,43 @@ def test_three_link_chain_allows_and_traces():
 
 @pytest.mark.parametrize("length", [1, 3])
 def test_each_presented_container_is_checked_for_completeness_once(monkeypatch, length):
+    """Completeness is decided when a container is built: once per parsed
+    link, and never again by the engine for a container it is handed."""
+    from mandate import container as container_module
+
+    links, keys = chain_of(length)
     checked = []
 
     def counted(payload):
         checked.append(payload)
         return validate_payload(payload)
 
-    monkeypatch.setattr(pipeline, "validate_payload", counted)
-    links, keys = chain_of(length)
-    presented = links if length > 1 else links[0]
-    assert evaluate(make_engine(), presented, context(amount="100"), subject_key=keys[-1]).allowed
-    assert len(checked) == length
+    monkeypatch.setattr(container_module, "validate_payload", counted)
+    for presented in ([link.dumps().encode() for link in links], links):
+        decision = make_engine().evaluate(
+            presented if length > 1 else presented[0], context(amount="100"),
+            links[-1].subject_id, pop_for(links[-1], keys[-1]), now=NOW,
+        )
+        assert decision.allowed
+        assert len(checked) == length
+
+
+def test_an_over_deep_chain_denies_before_any_link_is_parsed(monkeypatch):
+    parsed = []
+    real_parse = pipeline.parse_container
+
+    def counted(data):
+        parsed.append(data)
+        return real_parse(data)
+
+    monkeypatch.setattr(pipeline, "parse_container", counted)
+    engine = make_engine()
+    junk = [b"\x00 not a credential"] * (engine.config.max_chain_depth + 1)
+    decision = engine.evaluate(junk, context(), SUBJECT.key_id, None, now=NOW)
+    assert decision.reason.code is DenyCode.DELEGATION_DEPTH_EXCEEDED
+    assert parsed == []
+    assert [(e.stage, e.check) for e in decision.trace] == [("chain", "depth"), ("decision", "decision")]
+    assert engine.config.audit_log.records()[0].raw["credential_digests"] == []
 
 
 def test_chain_child_audience_beyond_its_parent_cannot_be_used():
@@ -1165,16 +1191,16 @@ def test_a_mistyped_request_raises_before_any_state_changes(request_part):
     assert engine.evaluate(wire, context(), cred.subject_id, pop, now=NOW).allowed
 
 
-def test_a_container_object_with_a_mistyped_field_raises_before_any_check():
+def test_a_container_with_a_mistyped_field_cannot_be_built():
     from dataclasses import replace
 
     cred = credential()
-    for name, value in (("subject_id", 2.5), ("digest_hex", None)):
-        mistyped = replace(cred, **{name: value})
-        engine = make_engine()
-        with pytest.raises(TypeError, match=name.removesuffix("_hex")):
-            engine.evaluate(mistyped, context(), cred.subject_id, pop_for(cred), now=NOW)
-        assert engine.config.audit_log.records() == []
+    for name, value in (("subject_id", 2.5), ("credential_id", None), ("digest_hex", None)):
+        with pytest.raises(TypeError, match=name):
+            replace(cred, **{name: value})
+    bad_field = NumericLimitConstraint(field=7, operator="lte", value=Decimal("1"))
+    with pytest.raises(TypeError, match="constraint"):
+        replace(cred, payload=payload(constraints=(bad_field,)))
 
 
 @pytest.mark.parametrize("part", ["workflow_id", "role_id", "shared field"])
@@ -1230,6 +1256,7 @@ def test_each_artifact_types_the_ids_it_brings_to_the_audit_record():
 # --- what a kept credential holds -----------------------------------------------------
 
 def test_a_kept_container_holds_its_verdicts_and_signing_bytes():
+    from dataclasses import replace
     from mandate.canonical import signing_bytes
 
     cred = credential()
@@ -1237,8 +1264,14 @@ def test_a_kept_container_holds_its_verdicts_and_signing_bytes():
     warm(engine, cred)
     kept = engine._parsed[cred.dumps().encode()]
     assert kept.rendered == signing_bytes(cred.raw)
-    assert kept._payload_verdict == [None]
+    assert kept.completeness is None
     assert kept._signature_verdicts == {ISSUER.public_hex: True}
+    # A replaced payload carries its own verdict, which the engine reads.
+    incomplete = replace(kept, payload=payload(permissions=()))
+    assert incomplete.completeness == validate_payload(incomplete.payload)
+    assert incomplete.completeness.code is DenyCode.CREDENTIAL_INCOMPLETE
+    decision = evaluate(make_engine(), incomplete)
+    assert decision.reason.code is DenyCode.CREDENTIAL_INCOMPLETE
 
 
 # --- one spelling per signature ----------------------------------------------------------

@@ -184,7 +184,8 @@ def test_profile_round_trip_preserves_signature():
 # --- resolution order and codes -------------------------------------------------
 
 def resolve(field, ctx, mapping, vocabularies=()):
-    return resolve_semantic_field(field, ctx, mapping, list(vocabularies), NOW, STEWARD_KEYS)
+    status = validate_mapping_profile(mapping, NOW, STEWARD_KEYS)
+    return resolve_semantic_field(field, ctx, mapping, list(vocabularies), status)
 
 
 def test_resolution_happy_path():
@@ -286,7 +287,5 @@ def test_identity_profile_covers_core_and_domains():
     assert set(CORE_VOCABULARY) <= covered
     assert "claims.payout" in covered
     ctx = context(**{"core.amount": (SemanticType.DECIMAL, "10")})
-    value, reason = resolve_semantic_field(
-        "core.amount", ctx, p, [claims_vocabulary()], NOW, STEWARD_KEYS
-    )
+    value, reason = resolve_semantic_field("core.amount", ctx, p, [claims_vocabulary()], None)
     assert reason is None and value.text == "10"

@@ -5,7 +5,9 @@ the tree produces byte-identical files.  The suite covers every denial code
 at least once, ALLOW rows for every constraint family and enforcement
 feature, transport-encoding equivalence, delegation chains, and the stateful
 tiers, laid out one canonical JSON file per vector in the five level
-directories.
+directories.  Test tooling, not part of the package; from the repository
+root, ``PYTHONPATH=src:tests python3 -c "from vectorgen import write_vectors;
+write_vectors('vectors')"`` regenerates ``vectors/``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .canonical import canonical_bytes, canonical_dumps, load_json, sha256_hex, to_transport
-from .constraints import (
+from mandate.canonical import canonical_bytes, canonical_dumps, load_json, sha256_hex, to_transport
+from mandate.constraints import (
     Constraint,
     CumulativeLimitConstraint,
     EnumeratedListConstraint,
@@ -27,23 +29,23 @@ from .constraints import (
     TemporalWindowConstraint,
     constraint_from_dict,
 )
-from .container import (
+from mandate.container import (
     CredentialContainer,
     issue_credential,
     make_possession_proof,
     new_revocation_list,
     revoke,
 )
-from .keys import SigningKey, attach_signature, generate_key
-from .model import (
+from mandate.keys import SigningKey, attach_signature, generate_key
+from mandate.model import (
     AuthorizationPayload,
     SemanticType,
     parse_timestamp,
     render_timestamp,
 )
-from .registry import IssuerEntry, StateAuthorityEntry, build_registry
-from .scenarios import load_scenario
-from .semantics import (
+from mandate.registry import IssuerEntry, StateAuthorityEntry, build_registry
+from mandate.scenarios import load_scenario
+from mandate.semantics import (
     STATUS_CONDITIONAL,
     AliasEntry,
     Vocabulary,
@@ -51,7 +53,7 @@ from .semantics import (
     build_mapping_profile,
     identity_mapping_profile,
 )
-from .stateful import VOUCHER_GENESIS, make_voucher, update_voucher
+from mandate.stateful import VOUCHER_GENESIS, make_voucher, update_voucher
 
 NOW = parse_timestamp("2026-05-01T12:00:00Z")
 POINTER = "https://state.vectors.example/ledger"
