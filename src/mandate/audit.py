@@ -19,6 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
+from .appendfile import AppendOnlyFile
 from .canonical import (
     CanonicalizationError,
     canonical_dumps,
@@ -61,8 +62,12 @@ class AuditRecord:
 class AuditLog:
     """Append-only log bound to one evaluator key.
 
-    With a path, every record is written and flushed as one canonical line;
-    without one, records are kept in memory (tests, vector runs).  Appends are
+    With a path, every record is written as one canonical line through one
+    handle, opened on the first append and kept (``appendfile``), and no
+    record is kept in memory: ``records()`` reads the file back.  A write that
+    fails makes this log refuse every later append, so the engine denies;
+    a fresh log reopens the file and verifies its tail first.  Without a
+    path, records are kept in memory (tests, vector runs).  Appends are
     serialized under a lock so the chain never forks inside one process.
 
     Records are rendered without a walk, so every value passed to ``append``
@@ -90,7 +95,8 @@ class AuditLog:
         self.key_protection = key_protection
         self.environment = environment
         self._lock = threading.Lock()
-        self._memory: list[AuditRecord] = []
+        self._file = AppendOnlyFile(self.path) if self.path is not None else None
+        self._memory: list[AuditRecord] = []  # the records of a log without a file
         self._last_digest = GENESIS_DIGEST
         if self.path is not None and self.path.exists():
             self._last_digest = self._reopen(self.path.read_bytes())
@@ -182,19 +188,30 @@ class AuditLog:
             value = signed["signature"]["value"]
             line = join_members(head, member, middle, f'{self._envelope},"value":"{value}"}}', tail)
             record = AuditRecord(record_id=record_id, prev_record=body["prev_record"], raw=signed)
-            if self.path is not None:
+            if self._file is not None:
                 try:
-                    with self.path.open("a", encoding="utf-8") as handle:
-                        handle.write(line + "\n")
-                        handle.flush()
+                    self._file.append((line + "\n").encode("utf-8"))
                 except OSError as exc:
                     raise AuditError(f"cannot append audit record: {exc}") from exc
-            self._memory.append(record)
+            else:
+                self._memory.append(record)
             self._last_digest = sha256_hex(line)
         return record
 
     def records(self) -> list[AuditRecord]:
-        return list(self._memory)
+        """Every record of this log, oldest first.  In memory: the records
+        appended to this instance.  File-backed: every record on disk,
+        history from before this instance included, read back one line at a
+        time (a file that does not exist yet holds none)."""
+        with self._lock:
+            if self._file is None:
+                return list(self._memory)
+            try:
+                with self.path.open("rb") as handle:
+                    rows = [load_json(line) for line in handle if line.strip()]
+            except FileNotFoundError:
+                return []
+        return [AuditRecord(row["record_id"], row["prev_record"], row) for row in rows]
 
 
 def verify_audit_chain(

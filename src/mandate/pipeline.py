@@ -223,7 +223,8 @@ class EngineConfig:
 
     Presented credentials are immutable values too.  The engine remembers
     the last ``PARSED_CREDENTIALS_KEPT`` (64) distinct byte strings or texts
-    presented to it (dict and container inputs are not remembered) and,
+    presented to it (dict and container inputs are not remembered: a
+    container object is parsed afresh from its signed ``raw``) and,
     from the second presentation on, keeps their parsed container.  A
     container's digest, signing bytes and payload-completeness verdict are
     fixed when it is constructed; a kept one also holds its issuer-signature
@@ -428,9 +429,11 @@ class Engine:
 
     def _parse(self, credential: Credential) -> CredentialContainer:
         """Parse a presented credential, reusing the container kept for the
-        same bytes or text.  A parse failure is never remembered."""
+        same bytes or text.  A parse failure is never remembered.  A
+        container object decides as its signed ``raw``: its other fields are
+        derived afresh, never trusted."""
         if isinstance(credential, CredentialContainer):
-            return credential
+            credential = credential.raw
         if not isinstance(credential, (bytes, str)):
             return parse_container(credential)
         with self._parsed_lock:

@@ -24,6 +24,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Protocol, Sequence, Union
 
+from .appendfile import AppendOnlyFile
 from .canonical import canonical_dumps, load_json, sha256_hex
 from .constraints import CumulativeLimitConstraint, Period
 from .keys import SigningKey, attach_signature, check_signature
@@ -139,10 +140,14 @@ class InMemoryStateAuthority:
 class FileStateAuthority:
     """Reserve ledger persisted as canonical append-only lines.
 
-    Reservations are replayed at load, so restarts keep their running totals.
-    A reserve is checked, written, then committed to the in-memory core, all
-    under one lock: a line that cannot be written spends nothing, so memory
-    never holds a spend that a reopened ledger would not.
+    Reservations are replayed at load, so restarts keep their running totals;
+    a ledger that does not end in a newline has a torn last line and is
+    refused, untouched.  Rows are written through one kept handle
+    (``appendfile``), opened on the first reserve.  A reserve is checked,
+    written, then committed to the in-memory core, all under one lock: a
+    line that cannot be written spends nothing, so memory never holds a
+    spend that a reopened ledger would not.  After a failed write every
+    reserve is refused; a fresh ledger must reopen the file.
     """
 
     def __init__(self, authority_id: str, path: Union[str, Path]) -> None:
@@ -150,11 +155,14 @@ class FileStateAuthority:
         self.path = Path(path)
         self._core = InMemoryStateAuthority(authority_id)
         self._io_lock = threading.Lock()
+        self._file = AppendOnlyFile(self.path)
         if self.path.exists():
+            data = self.path.read_bytes()
+            if data and not data.endswith(b"\n"):
+                raise StateUnreachableError(f"state ledger {self.path} ends in a partial line")
             # Rows are decoded one at a time, so a long ledger never holds
             # every row's objects at once.
-            lines = self.path.read_text("utf-8").split("\n")
-            self._core.replay(load_json(line) for line in lines if line.strip())
+            self._core.replay(load_json(line) for line in data.split(b"\n") if line.strip())
 
     def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
         with self._io_lock:
@@ -166,9 +174,7 @@ class FileStateAuthority:
                 "timestamp": render_timestamp(now),
             }
             try:
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(canonical_dumps(row) + "\n")
-                    handle.flush()
+                self._file.append((canonical_dumps(row) + "\n").encode("utf-8"))
             except OSError as exc:
                 raise StateUnreachableError(f"state ledger not writable: {exc}") from exc
             # The core changes only under this lock, so its own reserve (which

@@ -187,6 +187,45 @@ def test_append_failure_surfaces_as_audit_error(tmp_path):
         append_some(log, 1)
 
 
+def test_a_file_log_opens_its_file_once_and_keeps_no_records(tmp_path, monkeypatch):
+    from mandate import appendfile
+
+    opened = []
+
+    def counted(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(appendfile, "open", counted, raising=False)
+    path = _written_log(tmp_path, 2)
+    log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+    appended = append_some(log, 40)
+    assert opened == [(path, "ab"), (path, "ab")]  # one per log instance
+    assert log._memory == []
+    # records() reads the file back: the history and this instance's records.
+    records = log.records()
+    assert len(records) == 42 and records[2:] == appended
+    assert verify_audit_chain(records, AUDIT_KEY.public_hex)[0]
+
+
+def test_a_failed_write_refuses_every_later_append(tmp_path, monkeypatch):
+    path = _written_log(tmp_path, 2)
+    log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+    append_some(log, 1)
+    handle = log._file._handle
+    monkeypatch.setattr(handle, "write", lambda data, write=handle.write: write(data[: len(data) // 2]))
+    with pytest.raises(AuditError, match="short write"):
+        append_some(log, 1)
+    torn = path.read_bytes()
+    for _ in range(2):
+        with pytest.raises(AuditError, match="refuses appends"):
+            append_some(log, 1)
+    assert path.read_bytes() == torn and handle.closed
+    # A fresh log must verify the tail first, and the torn one is refused.
+    with pytest.raises(AuditError, match="partial line"):
+        AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+
+
 def _float_line(record):
     raw = dict(record.raw, governance={"x": 1.5})
     return json.dumps(raw, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
@@ -281,10 +320,11 @@ def test_each_rendering_of_a_record_is_its_canonical_form(
 def test_a_lone_surrogate_appends_nothing(tmp_path):
     path = _written_log(tmp_path, 1)
     log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
-    before = path.read_bytes()
+    before, history = path.read_bytes(), log.records()
     with pytest.raises(UnicodeEncodeError):
         _append(log, "jobs/\ud800", {}, "", None)
-    assert path.read_bytes() == before and log.records() == []
+    # records() of a file-backed log reads the file: the one record written before.
+    assert path.read_bytes() == before and log.records() == history and len(history) == 1
     # The chain still links to the last written line.
     _append(log, "jobs/2", {}, "", None)
     ok, _, detail = verify_audit_chain(path.read_text("utf-8").splitlines(), AUDIT_KEY.public_hex)

@@ -645,8 +645,8 @@ def test_conformance_run_over_shipped_vectors(capsys):
     vectors = Path(__file__).resolve().parent.parent / "vectors"
     code, report, err = run(capsys, "conformance", "run", "--vectors", vectors)
     assert code == 0
-    assert report["total"] == 64 and report["failed"] == 0
-    assert "64/64" in err
+    assert report["total"] == 69 and report["failed"] == 0
+    assert "69/69" in err
 
 
 # --- vouchers ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Engine pipeline: ordering, traces, chains, policy, workflow, audit coupling."""
 
+import errno
 import gc
 import json
 from datetime import timedelta
@@ -474,7 +475,8 @@ def test_three_link_chain_allows_and_traces():
 @pytest.mark.parametrize("length", [1, 3])
 def test_each_presented_container_is_checked_for_completeness_once(monkeypatch, length):
     """Completeness is decided when a container is built: once per parsed
-    link, and never again by the engine for a container it is handed."""
+    link, and never again by the engine.  A link handed over as an object is
+    parsed afresh from its signed ``raw``, so it is checked once too."""
     from mandate import container as container_module
 
     links, keys = chain_of(length)
@@ -486,6 +488,7 @@ def test_each_presented_container_is_checked_for_completeness_once(monkeypatch, 
 
     monkeypatch.setattr(container_module, "validate_payload", counted)
     for presented in ([link.dumps().encode() for link in links], links):
+        checked.clear()
         decision = make_engine().evaluate(
             presented if length > 1 else presented[0], context(amount="100"),
             links[-1].subject_id, pop_for(links[-1], keys[-1]), now=NOW,
@@ -850,6 +853,26 @@ def test_unwritable_audit_log_turns_allow_into_deny(tmp_path):
     assert not any(entry.result == "ALLOW" for entry in decision.trace)
 
 
+def test_after_a_failed_audit_write_every_decision_denies(tmp_path, monkeypatch):
+    path = tmp_path / "audit.log"
+    engine = make_engine(audit_log=AuditLog(RECEIVER, AUDIT, path=path))
+    assert evaluate(engine, credential()).allowed
+    handle = engine.config.audit_log._file._handle
+
+    def disk_full(data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(handle, "write", disk_full)
+    details = []
+    for _ in range(3):
+        decision = evaluate(engine, credential())
+        assert decision.reason.code is DenyCode.LOCAL_POLICY_DENIED
+        details.append(decision.reason.detail)
+    assert "No space left on device" in details[0]
+    assert all("refuses appends" in detail for detail in details[1:])
+    assert len(path.read_bytes().splitlines()) == 1
+
+
 def test_unwritable_audit_log_keeps_the_failed_check_of_a_denial(tmp_path):
     log = AuditLog(RECEIVER, AUDIT, path=tmp_path / "missing" / "audit.log")
     engine = make_engine(audit_log=log)
@@ -891,6 +914,37 @@ def test_denials_leave_no_reference_cycles():
         DenyCode.WORKFLOW_POLICY_DENIED,
     ]
     assert garbage == 0
+
+
+def test_a_file_backed_engine_keeps_almost_nothing_per_evaluation(tmp_path):
+    """Soak: audit records and ledger rows live on disk, not in memory.  What
+    an evaluation may keep is its nonce in the replay cache."""
+    import tracemalloc
+
+    from mandate.stateful import FileStateAuthority
+
+    engine, cred, authority = budget_engine()
+    pointer = authority.authority_id
+    engine.config.audit_log = AuditLog(RECEIVER, AUDIT, path=tmp_path / "audit.log")
+    engine.config.state_clients = {pointer: FileStateAuthority(pointer, tmp_path / "ledger.log")}
+    wire, ctx = cred.dumps().encode(), context(amount="0.01")
+
+    def run(count):
+        for _ in range(count):
+            assert engine.evaluate(wire, ctx, cred.subject_id, pop_for(cred), now=NOW).allowed
+
+    tracemalloc.start()
+    try:
+        run(500)  # warm-up: kept containers, key objects, profile verdicts
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        run(4500)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / 4500 < 400, f"{kept / 4500:.0f} bytes kept per evaluation"
+    assert len((tmp_path / "audit.log").read_bytes().splitlines()) == 5000
 
 
 # --- determinism -----------------------------------------------------------------------
@@ -1099,8 +1153,8 @@ def test_issuer_signature_is_checked_once_per_container_and_key(monkeypatch):
         assert present(engine, cred).allowed
         assert present_chain(engine, links, keys[-1]).allowed
     assert checked == []
-    # A container presented as such keeps its verdicts across engines; a
-    # different key for the same issuer gets its own check.
+    # A container presented as an object is parsed afresh from its signed
+    # raw, so each presentation is checked against that engine's issuer key.
     rekeyed = make_engine(trusted_issuers={ISSUER.key_id: OTHER_ISSUER_KEY.public_hex})
     for _ in range(2):
         assert evaluate(engine, cred).allowed
@@ -1108,7 +1162,7 @@ def test_issuer_signature_is_checked_once_per_container_and_key(monkeypatch):
     assert checked == [
         (cred.credential_id, ISSUER.public_hex),
         (cred.credential_id, OTHER_ISSUER_KEY.public_hex),
-    ]
+    ] * 2
 
 
 def test_long_lived_engine_decides_like_a_fresh_engine_per_request():
@@ -1266,12 +1320,25 @@ def test_a_kept_container_holds_its_verdicts_and_signing_bytes():
     assert kept.rendered == signing_bytes(cred.raw)
     assert kept.completeness is None
     assert kept._signature_verdicts == {ISSUER.public_hex: True}
-    # A replaced payload carries its own verdict, which the engine reads.
+    # A replaced payload carries its own verdict, but the engine decides as
+    # the signed raw, whose payload is complete.
     incomplete = replace(kept, payload=payload(permissions=()))
     assert incomplete.completeness == validate_payload(incomplete.payload)
     assert incomplete.completeness.code is DenyCode.CREDENTIAL_INCOMPLETE
-    decision = evaluate(make_engine(), incomplete)
-    assert decision.reason.code is DenyCode.CREDENTIAL_INCOMPLETE
+    assert evaluate(make_engine(), incomplete).allowed
+
+
+def test_a_container_object_decides_as_its_signed_bytes():
+    """The issuer signature covers only ``raw``: a container whose other
+    fields were replaced grants nothing the issuer did not sign."""
+    from dataclasses import replace
+
+    cred = credential()
+    widened = replace(cred, payload=payload(permissions=("task.run", "admin.delete")))
+    for presented in (cred, widened):
+        decision = evaluate(make_engine(), presented, context(action="admin.delete"))
+        assert decision.reason.code is DenyCode.PERMISSION_DENIED
+    assert evaluate(make_engine(), widened).allowed
 
 
 # --- one spelling per signature ----------------------------------------------------------

@@ -159,6 +159,59 @@ def test_file_ledger_write_failure_spends_nothing(tmp_path):
     assert resumed.reserve("k", Decimal("40"), Decimal("100"), period, NOW) == Decimal("100")
 
 
+def test_file_ledger_opens_its_file_once(tmp_path, monkeypatch):
+    from mandate import appendfile
+
+    opened = []
+
+    def counted(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(appendfile, "open", counted, raising=False)
+    path = tmp_path / "ledger.jsonl"
+    ledger = FileStateAuthority(POINTER, path)
+    assert opened == [] and not path.exists()  # opened on the first reserve, not before
+    for _ in range(50):
+        ledger.reserve("k", Decimal("1"), Decimal("100"), Period(kind="per_credential"), NOW)
+    assert opened == [(path, "ab")] and len(path.read_bytes().splitlines()) == 50
+
+
+@pytest.mark.parametrize("cut", [1, 20, -1], ids=["one-byte", "mid-row", "newline-missing"])
+def test_a_torn_ledger_tail_refuses_to_reopen(tmp_path, cut):
+    path = tmp_path / "ledger.jsonl"
+    ledger = FileStateAuthority(POINTER, path)
+    for spend in ("600", "300"):
+        ledger.reserve("k", Decimal(spend), Decimal("1000"), Period(kind="per_credential"), NOW)
+    rows = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(rows[0] + rows[1][:cut])  # a crash part-way through the second row
+    torn = path.read_bytes()
+    with pytest.raises(StateUnreachableError, match=str(path)):
+        FileStateAuthority(POINTER, path)
+    assert path.read_bytes() == torn
+
+
+def test_a_failed_ledger_write_refuses_every_later_reserve(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.jsonl"
+    ledger = FileStateAuthority(POINTER, path)
+    period = Period(kind="per_credential")
+    ledger.reserve("k", Decimal("100"), Decimal("1000"), period, NOW)
+    handle = ledger._file._handle
+    monkeypatch.setattr(handle, "write", lambda data, write=handle.write: write(data[: len(data) // 2]))
+    with pytest.raises(StateUnreachableError, match="short write"):
+        ledger.reserve("k", Decimal("200"), Decimal("1000"), period, NOW)
+    torn = path.read_bytes()
+    # The engine's view: every later reserve on this ledger is unreachable,
+    # and nothing is chained onto the torn row.
+    for spend in ("1", "5"):
+        reason = evaluate(constraint(), spend, state_clients={POINTER: ledger})
+        assert reason.code is DenyCode.STATE_AUTHORITY_UNREACHABLE
+        assert "refuses appends" in reason.detail
+    assert path.read_bytes() == torn and ledger._core.spent("k", period, NOW) == Decimal("100")
+    with pytest.raises(StateUnreachableError):
+        FileStateAuthority(POINTER, path)
+
+
 LEDGER_PERIODS = (
     Period(kind="per_credential"),
     Period(kind="calendar", calendar_unit="day"),

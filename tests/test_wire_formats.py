@@ -229,11 +229,13 @@ def test_a_float_in_a_cli_or_vector_file_is_refused(number, tmp_path, capsys):
 
 
 def _presented(entry: dict):
-    """The credential object a vector entry carries, or None for bytes that are not one."""
+    """The credential object a vector entry carries, or None for bytes that are not one
+    (including text that decodes but has no UTF-8 rendering: a lone surrogate)."""
     decoded = decode_credential(entry)
     if isinstance(decoded, bytes):
         try:
             decoded = load_json(decoded)
+            canonical_dumps(decoded).encode("utf-8")
         except ValueError:
             return None
     return decoded if isinstance(decoded, dict) and decoded else None

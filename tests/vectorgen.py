@@ -416,6 +416,48 @@ def _level1_vectors(kit: _Kit) -> list[tuple[str, dict]]:
         },
         _deny("signature_invalid"),
     )
+    # Ingress: text that some JSON parsers accept, and read as a value other
+    # than any canonical credential's, is refused before anything is verified.
+    signed = canonical_bytes(cred.to_dict())
+    for name, description, data in (
+        (
+            "float",
+            "a signed integer re-spelled as the float 1.0, which some parsers read as the integer 1",
+            signed.replace(b'"suite":1}', b'"suite":1.0}', 1),
+        ),
+        (
+            "nan",
+            "a NaN where a signed integer stood, which JSON does not allow",
+            signed.replace(b'"suite":1}', b'"suite":NaN}', 1),
+        ),
+        (
+            "not-utf8",
+            "a credential id carrying a byte that is not UTF-8, which lenient decoders replace or drop",
+            signed.replace(b'"credential_id":"', b'"credential_id":"\xff', 1),
+        ),
+        (
+            "lone-surrogate",
+            "a credential id carrying a lone surrogate escape, which no UTF-8 text can hold",
+            signed.replace(b'"credential_id":"', b'"credential_id":"\\ud800', 1),
+        ),
+        (
+            "bom",
+            "the credential's bytes after a UTF-8 byte order mark, which RFC 8259 forbids senders to add",
+            b"\xef\xbb\xbf" + signed,
+        ),
+    ):
+        assert data != signed
+        add(
+            f"signature-invalid-{name}",
+            description,
+            {
+                "credentials": [{"encoding": "base64url", "value": to_transport(data)}],
+                "presenter": kit.subject.key_id,
+                "pop": kit.pop(cred, f"nonce-signature-invalid-{name}"),
+                "context": kit.context(),
+            },
+            _deny("signature_invalid"),
+        )
     add(
         "issuer-untrusted",
         "issuer absent from the receiver's trusted set",
