@@ -12,12 +12,13 @@ the log explains decisions without archiving whole requests.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import BinaryIO, Iterable, Mapping, Optional, Union
 
 from .appendfile import AppendOnlyFile
 from .canonical import (
@@ -57,6 +58,15 @@ class AuditRecord:
 
     def dumps(self) -> str:
         return canonical_dumps(self.raw)
+
+
+def _tail(handle: BinaryIO, size: int = 8192) -> bytes:
+    """A file's last ``size`` bytes, doubled until they hold its last two
+    whole lines (or the whole file): earlier lines are not read."""
+    end = handle.seek(0, os.SEEK_END)
+    handle.seek(max(0, end - size))
+    data = handle.read()
+    return data if len(data) == end or data.count(b"\n", 0, -1) >= 2 else _tail(handle, 2 * size)
 
 
 class AuditLog:
@@ -99,7 +109,8 @@ class AuditLog:
         self._memory: list[AuditRecord] = []  # the records of a log without a file
         self._last_digest = GENESIS_DIGEST
         if self.path is not None and self.path.exists():
-            self._last_digest = self._reopen(self.path.read_bytes())
+            with self.path.open("rb") as handle:
+                self._last_digest = self._reopen(_tail(handle))
 
     @cached_property
     def _envelope(self) -> str:
@@ -117,7 +128,6 @@ class AuditLog:
             return GENESIS_DIGEST
         if not data.endswith(b"\n"):
             raise AuditError(f"audit log {self.path} ends in a partial line")
-        # Only the last two lines are sliced out: the log is not copied.
         start = data.rfind(b"\n", 0, -1) + 1
         previous = data[data.rfind(b"\n", 0, start - 1) + 1 : start - 1] if start else None
         line = data[start:-1].decode("utf-8", "replace").strip()

@@ -21,6 +21,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import sys
 from bisect import bisect_right
 from typing import Any
 
@@ -29,65 +30,50 @@ class CanonicalizationError(ValueError):
     """Raised when an object cannot be canonically serialized."""
 
 
-def _reject_floats(obj: Any, path: str = "$") -> None:
-    if isinstance(obj, float):
-        raise CanonicalizationError(f"float at {path} is not canonicalizable; use a string decimal")
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise CanonicalizationError(f"non-string key at {path}")
-            _reject_floats(value, f"{path}.{key}")
-    elif isinstance(obj, (list, tuple)):
-        for i, value in enumerate(obj):
-            _reject_floats(value, f"{path}[{i}]")
-    elif obj is not None and not isinstance(obj, (str, int, bool)):
-        raise CanonicalizationError(f"unsupported type {type(obj).__name__} at {path}")
-
-
-_MAX_DEPTH = 1000  # deeper nesting is left to _reject_floats, which then raises RecursionError
-
-
-def _plain(obj: Any) -> bool:
-    """True when ``obj`` is built only of exact ``str``/``int``/``bool``/None
-    scalars, lists, tuples and dicts with exact ``str`` keys.
-
-    No path is formatted: only when this returns False does ``_reject_floats``
-    walk again, to accept the rest of what it accepts (subclasses) or to raise
-    with the path of the first offence.
-    """
-    stack = [iter((obj,))]
-    while stack:
-        for item in stack[-1]:
-            kind = type(item)
-            if kind is str or kind is int or kind is bool or item is None:
-                continue
-            if kind is dict:
-                for key in item:
-                    if type(key) is not str:
-                        return False
-                stack.append(iter(item.values()))
-            elif kind is list or kind is tuple:
-                stack.append(iter(item))
-            else:
-                return False
-            if len(stack) > _MAX_DEPTH:
-                return False
-            break
-        else:
-            stack.pop()
-    return True
-
-
 # One encoder for every rendering; json.dumps would build a new one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def check_canonical(obj: Any) -> None:
-    """Raise CanonicalizationError unless ``obj`` renders canonically: the
-    walk ``canonical_dumps`` runs.  Once it passes, ``plain_dumps(obj)`` is
-    ``canonical_dumps(obj)``."""
-    if not _plain(obj):
-        _reject_floats(obj)
+    """Raise CanonicalizationError, naming the path of the first offence in
+    insertion order (a key before its value), unless ``obj`` is built only of
+    str/int/bool/None scalars, lists, tuples and dicts with str keys,
+    subclasses included; nesting past the recursion limit (a cycle) raises
+    RecursionError.  Once it passes, ``plain_dumps(obj)`` is ``canonical_dumps(obj)``."""
+    limit = sys.getrecursionlimit()
+    frames = [(enumerate((obj,)), False)]  # each open container's (step, value) pairs, and if keyed
+    steps: list = [None]  # the step last taken in each frame; a path is built only for an offence
+    while frames:
+        pairs, keyed = frames[-1]
+        for step, item in pairs:
+            if keyed and not isinstance(step, str):
+                raise CanonicalizationError(f"non-string key at {_path(steps[:-1])}")
+            kind = type(item)
+            if kind is str or kind is int or kind is bool or item is None:
+                continue
+            steps[-1] = step
+            if isinstance(item, dict):
+                frames.append((iter(item.items()), True))
+            elif isinstance(item, (list, tuple)):
+                frames.append((enumerate(item), False))
+            elif isinstance(item, float):
+                raise CanonicalizationError(f"float at {_path(steps)} is not canonicalizable; use a string decimal")
+            elif isinstance(item, (str, int)):
+                continue
+            else:
+                raise CanonicalizationError(f"unsupported type {kind.__name__} at {_path(steps)}")
+            if len(frames) > limit:
+                raise RecursionError(f"nesting deeper than {limit} levels is not canonicalizable")
+            steps.append(None)
+            break
+        else:
+            frames.pop()
+            steps.pop()
+
+
+def _path(steps: list) -> str:
+    """``$`` and then ``.key`` or ``[index]`` for each step below the root."""
+    return "$" + "".join(f".{step}" if isinstance(step, str) else f"[{step}]" for step in steps[1:])
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -150,7 +136,7 @@ def load_json(data: bytes | str) -> Any:
         # Decoded again, numbers admitted, only to name the first offence by
         # its path; a duplicate member name still raises first, as it would
         # have without the refusal.
-        _reject_floats(_LENIENT_DECODER.decode(text))
+        check_canonical(_LENIENT_DECODER.decode(text))
         raise
 
 

@@ -136,27 +136,15 @@ def parse_payload(obj: object) -> AuthorizationPayload:
     but a field that is present must have its exact type."""
     if not isinstance(obj, dict):
         raise MalformedContainerError("payload must be an object")
-    agent_id = obj.get("agent_id")
-    issuer_id = obj.get("issuer_id")
-    permissions = obj.get("permissions")
-    constraints = obj.get("constraints")
-    for name, value in (("agent_id", agent_id), ("issuer_id", issuer_id)):
-        if value is not None and not isinstance(value, str):
-            raise MalformedContainerError(f"payload {name} must be a string")
-    if permissions is not None:
-        if not isinstance(permissions, list) or not all(isinstance(p, str) for p in permissions):
-            raise MalformedContainerError("payload permissions must be a list of strings")
-        permissions = frozenset(permissions)
-    if constraints is not None:
-        if not isinstance(constraints, list):
-            raise MalformedContainerError("payload constraints must be a list")
-        constraints = tuple(constraint_from_dict(c) for c in constraints)
-    return AuthorizationPayload(
-        agent_id=agent_id,
-        issuer_id=issuer_id,
-        permissions=permissions,
-        constraints=constraints,
-    )
+    with reading(MalformedContainerError):
+        permissions = expect(obj, "permissions", list, optional=True)
+        constraints = expect(obj, "constraints", list, optional=True)
+        return AuthorizationPayload(
+            agent_id=expect(obj, "agent_id", str, optional=True),
+            issuer_id=expect(obj, "issuer_id", str, optional=True),
+            permissions=None if permissions is None else frozenset(expect_list(permissions, str)),
+            constraints=None if constraints is None else tuple(map(constraint_from_dict, constraints)),
+        )
 
 
 def parse_container(data: bytes | str | dict) -> CredentialContainer:
@@ -185,45 +173,26 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
         raise MalformedContainerError(f"container bytes are not canonical text: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("kind") != "credential":
         raise MalformedContainerError("not a credential container")
-    try:
-        credential_id = obj["credential_id"]
-        issuer_id = obj["issuer_id"]
-        subject_id = obj["subject_id"]
-        subject_key = obj["subject_public_key"]
-        audience_raw = obj["audience"]
+    with reading(MalformedContainerError):
+        ids = [expect(obj, name, str) for name in ("credential_id", "issuer_id", "subject_id")]
+        if not all(ids):
+            raise MalformedContainerError("credential_id, issuer_id and subject_id must be non-empty")
+        credential_id, issuer_id, subject_id = ids
+        subject_key = expect(obj, "subject_public_key", dict)
+        public_key = expect(subject_key, "public_key", str)
+        if not is_ed25519(subject_key.get("suite")):
+            raise MalformedContainerError(f"unsupported subject key suite {subject_key.get('suite')!r}")
+        audience = expect_list(obj["audience"], str)
+        if not audience or not all(audience):
+            raise MalformedContainerError("audience must be a non-empty list of identities")
         valid_from = parse_timestamp(obj["valid_from"])
         valid_until = parse_timestamp(obj["valid_until"])
-        payload = parse_payload(obj["payload"])
-    except MalformedContainerError:
-        raise
-    except Exception as exc:
-        raise MalformedContainerError(f"container missing or malformed field: {exc}") from exc
-    for name, value in (
-        ("credential_id", credential_id),
-        ("issuer_id", issuer_id),
-        ("subject_id", subject_id),
-    ):
-        if not isinstance(value, str) or not value:
-            raise MalformedContainerError(f"{name} must be a non-empty string")
-    if not isinstance(subject_key, dict) or not isinstance(subject_key.get("public_key"), str):
-        raise MalformedContainerError("subject_public_key must carry a public_key")
-    if not is_ed25519(subject_key.get("suite")):
-        raise MalformedContainerError(
-            f"unsupported subject key suite {subject_key.get('suite')!r}"
-        )
-    if (
-        not isinstance(audience_raw, list)
-        or not audience_raw
-        or not all(isinstance(a, str) and a for a in audience_raw)
-    ):
-        raise MalformedContainerError("audience must be a non-empty list of identities")
+        payload = parse_payload(expect(obj, "payload", dict))
+        parent_digest = expect(obj, "parent_digest", str, optional=True)
     if payload.agent_id is not None and payload.agent_id != subject_id:
         raise MalformedContainerError("subject_id must equal payload.agent_id")
     if payload.issuer_id is not None and payload.issuer_id != issuer_id:
         raise MalformedContainerError("issuer_id must equal payload.issuer_id")
-    parent_digest = obj.get("parent_digest")
-    if parent_digest is not None and not isinstance(parent_digest, str):
-        raise MalformedContainerError("parent_digest must be a digest string")
     # Decoded text is plain by construction; a dict gets canonical_dumps's
     # walk.  Either way the digest and the signing bytes come from one
     # walk-free rendering.
@@ -234,8 +203,8 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
         credential_id=credential_id,
         issuer_id=issuer_id,
         subject_id=subject_id,
-        subject_public_key=subject_key["public_key"],
-        audience=frozenset(audience_raw),
+        subject_public_key=public_key,
+        audience=frozenset(audience),
         valid_from=valid_from,
         valid_until=valid_until,
         payload=payload,

@@ -295,13 +295,21 @@ def _expect_str(name: str, value: object) -> None:
 def _admit_request(context: RequestContext, presenter_id: str) -> None:
     """Type what a request brings to the audit record: checked before any
     check runs, so a mistyped request changes no state (no nonce, no budget,
-    no record) and raises TypeError."""
+    no record) and raises TypeError, and text that has no UTF-8 form (a lone
+    surrogate) raises ValueError."""
     _expect_str("presenter_id", presenter_id)
     if not isinstance(context, RequestContext) or not isinstance(context.action, str):
         raise TypeError("context must be a RequestContext with a str action")
+    texts = [presenter_id, context.action]
     for name, value in context.fields.items():
         if not isinstance(name, str) or not isinstance(value, TypedValue) or not isinstance(value.text, str):
             raise TypeError(f"context field {name!r} must be a str name for a TypedValue with str text")
+        texts += (name, value.text)
+    try:
+        for text in texts:
+            text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"request text {exc.object!r} is not UTF-8 text: {exc.reason}") from exc
 
 
 @dataclass
@@ -373,7 +381,8 @@ class Engine:
     ) -> Decision:
         """Decide one request.  A list of credentials is a delegation chain,
         presented root first; a single credential is a chain of one.  A
-        mistyped request raises TypeError before any check runs."""
+        mistyped request raises TypeError, and text with no UTF-8 form
+        raises ValueError, before any check runs."""
         is_chain = isinstance(credential, (list, tuple))
         _admit_request(context, presenter_id)
         trace: list[TraceEntry] = []

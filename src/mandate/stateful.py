@@ -182,16 +182,6 @@ class FileStateAuthority:
             return self._core.reserve(key, amount, budget, period, now)
 
 
-class UnreachableStateAuthority:
-    """Test double for a partitioned or down authority."""
-
-    def __init__(self, authority_id: str = "unreachable") -> None:
-        self.authority_id = authority_id
-
-    def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
-        raise StateUnreachableError("state authority is unreachable")
-
-
 # --- epoch-bound quotas -------------------------------------------------------
 
 @dataclass(frozen=True)

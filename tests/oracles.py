@@ -2,9 +2,10 @@
 
 These are deliberately naive and written before (and apart from) the engine
 code: a recursive reference matcher for the restricted glob language,
-language enumeration over a small alphabet for containment, and per-value
+language enumeration over a small alphabet for containment, per-value
 membership tests for deciding whether a conjunction of limits admits
-anything.  They are frozen; when engine and oracle disagree, the engine is
+anything, and a recursive walk that says which values canonical JSON
+refuses.  They are frozen; when engine and oracle disagree, the engine is
 wrong until proven otherwise.
 """
 
@@ -84,3 +85,21 @@ def enumeration_admits(lists, value: str) -> bool:
         (allowed is None or value in allowed) and (denied is None or value not in denied)
         for allowed, denied in lists
     )
+
+
+def reference_canonical_refusal(obj, path: str = "$") -> None:
+    """Recursive definition of what canonical JSON refuses: a float, a
+    non-string key or any other type, raised with the path of the first
+    offence in insertion order, each key before its value."""
+    if isinstance(obj, float):
+        raise ValueError(f"float at {path} is not canonicalizable; use a string decimal")
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise ValueError(f"non-string key at {path}")
+            reference_canonical_refusal(value, f"{path}.{key}")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            reference_canonical_refusal(value, f"{path}[{i}]")
+    elif obj is not None and not isinstance(obj, (str, int, bool)):
+        raise ValueError(f"unsupported type {type(obj).__name__} at {path}")

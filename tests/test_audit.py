@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ NOW = parse_timestamp("2026-05-01T12:00:00Z")
 AUDIT_KEY = generate_key("svc:test:receiver#audit", seed="audit:key")
 
 
-def append_some(log, count=3):
+def append_some(log, count=3, resource="jobs"):
     records = []
     for i in range(count):
         records.append(
@@ -30,7 +31,7 @@ def append_some(log, count=3):
                 subject_id="agent:test:worker",
                 issuer_id="iss:test:authority",
                 action="task.run",
-                resource=f"jobs/{i}",
+                resource=f"{resource}/{i}",
                 context_snapshot={"core.amount": "100"},
                 constraint_results=[{"label": "C1", "passed": True}],
                 decision_outcome="ALLOW" if i % 2 == 0 else "DENY",
@@ -129,6 +130,30 @@ def test_reopen_after_a_single_record_or_an_empty_file(tmp_path):
     empty.write_bytes(b"")
     append_some(AuditLog("svc:test:receiver", AUDIT_KEY, path=empty), 1)
     assert verify_audit_chain(empty.read_text().splitlines(), AUDIT_KEY.public_hex)[0]
+
+
+def test_reopening_a_long_log_reads_only_its_tail(tmp_path):
+    path = _written_log(tmp_path, 5000)
+    tracemalloc.start()
+    try:
+        AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2**21
+    assert peak < 2**20
+
+
+def test_a_tail_longer_than_one_read_block_reopens_and_tears(tmp_path):
+    path = _written_log(tmp_path, 20)
+    append_some(AuditLog("svc:test:receiver", AUDIT_KEY, path=path), 2, resource="x" * 20000)
+    append_some(AuditLog("svc:test:receiver", AUDIT_KEY, path=path), 1)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 23 and verify_audit_chain(lines, AUDIT_KEY.public_hex)[0]
+    # The last record cut short, so the line before it spans the first blocks read.
+    path.write_bytes(path.read_bytes()[:-40])
+    with pytest.raises(AuditError, match="partial line"):
+        AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
 
 
 def test_tampered_line_detected(tmp_path):

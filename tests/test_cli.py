@@ -228,7 +228,7 @@ def test_issue_refuses_a_payload_the_credential_parser_refuses(workspace, capsys
     )
     assert code == 2
     assert not out.exists()
-    assert payload_path in err and "permissions must be a list of strings" in err
+    assert payload_path in err and "field 'permissions' must be list" in err
 
 
 def test_evaluate_refuses_a_credential_file_with_a_non_object_row(workspace, capsys):

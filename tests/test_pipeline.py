@@ -1245,6 +1245,29 @@ def test_a_mistyped_request_raises_before_any_state_changes(request_part):
     assert engine.evaluate(wire, context(), cred.subject_id, pop, now=NOW).allowed
 
 
+@pytest.mark.parametrize("request_part", ["presenter", "action", "field text", "field name"])
+def test_request_text_that_is_not_utf8_raises_before_any_state_changes(request_part):
+    from mandate.constraints import Period
+
+    engine, cred, authority = budget_engine()
+    wire, pop = cred.dumps().encode(), pop_for(cred)
+    presenter, ctx = cred.subject_id, context()
+    if request_part == "presenter":
+        presenter = "agent:\ud800"
+    elif request_part == "action":
+        ctx = RequestContext(action="task.\ud800", fields=ctx.fields)
+    elif request_part == "field text":
+        ctx = context(**{"core.resource_id": (SemanticType.STRING_ID, "jobs/\ud800")})
+    else:
+        ctx = RequestContext(action=ctx.action, fields={**ctx.fields, "core.\ud800": ctx.fields["core.amount"]})
+    with pytest.raises(ValueError, match="not UTF-8 text"):
+        engine.evaluate(wire, ctx, presenter, pop, now=NOW)
+    # No record, no spend, and the proof's nonce is still unused.
+    assert engine.config.audit_log.records() == []
+    assert authority.spent(cred.digest(), Period(kind="per_credential"), NOW) == 0
+    assert engine.evaluate(wire, context(), cred.subject_id, pop, now=NOW).allowed
+
+
 def test_a_container_with_a_mistyped_field_cannot_be_built():
     from dataclasses import replace
 

@@ -24,12 +24,16 @@ from mandate.container import (
     PossessionProof,
     RevocationError,
     RevocationList,
+    issue_credential,
     make_possession_proof,
     new_revocation_list,
+    parse_container,
+    parse_payload,
 )
 from mandate.discovery import ManifestError, VocabularyRange, build_manifest, verify_manifest
 from mandate.keys import KeyError_, generate_key, load_signing_key
 from mandate.model import (
+    AuthorizationPayload,
     Decision,
     DenyCode,
     RequestContext,
@@ -140,6 +144,12 @@ def _preflight_capabilities(obj: object):
         return _parse_file(str(path), _capabilities)
 
 
+PAYLOAD = AuthorizationPayload(
+    "agent:a", "iss:a", frozenset({"task.run"}), (NumericLimitConstraint("core.amount", "lte", Decimal("5")),)
+)
+CREDENTIAL = issue_credential(PAYLOAD, KEY.public_hex, ["svc:a"], NOW, UNTIL, KEY).to_dict()
+
+
 def _decision() -> dict:
     trace = (TraceEntry("constraint", "C1", "FAIL: over"),)
     return deny(DenyCode.CONSTRAINT_FAILED, "over", trace, "C1").to_dict()
@@ -147,6 +157,8 @@ def _decision() -> dict:
 
 # reader, valid object, typed error
 READERS = {
+    "credential_container": (parse_container, lambda: copy.deepcopy(CREDENTIAL), MalformedContainerError),
+    "payload": (parse_payload, PAYLOAD.to_dict, MalformedContainerError),
     "possession_proof": (
         PossessionProof.from_dict,
         lambda: make_possession_proof("digest", "svc:a", "n-1", NOW, KEY).to_dict(),
@@ -190,6 +202,19 @@ READERS = {
 
 # reader, path to the field, wrong value (MISSING: left out)
 CASES = [
+    ("credential_container", ("subject_id",), 7),
+    ("credential_container", ("credential_id",), ""),
+    ("credential_container", ("audience",), "svc:a"),
+    ("credential_container", ("audience",), []),
+    ("credential_container", ("subject_public_key", "suite"), True),
+    ("credential_container", ("subject_public_key", "public_key"), 5),
+    ("credential_container", ("valid_from",), 1777636800),
+    ("credential_container", ("parent_digest",), 5),
+    ("credential_container", ("payload", "permissions"), "read"),
+    ("credential_container", ("valid_until",), MISSING),
+    ("payload", ("permissions",), "read"),
+    ("payload", ("constraints",), {}),
+    ("payload", ("agent_id",), 7),
     ("possession_proof", ("audience",), ["svc:a"]),
     ("possession_proof", ("nonce",), 7),
     ("possession_proof", ("credential_digest",), MISSING),

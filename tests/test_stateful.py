@@ -19,7 +19,6 @@ from mandate.stateful import (
     InMemoryStateAuthority,
     OverBudgetError,
     StateUnreachableError,
-    UnreachableStateAuthority,
     VoucherMemory,
     allocate_epoch_quotas,
     evaluate_cumulative,
@@ -486,6 +485,16 @@ def test_synchronous_tier_direct_client():
     assert evaluate(constraint(), "400", state_clients={POINTER: client}) is None
     reason = evaluate(constraint(), "1", state_clients={POINTER: client})
     assert reason.code is DenyCode.STATE_LIMIT_EXCEEDED
+
+
+class UnreachableStateAuthority:
+    """A partitioned or down authority: every reserve fails."""
+
+    def __init__(self, authority_id: str) -> None:
+        self.authority_id = authority_id
+
+    def reserve(self, key, amount, budget, period, now):
+        raise StateUnreachableError("state authority is unreachable")
 
 
 def test_synchronous_tier_unreachable_client():
