@@ -7,6 +7,8 @@ The public surface below is everything an integrator needs: artifacts
 engine, and the conformance tooling.
 """
 
+from types import ModuleType as _ModuleType
+
 from .canonical import (
     CanonicalizationError,
     canonical_bytes,
@@ -124,4 +126,5 @@ from .discovery import (
 from .conformance import ConformanceReport, FixtureError, build_engine, run_vector, run_vectors
 from .scenarios import SCENARIO_NAMES, ScenarioBundle, UnknownScenarioError, load_scenario
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules bound by the imports above are not part of the flat surface.
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 from zoneinfo import ZoneInfo
 
 from .canonical import canonical_dumps, load_json
@@ -28,9 +28,9 @@ from .model import (
     ValueParseError,
     expect,
     expect_list,
+    parse_decimal,
     parse_offset,
     parse_timestamp,
-    parse_typed_value,
     render_timestamp,
 )
 
@@ -47,8 +47,24 @@ class ConstraintError(ValueParseError):
 
 # --- constraint types -------------------------------------------------------
 
+class _Written:
+    """A typed family's wire form, written through its row in ``_FAMILIES``:
+    required members always, optional members only when they are not None."""
+
+    def to_dict(self) -> dict:
+        row = _BY_CLASS[type(self)]
+        body: dict = {"type": row.tag}
+        for name, (_, write) in row.required.items():
+            body[name] = write(getattr(self, name))
+        for name, (_, write) in row.optional.items():
+            value = getattr(self, name)
+            if value is not None:
+                body[name] = write(value)
+        return body
+
+
 @dataclass(frozen=True)
-class NumericLimitConstraint:
+class NumericLimitConstraint(_Written):
     """Bound a numeric context field: eq/lt/lte/gt/gte against an exact decimal."""
 
     field: str
@@ -65,22 +81,9 @@ class NumericLimitConstraint:
         if self.currency is not None and self.unit is not None:
             raise ConstraintError("currency and unit are mutually exclusive")
 
-    def to_dict(self) -> dict:
-        body: dict = {
-            "type": "NumericLimitConstraint",
-            "field": self.field,
-            "operator": self.operator,
-            "value": format(self.value, "f"),
-        }
-        if self.currency is not None:
-            body["currency"] = self.currency
-        if self.unit is not None:
-            body["unit"] = self.unit
-        return body
-
 
 @dataclass(frozen=True)
-class TemporalWindowConstraint:
+class TemporalWindowConstraint(_Written):
     """Restrict when an action may happen: an inclusive instant window, optionally day-gated.
 
     The window bounds are absolute instants, so containment does not depend on
@@ -106,21 +109,9 @@ class TemporalWindowConstraint:
             if bad:
                 raise ConstraintError(f"unknown weekday names: {sorted(bad)}")
 
-    def to_dict(self) -> dict:
-        body: dict = {
-            "type": "TemporalWindowConstraint",
-            "field": self.field,
-            "valid_from": render_timestamp(self.valid_from),
-            "valid_until": render_timestamp(self.valid_until),
-            "timezone": self.timezone,
-        }
-        if self.allowed_days is not None:
-            body["allowed_days"] = sorted(self.allowed_days)
-        return body
-
 
 @dataclass(frozen=True)
-class EnumeratedListConstraint:
+class EnumeratedListConstraint(_Written):
     """Membership constraint over closed string sets.  A value on both lists is denied."""
 
     field: str
@@ -135,17 +126,9 @@ class EnumeratedListConstraint:
         if self.denied is not None and not self.denied:
             raise ConstraintError("denied set must be non-empty when present")
 
-    def to_dict(self) -> dict:
-        body: dict = {"type": "EnumeratedListConstraint", "field": self.field}
-        if self.allowed is not None:
-            body["allowed"] = sorted(self.allowed)
-        if self.denied is not None:
-            body["denied"] = sorted(self.denied)
-        return body
-
 
 @dataclass(frozen=True)
-class StringPatternConstraint:
+class StringPatternConstraint(_Written):
     """Anchored string matching: exact, prefix, suffix, or a restricted glob.
 
     The glob language has a single metacharacter, ``*``, matching zero or more
@@ -160,14 +143,6 @@ class StringPatternConstraint:
     def __post_init__(self) -> None:
         if self.match not in PATTERN_MODES:
             raise ConstraintError(f"unknown pattern mode {self.match!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "StringPatternConstraint",
-            "field": self.field,
-            "match": self.match,
-            "pattern": self.pattern,
-        }
 
 
 @dataclass(frozen=True)
@@ -202,8 +177,8 @@ class Period:
 
     @staticmethod
     def from_dict(obj: dict) -> "Period":
-        if not isinstance(obj, dict):
-            raise ConstraintError("period must be an object")
+        if not isinstance(obj, dict) or not obj.keys() <= _PERIOD_MEMBERS:
+            raise ConstraintError("period must be an object of kind, seconds and unit only")
         return _period(
             expect(obj, "kind", str),
             expect(obj, "seconds", int, optional=True),
@@ -213,10 +188,11 @@ class Period:
 
 # Periods are few and recur in every ledger row, so equal ones share one checked instance.
 _period = lru_cache(maxsize=64)(Period)
+_PERIOD_MEMBERS = frozenset({"kind", "seconds", "unit"})
 
 
 @dataclass(frozen=True)
-class CumulativeLimitConstraint:
+class CumulativeLimitConstraint(_Written):
     """Cap the running total of a numeric field across evaluations.
 
     Unlike the stateless families this cannot be decided from one request
@@ -236,18 +212,6 @@ class CumulativeLimitConstraint:
             raise ConstraintError("cumulative limit requires a positive decimal budget")
         if not self.state_authority_pointer:
             raise ConstraintError("cumulative limit requires a state authority pointer")
-
-    def to_dict(self) -> dict:
-        body: dict = {
-            "type": "CumulativeLimitConstraint",
-            "field": self.field,
-            "budget": format(self.budget, "f"),
-            "period": self.period.to_dict(),
-            "state_authority_pointer": self.state_authority_pointer,
-        }
-        if self.currency is not None:
-            body["currency"] = self.currency
-        return body
 
 
 @dataclass(frozen=True)
@@ -273,90 +237,6 @@ Constraint = Union[
     CumulativeLimitConstraint,
     UnknownConstraint,
 ]
-
-_FAMILY_NAMES = {
-    NumericLimitConstraint: "numeric_limit",
-    TemporalWindowConstraint: "temporal_window",
-    EnumeratedListConstraint: "enumerated_list",
-    StringPatternConstraint: "string_pattern",
-    CumulativeLimitConstraint: "cumulative_limit",
-}
-
-
-def family_of(constraint: Constraint) -> str:
-    if isinstance(constraint, UnknownConstraint):
-        return f"unknown:{constraint.type_tag}"
-    return _FAMILY_NAMES[type(constraint)]
-
-
-# --- serialization ----------------------------------------------------------
-
-def constraint_from_dict(obj: dict) -> Constraint:
-    """Parse one serialized constraint.
-
-    A recognized type tag whose body does not parse exactly (missing fields,
-    unexpected extras, bad values) degrades to UnknownConstraint rather than
-    guessing: the evaluator then denies with constraint_unknown instead of
-    enforcing a meaning the issuer may not have intended.
-    """
-    if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
-        raise ValueParseError("constraint must be an object with a string 'type'")
-    tag = obj["type"]
-    try:
-        if tag == "NumericLimitConstraint":
-            _expect_keys(obj, {"type", "field", "operator", "value"}, {"currency", "unit"})
-            return NumericLimitConstraint(
-                field=expect(obj, "field", str),
-                operator=expect(obj, "operator", str),
-                value=parse_typed_value(obj["value"], SemanticType.DECIMAL).value,
-                currency=expect(obj, "currency", str, optional=True),
-                unit=expect(obj, "unit", str, optional=True),
-            )
-        if tag == "TemporalWindowConstraint":
-            _expect_keys(obj, {"type", "field", "valid_from", "valid_until", "timezone"}, {"allowed_days"})
-            days = obj.get("allowed_days")
-            return TemporalWindowConstraint(
-                field=expect(obj, "field", str),
-                valid_from=parse_timestamp(expect(obj, "valid_from", str)),
-                valid_until=parse_timestamp(expect(obj, "valid_until", str)),
-                timezone=expect(obj, "timezone", str),
-                allowed_days=frozenset(expect_list(days, str)) if days is not None else None,
-            )
-        if tag == "EnumeratedListConstraint":
-            _expect_keys(obj, {"type", "field"}, {"allowed", "denied"})
-            allowed = obj.get("allowed")
-            denied = obj.get("denied")
-            return EnumeratedListConstraint(
-                field=expect(obj, "field", str),
-                allowed=frozenset(expect_list(allowed, str)) if allowed is not None else None,
-                denied=frozenset(expect_list(denied, str)) if denied is not None else None,
-            )
-        if tag == "StringPatternConstraint":
-            _expect_keys(obj, {"type", "field", "match", "pattern"}, set())
-            return StringPatternConstraint(
-                field=expect(obj, "field", str),
-                match=expect(obj, "match", str),
-                pattern=expect(obj, "pattern", str),
-            )
-        if tag == "CumulativeLimitConstraint":
-            _expect_keys(obj, {"type", "field", "budget", "period", "state_authority_pointer"}, {"currency"})
-            return CumulativeLimitConstraint(
-                field=expect(obj, "field", str),
-                budget=parse_typed_value(obj["budget"], SemanticType.DECIMAL).value,
-                period=Period.from_dict(obj["period"]),
-                state_authority_pointer=expect(obj, "state_authority_pointer", str),
-                currency=expect(obj, "currency", str, optional=True),
-            )
-    except (ValueParseError, KeyError, TypeError):
-        return UnknownConstraint(type_tag=tag, body=canonical_dumps(obj))
-    return UnknownConstraint(type_tag=tag, body=canonical_dumps(obj))
-
-
-def _expect_keys(obj: dict, required: set, optional: set) -> None:
-    keys = set(obj.keys())
-    if not required.issubset(keys) or not keys.issubset(required | optional):
-        raise ValueParseError(f"constraint keys {sorted(keys)} do not fit the declared type")
-
 
 # --- timezone resolution ----------------------------------------------------
 
@@ -583,17 +463,7 @@ def check_attenuation(
         if key not in child_groups:
             return False, f"child omits {label}; omission widens"
         parent_group = parent_groups[key]
-        child_group = child_groups[key]
-        if family == "numeric_limit":
-            ok, detail = _narrows_numeric(child_group, parent_group)
-        elif family == "temporal_window":
-            ok, detail = _narrows_temporal(child_group, parent_group)
-        elif family == "enumerated_list":
-            ok, detail = _narrows_enumerated(child_group, parent_group)
-        elif family == "string_pattern":
-            ok, detail = _narrows_pattern(child_group, parent_group)
-        else:
-            ok, detail = _narrows_cumulative(child_group, parent_group)
+        ok, detail = _BY_CLASS[type(parent_group[0])].narrows(child_groups[key], parent_group)
         if not ok:
             return False, f"{label}: {detail}"
     return True, ""
@@ -782,3 +652,82 @@ def _narrows_cumulative(child_group, parent_group) -> tuple[bool, str]:
     if min(c.budget for c in child_group) > min(c.budget for c in parent_group):
         return False, "budget raised"
     return True, ""
+
+
+# --- the wire form: one row per family -----------------------------------------
+
+def _text(value: object) -> str:
+    if type(value) is not str:
+        raise ValueParseError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+# A member's (reader, writer).  The reader takes the JSON value and raises
+# ValueParseError on anything the family does not accept; the writer gives
+# the JSON value back.
+_TEXT = (_text, lambda text: text)
+_DECIMAL = (parse_decimal, lambda value: format(value, "f"))
+_INSTANT = (parse_timestamp, render_timestamp)
+_NAMES = (lambda names: frozenset(expect_list(names, str)), sorted)
+_PERIOD = (Period.from_dict, Period.to_dict)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One constraint family: its wire tag, class and family name, its narrowing
+    check, and its required and optional members in written order.  A missing
+    or null optional member reads as None, and None is not written."""
+
+    tag: str
+    cls: type
+    name: str
+    narrows: Callable[[Sequence, Sequence], tuple[bool, str]]
+    required: dict
+    optional: dict
+
+
+_FAMILIES = (
+    _Family("NumericLimitConstraint", NumericLimitConstraint, "numeric_limit", _narrows_numeric,
+            {"field": _TEXT, "operator": _TEXT, "value": _DECIMAL}, {"currency": _TEXT, "unit": _TEXT}),
+    _Family("TemporalWindowConstraint", TemporalWindowConstraint, "temporal_window", _narrows_temporal,
+            {"field": _TEXT, "valid_from": _INSTANT, "valid_until": _INSTANT, "timezone": _TEXT},
+            {"allowed_days": _NAMES}),
+    _Family("EnumeratedListConstraint", EnumeratedListConstraint, "enumerated_list", _narrows_enumerated,
+            {"field": _TEXT}, {"allowed": _NAMES, "denied": _NAMES}),
+    _Family("StringPatternConstraint", StringPatternConstraint, "string_pattern", _narrows_pattern,
+            {"field": _TEXT, "match": _TEXT, "pattern": _TEXT}, {}),
+    _Family("CumulativeLimitConstraint", CumulativeLimitConstraint, "cumulative_limit", _narrows_cumulative,
+            {"field": _TEXT, "budget": _DECIMAL, "period": _PERIOD, "state_authority_pointer": _TEXT},
+            {"currency": _TEXT}),
+)
+_BY_TAG = {row.tag: row for row in _FAMILIES}
+_BY_CLASS = {row.cls: row for row in _FAMILIES}
+
+
+def family_of(constraint: Constraint) -> str:
+    if isinstance(constraint, UnknownConstraint):
+        return f"unknown:{constraint.type_tag}"
+    return _BY_CLASS[type(constraint)].name
+
+
+def constraint_from_dict(obj: dict) -> Constraint:
+    """Parse one serialized constraint through its family's row.
+
+    A recognized type tag whose body does not parse exactly (missing members,
+    unexpected extras, bad values) degrades to UnknownConstraint rather than
+    guessing: the evaluator then denies with constraint_unknown instead of
+    enforcing a meaning the issuer may not have intended.
+    """
+    if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
+        raise ValueParseError("constraint must be an object with a string 'type'")
+    row = _BY_TAG.get(obj["type"])
+    if row is not None and obj.keys() - row.optional.keys() == row.required.keys() | {"type"}:
+        try:
+            members = {name: read(obj[name]) for name, (read, _) in row.required.items()}
+            for name, (read, _) in row.optional.items():
+                if obj.get(name) is not None:
+                    members[name] = read(obj[name])
+            return row.cls(**members)
+        except (ValueParseError, TypeError):
+            pass
+    return UnknownConstraint(type_tag=obj["type"], body=canonical_dumps(obj))

@@ -4,16 +4,38 @@ These are deliberately naive and written before (and apart from) the engine
 code: a recursive reference matcher for the restricted glob language,
 language enumeration over a small alphabet for containment, per-value
 membership tests for deciding whether a conjunction of limits admits
-anything, and a recursive walk that says which values canonical JSON
-refuses.  They are frozen; when engine and oracle disagree, the engine is
+anything, a recursive walk that says which values canonical JSON refuses,
+and a branch-per-family reader and writer of the constraint wire form.
+They are frozen; when engine and oracle disagree, the engine is
 wrong until proven otherwise.
 """
 
 from __future__ import annotations
 
+import json
 import operator
 from functools import lru_cache
 from itertools import product
+
+from mandate.canonical import canonical_dumps
+from mandate.constraints import (
+    CumulativeLimitConstraint,
+    EnumeratedListConstraint,
+    NumericLimitConstraint,
+    Period,
+    StringPatternConstraint,
+    TemporalWindowConstraint,
+    UnknownConstraint,
+)
+from mandate.model import (
+    SemanticType,
+    ValueParseError,
+    expect,
+    expect_list,
+    parse_timestamp,
+    parse_typed_value,
+    render_timestamp,
+)
 
 ALPHABET = ("a", "b", "/")
 
@@ -103,3 +125,106 @@ def reference_canonical_refusal(obj, path: str = "$") -> None:
             reference_canonical_refusal(value, f"{path}[{i}]")
     elif obj is not None and not isinstance(obj, (str, int, bool)):
         raise ValueError(f"unsupported type {type(obj).__name__} at {path}")
+
+
+def reference_constraint_from_dict(obj):
+    """One hand-written branch per constraint family, each with its own key
+    sets.  A recognized tag whose body does not fit exactly reads as unknown;
+    the period is read by the library's ``Period.from_dict``."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
+        raise ValueParseError("constraint must be an object with a string 'type'")
+    tag = obj["type"]
+    try:
+        if tag == "NumericLimitConstraint":
+            _reference_keys(obj, {"type", "field", "operator", "value"}, {"currency", "unit"})
+            return NumericLimitConstraint(
+                field=expect(obj, "field", str),
+                operator=expect(obj, "operator", str),
+                value=parse_typed_value(obj["value"], SemanticType.DECIMAL).value,
+                currency=expect(obj, "currency", str, optional=True),
+                unit=expect(obj, "unit", str, optional=True),
+            )
+        if tag == "TemporalWindowConstraint":
+            _reference_keys(obj, {"type", "field", "valid_from", "valid_until", "timezone"}, {"allowed_days"})
+            days = obj.get("allowed_days")
+            return TemporalWindowConstraint(
+                field=expect(obj, "field", str),
+                valid_from=parse_timestamp(expect(obj, "valid_from", str)),
+                valid_until=parse_timestamp(expect(obj, "valid_until", str)),
+                timezone=expect(obj, "timezone", str),
+                allowed_days=frozenset(expect_list(days, str)) if days is not None else None,
+            )
+        if tag == "EnumeratedListConstraint":
+            _reference_keys(obj, {"type", "field"}, {"allowed", "denied"})
+            allowed = obj.get("allowed")
+            denied = obj.get("denied")
+            return EnumeratedListConstraint(
+                field=expect(obj, "field", str),
+                allowed=frozenset(expect_list(allowed, str)) if allowed is not None else None,
+                denied=frozenset(expect_list(denied, str)) if denied is not None else None,
+            )
+        if tag == "StringPatternConstraint":
+            _reference_keys(obj, {"type", "field", "match", "pattern"}, set())
+            return StringPatternConstraint(
+                field=expect(obj, "field", str),
+                match=expect(obj, "match", str),
+                pattern=expect(obj, "pattern", str),
+            )
+        if tag == "CumulativeLimitConstraint":
+            _reference_keys(obj, {"type", "field", "budget", "period", "state_authority_pointer"}, {"currency"})
+            return CumulativeLimitConstraint(
+                field=expect(obj, "field", str),
+                budget=parse_typed_value(obj["budget"], SemanticType.DECIMAL).value,
+                period=Period.from_dict(obj["period"]),
+                state_authority_pointer=expect(obj, "state_authority_pointer", str),
+                currency=expect(obj, "currency", str, optional=True),
+            )
+    except (ValueParseError, KeyError, TypeError):
+        return UnknownConstraint(type_tag=tag, body=canonical_dumps(obj))
+    return UnknownConstraint(type_tag=tag, body=canonical_dumps(obj))
+
+
+def _reference_keys(obj: dict, required: set, optional: set) -> None:
+    keys = set(obj.keys())
+    if not required.issubset(keys) or not keys.issubset(required | optional):
+        raise ValueParseError(f"constraint keys {sorted(keys)} do not fit the declared type")
+
+
+def reference_constraint_to_dict(constraint) -> dict:
+    """One hand-written writer per constraint family; optional members that
+    are None are left out, and an unknown constraint is its preserved body."""
+    c = constraint
+    if isinstance(c, NumericLimitConstraint):
+        body = {"type": "NumericLimitConstraint", "field": c.field, "operator": c.operator,
+                "value": format(c.value, "f")}
+        if c.currency is not None:
+            body["currency"] = c.currency
+        if c.unit is not None:
+            body["unit"] = c.unit
+        return body
+    if isinstance(c, TemporalWindowConstraint):
+        body = {"type": "TemporalWindowConstraint", "field": c.field,
+                "valid_from": render_timestamp(c.valid_from),
+                "valid_until": render_timestamp(c.valid_until), "timezone": c.timezone}
+        if c.allowed_days is not None:
+            body["allowed_days"] = sorted(c.allowed_days)
+        return body
+    if isinstance(c, EnumeratedListConstraint):
+        body = {"type": "EnumeratedListConstraint", "field": c.field}
+        if c.allowed is not None:
+            body["allowed"] = sorted(c.allowed)
+        if c.denied is not None:
+            body["denied"] = sorted(c.denied)
+        return body
+    if isinstance(c, StringPatternConstraint):
+        return {"type": "StringPatternConstraint", "field": c.field, "match": c.match,
+                "pattern": c.pattern}
+    if isinstance(c, CumulativeLimitConstraint):
+        body = {"type": "CumulativeLimitConstraint", "field": c.field,
+                "budget": format(c.budget, "f"), "period": c.period.to_dict(),
+                "state_authority_pointer": c.state_authority_pointer}
+        if c.currency is not None:
+            body["currency"] = c.currency
+        return body
+    assert isinstance(c, UnknownConstraint)
+    return json.loads(c.body)

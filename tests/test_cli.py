@@ -645,8 +645,8 @@ def test_conformance_run_over_shipped_vectors(capsys):
     vectors = Path(__file__).resolve().parent.parent / "vectors"
     code, report, err = run(capsys, "conformance", "run", "--vectors", vectors)
     assert code == 0
-    assert report["total"] == 69 and report["failed"] == 0
-    assert "69/69" in err
+    assert report["total"] == 70 and report["failed"] == 0
+    assert "70/70" in err
 
 
 # --- vouchers ----------------------------------------------------------------------

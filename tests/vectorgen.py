@@ -610,6 +610,27 @@ def _level1_vectors(kit: _Kit) -> list[tuple[str, dict]]:
         },
         _deny("constraint_unknown", failed_constraint="C1"),
     )
+    odd_period = constraint_from_dict(
+        {
+            "type": "CumulativeLimitConstraint",
+            "field": "core.amount",
+            "budget": "5000",
+            "period": {"kind": "per_credential", "window": "day"},
+            "state_authority_pointer": POINTER,
+        }
+    )
+    odd_period_cred = kit.credential(constraints=(*kit.constraints(), odd_period))
+    add(
+        "constraint-unknown-period-member",
+        "a cumulative limit whose period carries a member no period has is unknown, not a per-credential limit",
+        {
+            "credentials": [odd_period_cred.to_dict()],
+            "presenter": kit.subject.key_id,
+            "pop": kit.pop(odd_period_cred, "nonce-constraint-unknown-period-member"),
+            "context": kit.context(),
+        },
+        _deny("constraint_unknown", failed_constraint="C5"),
+    )
     add(
         "context-field-missing",
         "constraint references a field the context does not carry",
