@@ -693,18 +693,7 @@ class Engine:
         self._resolve("core.resource_id", context, profile_status, notes)
 
         constraints = payload.constraints or ()
-        context_currency: Optional[str] = None
-        if any(
-            isinstance(c, (NumericLimitConstraint, CumulativeLimitConstraint)) and c.currency
-            for c in constraints
-        ):
-            # An absent currency is None, which a currency-tagged limit then
-            # fails on its own terms; any other resolution defect denies as-is.
-            value, reason = self._resolve(CURRENCY_FIELD, context, profile_status, notes)
-            if reason is not None and reason.code is not DenyCode.CONTEXT_FIELD_MISSING:
-                raise _Denied("constraints", "currency", reason.detail, reason.code, reason.detail)
-            context_currency = value.text if value is not None else None
-
+        context_currency = self._currency("constraints", constraints, context, profile_status, notes)
         for index, constraint in enumerate(constraints, start=1):
             self._evaluate_one_constraint(
                 f"C{index}", constraint, container, context, now, context_currency,
@@ -712,6 +701,26 @@ class Engine:
             )
 
         self._apply_local_policy(context, profile_status, trace, notes)
+
+    def _currency(
+        self,
+        stage: str,
+        constraints: Sequence[Constraint],
+        context: RequestContext,
+        profile_status: Optional[DenialReason],
+        notes: _Notes,
+    ) -> Optional[str]:
+        """The request currency when a limit in ``constraints`` names one; a missing
+        field reads as None, and any other resolution defect denies at ``stage``."""
+        if not any(
+            isinstance(c, (NumericLimitConstraint, CumulativeLimitConstraint)) and c.currency
+            for c in constraints
+        ):
+            return None
+        value, reason = self._resolve(CURRENCY_FIELD, context, profile_status, notes)
+        if reason is not None and reason.code is not DenyCode.CONTEXT_FIELD_MISSING:
+            raise _Denied(stage, "currency", reason.detail, reason.code, reason.detail)
+        return value.text if value is not None else None
 
     def _evaluate_one_constraint(
         self,
@@ -795,6 +804,7 @@ class Engine:
             return value
 
         witness = [resolved(field).text for field in policy.required_context_fields]
+        context_currency = self._currency("policy", policy.constraints, context, profile_status, notes)
         for constraint in policy.constraints:
             if isinstance(constraint, UnknownConstraint):
                 raise _Denied(
@@ -802,7 +812,7 @@ class Engine:
                     DenyCode.LOCAL_POLICY_DENIED,
                     f"policy {policy.policy_id!r} holds an unrecognized constraint type",
                 )
-            ok, detail = evaluate_constraint(constraint, resolved(constraint.field))
+            ok, detail = evaluate_constraint(constraint, resolved(constraint.field), context_currency)
             if not ok:
                 raise _Denied(
                     "policy", "local policy", detail,

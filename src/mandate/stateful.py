@@ -62,18 +62,16 @@ class StateAuthority(Protocol):
         ...
 
 
-def _window_key(period: Period, now: datetime) -> str:
+def _bucket(period: Period, now: datetime) -> str:
     if period.kind == "per_credential":
         return "all"
-    if period.kind == "calendar":
-        local = now.astimezone(timezone.utc)
-        if period.calendar_unit == "day":
-            return local.strftime("%Y-%m-%d")
-        if period.calendar_unit == "week":
-            year, week, _ = local.isocalendar()
-            return f"{year}-W{week:02d}"
-        return local.strftime("%Y-%m")
-    raise ValueError("rolling periods are accounted by pruning, not window keys")
+    local = now.astimezone(timezone.utc)
+    if period.calendar_unit == "day":
+        return local.strftime("%Y-%m-%d")
+    if period.calendar_unit == "week":
+        year, week, _ = local.isocalendar()
+        return f"{year}-W{week:02d}"
+    return local.strftime("%Y-%m")
 
 
 def _admit(spent: Decimal, amount: Decimal, budget: Decimal) -> Decimal:
@@ -85,7 +83,14 @@ def _admit(spent: Decimal, amount: Decimal, budget: Decimal) -> Decimal:
 
 
 class InMemoryStateAuthority:
-    """Linearizable in-process reserve ledger: one lock, check then commit."""
+    """Linearizable in-process reserve ledger: one lock, check then commit.
+
+    Every ledger keeps one accounting rule, ``_spent`` and ``_add``: a request
+    sees its key's spends in its bucket (the credential, or the UTC day, week
+    or month of ``now``), or for a rolling period every spend at or after
+    ``now - window``, later ones too.  Nothing is pruned, so a ledger rebuilt
+    from its rows admits what the live one did, whatever order requests came in.
+    """
 
     def __init__(self, authority_id: str) -> None:
         self.authority_id = authority_id
@@ -93,18 +98,23 @@ class InMemoryStateAuthority:
         self._totals: dict[tuple[str, str], Decimal] = {}
         self._events: dict[str, list[tuple[datetime, Decimal]]] = {}
 
+    def _spent(self, key: str, period: Period, now: datetime) -> Decimal:
+        if period.kind == "rolling":
+            since = now - timedelta(seconds=period.duration_seconds or 0)
+            return sum((spend for at, spend in self._events.get(key, ()) if at >= since), Decimal(0))
+        return self._totals.get((key, _bucket(period, now)), Decimal(0))
+
+    def _add(self, key: str, amount: Decimal, period: Period, now: datetime) -> None:
+        if period.kind == "rolling":
+            self._events.setdefault(key, []).append((now, amount))
+            return
+        bucket = (key, _bucket(period, now))
+        self._totals[bucket] = self._totals.get(bucket, Decimal(0)) + amount
+
     def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
         with self._lock:
-            if period.kind == "rolling":
-                window = timedelta(seconds=period.duration_seconds or 0)
-                events = [e for e in self._events.get(key, []) if now - e[0] <= window]
-                total = _admit(sum((e[1] for e in events), Decimal(0)), amount, budget)
-                events.append((now, amount))
-                self._events[key] = events
-                return total
-            bucket = (key, _window_key(period, now))
-            total = _admit(self._totals.get(bucket, Decimal(0)), amount, budget)
-            self._totals[bucket] = total
+            total = _admit(self._spent(key, period, now), amount, budget)
+            self._add(key, amount, period, now)
             return total
 
     def replay(self, rows: Iterable[Mapping]) -> None:
@@ -119,22 +129,11 @@ class InMemoryStateAuthority:
             for row in rows:
                 key = expect(row, "key", str)
                 amount = parse_decimal(row["amount"])
-                period = Period.from_dict(row["period"])
-                now = parse_timestamp(row["timestamp"])
-                if period.kind == "rolling":
-                    self._events.setdefault(key, []).append((now, amount))
-                    continue
-                bucket = (key, _window_key(period, now))
-                self._totals[bucket] = self._totals.get(bucket, Decimal(0)) + amount
+                self._add(key, amount, Period.from_dict(row["period"]), parse_timestamp(row["timestamp"]))
 
     def spent(self, key: str, period: Period, now: datetime) -> Decimal:
         with self._lock:
-            if period.kind == "rolling":
-                window = timedelta(seconds=period.duration_seconds or 0)
-                return sum(
-                    (e[1] for e in self._events.get(key, []) if now - e[0] <= window), Decimal(0)
-                )
-            return self._totals.get((key, _window_key(period, now)), Decimal(0))
+            return self._spent(key, period, now)
 
 
 class FileStateAuthority:
@@ -143,10 +142,10 @@ class FileStateAuthority:
     Reservations are replayed at load, so restarts keep their running totals;
     a ledger that does not end in a newline has a torn last line and is
     refused, untouched.  Rows are written through one kept handle
-    (``appendfile``), opened on the first reserve.  A reserve is checked,
-    written, then committed to the in-memory core, all under one lock: a
-    line that cannot be written spends nothing, so memory never holds a
-    spend that a reopened ledger would not.  After a failed write every
+    (``appendfile``), opened on the first reserve.  A reserve is admitted,
+    written, then added to the private in-memory core, all under the core's
+    lock: a line that cannot be written spends nothing, so memory never holds
+    a spend that a reopened ledger would not.  After a failed write every
     reserve is refused; a fresh ledger must reopen the file.
     """
 
@@ -154,7 +153,6 @@ class FileStateAuthority:
         self.authority_id = authority_id
         self.path = Path(path)
         self._core = InMemoryStateAuthority(authority_id)
-        self._io_lock = threading.Lock()
         self._file = AppendOnlyFile(self.path)
         if self.path.exists():
             data = self.path.read_bytes()
@@ -164,9 +162,12 @@ class FileStateAuthority:
             # every row's objects at once.
             self._core.replay(load_json(line) for line in data.split(b"\n") if line.strip())
 
+    def spent(self, key: str, period: Period, now: datetime) -> Decimal:
+        return self._core.spent(key, period, now)
+
     def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
-        with self._io_lock:
-            _admit(self._core.spent(key, period, now), amount, budget)
+        with self._core._lock:
+            total = _admit(self._core._spent(key, period, now), amount, budget)
             row = {
                 "key": key,
                 "amount": format(amount, "f"),
@@ -177,9 +178,8 @@ class FileStateAuthority:
                 self._file.append((canonical_dumps(row) + "\n").encode("utf-8"))
             except OSError as exc:
                 raise StateUnreachableError(f"state ledger not writable: {exc}") from exc
-            # The core changes only under this lock, so its own reserve (which
-            # also prunes expired rolling events) admits what was checked above.
-            return self._core.reserve(key, amount, budget, period, now)
+            self._core._add(key, amount, period, now)
+            return total
 
 
 # --- epoch-bound quotas -------------------------------------------------------
@@ -236,28 +236,19 @@ def allocate_epoch_quotas(
 
 
 class EpochLedger:
-    """One enforcer's local spend within its current epoch slice."""
+    """One enforcer's local spend: a slice per epoch index, never reset."""
 
     def __init__(self, quota: EpochQuota, origin: datetime = _EPOCH_ORIGIN) -> None:
         self.quota = quota
         self._origin = origin
         self._lock = threading.Lock()
-        self._epoch_index: Optional[int] = None
-        self._spent = Decimal(0)
+        self._totals: dict[int, Decimal] = {}
 
     def reserve(self, amount: Decimal, now: datetime) -> Decimal:
-        index = int((now - self._origin).total_seconds()) // self.quota.epoch_length_seconds
+        index = (now - self._origin) // timedelta(seconds=self.quota.epoch_length_seconds)
         with self._lock:
-            if index != self._epoch_index:
-                self._epoch_index = index
-                self._spent = Decimal(0)
-            if self._spent + amount > self.quota.allocation:
-                raise OverBudgetError(
-                    f"epoch slice {format(self.quota.allocation, 'f')} exhausted for "
-                    f"{self.quota.enforcer_id}"
-                )
-            self._spent += amount
-            return self._spent
+            self._totals[index] = _admit(self._totals.get(index, Decimal(0)), amount, self.quota.allocation)
+            return self._totals[index]
 
 
 # --- state vouchers -----------------------------------------------------------
@@ -518,27 +509,24 @@ def evaluate_cumulative(
             DenyCode.STATE_AUTHORITY_UNREACHABLE,
             "stateless tier keeps no running totals; cumulative limits cannot be enforced",
         )
-    if tier == TIER_EPOCH_BOUND:
-        if epoch_ledger is None:
-            return DenialReason(
-                DenyCode.STATE_AUTHORITY_UNREACHABLE, "no epoch quota allocated to this enforcer"
-            )
-        try:
-            epoch_ledger.reserve(spend, now)
-            return None
-        except OverBudgetError as exc:
-            return DenialReason(DenyCode.STATE_LIMIT_EXCEEDED, str(exc))
-    if tier != TIER_SYNCHRONOUS:
+    if tier == TIER_EPOCH_BOUND and epoch_ledger is None:
+        return DenialReason(
+            DenyCode.STATE_AUTHORITY_UNREACHABLE, "no epoch quota allocated to this enforcer"
+        )
+    if tier not in (TIER_EPOCH_BOUND, TIER_SYNCHRONOUS):
         return DenialReason(DenyCode.STATE_AUTHORITY_UNREACHABLE, f"unknown tier {tier!r}")
     client = (state_clients or {}).get(pointer)
-    if client is not None:
-        try:
+    try:
+        if tier == TIER_EPOCH_BOUND:
+            epoch_ledger.reserve(spend, now)
+            return None
+        if client is not None:
             client.reserve(credential_digest, spend, constraint.budget, constraint.period, now)
             return None
-        except OverBudgetError as exc:
-            return DenialReason(DenyCode.STATE_LIMIT_EXCEEDED, str(exc))
-        except StateUnreachableError as exc:
-            return DenialReason(DenyCode.STATE_AUTHORITY_UNREACHABLE, str(exc))
+    except OverBudgetError as exc:
+        return DenialReason(DenyCode.STATE_LIMIT_EXCEEDED, str(exc))
+    except StateUnreachableError as exc:
+        return DenialReason(DenyCode.STATE_AUTHORITY_UNREACHABLE, str(exc))
     if vouchers:
         terminal, problem = verify_voucher_chain(
             list(vouchers),

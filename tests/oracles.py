@@ -5,7 +5,8 @@ code: a recursive reference matcher for the restricted glob language,
 language enumeration over a small alphabet for containment, per-value
 membership tests for deciding whether a conjunction of limits admits
 anything, a recursive walk that says which values canonical JSON refuses,
-and a branch-per-family reader and writer of the constraint wire form.
+a branch-per-family reader and writer of the constraint wire form, and a
+reserve ledger that keeps its admitted rows in a list and sums them afresh.
 They are frozen; when engine and oracle disagree, the engine is
 wrong until proven otherwise.
 """
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import json
 import operator
+from datetime import timedelta, timezone
+from decimal import Decimal
 from functools import lru_cache
 from itertools import product
 
@@ -228,3 +231,47 @@ def reference_constraint_to_dict(constraint) -> dict:
         return body
     assert isinstance(c, UnknownConstraint)
     return json.loads(c.body)
+
+
+def _calendar_bucket(unit: str, at):
+    day = at.astimezone(timezone.utc).date()
+    if unit == "day":
+        return day
+    if unit == "week":
+        return day.isocalendar()[:2]
+    return day.year, day.month
+
+
+class ReferenceLedger:
+    """A reserve ledger as the list of its admitted rows.
+
+    A request sees the sum of the rows on its key and period kind in its
+    bucket: every per-credential row; the calendar rows in the same UTC day,
+    ISO week or month as ``now``; the rolling rows timestamped at or after
+    ``now - window``, whenever they arrived.  The budget is inclusive.
+    """
+
+    def __init__(self) -> None:
+        self.rows: list = []  # (key, period, timestamp, amount)
+
+    def _sees(self, row, key, period, now) -> bool:
+        row_key, row_period, at, _ = row
+        if row_key != key or row_period.kind != period.kind:
+            return False
+        if period.kind == "rolling":
+            return at >= now - timedelta(seconds=period.duration_seconds)
+        if period.kind == "calendar":
+            unit = period.calendar_unit
+            return row_period.calendar_unit == unit and _calendar_bucket(unit, at) == _calendar_bucket(unit, now)
+        return True
+
+    def spent(self, key, period, now) -> Decimal:
+        return sum((row[3] for row in self.rows if self._sees(row, key, period, now)), Decimal(0))
+
+    def reserve(self, key, amount, budget, period, now):
+        """The new total, or None when the spend would pass the budget."""
+        total = self.spent(key, period, now) + amount
+        if total > budget:
+            return None
+        self.rows.append((key, period, now, amount))
+        return total

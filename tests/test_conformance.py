@@ -36,7 +36,7 @@ VECTOR_ROOT = Path(__file__).resolve().parent.parent / "vectors"
 def test_shipped_suite_passes_completely():
     report = run_vectors(VECTOR_ROOT)
     assert report.ok, report.to_dict()["failures"]
-    assert report.total == report.passed == 70
+    assert report.total == report.passed == 71
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Engine pipeline: ordering, traces, chains, policy, workflow, audit coupling."""
 
+import dataclasses
 import errno
 import gc
 import json
@@ -12,8 +13,10 @@ import pytest
 from mandate.audit import AuditLog, verify_audit_chain
 from mandate.canonical import digest_object
 from mandate.constraints import (
+    CumulativeLimitConstraint,
     EnumeratedListConstraint,
     NumericLimitConstraint,
+    Period,
     StringPatternConstraint,
 )
 from mandate.container import (
@@ -39,7 +42,8 @@ from mandate.model import (
 from mandate import pipeline
 from mandate.pipeline import Engine, EngineConfig, LocalPolicy, WorkflowPolicy, WorkflowRole
 from mandate.semantics import AliasEntry, build_mapping_profile, identity_mapping_profile
-from mandate.stateful import InMemoryStateAuthority
+from mandate.scenarios import load_scenario
+from mandate.stateful import EpochLedger, EpochQuota, InMemoryStateAuthority
 
 NOW = parse_timestamp("2026-05-01T12:00:00Z")
 FROM = parse_timestamp("2026-01-01T00:00:00Z")
@@ -355,6 +359,61 @@ def test_local_policy_never_rescues_a_denial():
     assert decision.failed_constraint == "C1"
 
 
+def currency_policy(value="5000"):
+    limit = NumericLimitConstraint(
+        field="core.amount", operator="lte", value=Decimal(value), currency="USD"
+    )
+    return LocalPolicy(policy_id="usd-ceiling", constraints=(limit,))
+
+
+def test_a_currency_tagged_local_policy_limit_sees_the_request_currency():
+    engine = make_engine(local_policy=currency_policy())
+    usd = context(**{"core.currency_code": (SemanticType.STRING_CODE, "USD")})
+    assert evaluate(engine, credential(), usd).allowed
+    eur = context(**{"core.currency_code": (SemanticType.STRING_CODE, "EUR")})
+    for ctx in (eur, context()):  # another currency, or none: the policy limit fails
+        decision = evaluate(engine, credential(), ctx)
+        assert decision.reason.code is DenyCode.LOCAL_POLICY_DENIED
+        assert decision.trace[-2].stage == "policy"
+
+
+def test_the_insurance_scenario_allows_under_a_usd_policy_ceiling():
+    bundle = load_scenario("insurance_claims")
+    policy = LocalPolicy(
+        policy_id=bundle.local_policy.policy_id,
+        required_context_fields=bundle.local_policy.required_context_fields,
+        constraints=currency_policy("1000000").constraints,
+    )
+    config = bundle.engine_config(AuditLog(bundle.evaluator_id, AUDIT))
+    engine = Engine(dataclasses.replace(config, local_policy=policy))
+    decision = engine.evaluate(
+        bundle.credential, bundle.contexts["allow"], bundle.credential.subject_id,
+        bundle.possession_proof("usd-ceiling"), now=bundle.now,
+    )
+    assert decision.allowed, decision.reason
+
+
+def test_a_policy_currency_that_does_not_resolve_denies_at_the_policy_stage():
+    engine = make_engine(local_policy=currency_policy())
+    mistyped = context(**{"core.currency_code": (SemanticType.DECIMAL, "840")})
+    decision = evaluate(engine, credential(), mistyped)
+    assert decision.reason.code is DenyCode.SEMANTIC_TYPE_MISMATCH
+    assert (decision.trace[-2].stage, decision.trace[-2].check) == ("policy", "currency")
+
+
+def test_a_cumulative_limit_in_a_local_policy_always_denies():
+    limit = CumulativeLimitConstraint(
+        field="core.amount",
+        budget=Decimal("1000"),
+        state_authority_pointer="https://state.test.example/ledger",
+        period=Period(kind="per_credential"),
+    )
+    engine = make_engine(local_policy=LocalPolicy(policy_id="budget", constraints=(limit,)))
+    decision = evaluate(engine, credential())
+    assert decision.reason.code is DenyCode.LOCAL_POLICY_DENIED
+    assert "stateful evaluation" in decision.reason.detail
+
+
 # --- delegation chains ---------------------------------------------------------------
 
 def delegate_credential(parent, subject_key, issuer_key, limit="500", **overrides):
@@ -630,10 +689,10 @@ def test_empty_chain_is_incomplete():
 
 # --- stateful constraint through the engine -----------------------------------------
 
-def budget_engine():
+def budget_engine(**overrides):
     """An engine whose credential spends a per-credential budget of 1000 on an
-    in-memory state authority; returns the engine, the credential and the authority."""
-    from mandate.constraints import CumulativeLimitConstraint, Period
+    in-memory state authority; returns the engine, the credential and the authority.
+    ``overrides`` replace engine config fields, the tier among them."""
     from mandate.registry import IssuerEntry, StateAuthorityEntry, build_registry
 
     pointer = "https://state.test.example/ledger"
@@ -663,7 +722,7 @@ def budget_engine():
     )
     cred = credential(payload=payload(constraints=constraints))
     authority = InMemoryStateAuthority(pointer)
-    engine = make_engine(registries=(registry,), state_clients={pointer: authority})
+    engine = make_engine(**{"registries": (registry,), "state_clients": {pointer: authority}, **overrides})
     return engine, cred, authority
 
 
@@ -672,6 +731,22 @@ def test_cumulative_constraint_spends_through_state_client():
     assert evaluate(engine, cred, context(amount="600")).allowed
     assert evaluate(engine, cred, context(amount="400")).allowed
     decision = evaluate(engine, cred, context(amount="1"))
+    assert decision.reason.code is DenyCode.STATE_LIMIT_EXCEEDED
+    assert decision.failed_constraint == "C1"
+
+
+def test_an_epoch_bound_engine_keeps_one_slice_per_epoch_out_of_order():
+    quota = EpochQuota("enforcer-1", Decimal("100"), epoch_length_seconds=3600)
+    engine, cred, _ = budget_engine(tier="epoch_bound", epoch_ledger=EpochLedger(quota))
+    day = parse_timestamp("2026-05-01T00:00:00Z")
+
+    def spend(amount, at):
+        at = day + at
+        return engine.evaluate(cred, context(amount=amount), cred.subject_id, pop_for(cred, at=at), now=at)
+
+    assert spend("100", timedelta(hours=2, seconds=10)).allowed
+    assert spend("1", timedelta(hours=1, seconds=10)).allowed  # an earlier epoch's own slice
+    decision = spend("100", timedelta(hours=2, seconds=20))  # the 02:00 epoch is already spent
     assert decision.reason.code is DenyCode.STATE_LIMIT_EXCEEDED
     assert decision.failed_constraint == "C1"
 

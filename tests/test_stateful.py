@@ -1,11 +1,18 @@
 """Stateful cumulative governance: reserve ledgers, epoch slices, voucher chains."""
 
 import json
+import shutil
+import sys
+import tempfile
 import threading
 from datetime import timedelta
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import ReferenceLedger
 
 from mandate.conformance import FixtureError, build_engine
 from mandate.constraints import CumulativeLimitConstraint, Period
@@ -110,6 +117,34 @@ def test_rolling_window_forgets_old_events():
     ) == Decimal("300")
 
 
+def rolling_probe(ledger_for_step):
+    """60 at t=0, 10 at t=100, then 60 at t=30 on a 60 s window with budget 100;
+    the window ending at t=30 would hold 120, so the third spend is refused."""
+    period = Period(kind="rolling", duration_seconds=60)
+    outcomes = []
+    for spend, at in (("60", 0), ("10", 100), ("60", 30)):
+        try:
+            ledger_for_step().reserve("k", Decimal(spend), Decimal("100"), period, NOW + timedelta(seconds=at))
+            outcomes.append("admit")
+        except OverBudgetError:
+            outcomes.append("refuse")
+    return outcomes
+
+
+def test_a_rolling_spend_counts_for_an_earlier_request_whose_window_reaches_it():
+    ledger = InMemoryStateAuthority(POINTER)
+    assert rolling_probe(lambda: ledger) == ["admit", "admit", "refuse"]
+
+
+def test_live_and_reopened_file_ledgers_refuse_the_same_out_of_order_spend(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    live = FileStateAuthority(POINTER, path)
+    assert rolling_probe(lambda: live) == ["admit", "admit", "refuse"]
+    reopened_path = tmp_path / "reopened.jsonl"
+    assert rolling_probe(lambda: FileStateAuthority(POINTER, reopened_path)) == ["admit", "admit", "refuse"]
+    assert path.read_bytes() == reopened_path.read_bytes()
+
+
 def test_calendar_window_buckets():
     ledger = InMemoryStateAuthority(POINTER)
     period = Period(kind="calendar", calendar_unit="day")
@@ -206,7 +241,7 @@ def test_a_failed_ledger_write_refuses_every_later_reserve(tmp_path, monkeypatch
         reason = evaluate(constraint(), spend, state_clients={POINTER: ledger})
         assert reason.code is DenyCode.STATE_AUTHORITY_UNREACHABLE
         assert "refuses appends" in reason.detail
-    assert path.read_bytes() == torn and ledger._core.spent("k", period, NOW) == Decimal("100")
+    assert path.read_bytes() == torn and ledger.spent("k", period, NOW) == Decimal("100")
     with pytest.raises(StateUnreachableError):
         FileStateAuthority(POINTER, path)
 
@@ -284,29 +319,55 @@ def test_ledger_replay_checks_every_rows_period():
             InMemoryStateAuthority(POINTER).replay([first, dict(first, period=period)])
 
 
-def test_concurrent_reserves_never_oversubscribe():
-    ledger = InMemoryStateAuthority(POINTER)
-    period = Period(kind="per_credential")
-    budget = Decimal("50000")
+def reserve_from_threads(ledger, budget, period):
+    """Eight threads reserve 2000 at a time until refused; returns what was granted."""
+    spend = Decimal("2000")
     granted = []
     granted_lock = threading.Lock()
 
     def requester():
         while True:
             try:
-                ledger.reserve("k", Decimal("2000"), budget, period, NOW)
+                ledger.reserve("k", spend, budget, period, NOW)
             except OverBudgetError:
                 return
             with granted_lock:
-                granted.append(Decimal("2000"))
+                granted.append(spend)
 
     threads = [threading.Thread(target=requester) for _ in range(8)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    return granted
+
+
+def test_concurrent_reserves_never_oversubscribe():
+    ledger = InMemoryStateAuthority(POINTER)
+    period = Period(kind="per_credential")
+    budget = Decimal("50000")
+    granted = reserve_from_threads(ledger, budget, period)
     assert sum(granted) == budget
     assert ledger.spent("k", period, NOW) == budget
+
+
+def test_concurrent_file_reserves_admit_and_write_under_one_lock(tmp_path):
+    # A reserve admits, writes its row and adds it under one lock, so racing
+    # threads neither oversubscribe nor leave a row the totals do not hold.
+    path = tmp_path / "ledger.jsonl"
+    ledger = FileStateAuthority(POINTER, path)
+    period = Period(kind="rolling", duration_seconds=3600)
+    budget = Decimal("50000")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        granted = reserve_from_threads(ledger, budget, period)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(granted) == budget
+    assert len(path.read_bytes().splitlines()) == len(granted)
+    assert FileStateAuthority(POINTER, path).spent("k", period, NOW) == ledger.spent("k", period, NOW) == budget
 
 
 # --- epoch quotas ---------------------------------------------------------------
@@ -340,6 +401,67 @@ def test_epoch_ledger_resets_each_epoch():
     with pytest.raises(OverBudgetError):
         ledger.reserve(Decimal("1"), NOW + timedelta(seconds=1))
     assert ledger.reserve(Decimal("100"), NOW + timedelta(seconds=600)) == Decimal("100")
+
+
+def test_an_earlier_epoch_never_resets_a_later_one():
+    ledger = EpochLedger(EpochQuota("e1", Decimal("100"), epoch_length_seconds=3600))
+    day = parse_timestamp("2026-05-01T00:00:00Z")
+    ledger.reserve(Decimal("100"), day + timedelta(hours=2, seconds=10))
+    assert ledger.reserve(Decimal("1"), day + timedelta(hours=1, seconds=10)) == Decimal("1")
+    with pytest.raises(OverBudgetError):
+        ledger.reserve(Decimal("100"), day + timedelta(hours=2, seconds=20))
+
+
+# --- every ledger against the reference ------------------------------------------
+
+REFERENCE_WINDOW = 3600
+# The three period kinds, drawn evenly; a calendar period draws its unit.
+reference_periods = st.one_of(
+    st.just(Period(kind="per_credential")),
+    st.sampled_from(("day", "week", "month")).map(lambda unit: Period(kind="calendar", calendar_unit=unit)),
+    st.just(Period(kind="rolling", duration_seconds=REFERENCE_WINDOW)),
+)
+# A Sunday half an hour before midnight: a day, an ISO week and a month all
+# end within the drawn range of +-2 windows.
+REFERENCE_ANCHOR = parse_timestamp("2026-05-31T23:30:00Z")
+
+reserve_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("a", "b")),
+        reference_periods,
+        st.integers(-2 * REFERENCE_WINDOW, 2 * REFERENCE_WINDOW),
+        st.integers(0, 60),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reserve_steps)
+def test_every_ledger_agrees_with_the_reference_ledger(steps):
+    # Four ledgers take the same out-of-order reserves: in memory, a live
+    # file, that file reopened before each step (on a copy, so the live file
+    # keeps one row per grant), and the list-based reference.
+    budget = Decimal("100")
+    with tempfile.TemporaryDirectory() as scratch:
+        live_path, copy_path = Path(scratch) / "live.jsonl", Path(scratch) / "reopened.jsonl"
+        memory = InMemoryStateAuthority(POINTER)
+        live = FileStateAuthority(POINTER, live_path)
+        reference = ReferenceLedger()
+        for key, period, offset, spend in steps:
+            now = REFERENCE_ANCHOR + timedelta(seconds=offset)
+            if live_path.exists():
+                shutil.copyfile(live_path, copy_path)
+            reopened = FileStateAuthority(POINTER, copy_path)
+            total = reference.reserve(key, Decimal(spend), budget, period, now)
+            expected = (total is not None, reference.spent(key, period, now))
+            for ledger in (memory, live, reopened):
+                try:
+                    granted = ledger.reserve(key, Decimal(spend), budget, period, now)
+                    assert granted == total
+                except OverBudgetError:
+                    granted = None
+                assert (granted is not None, ledger.spent(key, period, now)) == expected, ledger
 
 
 # --- voucher chains -------------------------------------------------------------

@@ -689,6 +689,23 @@ def _level1_vectors(kit: _Kit) -> list[tuple[str, dict]]:
         _deny("local_policy_denied"),
         fixtures=kit.fixtures(local_policy=tight_policy),
     )
+    currency_policy = {
+        "kind": "local_policy",
+        "policy_id": "vectors-receiver-policy",
+        "required_context_fields": [],
+        "constraints": [
+            NumericLimitConstraint(
+                field="core.amount", operator="lte", value=Decimal("1000000"), currency="USD"
+            ).to_dict()
+        ],
+    }
+    add(
+        "allow-local-policy-currency",
+        "receiver's currency-tagged ceiling sees the request currency",
+        standard_input("allow-local-policy-currency"),
+        _allow(),
+        fixtures=kit.fixtures(local_policy=currency_policy),
+    )
     requiring_policy = {
         "kind": "local_policy",
         "policy_id": "vectors-receiver-policy",
