@@ -12,6 +12,7 @@ the log explains decisions without archiving whole requests.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 from dataclasses import dataclass
@@ -24,12 +25,11 @@ from .appendfile import AppendOnlyFile
 from .canonical import (
     CanonicalizationError,
     canonical_dumps,
+    check_canonical,
     digest_object,
-    join_members,
     load_json,
     plain_dumps,
     sha256_hex,
-    split_members,
 )
 from .keys import SUITE_ED25519, SigningKey, attach_signature, check_signature, envelope_public_key
 from .model import render_timestamp
@@ -60,6 +60,24 @@ class AuditRecord:
         return canonical_dumps(self.raw)
 
 
+class Rendered:
+    """A record member's value with its canonical text, checked and rendered
+    once, when built, for a value written into many records: the engine's
+    governance snapshot and a kept credential's ALLOW constraint results.
+    Like a credential's ``raw``, the value must never be changed afterwards."""
+
+    __slots__ = ("value", "text")
+
+    def __init__(self, value: object) -> None:
+        self.text = canonical_dumps(value)
+        self.value = value
+
+
+_ALLOW_DECISION = {"outcome": "ALLOW", "code": None, "detail": "", "failed_constraint": None}
+_ALLOW_DECISION_TEXT = canonical_dumps(_ALLOW_DECISION)
+_WORKFLOW = ',"workflow":'  # a name: before Python 3.12 an f-string expression cannot hold this literal
+
+
 def _tail(handle: BinaryIO, size: int = 8192) -> bytes:
     """A file's last ``size`` bytes, doubled until they hold its last two
     whole lines (or the whole file): earlier lines are not read."""
@@ -80,10 +98,11 @@ class AuditLog:
     path, records are kept in memory (tests, vector runs).  Appends are
     serialized under a lock so the chain never forks inside one process.
 
-    Records are rendered without a walk, so every value passed to ``append``
-    must already be plain JSON: ``str``, ``int``, ``bool`` or None, lists,
-    and dicts with ``str`` keys.  The engine types what it passes where it
-    enters; this log types its own identities here.
+    A record is rendered from a template: the members constant per log
+    (``kind``, ``evaluator_id``, ``security`` and the signature envelope) are
+    rendered once, on the first append; ``Rendered`` members are spliced in as
+    they stand; the rest are checked and rendered per record.  This log types
+    its own identities here.
     """
 
     def __init__(
@@ -113,11 +132,18 @@ class AuditLog:
                 self._last_digest = self._reopen(_tail(handle))
 
     @cached_property
-    def _envelope(self) -> str:
-        """The signature member up to its proof value, built on first append:
-        ``"signature":{"key_id":…,"suite":1``."""
+    def _constants(self) -> tuple[str, str, str]:
+        """The members rendered once per log, on the first append: the
+        ``evaluator_id`` member up to the ``governance`` value, the
+        ``security`` member, and the signature member up to its proof value
+        (``,"signature":{"key_id":…,"suite":1``)."""
+        security = {"key_protection": self.key_protection, "environment": self.environment}
         envelope = {"key_id": self._key.key_id, "suite": SUITE_ED25519}
-        return '"signature":' + canonical_dumps(envelope)[:-1]
+        return (
+            f',"evaluator_id":{canonical_dumps(self.evaluator_id)},"governance":',
+            f',"security":{canonical_dumps(security)}',
+            f',"signature":{canonical_dumps(envelope)[:-1]}',
+        )
 
     def _reopen(self, data: bytes) -> str:
         """The digest the next record chains to.  The log must end in a newline
@@ -148,64 +174,107 @@ class AuditLog:
         action: Optional[str],
         resource: Optional[str],
         context_snapshot: Mapping[str, str],
-        constraint_results: Iterable[Mapping],
+        constraint_results: Union[Rendered, Iterable[Mapping]],
         decision_outcome: str,
         decision_code: Optional[str],
         decision_detail: str,
         failed_constraint: Optional[str],
-        governance: Mapping,
+        governance: Union[Rendered, Mapping],
         workflow: Optional[Mapping] = None,
+        *,
+        _typed: bool = False,
     ) -> AuditRecord:
+        """Append one record and return it.
+
+        Every value must be plain JSON: ``str``, ``int``, ``bool`` or None,
+        lists, and dicts with ``str`` keys.  Each is checked before anything
+        is written, and one that is not raises CanonicalizationError; text
+        with no UTF-8 form raises UnicodeEncodeError.  Either way nothing is
+        written and the chain still ends where it did.  ``constraint_results``
+        and ``governance`` may be passed as ``Rendered``, checked when built.
+
+        ``_typed`` is the engine's template path: it passes only values it
+        typed where they entered it, so they are rendered without the check.
+        """
+        results = constraint_results if isinstance(constraint_results, Rendered) else None
+        rows = results.value if results is not None else [dict(r) for r in constraint_results]
+        snapshot = governance if isinstance(governance, Rendered) else None
+        governance = dict(snapshot.value if snapshot is not None else governance)
+        digests = list(credential_digests)
+        context = dict(context_snapshot)
+        decision = {
+            "outcome": decision_outcome,
+            "code": decision_code,
+            "detail": decision_detail,
+            "failed_constraint": failed_constraint,
+        }
+        if workflow is not None:
+            workflow = dict(workflow)
+        if not _typed:
+            check_canonical((
+                operation, digests, presenter_id, subject_id, issuer_id, action, resource, context, decision,
+                workflow, rows if results is None else None, governance if snapshot is None else None,
+            ))
+        stamp = render_timestamp(timestamp)
+        evaluator, security, envelope = self._constants
+        # One parts list for the record_id preimage, the signing bytes and the
+        # line; only its two slots change between them: the chain link
+        # (prev_record, then record_id once known) and the signature member.
+        parts = [
+            f'{{"action":{plain_dumps(action)}'
+            f',"constraint_results":{plain_dumps(rows) if results is None else results.text}'
+            f',"context":{plain_dumps(context)}'
+            f',"credential_digests":{plain_dumps(digests)}'
+            f',"decision":{_ALLOW_DECISION_TEXT if decision == _ALLOW_DECISION else plain_dumps(decision)}'
+            f'{evaluator}{plain_dumps(governance) if snapshot is None else snapshot.text}'
+            f',"issuer_id":{plain_dumps(issuer_id)}'
+            f',"kind":"audit_record","operation":{plain_dumps(operation)}'
+            f',"presenter_id":{plain_dumps(presenter_id)}',
+            "",  # the chain link
+            f',"resource":{plain_dumps(resource)}{security}',
+            "",  # the signature member
+            f',"subject_id":{plain_dumps(subject_id)},"timestamp":"{stamp}"'
+            f'{"" if workflow is None else _WORKFLOW + plain_dumps(workflow)}}}',
+        ]
         body: dict = {
             "kind": "audit_record",
             "operation": operation,
-            "timestamp": render_timestamp(timestamp),
+            "timestamp": stamp,
             "evaluator_id": self.evaluator_id,
-            "credential_digests": list(credential_digests),
+            "credential_digests": digests,
             "presenter_id": presenter_id,
             "subject_id": subject_id,
             "issuer_id": issuer_id,
             "action": action,
             "resource": resource,
-            "context": dict(context_snapshot),
-            "constraint_results": [dict(r) for r in constraint_results],
-            "decision": {
-                "outcome": decision_outcome,
-                "code": decision_code,
-                "detail": decision_detail,
-                "failed_constraint": failed_constraint,
-            },
-            "governance": dict(governance),
-            "security": {
-                "key_protection": self.key_protection,
-                "environment": self.environment,
-            },
+            "context": context,
+            "constraint_results": [dict(r) for r in rows] if results is not None else rows,
+            "decision": decision,
+            "governance": governance,
+            "security": {"key_protection": self.key_protection, "environment": self.environment},
         }
         if workflow is not None:
-            body["workflow"] = dict(workflow)
+            body["workflow"] = workflow
         with self._lock:
-            body["prev_record"] = self._last_digest
-            # The body's members are rendered once, walk-free, in three runs
-            # split where record_id and signature sort in; the record_id
-            # preimage, the signing bytes and the line are joined from them.
-            head, middle, tail = split_members(body, "record_id", "signature")
-            record_id = "rec-" + sha256_hex(join_members(head, middle, tail))[:16]
-            body["record_id"] = record_id
-            # record_id ("rec-" + hex) and the signature value (hex) need no JSON escaping.
-            member = f'"record_id":"{record_id}"'
-            rendered = join_members(head, member, middle, self._envelope + "}", tail).encode("utf-8")
-            signed = attach_signature(body, self._key, rendered=rendered)
-            value = signed["signature"]["value"]
-            line = join_members(head, member, middle, f'{self._envelope},"value":"{value}"}}', tail)
-            record = AuditRecord(record_id=record_id, prev_record=body["prev_record"], raw=signed)
+            # prev_record and record_id are hex, so they need no JSON escaping.
+            prev_record = body["prev_record"] = self._last_digest
+            parts[1] = f',"prev_record":"{prev_record}"'
+            record_id = body["record_id"] = "rec-" + sha256_hex("".join(parts).encode("utf-8"))[:16]
+            parts[1] = f',"prev_record":"{prev_record}","record_id":"{record_id}"'
+            parts[3] = envelope + "}"
+            signed = attach_signature(body, self._key, rendered="".join(parts).encode("utf-8"))
+            parts[3] = f'{envelope},"value":"{signed["signature"]["value"]}"}}'
+            parts.append("\n")
+            line = "".join(parts).encode("utf-8")
+            record = AuditRecord(record_id=record_id, prev_record=prev_record, raw=signed)
             if self._file is not None:
                 try:
-                    self._file.append((line + "\n").encode("utf-8"))
+                    self._file.append(line)
                 except OSError as exc:
                     raise AuditError(f"cannot append audit record: {exc}") from exc
             else:
                 self._memory.append(record)
-            self._last_digest = sha256_hex(line)
+            self._last_digest = hashlib.sha256(memoryview(line)[:-1]).hexdigest()
         return record
 
     def records(self) -> list[AuditRecord]:

@@ -51,6 +51,16 @@ class _Written:
     """A typed family's wire form, written through its row in ``_FAMILIES``:
     required members always, optional members only when they are not None."""
 
+    def duplicate_key(self) -> tuple:
+        """Equal for two constraints exactly when their wire forms are: the
+        family's tag and its typed members, a decimal keyed by the digits it
+        is written with (``1000`` and ``1000.0`` differ, ``+5`` and ``5`` do not)."""
+        row = _BY_CLASS[type(self)]
+        return (row.tag, *(
+            format(value, "f") if isinstance(value, Decimal) else value
+            for value in (getattr(self, name) for name in (*row.required, *row.optional))
+        ))
+
     def to_dict(self) -> dict:
         row = _BY_CLASS[type(self)]
         body: dict = {"type": row.tag}
@@ -224,6 +234,10 @@ class UnknownConstraint:
 
     type_tag: str
     body: str  # canonical serialization of the original object
+
+    def duplicate_key(self) -> tuple:
+        """Its canonical body, which no typed family's key equals."""
+        return (None, self.body)
 
     def to_dict(self) -> dict:
         return load_json(self.body)

@@ -290,16 +290,22 @@ class PossessionProof:
 
     @staticmethod
     def from_dict(obj: dict) -> "PossessionProof":
-        if not isinstance(obj, dict) or obj.get("kind") != "possession_proof":
-            raise MalformedContainerError("not a possession proof")
-        with reading(MalformedContainerError):
-            return PossessionProof(
-                credential_digest=expect(obj, "credential_digest", str),
-                audience=expect(obj, "audience", str),
-                nonce=expect(obj, "nonce", str),
-                timestamp=parse_timestamp(obj["timestamp"]),
-                raw=obj,
-            )
+        return PossessionProof(*read_proof(obj), raw=obj)
+
+
+def read_proof(obj: object) -> tuple[str, str, str, datetime]:
+    """The one reader of a possession proof object: its credential digest,
+    audience, nonce and timestamp.  The engine reads a presented proof's
+    signed ``raw`` through it, so the object's own fields are never trusted."""
+    if not isinstance(obj, dict) or obj.get("kind") != "possession_proof":
+        raise MalformedContainerError("not a possession proof")
+    with reading(MalformedContainerError):
+        return (
+            expect(obj, "credential_digest", str),
+            expect(obj, "audience", str),
+            expect(obj, "nonce", str),
+            parse_timestamp(obj["timestamp"]),
+        )
 
 
 def make_possession_proof(
@@ -515,14 +521,18 @@ def _possession_failure(
 ) -> str:
     if pop is None:
         return "no proof of possession presented"
-    if pop.credential_digest != container.digest():
+    try:
+        credential_digest, audience, nonce, timestamp = read_proof(pop.raw)
+    except MalformedContainerError as exc:
+        return f"proof does not read: {exc}"
+    if credential_digest != container.digest():
         return "proof is bound to a different credential"
     if not check_signature(pop.raw, container.subject_public_key):
         return "proof signature does not verify against the subject key"
-    if pop.audience != evaluator_id:
+    if audience != evaluator_id:
         return "proof was made for a different receiver"
-    if not (now - pop_max_age <= pop.timestamp <= now + pop_max_age):
+    if not (now - pop_max_age <= timestamp <= now + pop_max_age):
         return "proof timestamp outside the freshness window"
-    if not nonce_cache.accept(pop.nonce):
+    if not nonce_cache.accept(nonce):
         return "nonce replayed"
     return ""

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import ipaddress
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 ALLOW = "ALLOW"
 DENY = "DENY"
@@ -205,17 +204,28 @@ def expect_list(value: object, kind: type) -> list:
     return value
 
 
-@contextmanager
-def reading(error: type, *args: object) -> Iterator[None]:
-    """Raise a missing or ill-typed field met in the block as ``error(*args,
-    detail)``, the artifact's own typed error; that error passes through."""
-    try:
-        yield
-    except error:
-        raise
-    except (LookupError, TypeError, AttributeError, ValueError, RecursionError) as exc:
-        detail = f"field {exc.args[0]!r} is missing" if isinstance(exc, KeyError) else str(exc)
-        raise error(*args, detail) from exc
+class reading:
+    """``with reading(error, *args):`` raises a missing or ill-typed field met
+    in the block as ``error(*args, detail)``, the artifact's own typed error;
+    that error passes through.  A class, not a generator: it is entered on
+    every request (a possession proof is read from its signed bytes)."""
+
+    __slots__ = ("error", "args")
+
+    def __init__(self, error: type, *args: object) -> None:
+        self.error = error
+        self.args = args
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, traceback) -> bool:
+        if exc is None or isinstance(exc, self.error):
+            return False
+        if isinstance(exc, (LookupError, TypeError, AttributeError, ValueError, RecursionError)):
+            detail = f"field {exc.args[0]!r} is missing" if isinstance(exc, KeyError) else str(exc)
+            raise self.error(*self.args, detail) from exc
+        return False
 
 
 def parse_decimal(text: object) -> Decimal:
@@ -338,8 +348,8 @@ def validate_payload(payload: AuthorizationPayload) -> Optional[DenialReason]:
         return DenialReason(DenyCode.CREDENTIAL_INCOMPLETE, "payload permissions absent or empty")
     if payload.constraints is None:
         return DenialReason(DenyCode.CREDENTIAL_INCOMPLETE, "payload constraint list absent")
-    rendered = [repr(sorted(c.to_dict().items())) for c in payload.constraints]
-    if len(set(rendered)) < len(rendered):
+    keys = {c.duplicate_key() for c in payload.constraints}
+    if len(keys) < len(payload.constraints):
         return DenialReason(DenyCode.CREDENTIAL_INCOMPLETE, "payload carries duplicate constraints")
     return None
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timedelta
 from typing import Mapping, Optional, Sequence, Union
 
-from .audit import AuditError, AuditLog
+from .audit import AuditError, AuditLog, Rendered
+from .canonical import CanonicalizationError
 from .constraints import (
     Constraint,
     CumulativeLimitConstraint,
@@ -86,9 +87,10 @@ CURRENCY_FIELD = "core.currency_code"
 
 # Distinct presented credential bytes or texts an engine remembers, least
 # recently presented forgotten first; fixed, because presentations are
-# outside input.  Only bytes presented again keep their parsed container:
-# presentations that never repeat, such as fresh delegation chains, would
-# otherwise leave parsed objects behind that the cyclic collector must scan.
+# outside input.  Only bytes presented again keep their parsed container (and
+# its constraint plan): presentations that never repeat, such as fresh
+# delegation chains, would otherwise leave parsed objects behind that the
+# cyclic collector must scan.
 PARSED_CREDENTIALS_KEPT = 64
 
 # Verification sub-checks in the order verify_container performs them, so a
@@ -110,6 +112,20 @@ _CODE_TO_CHECK = {
     DenyCode.CREDENTIAL_EXPIRED: 4,
     DenyCode.CREDENTIAL_REVOKED: 4,
 }
+
+# Trace entries that read the same on every request, built once.
+_PARSED = TraceEntry("container", "parse", "PASS")
+_VERIFIED = tuple(TraceEntry("container", check, "PASS") for check in _VERIFY_CHECKS)
+_PERMITTED = TraceEntry("payload", "permission", "PASS")
+_ALLOWED = TraceEntry("decision", "decision", "ALLOW")
+
+
+def _names_currency(constraints: Sequence[Constraint]) -> bool:
+    """Whether a limit among ``constraints`` names a currency, so the request's must resolve."""
+    return any(
+        isinstance(c, (NumericLimitConstraint, CumulativeLimitConstraint)) and c.currency
+        for c in constraints
+    )
 
 
 @dataclass(frozen=True)
@@ -217,9 +233,10 @@ class EngineConfig:
     Pinned artifacts are immutable values, so what depends on them alone is
     computed once, on first use, and kept on the artifact: the mapping
     profile's duplicate-row and steward-signature verdict (per steward public
-    key), its alias index and digest, each registry's digest, and the audit
-    key's Ed25519 key object.  Public-key objects are kept by hex, up to
-    ``keys.PUBLIC_KEYS_KEPT`` (256).
+    key), its alias index and digest, its resolution plan per vocabularies
+    sequence (each identifier's alias, or the denial it resolves to), each
+    registry's digest, and the audit key's Ed25519 key object.  Public-key
+    objects are kept by hex, up to ``keys.PUBLIC_KEYS_KEPT`` (256).
 
     Presented credentials are immutable values too.  The engine remembers
     the last ``PARSED_CREDENTIALS_KEPT`` (64) distinct byte strings or texts
@@ -229,12 +246,19 @@ class EngineConfig:
     container's digest, signing bytes and payload-completeness verdict are
     fixed when it is constructed; a kept one also holds its issuer-signature
     verdict per issuer public key (so a re-keyed issuer or a different
-    parent link is verified afresh).
+    parent link is verified afresh).  The cache entry of a kept credential
+    also holds its constraint plan: labels, trace entries, result rows, the
+    currency flag, and the rendered ALLOW ``constraint_results``.  The audit
+    log renders its constant members once, and the engine renders the
+    ``governance`` member once per snapshot of this config and trust anchor.
+    Nothing is planned when the config or the engine is built, and a field
+    reassigned after construction takes effect on the next evaluation.
     Everything that depends on the request or on ``now`` still runs on every
-    evaluation: proof of possession, nonce replay, the validity window,
-    revocation, registry window and standing, audience, subject binding, the
-    profile's ``valid_until`` staleness check, constraints, and the audit
-    sign.
+    evaluation: proof of possession (read from the proof's signed ``raw``),
+    nonce replay, the validity window, revocation, registry window and
+    standing, audience, subject binding, the profile's ``valid_until``
+    staleness check, every context lookup and constraint, and the audit
+    record's own members, sign and write.
 
     Audit records are rendered without a walk, so every value that reaches
     one is typed where it enters, and a mistyped one raises TypeError there.
@@ -312,13 +336,67 @@ def _admit_request(context: RequestContext, presenter_id: str) -> None:
         raise ValueError(f"request text {exc.object!r} is not UTF-8 text: {exc.reason}") from exc
 
 
+class _Plan:
+    """What a leaf payload's constraints decide alone: each constraint's label
+    and PASS trace entry, its PASS result row (label, family, field), and
+    whether a limit names a currency.  A kept credential's plan is built once
+    and kept in its cache entry, and renders its ALLOW ``constraint_results``
+    once, on the first ALLOW that writes them; any other is built per request,
+    like the rows it replaces, and never rendered.  It holds nothing the
+    profile or the rest of the config decides, so it holds for any config."""
+
+    __slots__ = ("steps", "rows", "needs_currency", "_allowed")
+
+    def __init__(self, constraints: Sequence[Constraint]) -> None:
+        self.steps = tuple(
+            (label, constraint, TraceEntry("constraints", label, "PASS"))
+            for label, constraint in ((f"C{i}", c) for i, c in enumerate(constraints, start=1))
+        )
+        self.rows = tuple(
+            {
+                "label": label,
+                "type": constraint.type_tag if isinstance(constraint, UnknownConstraint) else family_of(constraint),
+                "field": "" if isinstance(constraint, UnknownConstraint) else constraint.field,
+                "result": "PASS",
+            }
+            for label, constraint, _ in self.steps
+        )
+        self.needs_currency = _names_currency(constraints)
+        self._allowed: Optional[Rendered] = None
+
+    def results(self, passed: int, failed: bool, kept: bool) -> Union[list[dict], Rendered]:
+        """The ``constraint_results`` of an evaluation in which ``passed``
+        constraints passed and, when ``failed``, the next one failed; the
+        rendered run when a kept plan's constraints all passed."""
+        if failed:
+            return [*self.rows[:passed], dict(self.rows[passed], result="FAIL")]
+        if passed < len(self.rows) or not kept:
+            return list(self.rows[:passed])
+        if self._allowed is None:
+            self._allowed = Rendered(list(self.rows))
+        return self._allowed
+
+
+class _Kept:
+    """A credential-cache entry for bytes presented more than once: the
+    parsed container and, once it was evaluated as a leaf, its plan."""
+
+    __slots__ = ("container", "plan")
+
+    def __init__(self, container: CredentialContainer) -> None:
+        self.container = container
+        self.plan: Optional[_Plan] = None
+
+
 @dataclass
 class _Notes:
     """Working memory for one evaluation, folded into its audit record."""
 
     containers: list[CredentialContainer] = dc_field(default_factory=list)
     resolved: dict[str, str] = dc_field(default_factory=dict)
-    constraint_results: list[dict] = dc_field(default_factory=list)
+    kept: Optional[_Kept] = None  # the leaf's cache entry, when it is kept
+    plan: Optional[_Plan] = None  # the leaf's constraint plan, once evaluation reaches it
+    passed: int = 0  # constraints passed, in plan order
     workflow: Optional[dict] = None
 
 
@@ -358,13 +436,17 @@ class Engine:
     """A single enforcement point.  One instance, one trust configuration,
     one audit chain, one replay cache."""
 
+    # (governance snapshot, {trust anchor: rendered governance}), built on the
+    # first audit append and again whenever the snapshot changes.
+    _governance: Optional[tuple] = None
+
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
         self.nonce_cache = NonceCache()
         self.voucher_memory = VoucherMemory()
-        # Presented bytes or text -> parsed container (None when presented
-        # once), least recently presented first.
-        self._parsed: dict[Union[bytes, str], CredentialContainer] = {}
+        # Presented bytes or text -> cache entry (None when presented once),
+        # least recently presented first.
+        self._parsed: dict[Union[bytes, str], Optional[_Kept]] = {}
         self._parsed_lock = threading.Lock()
 
     # -- public operations -----------------------------------------------
@@ -436,29 +518,32 @@ class Engine:
 
     # -- parsing and verification ------------------------------------------
 
-    def _parse(self, credential: Credential) -> CredentialContainer:
-        """Parse a presented credential, reusing the container kept for the
-        same bytes or text.  A parse failure is never remembered.  A
-        container object decides as its signed ``raw``: its other fields are
-        derived afresh, never trusted."""
+    def _parse(self, credential: Credential) -> tuple[CredentialContainer, Optional[_Kept]]:
+        """Parse a presented credential, reusing the entry kept for the same
+        bytes or text; the entry is None for a credential not kept.  A parse
+        failure is never remembered.  A container object decides as its
+        signed ``raw``: its other fields are derived afresh, never trusted."""
         if isinstance(credential, CredentialContainer):
             credential = credential.raw
         if not isinstance(credential, (bytes, str)):
-            return parse_container(credential)
+            return parse_container(credential), None
         with self._parsed_lock:
             seen = credential in self._parsed
             if seen:  # re-inserted, so it is now the most recently presented
-                container = self._parsed[credential] = self._parsed.pop(credential)
-                if container is not None:
-                    return container
+                kept = self._parsed[credential] = self._parsed.pop(credential)
+                if kept is not None:
+                    return kept.container, kept
         container = parse_container(credential)
+        kept = _Kept(container) if seen else None
         with self._parsed_lock:
-            self._parsed[credential] = container if seen else None
+            self._parsed[credential] = kept
             if len(self._parsed) > PARSED_CREDENTIALS_KEPT:
                 del self._parsed[next(iter(self._parsed))]
-        return container
+        return container, kept
 
-    def _parse_or_deny(self, credential: Credential, stage: str, note="", where="") -> CredentialContainer:
+    def _parse_or_deny(
+        self, credential: Credential, stage: str, note="", where=""
+    ) -> tuple[CredentialContainer, Optional[_Kept]]:
         """The one denial of a presented credential that does not parse: the
         ``note`` and ``where`` prefixes place it in a chain or workflow set."""
         try:
@@ -513,9 +598,9 @@ class Engine:
         trace: list[TraceEntry],
         notes: _Notes,
     ) -> CredentialContainer:
-        container = self._parse_or_deny(credential, "container")
+        container, notes.kept = self._parse_or_deny(credential, "container")
         notes.containers.append(container)
-        trace.append(TraceEntry("container", "parse", "PASS"))
+        trace.append(_PARSED)
 
         # One entry per verification sub-check, stopping at the failure.
         reason = self._verify(container, presenter_id, pop, now, pop_required=True)
@@ -524,11 +609,9 @@ class Engine:
             if reason is None
             else _CODE_TO_CHECK.get(reason.code, len(_VERIFY_CHECKS) - 1)
         )
-        passed = _VERIFY_CHECKS[:failed_at]
-        if reason is not None and reason.code is DenyCode.ISSUER_UNTRUSTED:
-            passed = ()  # no trusted key, so the signature was never checked
-        for check in passed:
-            trace.append(TraceEntry("container", check, "PASS"))
+        if reason is None or reason.code is not DenyCode.ISSUER_UNTRUSTED:
+            # (an untrusted issuer has no key, so its signature was never checked)
+            trace.extend(_VERIFIED[:failed_at])
         if reason is not None:
             raise _Denied(
                 "container", _VERIFY_CHECKS[failed_at], reason.detail, reason.code, reason.detail
@@ -560,11 +643,13 @@ class Engine:
                 DenyCode.DELEGATION_DEPTH_EXCEEDED,
                 f"chain of {depth} links exceeds the depth limit of {limit}",
             )
-        containers = [
+        parsed = [
             self._parse_or_deny(c, "chain", f"link {i}: ", f" in link {i}")
             for i, c in enumerate(credentials, start=1)
         ]
+        containers = [container for container, _ in parsed]
         notes.containers.extend(containers)
+        notes.kept = parsed[-1][1]
         trace.append(TraceEntry("chain", "parse", f"PASS: {len(containers)} links"))
         trace.append(TraceEntry("chain", "depth", "PASS"))
 
@@ -684,7 +769,7 @@ class Engine:
                 DenyCode.PERMISSION_DENIED,
                 f"action {context.action!r} is not among the granted permissions",
             )
-        trace.append(TraceEntry("payload", "permission", "PASS"))
+        trace.append(_PERMITTED)
 
         profile_status = validate_mapping_profile(cfg.mapping_profile, now, cfg.steward_keys)
 
@@ -692,30 +777,35 @@ class Engine:
         # recorded when resolvable, and its absence never alters the decision.
         self._resolve("core.resource_id", context, profile_status, notes)
 
-        constraints = payload.constraints or ()
-        context_currency = self._currency("constraints", constraints, context, profile_status, notes)
-        for index, constraint in enumerate(constraints, start=1):
+        kept = notes.kept
+        plan = kept.plan if kept is not None else None
+        if plan is None:
+            plan = _Plan(payload.constraints or ())
+            if kept is not None:
+                kept.plan = plan
+        notes.plan = plan
+        context_currency = self._currency("constraints", plan.needs_currency, context, profile_status, notes)
+        for label, constraint, passed in plan.steps:
             self._evaluate_one_constraint(
-                f"C{index}", constraint, container, context, now, context_currency,
-                profile_status, vouchers, trace, notes,
+                label, constraint, container, context, now, context_currency,
+                profile_status, vouchers, notes,
             )
+            trace.append(passed)
+            notes.passed += 1
 
         self._apply_local_policy(context, profile_status, trace, notes)
 
     def _currency(
         self,
         stage: str,
-        constraints: Sequence[Constraint],
+        needed: bool,
         context: RequestContext,
         profile_status: Optional[DenialReason],
         notes: _Notes,
     ) -> Optional[str]:
-        """The request currency when a limit in ``constraints`` names one; a missing
+        """The request currency when ``needed`` (a limit names one); a missing
         field reads as None, and any other resolution defect denies at ``stage``."""
-        if not any(
-            isinstance(c, (NumericLimitConstraint, CumulativeLimitConstraint)) and c.currency
-            for c in constraints
-        ):
+        if not needed:
             return None
         value, reason = self._resolve(CURRENCY_FIELD, context, profile_status, notes)
         if reason is not None and reason.code is not DenyCode.CONTEXT_FIELD_MISSING:
@@ -732,20 +822,12 @@ class Engine:
         context_currency: Optional[str],
         profile_status: Optional[DenialReason],
         vouchers: Optional[Sequence[StateVoucher]],
-        trace: list[TraceEntry],
         notes: _Notes,
     ) -> None:
+        """Return when the constraint passes; a failure raises ``_Denied``
+        naming it as the failed constraint."""
         cfg = self.config
-        unknown = isinstance(constraint, UnknownConstraint)
-        # Noted as failed up front; flipped to PASS once every step has passed.
-        result = {
-            "label": label,
-            "type": constraint.type_tag if unknown else family_of(constraint),
-            "field": "" if unknown else constraint.field,
-            "result": "FAIL",
-        }
-        notes.constraint_results.append(result)
-        if unknown:
+        if isinstance(constraint, UnknownConstraint):
             raise _Denied(
                 "constraints", label, f"unrecognized type {constraint.type_tag!r}",
                 DenyCode.CONSTRAINT_UNKNOWN,
@@ -780,8 +862,6 @@ class Engine:
                 "constraints", label, reason.detail,
                 reason.code, f"{label}: {reason.detail}", failed_constraint=label,
             )
-        trace.append(TraceEntry("constraints", label, "PASS"))
-        result["result"] = "PASS"
 
     def _apply_local_policy(
         self,
@@ -804,7 +884,7 @@ class Engine:
             return value
 
         witness = [resolved(field).text for field in policy.required_context_fields]
-        context_currency = self._currency("policy", policy.constraints, context, profile_status, notes)
+        context_currency = self._currency("policy", _names_currency(policy.constraints), context, profile_status, notes)
         for constraint in policy.constraints:
             if isinstance(constraint, UnknownConstraint):
                 raise _Denied(
@@ -832,7 +912,7 @@ class Engine:
         notes: _Notes,
     ) -> WorkflowComposition:
         containers = [
-            self._parse_or_deny(c, "workflow", f"credential {i}: ", f" in workflow set ({i})")
+            self._parse_or_deny(c, "workflow", f"credential {i}: ", f" in workflow set ({i})")[0]
             for i, c in enumerate(credentials, start=1)
         ]
         notes.containers.extend(containers)
@@ -906,6 +986,37 @@ class Engine:
 
     # -- decision and audit ------------------------------------------------------
 
+    def _governance_member(self, leaf: Optional[CredentialContainer]) -> Rendered:
+        """The record's governance member: what the decision was made under.
+        Rendered once per config snapshot and trust anchor; the snapshot is
+        compared on every request, so a reassigned config field takes effect
+        on the next record.  A value that is not plain JSON raises
+        CanonicalizationError here."""
+        cfg = self.config
+        snapshot = (
+            cfg.tier, cfg.profile_id, cfg.mapping_profile, tuple(cfg.registries),
+            cfg.manifest_digest, cfg.local_policy,
+        )
+        anchor = cfg.trusted_issuers.get(leaf.issuer_id) if leaf else None
+        kept = self._governance
+        if kept is None or kept[0] != snapshot:
+            kept = self._governance = (snapshot, {})
+        rendered = kept[1].get(anchor)
+        if rendered is None:
+            rendered = kept[1][anchor] = Rendered({
+                "tier": cfg.tier,
+                "profile_id": cfg.profile_id,
+                "mapping_profile": cfg.mapping_profile.digest() if cfg.mapping_profile else None,
+                "registries": [
+                    {"registry_id": r.registry_id, "version": r.version, "digest": r.digest()}
+                    for r in snapshot[3]
+                ],
+                "manifest_digest": cfg.manifest_digest,
+                "trust_anchor": anchor,
+                "local_policy": cfg.local_policy.policy_id if cfg.local_policy else None,
+            })
+        return rendered
+
     def _conclude(
         self,
         operation: str,
@@ -920,25 +1031,18 @@ class Engine:
 
         This is the only place a decision is made.  ``denied`` is the failed
         check that ended the evaluation, or None when every check passed.  A
-        record that cannot be written turns the decision into a denial.
+        record that cannot be written (a failed write, or a config value
+        reassigned to one that is not plain JSON) turns the decision into a
+        denial.
         """
         cfg = self.config
         if denied is not None:
             denied.trace_failure(trace)
         leaf = notes.containers[-1] if notes.containers else None
-        governance = {
-            "tier": cfg.tier,
-            "profile_id": cfg.profile_id,
-            "mapping_profile": cfg.mapping_profile.digest() if cfg.mapping_profile else None,
-            "registries": [
-                {"registry_id": r.registry_id, "version": r.version, "digest": r.digest()}
-                for r in cfg.registries
-            ],
-            "manifest_digest": cfg.manifest_digest,
-            "trust_anchor": cfg.trusted_issuers.get(leaf.issuer_id) if leaf else None,
-            "local_policy": cfg.local_policy.policy_id if cfg.local_policy else None,
-        }
+        plan = notes.plan
         reason = denied.reason if denied is not None else None
+        # Only a failing credential constraint names itself as failed.
+        failed = denied is not None and denied.failed_constraint is not None
         try:
             cfg.audit_log.append(
                 operation=operation,
@@ -950,15 +1054,18 @@ class Engine:
                 action=context.action if context else None,
                 resource=notes.resolved.get("core.resource_id"),
                 context_snapshot=notes.resolved,
-                constraint_results=notes.constraint_results,
+                constraint_results=(
+                    plan.results(notes.passed, failed, notes.kept is not None) if plan else []
+                ),
                 decision_outcome=DENY if reason else ALLOW,
                 decision_code=reason.code.value if reason else None,
                 decision_detail=reason.detail if reason else "",
                 failed_constraint=denied.failed_constraint if denied is not None else None,
-                governance=governance,
+                governance=self._governance_member(leaf),
                 workflow=notes.workflow,
+                _typed=True,
             )
-        except AuditError as exc:
+        except (AuditError, CanonicalizationError) as exc:
             denied = _Denied(
                 "decision", "audit", str(exc),
                 DenyCode.LOCAL_POLICY_DENIED,
@@ -966,7 +1073,7 @@ class Engine:
             )
             denied.trace_failure(trace)
         if denied is None:
-            trace.append(TraceEntry("decision", "decision", "ALLOW"))
+            trace.append(_ALLOWED)
             return allow(trace)
         code = denied.reason.code
         trace.append(TraceEntry("decision", "decision", f"DENY: {code.value}"))

@@ -6,6 +6,11 @@ mapping profile; resolution consults it on every lookup and fails closed on
 anything unresolved: no profile, stale profile, unknown identifier, missing or
 conflicting alias, or a type that does not line up.
 
+What a lookup decides from the profile and the vocabularies alone (each
+identifier's local field and declared type, or its denial) is planned once
+per profile and vocabularies sequence; the context lookup and its type check
+run on every request.
+
 The core vocabulary is compiled in.  Domain vocabularies extend it under
 their own namespace; nothing may squat on ``core.``.
 """
@@ -131,6 +136,11 @@ class Vocabulary:
             return Vocabulary(profile_id=profile_id, version=version, entries=entries)
 
 
+# Vocabularies sequences a profile keeps a resolution plan for; an engine uses
+# one, so more only come from reassigning a config's vocabularies.
+PLANS_KEPT = 8
+
+
 def lookup_identifier(
     identifier: str, vocabularies: Sequence[Vocabulary]
 ) -> Optional[VocabularyEntry]:
@@ -170,6 +180,9 @@ class MappingProfile:
     # steward public hex (None: no steward key for the envelope's key_id) ->
     # duplicate-row and signature verdict; filled by validate_mapping_profile.
     _trust_verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # id of a vocabularies sequence -> (its vocabularies as a tuple, their
+    # resolution plan); filled by resolution_plan.
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _alias_index(self) -> Mapping[str, tuple[AliasEntry, ...]]:
@@ -184,6 +197,21 @@ class MappingProfile:
 
     def aliases_for(self, identifier: str) -> tuple[AliasEntry, ...]:
         return self._alias_index.get(identifier, ())
+
+    def resolution_plan(self, vocabularies: Sequence[Vocabulary]) -> Mapping[str, AliasEntry | DenialReason]:
+        """``plan_resolution(self, vocabularies)``, kept per vocabularies
+        sequence: by its identity, and valid while it holds the same
+        vocabulary objects in the same order (a list may change in place)."""
+        kept = self._plans.get(id(vocabularies))
+        if kept is None or not (
+            kept[0] is vocabularies
+            or (len(kept[0]) == len(vocabularies) and all(a is b for a, b in zip(kept[0], vocabularies)))
+        ):
+            if len(self._plans) >= PLANS_KEPT:
+                self._plans.clear()
+            held = vocabularies if type(vocabularies) is tuple else tuple(vocabularies)
+            kept = self._plans[id(vocabularies)] = (held, plan_resolution(self, held))
+        return kept[1]
 
     def digest(self) -> str:
         return self._digest_hex
@@ -297,6 +325,37 @@ def validate_mapping_profile(
     return None
 
 
+def plan_resolution(
+    mapping: MappingProfile, vocabularies: Sequence[Vocabulary]
+) -> dict[str, AliasEntry | DenialReason]:
+    """The request-independent half of resolution, for every identifier the
+    core table or ``vocabularies`` define: its one alias (whose declared type
+    agrees with the vocabulary), or the denial it resolves to, checked in
+    resolution order: alias conflict, alias presence, declared type
+    agreement.  An identifier the plan does not hold is unknown."""
+    plan: dict[str, AliasEntry | DenialReason] = {}
+    for identifier in (*CORE_VOCABULARY, *(name for v in vocabularies for name in v.entries)):
+        entry = lookup_identifier(identifier, vocabularies)
+        if entry is None or identifier in plan:
+            continue
+        aliases = mapping.aliases_for(identifier)
+        if len({(a.field, a.declared_type) for a in aliases}) > 1:
+            plan[identifier] = DenialReason(
+                DenyCode.SEMANTIC_ALIAS_CONFLICT, f"{identifier} maps to multiple local fields"
+            )
+        elif not aliases:
+            plan[identifier] = DenialReason(DenyCode.SEMANTIC_ALIAS_MISSING, f"no local alias for {identifier}")
+        elif aliases[0].declared_type is not entry.semantic_type:
+            plan[identifier] = DenialReason(
+                DenyCode.SEMANTIC_TYPE_MISMATCH,
+                f"{identifier} declared {aliases[0].declared_type.value}, "
+                f"vocabulary says {entry.semantic_type.value}",
+            )
+        else:
+            plan[identifier] = aliases[0]
+    return plan
+
+
 def resolve_semantic_field(
     field: str,
     ctx: RequestContext,
@@ -311,42 +370,28 @@ def resolve_semantic_field(
     profile denies with it, so resolution goes on only with a valid one.
     Then checks run in a fixed order so outcomes are deterministic:
     identifier existence, alias conflict, alias presence, declared type
-    agreement, context presence.  Exactly one of (value, reason) is
+    agreement (these four from the profile's kept ``resolution_plan``),
+    context presence, context type.  Exactly one of (value, reason) is
     returned non-None.
     """
     if profile_status is not None:
         return None, profile_status
 
-    entry = lookup_identifier(field, vocabularies)
-    if entry is None:
+    planned = mapping.resolution_plan(vocabularies).get(field)
+    if planned is None:
         return None, DenialReason(
             DenyCode.SEMANTIC_IDENTIFIER_UNKNOWN, f"{field} is not in any governed vocabulary"
         )
-
-    aliases = mapping.aliases_for(field)
-    distinct = {(a.field, a.declared_type) for a in aliases}
-    if len(distinct) > 1:
-        return None, DenialReason(
-            DenyCode.SEMANTIC_ALIAS_CONFLICT, f"{field} maps to multiple local fields"
-        )
-    if not aliases:
-        return None, DenialReason(
-            DenyCode.SEMANTIC_ALIAS_MISSING, f"no local alias for {field}"
-        )
-    alias = aliases[0]
-    if alias.declared_type is not entry.semantic_type:
-        return None, DenialReason(
-            DenyCode.SEMANTIC_TYPE_MISMATCH,
-            f"{field} declared {alias.declared_type.value}, vocabulary says {entry.semantic_type.value}",
-        )
-    value = ctx.get(alias.field)
+    if isinstance(planned, DenialReason):
+        return None, planned
+    value = ctx.get(planned.field)
     if value is None:
         return None, DenialReason(
-            DenyCode.CONTEXT_FIELD_MISSING, f"context has no field {alias.field!r} for {field}"
+            DenyCode.CONTEXT_FIELD_MISSING, f"context has no field {planned.field!r} for {field}"
         )
-    if value.kind is not entry.semantic_type:
+    if value.kind is not planned.declared_type:
         return None, DenialReason(
             DenyCode.SEMANTIC_TYPE_MISMATCH,
-            f"context field {alias.field!r} is {value.kind.value}, expected {entry.semantic_type.value}",
+            f"context field {planned.field!r} is {value.kind.value}, expected {planned.declared_type.value}",
         )
     return value, None

@@ -368,7 +368,10 @@ def verify_voucher_chain(
 ) -> tuple[Optional[StateVoucher], Optional[DenialReason]]:
     """Validate a presented voucher chain and return its terminal voucher.
 
-    Checks, in order: the chain is non-empty and names the constraint's
+    Each voucher is read from its signed ``raw`` (one that does not read is
+    state_signature_invalid), so the object's own fields are never trusted,
+    and the terminal voucher returned is the one read.  Checks, in order:
+    the chain is non-empty and names the constraint's
     authority throughout; every signature verifies against that authority's
     key; linkage digests connect the presented links; sequences strictly
     increase, and the terminal sequence advances past anything previously
@@ -383,6 +386,11 @@ def verify_voucher_chain(
         return None, DenialReason(
             DenyCode.STATE_AUTHORITY_UNREACHABLE, "no state attestation presented"
         )
+    # A voucher decides as its signed raw: the object's own fields are never trusted.
+    try:
+        vouchers = [StateVoucher.from_dict(voucher.raw) for voucher in vouchers]
+    except ValueParseError as exc:
+        return None, DenialReason(DenyCode.STATE_SIGNATURE_INVALID, f"voucher does not read: {exc}")
     pointer = constraint.state_authority_pointer
     for voucher in vouchers:
         if voucher.authority_id != pointer:

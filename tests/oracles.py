@@ -233,6 +233,14 @@ def reference_constraint_to_dict(constraint) -> dict:
     return json.loads(c.body)
 
 
+def reference_has_duplicates(constraints) -> bool:
+    """The duplicate-constraint verdict as ``validate_payload`` first judged
+    it: two constraints are duplicates when the reprs of their sorted written
+    members are equal."""
+    rendered = [repr(sorted(c.to_dict().items())) for c in constraints]
+    return len(set(rendered)) < len(rendered)
+
+
 def _calendar_bucket(unit: str, at):
     day = at.astimezone(timezone.utc).date()
     if unit == "day":

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mandate.audit import GENESIS_DIGEST, AuditError, AuditLog, verify_audit_chain
-from mandate.canonical import canonical_dumps, digest_object
+from mandate.audit import GENESIS_DIGEST, AuditError, AuditLog, Rendered, verify_audit_chain
+from mandate.canonical import CanonicalizationError, canonical_dumps, digest_object
 from mandate.keys import check_signature, generate_key
 from mandate.model import parse_timestamp
 
@@ -340,6 +340,64 @@ def test_each_rendering_of_a_record_is_its_canonical_form(
         reopened = AuditLog("svc:test:receiver", AUDIT_KEY, path=path, environment=environment)
         _append(reopened, resource, context, detail, workflow)
         assert verify_audit_chain(path.read_text("utf-8").split("\n")[:-1], AUDIT_KEY.public_hex)[0]
+
+
+# --- the public append checks every value it renders ----------------------------
+
+_NOT_PLAIN = [
+    ("governance", {"tier": 1.5}),
+    ("governance", {"registries": [{"version": 1.0}]}),
+    ("context_snapshot", {"core.amount": 250.5}),
+    ("constraint_results", [{"label": "C1", "passed": object()}]),
+    ("workflow", {"workflow_id": ("wf", 1.5)}),
+    ("presenter_id", 1.5),
+    ("resource", b"jobs/1"),
+]
+
+
+@pytest.mark.parametrize("member, value", _NOT_PLAIN)
+def test_a_value_that_is_not_plain_json_appends_nothing(tmp_path, member, value):
+    path = _written_log(tmp_path, 1)
+    log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+    before = path.read_bytes()
+    args = dict(
+        operation="evaluate", timestamp=NOW, credential_digests=["digest-0"], presenter_id="agent:test:worker",
+        subject_id=None, issuer_id=None, action="task.run", resource=None, context_snapshot={},
+        constraint_results=[], decision_outcome="ALLOW", decision_code=None, decision_detail="",
+        failed_constraint=None, governance={}, workflow=None,
+    )
+    args[member] = value
+    with pytest.raises(CanonicalizationError):
+        log.append(**args)
+    assert path.read_bytes() == before
+    append_some(log, 1)
+    ok, _, detail = verify_audit_chain(path.read_text("utf-8").splitlines(), AUDIT_KEY.public_hex)
+    assert ok and detail == "2 records verified"
+
+
+def test_a_rendered_member_is_checked_once_when_built_and_spliced_as_it_stands(tmp_path):
+    with pytest.raises(CanonicalizationError):
+        Rendered({"tier": 1.5})
+    governance = Rendered({"tier": "synchronous", "registries": [{"digest": "d", "version": 1}]})
+    results = Rendered([{"label": "C1", "result": "PASS"}])
+    path = tmp_path / "audit.log"
+    log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+    plain = AuditLog("svc:test:receiver", AUDIT_KEY, path=tmp_path / "plain.log")
+    written = []
+    for target, members in ((log, (governance, results)), (plain, (governance.value, results.value))):
+        for i in range(2):
+            written.append(target.append(
+                operation="evaluate", timestamp=NOW, credential_digests=[f"digest-{i}"], presenter_id=None,
+                subject_id=None, issuer_id=None, action=None, resource=None, context_snapshot={},
+                constraint_results=members[1], decision_outcome="ALLOW", decision_code=None,
+                decision_detail="", failed_constraint=None, governance=members[0],
+            ))
+    assert path.read_bytes() == (tmp_path / "plain.log").read_bytes()
+    # Each record holds its own copies of what was spliced in.
+    first, second = written[:2]
+    assert first.raw["governance"] == governance.value and first.raw["governance"] is not governance.value
+    assert first.raw["constraint_results"][0] is not second.raw["constraint_results"][0]
+    assert first.raw["constraint_results"][0] is not results.value[0]
 
 
 def test_a_lone_surrogate_appends_nothing(tmp_path):

@@ -26,11 +26,11 @@ from mandate.constraints import (
     constraint_from_dict,
 )
 from mandate.container import parse_payload
-from mandate.model import DenyCode, ValueParseError, validate_payload
+from mandate.model import AuthorizationPayload, DenyCode, ValueParseError, validate_payload
 from mandate.scenarios import SCENARIO_NAMES, load_scenario
 from mandate.stateful import InMemoryStateAuthority
 
-from oracles import reference_constraint_from_dict, reference_constraint_to_dict
+from oracles import reference_constraint_from_dict, reference_constraint_to_dict, reference_has_duplicates
 
 VECTORS = Path(__file__).resolve().parent.parent / "vectors"
 POINTER = "https://state.example/ledger"
@@ -268,3 +268,46 @@ def test_duplicate_constraints_are_those_written_alike(values, duplicate):
         assert "duplicate" in reason.detail
     else:
         assert reason is None
+
+
+def _has_duplicates(constraints) -> bool:
+    payload = AuthorizationPayload("agent:test:worker", "iss:test:authority", frozenset({"task.run"}), tuple(constraints))
+    reason = validate_payload(payload)
+    return reason is not None and "duplicate" in reason.detail
+
+
+@st.composite
+def constraint_lists(draw):
+    """Two to five constraints drawn from a pool of up to three, so exact
+    repeats are common, and respelled decimals (``+5``/``5``,
+    ``1000``/``1000.0``) and instants meet often."""
+    pool = [constraint_from_dict(obj) for obj in draw(st.lists(constraint_dicts(), min_size=1, max_size=3))]
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(constraint_lists())
+def test_the_typed_duplicate_key_agrees_with_the_written_form(constraints):
+    assert _has_duplicates(constraints) is reference_has_duplicates(constraints)
+
+
+@pytest.mark.parametrize(
+    "values, duplicate",
+    [(("+5", "5"), True), (("1000", "1000.0"), False), (("0.25", "+0.25"), True), (("007", "7"), True)],
+)
+def test_the_typed_duplicate_key_agrees_on_respelled_decimals(values, duplicate):
+    constraints = [constraint_from_dict(obj) for obj in _limits(*values)]
+    assert _has_duplicates(constraints) is reference_has_duplicates(constraints) is duplicate
+
+
+def test_the_typed_duplicate_key_agrees_on_every_shipped_credential():
+    lists = [
+        constraints
+        for path in sorted(VECTORS.rglob("*.json"))
+        for constraints in _constraint_lists(load_json(path.read_bytes()))
+    ]
+    lists += [c for name in SCENARIO_NAMES for c in _constraint_lists(load_scenario(name).credential.to_dict())]
+    for objs in lists:
+        constraints = [constraint_from_dict(obj) for obj in objs if isinstance(obj, dict) and isinstance(obj.get("type"), str)]
+        assert _has_duplicates(constraints) is reference_has_duplicates(constraints), objs
+    assert len(lists) > 50

@@ -1414,7 +1414,7 @@ def test_a_kept_container_holds_its_verdicts_and_signing_bytes():
     cred = credential()
     engine = make_engine()
     warm(engine, cred)
-    kept = engine._parsed[cred.dumps().encode()]
+    kept = engine._parsed[cred.dumps().encode()].container
     assert kept.rendered == signing_bytes(cred.raw)
     assert kept.completeness is None
     assert kept._signature_verdicts == {ISSUER.public_hex: True}
@@ -1424,6 +1424,56 @@ def test_a_kept_container_holds_its_verdicts_and_signing_bytes():
     assert incomplete.completeness == validate_payload(incomplete.payload)
     assert incomplete.completeness.code is DenyCode.CREDENTIAL_INCOMPLETE
     assert evaluate(make_engine(), incomplete).allowed
+
+
+# A possession proof object's fields are not what its presenter signed: the
+# engine reads the proof's signed raw, so rewriting them gains nothing.
+
+def _claims_engine():
+    bundle = load_scenario("insurance_claims")
+    engine = Engine(bundle.engine_config(AuditLog(bundle.evaluator_id, bundle.keys["receiver"])))
+    return bundle, engine
+
+
+def _present_claim(bundle, engine, pop):
+    return engine.evaluate(
+        bundle.credential.dumps().encode(), bundle.contexts["allow"], bundle.credential.subject_id, pop, now=bundle.now
+    )
+
+
+def _rewritten_proof(bundle, engine, member):
+    """A proof whose ``member`` was rewritten to what would pass: a used
+    nonce made fresh, an hour-old timestamp moved to now, a proof for another
+    receiver or another credential readdressed to this one."""
+    made = dict(audience=bundle.evaluator_id, nonce=f"n-{member}", now=bundle.now, digest=bundle.credential.digest())
+    if member == "nonce":
+        used = bundle.possession_proof("n-1")
+        assert _present_claim(bundle, engine, used).allowed
+        return dataclasses.replace(used, nonce="n-2")
+    if member == "timestamp":
+        made["now"] = bundle.now - timedelta(hours=1)
+    elif member == "audience":
+        made["audience"] = "svc:elsewhere"
+    else:
+        made["digest"] = "0" * 64
+    pop = make_possession_proof(made["digest"], made["audience"], made["nonce"], made["now"], bundle.keys["subject"])
+    return dataclasses.replace(pop, **{member: getattr(bundle.possession_proof(f"n-{member}-fresh"), member)})
+
+
+@pytest.mark.parametrize("member", ["nonce", "timestamp", "audience", "credential_digest"])
+def test_a_proof_decides_as_its_signed_bytes(member):
+    bundle, engine = _claims_engine()
+    decision = _present_claim(bundle, engine, _rewritten_proof(bundle, engine, member))
+    assert decision.reason.code is DenyCode.PROOF_OF_POSSESSION_FAILED
+
+
+@pytest.mark.parametrize("raw", [{}, {"kind": "possession_proof"}, None])
+def test_a_proof_whose_signed_raw_does_not_read_fails(raw):
+    bundle, engine = _claims_engine()
+    pop = dataclasses.replace(bundle.possession_proof("n-1"), raw=raw)
+    decision = _present_claim(bundle, engine, pop)
+    assert decision.reason.code is DenyCode.PROOF_OF_POSSESSION_FAILED
+    assert "proof does not read" in decision.reason.detail
 
 
 def test_a_container_object_decides_as_its_signed_bytes():

@@ -546,6 +546,50 @@ def test_voucher_replay_and_rollback_protection():
     assert problem.code is DenyCode.STATE_SEQUENCE_INVALID
 
 
+# A voucher object's fields are not what its authority signed: a chain is
+# judged on each voucher's signed raw, so rewriting them gains nothing.
+
+def test_rewritten_terminal_figures_are_read_back_from_the_signed_voucher():
+    from dataclasses import replace
+
+    vouchers = chain("900")
+    rewritten = vouchers[:-1] + [replace(vouchers[-1], spent=Decimal("0"), remaining=Decimal("1000"))]
+    terminal, problem = verify(rewritten)
+    assert problem is None
+    assert (terminal.spent, terminal.remaining) == (Decimal("900"), Decimal("100"))
+
+
+def test_a_rewritten_sequence_does_not_pass_the_replay_memory():
+    from dataclasses import replace
+
+    memory = VoucherMemory()
+    vouchers = chain("100", "50")
+    assert verify(vouchers, memory=memory, credential_digest="digest-1")[1] is None
+    advanced = vouchers[:-1] + [replace(vouchers[-1], sequence=9)]
+    terminal, problem = verify(advanced, memory=memory, credential_digest="digest-1")
+    assert problem.code is DenyCode.STATE_SEQUENCE_INVALID
+
+
+def test_a_rewritten_credential_digest_attests_nothing_for_another_credential():
+    from dataclasses import replace
+
+    borrowed = [replace(v, credential_digest="digest-2") for v in chain("100")]
+    terminal, problem = verify(borrowed, credential_digest="digest-2")
+    assert problem.code is DenyCode.STATE_SIGNATURE_INVALID
+    assert "different credential" in problem.detail
+
+
+@pytest.mark.parametrize("raw", [{}, {"kind": "state_voucher"}, None])
+def test_a_voucher_whose_signed_raw_does_not_read_is_invalid(raw):
+    from dataclasses import replace
+
+    vouchers = chain("100")
+    terminal, problem = verify(vouchers[:-1] + [replace(vouchers[-1], raw=raw)])
+    assert terminal is None
+    assert problem.code is DenyCode.STATE_SIGNATURE_INVALID
+    assert "does not read" in problem.detail
+
+
 def test_voucher_freshness_inclusive_boundary():
     exactly = chain(start=NOW - timedelta(seconds=300))
     terminal, problem = verify(exactly)
