@@ -64,7 +64,8 @@ class Rendered:
     """A record member's value with its canonical text, checked and rendered
     once, when built, for a value written into many records: the engine's
     governance snapshot and a kept credential's ALLOW constraint results.
-    Like a credential's ``raw``, the value must never be changed afterwards."""
+    Like a credential's ``raw``, the value must never be changed afterwards;
+    each record holds its own copy of it."""
 
     __slots__ = ("value", "text")
 
@@ -73,9 +74,17 @@ class Rendered:
         self.value = value
 
 
-_ALLOW_DECISION = {"outcome": "ALLOW", "code": None, "detail": "", "failed_constraint": None}
-_ALLOW_DECISION_TEXT = canonical_dumps(_ALLOW_DECISION)
-_WORKFLOW = ',"workflow":'  # a name: before Python 3.12 an f-string expression cannot hold this literal
+def _fresh(value: object) -> object:
+    """A copy of plain ``value`` that shares no dict or list with it."""
+    if isinstance(value, dict):
+        return {name: _fresh(member) for name, member in value.items()}
+    if isinstance(value, list):
+        return [_fresh(item) for item in value]
+    return value
+
+
+# The members placed under the lock: the chain link and the signature.
+_SLOTS = ("prev_record", "record_id", "signature")
 
 
 def _tail(handle: BinaryIO, size: int = 8192) -> bytes:
@@ -132,18 +141,18 @@ class AuditLog:
                 self._last_digest = self._reopen(_tail(handle))
 
     @cached_property
-    def _constants(self) -> tuple[str, str, str]:
-        """The members rendered once per log, on the first append: the
-        ``evaluator_id`` member up to the ``governance`` value, the
-        ``security`` member, and the signature member up to its proof value
-        (``,"signature":{"key_id":…,"suite":1``)."""
+    def _constants(self) -> tuple[dict[str, str], str]:
+        """What is rendered once per log, on the first append: the texts of
+        the ``kind``, ``evaluator_id`` and ``security`` members, and the
+        signature member up to its proof value (``,"signature":{"key_id":…,"suite":1``)."""
         security = {"key_protection": self.key_protection, "environment": self.environment}
         envelope = {"key_id": self._key.key_id, "suite": SUITE_ED25519}
-        return (
-            f',"evaluator_id":{canonical_dumps(self.evaluator_id)},"governance":',
-            f',"security":{canonical_dumps(security)}',
-            f',"signature":{canonical_dumps(envelope)[:-1]}',
-        )
+        texts = {
+            "kind": canonical_dumps("audit_record"),
+            "evaluator_id": canonical_dumps(self.evaluator_id),
+            "security": canonical_dumps(security),
+        }
+        return texts, f',"signature":{canonical_dumps(envelope)[:-1]}'
 
     def _reopen(self, data: bytes) -> str:
         """The digest the next record chains to.  The log must end in a newline
@@ -181,8 +190,6 @@ class AuditLog:
         failed_constraint: Optional[str],
         governance: Union[Rendered, Mapping],
         workflow: Optional[Mapping] = None,
-        *,
-        _typed: bool = False,
     ) -> AuditRecord:
         """Append one record and return it.
 
@@ -192,78 +199,64 @@ class AuditLog:
         with no UTF-8 form raises UnicodeEncodeError.  Either way nothing is
         written and the chain still ends where it did.  ``constraint_results``
         and ``governance`` may be passed as ``Rendered``, checked when built.
-
-        ``_typed`` is the engine's template path: it passes only values it
-        typed where they entered it, so they are rendered without the check.
         """
         results = constraint_results if isinstance(constraint_results, Rendered) else None
-        rows = results.value if results is not None else [dict(r) for r in constraint_results]
         snapshot = governance if isinstance(governance, Rendered) else None
-        governance = dict(snapshot.value if snapshot is not None else governance)
-        digests = list(credential_digests)
-        context = dict(context_snapshot)
-        decision = {
-            "outcome": decision_outcome,
-            "code": decision_code,
-            "detail": decision_detail,
-            "failed_constraint": failed_constraint,
-        }
-        if workflow is not None:
-            workflow = dict(workflow)
-        if not _typed:
-            check_canonical((
-                operation, digests, presenter_id, subject_id, issuer_id, action, resource, context, decision,
-                workflow, rows if results is None else None, governance if snapshot is None else None,
-            ))
-        stamp = render_timestamp(timestamp)
-        evaluator, security, envelope = self._constants
-        # One parts list for the record_id preimage, the signing bytes and the
-        # line; only its two slots change between them: the chain link
-        # (prev_record, then record_id once known) and the signature member.
-        parts = [
-            f'{{"action":{plain_dumps(action)}'
-            f',"constraint_results":{plain_dumps(rows) if results is None else results.text}'
-            f',"context":{plain_dumps(context)}'
-            f',"credential_digests":{plain_dumps(digests)}'
-            f',"decision":{_ALLOW_DECISION_TEXT if decision == _ALLOW_DECISION else plain_dumps(decision)}'
-            f'{evaluator}{plain_dumps(governance) if snapshot is None else snapshot.text}'
-            f',"issuer_id":{plain_dumps(issuer_id)}'
-            f',"kind":"audit_record","operation":{plain_dumps(operation)}'
-            f',"presenter_id":{plain_dumps(presenter_id)}',
-            "",  # the chain link
-            f',"resource":{plain_dumps(resource)}{security}',
-            "",  # the signature member
-            f',"subject_id":{plain_dumps(subject_id)},"timestamp":"{stamp}"'
-            f'{"" if workflow is None else _WORKFLOW + plain_dumps(workflow)}}}',
-        ]
         body: dict = {
             "kind": "audit_record",
             "operation": operation,
-            "timestamp": stamp,
+            "timestamp": render_timestamp(timestamp),
             "evaluator_id": self.evaluator_id,
-            "credential_digests": digests,
+            "credential_digests": list(credential_digests),
             "presenter_id": presenter_id,
             "subject_id": subject_id,
             "issuer_id": issuer_id,
             "action": action,
             "resource": resource,
-            "context": context,
-            "constraint_results": [dict(r) for r in rows] if results is not None else rows,
-            "decision": decision,
-            "governance": governance,
+            "context": dict(context_snapshot),
+            "constraint_results": (
+                _fresh(results.value) if results is not None else [dict(r) for r in constraint_results]
+            ),
+            "decision": {
+                "outcome": decision_outcome,
+                "code": decision_code,
+                "detail": decision_detail,
+                "failed_constraint": failed_constraint,
+            },
+            "governance": _fresh(snapshot.value) if snapshot is not None else dict(governance),
             "security": {"key_protection": self.key_protection, "environment": self.environment},
         }
         if workflow is not None:
-            body["workflow"] = workflow
+            body["workflow"] = dict(workflow)
+        constants, envelope = self._constants
+        texts = dict(constants)  # member name -> its text, rendered before this record
+        if results is not None:
+            texts["constraint_results"] = results.text
+        if snapshot is not None:
+            texts["governance"] = snapshot.text
+        check_canonical([value for name, value in body.items() if name not in texts])
+        # One parts list, in canonical member order, for the record_id
+        # preimage, the signing bytes and the line; only the slots change
+        # between them.  Each member carries its leading comma but the first,
+        # "action", which always sorts first.
+        names = sorted([*body, *_SLOTS])
+        parts = ["{"]
+        parts += (
+            "" if name in _SLOTS else f',"{name}":{texts[name] if name in texts else plain_dumps(body[name])}'
+            for name in names
+        )
+        parts[1] = parts[1][1:]
+        parts.append("}")
+        link, named, signature = (names.index(name) + 1 for name in _SLOTS)
         with self._lock:
             # prev_record and record_id are hex, so they need no JSON escaping.
             prev_record = body["prev_record"] = self._last_digest
-            parts[1] = f',"prev_record":"{prev_record}"'
+            parts[link] = f',"prev_record":"{prev_record}"'
             record_id = body["record_id"] = "rec-" + sha256_hex("".join(parts).encode("utf-8"))[:16]
-            parts[1] = f',"prev_record":"{prev_record}","record_id":"{record_id}"'
-            parts[3] = envelope + "}"
+            parts[named] = f',"record_id":"{record_id}"'
+            parts[signature] = envelope + "}"
             signed = attach_signature(body, self._key, rendered="".join(parts).encode("utf-8"))
-            parts[3] = f'{envelope},"value":"{signed["signature"]["value"]}"}}'
+            parts[signature] = f'{envelope},"value":"{signed["signature"]["value"]}"}}'
             parts.append("\n")
             line = "".join(parts).encode("utf-8")
             record = AuditRecord(record_id=record_id, prev_record=prev_record, raw=signed)

@@ -32,8 +32,6 @@ class CanonicalizationError(ValueError):
 
 # One encoder for every rendering; json.dumps would build a new one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-# What _ENCODER.encode does with a str, without the call through the encoder.
-_encode_text = json.encoder.encode_basestring
 
 
 def check_canonical(obj: Any) -> None:
@@ -87,7 +85,7 @@ def plain_dumps(obj: Any) -> str:
     """``canonical_dumps`` of a value that is plain by construction: decoded
     by ``load_json``, or built only from type-checked values.  Nothing is
     walked, so a float or an unsupported type is not refused here."""
-    return _encode_text(obj) if type(obj) is str else _ENCODER.encode(obj)
+    return _ENCODER.encode(obj)
 
 
 def split_members(obj: dict, *names: str) -> list[str]:

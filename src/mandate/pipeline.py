@@ -233,8 +233,8 @@ class EngineConfig:
     Pinned artifacts are immutable values, so what depends on them alone is
     computed once, on first use, and kept on the artifact: the mapping
     profile's duplicate-row and steward-signature verdict (per steward public
-    key), its alias index and digest, its resolution plan per vocabularies
-    sequence (each identifier's alias, or the denial it resolves to), each
+    key), its alias index and digest, its resolution plan for the
+    vocabularies last used (each identifier's alias, or its denial), each
     registry's digest, and the audit key's Ed25519 key object.  Public-key
     objects are kept by hex, up to ``keys.PUBLIC_KEYS_KEPT`` (256).
 
@@ -248,7 +248,8 @@ class EngineConfig:
     verdict per issuer public key (so a re-keyed issuer or a different
     parent link is verified afresh).  The cache entry of a kept credential
     also holds its constraint plan: labels, trace entries, result rows, the
-    currency flag, and the rendered ALLOW ``constraint_results``.  The audit
+    currency flag, and the rendered ALLOW ``constraint_results``; a
+    credential presented once builds none.  The audit
     log renders its constant members once, and the engine renders the
     ``governance`` member once per snapshot of this config and trust anchor.
     Nothing is planned when the config or the engine is built, and a field
@@ -260,8 +261,9 @@ class EngineConfig:
     staleness check, every context lookup and constraint, and the audit
     record's own members, sign and write.
 
-    Audit records are rendered without a walk, so every value that reaches
-    one is typed where it enters, and a mistyped one raises TypeError there.
+    Every value that reaches an audit record is typed where it enters, and
+    a mistyped one raises TypeError there; ``AuditLog.append`` checks the
+    record's values once more before it writes.
     Decoded artifacts are plain by construction (``canonical.load_json``
     refuses floats).  This config types its identities, manifest digest and
     trusted issuer keys; registries, the local policy, signing keys and
@@ -336,14 +338,31 @@ def _admit_request(context: RequestContext, presenter_id: str) -> None:
         raise ValueError(f"request text {exc.object!r} is not UTF-8 text: {exc.reason}") from exc
 
 
+def _result_rows(constraints: Sequence[Constraint], passed: int, failed: bool) -> list[dict]:
+    """The ``constraint_results`` rows of an evaluation in which the first
+    ``passed`` of ``constraints`` passed and, when ``failed``, the next one
+    failed: each row's label, family, field and result."""
+    return [
+        {
+            "label": f"C{i}",
+            "type": c.type_tag if isinstance(c, UnknownConstraint) else family_of(c),
+            "field": "" if isinstance(c, UnknownConstraint) else c.field,
+            "result": "PASS" if i <= passed else "FAIL",
+        }
+        for i, c in enumerate(constraints[: passed + 1 if failed else passed], start=1)
+    ]
+
+
 class _Plan:
-    """What a leaf payload's constraints decide alone: each constraint's label
-    and PASS trace entry, its PASS result row (label, family, field), and
-    whether a limit names a currency.  A kept credential's plan is built once
-    and kept in its cache entry, and renders its ALLOW ``constraint_results``
-    once, on the first ALLOW that writes them; any other is built per request,
-    like the rows it replaces, and never rendered.  It holds nothing the
-    profile or the rest of the config decides, so it holds for any config."""
+    """What a kept leaf credential's constraints decide alone: each
+    constraint's label and PASS trace entry, the PASS result rows, and
+    whether a limit names a currency.  Built on the credential's first
+    evaluation as a kept leaf and held in its cache entry; it renders the
+    ALLOW ``constraint_results`` once, on the first evaluation in which every
+    constraint passed.  It holds nothing the profile or the rest of the
+    config decides, so it holds for any config.  A credential presented once
+    builds no plan: its rows are built at the end of its evaluation, for the
+    constraints it reached."""
 
     __slots__ = ("steps", "rows", "needs_currency", "_allowed")
 
@@ -352,25 +371,16 @@ class _Plan:
             (label, constraint, TraceEntry("constraints", label, "PASS"))
             for label, constraint in ((f"C{i}", c) for i, c in enumerate(constraints, start=1))
         )
-        self.rows = tuple(
-            {
-                "label": label,
-                "type": constraint.type_tag if isinstance(constraint, UnknownConstraint) else family_of(constraint),
-                "field": "" if isinstance(constraint, UnknownConstraint) else constraint.field,
-                "result": "PASS",
-            }
-            for label, constraint, _ in self.steps
-        )
+        self.rows = tuple(_result_rows(constraints, len(constraints), False))
         self.needs_currency = _names_currency(constraints)
         self._allowed: Optional[Rendered] = None
 
-    def results(self, passed: int, failed: bool, kept: bool) -> Union[list[dict], Rendered]:
-        """The ``constraint_results`` of an evaluation in which ``passed``
-        constraints passed and, when ``failed``, the next one failed; the
-        rendered run when a kept plan's constraints all passed."""
+    def results(self, passed: int, failed: bool) -> Union[list[dict], Rendered]:
+        """``_result_rows`` of the planned constraints; the rendered run when
+        every one passed."""
         if failed:
             return [*self.rows[:passed], dict(self.rows[passed], result="FAIL")]
-        if passed < len(self.rows) or not kept:
+        if passed < len(self.rows):
             return list(self.rows[:passed])
         if self._allowed is None:
             self._allowed = Rendered(list(self.rows))
@@ -395,7 +405,8 @@ class _Notes:
     containers: list[CredentialContainer] = dc_field(default_factory=list)
     resolved: dict[str, str] = dc_field(default_factory=dict)
     kept: Optional[_Kept] = None  # the leaf's cache entry, when it is kept
-    plan: Optional[_Plan] = None  # the leaf's constraint plan, once evaluation reaches it
+    constraints: Sequence[Constraint] = ()  # the leaf's, once evaluation reaches them
+    plan: Optional[_Plan] = None  # their plan, when the leaf is kept
     passed: int = 0  # constraints passed, in plan order
     workflow: Optional[dict] = None
 
@@ -777,20 +788,23 @@ class Engine:
         # recorded when resolvable, and its absence never alters the decision.
         self._resolve("core.resource_id", context, profile_status, notes)
 
+        constraints = notes.constraints = payload.constraints or ()
         kept = notes.kept
-        plan = kept.plan if kept is not None else None
-        if plan is None:
-            plan = _Plan(payload.constraints or ())
-            if kept is not None:
-                kept.plan = plan
-        notes.plan = plan
-        context_currency = self._currency("constraints", plan.needs_currency, context, profile_status, notes)
-        for label, constraint, passed in plan.steps:
+        if kept is not None and kept.plan is None:
+            kept.plan = _Plan(constraints)
+        plan = notes.plan = kept.plan if kept is not None else None
+        if plan is not None:
+            steps, needs_currency = plan.steps, plan.needs_currency
+        else:
+            steps = ((f"C{i}", c, None) for i, c in enumerate(constraints, start=1))
+            needs_currency = _names_currency(constraints)
+        context_currency = self._currency("constraints", needs_currency, context, profile_status, notes)
+        for label, constraint, entry in steps:
             self._evaluate_one_constraint(
                 label, constraint, container, context, now, context_currency,
                 profile_status, vouchers, notes,
             )
-            trace.append(passed)
+            trace.append(entry or TraceEntry("constraints", label, "PASS"))
             notes.passed += 1
 
         self._apply_local_policy(context, profile_status, trace, notes)
@@ -1055,7 +1069,8 @@ class Engine:
                 resource=notes.resolved.get("core.resource_id"),
                 context_snapshot=notes.resolved,
                 constraint_results=(
-                    plan.results(notes.passed, failed, notes.kept is not None) if plan else []
+                    plan.results(notes.passed, failed) if plan
+                    else _result_rows(notes.constraints, notes.passed, failed)
                 ),
                 decision_outcome=DENY if reason else ALLOW,
                 decision_code=reason.code.value if reason else None,
@@ -1063,7 +1078,6 @@ class Engine:
                 failed_constraint=denied.failed_constraint if denied is not None else None,
                 governance=self._governance_member(leaf),
                 workflow=notes.workflow,
-                _typed=True,
             )
         except (AuditError, CanonicalizationError) as exc:
             denied = _Denied(

@@ -136,11 +136,6 @@ class Vocabulary:
             return Vocabulary(profile_id=profile_id, version=version, entries=entries)
 
 
-# Vocabularies sequences a profile keeps a resolution plan for; an engine uses
-# one, so more only come from reassigning a config's vocabularies.
-PLANS_KEPT = 8
-
-
 def lookup_identifier(
     identifier: str, vocabularies: Sequence[Vocabulary]
 ) -> Optional[VocabularyEntry]:
@@ -180,9 +175,9 @@ class MappingProfile:
     # steward public hex (None: no steward key for the envelope's key_id) ->
     # duplicate-row and signature verdict; filled by validate_mapping_profile.
     _trust_verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # id of a vocabularies sequence -> (its vocabularies as a tuple, their
-    # resolution plan); filled by resolution_plan.
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (the vocabularies last asked about, as a tuple; their resolution plan);
+    # set by resolution_plan.
+    _plan: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def _alias_index(self) -> Mapping[str, tuple[AliasEntry, ...]]:
@@ -199,18 +194,17 @@ class MappingProfile:
         return self._alias_index.get(identifier, ())
 
     def resolution_plan(self, vocabularies: Sequence[Vocabulary]) -> Mapping[str, AliasEntry | DenialReason]:
-        """``plan_resolution(self, vocabularies)``, kept per vocabularies
-        sequence: by its identity, and valid while it holds the same
-        vocabulary objects in the same order (a list may change in place)."""
-        kept = self._plans.get(id(vocabularies))
+        """``plan_resolution(self, vocabularies)``, kept for the vocabularies
+        last asked about: valid while they are the same vocabulary objects in
+        the same order (a list may change in place), planned afresh otherwise."""
+        kept = self._plan
         if kept is None or not (
             kept[0] is vocabularies
             or (len(kept[0]) == len(vocabularies) and all(a is b for a, b in zip(kept[0], vocabularies)))
         ):
-            if len(self._plans) >= PLANS_KEPT:
-                self._plans.clear()
-            held = vocabularies if type(vocabularies) is tuple else tuple(vocabularies)
-            kept = self._plans[id(vocabularies)] = (held, plan_resolution(self, held))
+            held = tuple(vocabularies)
+            kept = (held, plan_resolution(self, held))
+            object.__setattr__(self, "_plan", kept)  # a frozen dataclass's cache
         return kept[1]
 
     def digest(self) -> str:

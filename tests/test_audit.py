@@ -398,6 +398,12 @@ def test_a_rendered_member_is_checked_once_when_built_and_spliced_as_it_stands(t
     assert first.raw["governance"] == governance.value and first.raw["governance"] is not governance.value
     assert first.raw["constraint_results"][0] is not second.raw["constraint_results"][0]
     assert first.raw["constraint_results"][0] is not results.value[0]
+    registries = [record.raw["governance"]["registries"] for record in (first, second)]
+    assert registries[0] is not registries[1] and registries[0][0] is not registries[1][0]
+    assert registries[0][0] is not governance.value["registries"][0]
+    registries[0][0]["version"] = 2  # changing one record leaves the others and the snapshot as they were
+    assert second.dumps() == (tmp_path / "audit.log").read_text("utf-8").split("\n")[1]
+    assert governance.value["registries"][0]["version"] == 1
 
 
 def test_a_lone_surrogate_appends_nothing(tmp_path):

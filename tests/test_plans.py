@@ -217,6 +217,15 @@ def test_a_vocabularies_list_is_planned_once_and_again_when_changed_in_place(mon
     assert _present_root(engine, root, "third", ctx).reason.code is DenyCode.SEMANTIC_IDENTIFIER_UNKNOWN
 
 
+def test_a_profile_keeps_the_plan_of_the_vocabularies_last_asked_about():
+    profile = identity_mapping_profile([REGION], UNTIL, STEWARD)
+    governed, ungoverned = (REGION,), ()
+    for vocabularies, known in ((governed, True), (ungoverned, False), (governed, True)):
+        plan = profile.resolution_plan(vocabularies)
+        assert ("plans.region" in plan) is known
+        assert profile.resolution_plan(vocabularies) is plan
+
+
 def test_a_kept_credential_repeat_plans_nothing(monkeypatch):
     families = _counting(monkeypatch, pipeline, "family_of")
     engine = Engine(_config())
@@ -229,6 +238,21 @@ def test_a_kept_credential_repeat_plans_nothing(monkeypatch):
         assert _present_root(engine, root, f"again-{i}").allowed
         assert not _present_root(engine, root, f"deny-{i}", _context(amount="5000")).allowed
     assert len(families) == 4
+
+
+def test_a_credential_presented_once_builds_no_plan(monkeypatch):
+    plans = _counting(monkeypatch, pipeline, "_Plan")
+    families = _counting(monkeypatch, pipeline, "family_of")
+    engine = Engine(_config())
+    for i in range(3):
+        decision = _present_root(engine, _issue(SUBJECT, name=f"once-{i}"), f"deny-{i}", _context(amount="5000"))
+        assert decision.reason.code is DenyCode.CONSTRAINT_FAILED
+    assert len(families) == 3  # one row each: C1 failed, C2 was never reached
+    assert _present_root(engine, _issue(SUBJECT, name="once-allowed"), "allow").allowed
+    assert len(families) == 5
+    assert not plans
+    rows = engine.config.audit_log.records()[0].raw["constraint_results"]
+    assert rows == [{"label": "C1", "type": "numeric_limit", "field": "core.amount", "result": "FAIL"}]
 
 
 def test_every_evaluation_appends_through_the_public_append(monkeypatch):
