@@ -26,7 +26,6 @@ from .canonical import (
     CanonicalizationError,
     canonical_dumps,
     check_canonical,
-    digest_object,
     load_json,
     plain_dumps,
     sha256_hex,
@@ -46,18 +45,33 @@ class AuditError(RuntimeError):
 
 @dataclass(frozen=True)
 class AuditRecord:
+    """One record as its log wrote it: ``line`` is its canonical text, without
+    the newline, and ``raw`` is decoded from it on first read."""
+
     record_id: str
     prev_record: str
-    raw: dict
+    line: str
+
+    @classmethod
+    def read(cls, line: str) -> "AuditRecord":
+        """The record written as ``line``, decoded here once."""
+        raw = load_json(line)
+        record = cls(raw["record_id"], raw["prev_record"], line)
+        record.__dict__["raw"] = raw  # what the cached property would decode
+        return record
+
+    @cached_property
+    def raw(self) -> dict:
+        return load_json(self.line)
 
     def digest(self) -> str:
-        return digest_object(self.raw)
+        return sha256_hex(self.line)
 
     def to_dict(self) -> dict:
         return dict(self.raw)
 
     def dumps(self) -> str:
-        return canonical_dumps(self.raw)
+        return self.line
 
 
 class Rendered:
@@ -65,22 +79,13 @@ class Rendered:
     once, when built, for a value written into many records: the engine's
     governance snapshot and a kept credential's ALLOW constraint results.
     Like a credential's ``raw``, the value must never be changed afterwards;
-    each record holds its own copy of it."""
+    a record's ``raw`` is decoded from its line."""
 
     __slots__ = ("value", "text")
 
     def __init__(self, value: object) -> None:
         self.text = canonical_dumps(value)
         self.value = value
-
-
-def _fresh(value: object) -> object:
-    """A copy of plain ``value`` that shares no dict or list with it."""
-    if isinstance(value, dict):
-        return {name: _fresh(member) for name, member in value.items()}
-    if isinstance(value, list):
-        return [_fresh(item) for item in value]
-    return value
 
 
 # The members placed under the lock: the chain link and the signature.
@@ -104,8 +109,9 @@ class AuditLog:
     record is kept in memory: ``records()`` reads the file back.  A write that
     fails makes this log refuse every later append, so the engine denies;
     a fresh log reopens the file and verifies its tail first.  Without a
-    path, records are kept in memory (tests, vector runs).  Appends are
-    serialized under a lock so the chain never forks inside one process.
+    path, only each record's line is kept in memory (tests, vector runs).
+    Appends are serialized under a lock so the chain never forks inside one
+    process.
 
     A record is rendered from a template: the members constant per log
     (``kind``, ``evaluator_id``, ``security`` and the signature envelope) are
@@ -134,7 +140,7 @@ class AuditLog:
         self.environment = environment
         self._lock = threading.Lock()
         self._file = AppendOnlyFile(self.path) if self.path is not None else None
-        self._memory: list[AuditRecord] = []  # the records of a log without a file
+        self._memory: list[str] = []  # the lines of a log without a file
         self._last_digest = GENESIS_DIGEST
         if self.path is not None and self.path.exists():
             with self.path.open("rb") as handle:
@@ -200,13 +206,9 @@ class AuditLog:
         written and the chain still ends where it did.  ``constraint_results``
         and ``governance`` may be passed as ``Rendered``, checked when built.
         """
-        results = constraint_results if isinstance(constraint_results, Rendered) else None
-        snapshot = governance if isinstance(governance, Rendered) else None
-        body: dict = {
-            "kind": "audit_record",
+        members: dict = {
             "operation": operation,
             "timestamp": render_timestamp(timestamp),
-            "evaluator_id": self.evaluator_id,
             "credential_digests": list(credential_digests),
             "presenter_id": presenter_id,
             "subject_id": subject_id,
@@ -214,76 +216,72 @@ class AuditLog:
             "action": action,
             "resource": resource,
             "context": dict(context_snapshot),
-            "constraint_results": (
-                _fresh(results.value) if results is not None else [dict(r) for r in constraint_results]
-            ),
             "decision": {
                 "outcome": decision_outcome,
                 "code": decision_code,
                 "detail": decision_detail,
                 "failed_constraint": failed_constraint,
             },
-            "governance": _fresh(snapshot.value) if snapshot is not None else dict(governance),
-            "security": {"key_protection": self.key_protection, "environment": self.environment},
         }
-        if workflow is not None:
-            body["workflow"] = dict(workflow)
         constants, envelope = self._constants
         texts = dict(constants)  # member name -> its text, rendered before this record
-        if results is not None:
-            texts["constraint_results"] = results.text
-        if snapshot is not None:
-            texts["governance"] = snapshot.text
-        check_canonical([value for name, value in body.items() if name not in texts])
+        if isinstance(constraint_results, Rendered):
+            texts["constraint_results"] = constraint_results.text
+        else:
+            members["constraint_results"] = [dict(r) for r in constraint_results]
+        if isinstance(governance, Rendered):
+            texts["governance"] = governance.text
+        else:
+            members["governance"] = dict(governance)
+        if workflow is not None:
+            members["workflow"] = dict(workflow)
+        check_canonical(members)
+        texts.update((name, plain_dumps(value)) for name, value in members.items())
         # One parts list, in canonical member order, for the record_id
         # preimage, the signing bytes and the line; only the slots change
         # between them.  Each member carries its leading comma but the first,
         # "action", which always sorts first.
-        names = sorted([*body, *_SLOTS])
-        parts = ["{"]
-        parts += (
-            "" if name in _SLOTS else f',"{name}":{texts[name] if name in texts else plain_dumps(body[name])}'
-            for name in names
-        )
+        names = sorted([*texts, *_SLOTS])
+        parts = ["{", *("" if name in _SLOTS else f',"{name}":{texts[name]}' for name in names), "}"]
         parts[1] = parts[1][1:]
-        parts.append("}")
         link, named, signature = (names.index(name) + 1 for name in _SLOTS)
         with self._lock:
             # prev_record and record_id are hex, so they need no JSON escaping.
-            prev_record = body["prev_record"] = self._last_digest
+            prev_record = self._last_digest
             parts[link] = f',"prev_record":"{prev_record}"'
-            record_id = body["record_id"] = "rec-" + sha256_hex("".join(parts).encode("utf-8"))[:16]
+            record_id = "rec-" + sha256_hex("".join(parts).encode("utf-8"))[:16]
             parts[named] = f',"record_id":"{record_id}"'
             parts[signature] = envelope + "}"
-            signed = attach_signature(body, self._key, rendered="".join(parts).encode("utf-8"))
+            # The signed bytes are the rendered parts; only the value is taken.
+            signed = attach_signature({}, self._key, rendered="".join(parts).encode("utf-8"))
             parts[signature] = f'{envelope},"value":"{signed["signature"]["value"]}"}}'
-            parts.append("\n")
-            line = "".join(parts).encode("utf-8")
-            record = AuditRecord(record_id=record_id, prev_record=prev_record, raw=signed)
+            line = "".join(parts)
+            data = line.encode("utf-8")
             if self._file is not None:
                 try:
-                    self._file.append(line)
+                    self._file.append(data + b"\n")
                 except OSError as exc:
                     raise AuditError(f"cannot append audit record: {exc}") from exc
             else:
-                self._memory.append(record)
-            self._last_digest = hashlib.sha256(memoryview(line)[:-1]).hexdigest()
-        return record
+                self._memory.append(line)
+            self._last_digest = hashlib.sha256(data).hexdigest()
+        return AuditRecord(record_id, prev_record, line)
 
     def records(self) -> list[AuditRecord]:
-        """Every record of this log, oldest first.  In memory: the records
-        appended to this instance.  File-backed: every record on disk,
-        history from before this instance included, read back one line at a
-        time (a file that does not exist yet holds none)."""
+        """Every record of this log, oldest first, each read from its line.
+        In memory: the lines appended to this instance.  File-backed: every
+        line on disk, history from before this instance included (a file
+        that does not exist yet holds none)."""
         with self._lock:
             if self._file is None:
-                return list(self._memory)
-            try:
-                with self.path.open("rb") as handle:
-                    rows = [load_json(line) for line in handle if line.strip()]
-            except FileNotFoundError:
-                return []
-        return [AuditRecord(row["record_id"], row["prev_record"], row) for row in rows]
+                lines = list(self._memory)
+            else:
+                try:
+                    with self.path.open("rb") as handle:
+                        lines = [text for text in (line.strip().decode("utf-8") for line in handle) if text]
+                except FileNotFoundError:
+                    return []
+        return [AuditRecord.read(line) for line in lines]
 
 
 def verify_audit_chain(
@@ -295,29 +293,28 @@ def verify_audit_chain(
 
     Returns (ok, first_bad_index, detail).  ``evaluator_keys`` is one public
     key hex or a map of key_id to public key hex.  ``after`` is the digest
-    the first record links to: genesis for a whole log.
+    the first record links to: genesis for a whole log.  A record is checked
+    as its line, and a dict as its canonical rendering.
     """
     expected_prev = after
     index = -1
     for index, item in enumerate(lines_or_records):
-        if isinstance(item, (AuditRecord, dict)):
-            obj = item.raw if isinstance(item, AuditRecord) else item
+        if isinstance(item, dict):
             try:
-                line = canonical_dumps(obj)
+                item = canonical_dumps(item)
             except CanonicalizationError:  # a float or another value JSON records never hold
                 return False, index, f"record {index} is not in canonical form"
-        else:
-            line = item.strip()
-            try:
-                obj = load_json(line)
-            except CanonicalizationError:  # a float: JSON, but never a record's canonical form
-                return False, index, f"record {index} is not in canonical form"
-            except Exception as exc:
-                return False, index, f"record {index} is not parseable: {exc}"
-            if not isinstance(obj, dict):
-                return False, index, f"record {index} is not a JSON object"
-            if plain_dumps(obj) != line:
-                return False, index, f"record {index} is not in canonical form"
+        line = (item.line if isinstance(item, AuditRecord) else item).strip()
+        try:
+            obj = load_json(line)
+        except CanonicalizationError:  # a float: JSON, but never a record's canonical form
+            return False, index, f"record {index} is not in canonical form"
+        except Exception as exc:
+            return False, index, f"record {index} is not parseable: {exc}"
+        if not isinstance(obj, dict):
+            return False, index, f"record {index} is not a JSON object"
+        if plain_dumps(obj) != line:
+            return False, index, f"record {index} is not in canonical form"
         if obj.get("prev_record") != expected_prev:
             return False, index, f"record {index} breaks the hash chain"
         if isinstance(evaluator_keys, str):

@@ -23,15 +23,34 @@ import hashlib
 import json
 import sys
 from bisect import bisect_right
-from typing import Any
+from typing import Any, Callable
 
 
 class CanonicalizationError(ValueError):
     """Raised when an object cannot be canonically serialized."""
 
 
-# One encoder for every rendering; json.dumps would build a new one per call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# The settings of every rendering.  Cycles are not looked for: one nests until
+# it raises RecursionError, as it does in ``check_canonical``.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False)
+
+
+def _kept_encoder() -> Callable[[Any], str]:
+    """``_ENCODER.encode`` through one C encoder, built here with its settings
+    and kept (``encode`` builds a new one on every call); without the C
+    accelerator, ``_ENCODER.encode`` itself."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return _ENCODER.encode
+    e = _ENCODER
+    encode = make(
+        None, e.default, json.encoder.encode_basestring, e.indent,
+        e.key_separator, e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan,
+    )
+    return lambda obj: "".join(encode(obj, 0))
+
+
+_encode = _kept_encoder()
 
 
 def check_canonical(obj: Any) -> None:
@@ -78,14 +97,14 @@ def _path(steps: list) -> str:
 
 def canonical_dumps(obj: Any) -> str:
     check_canonical(obj)
-    return _ENCODER.encode(obj)
+    return _encode(obj)
 
 
 def plain_dumps(obj: Any) -> str:
     """``canonical_dumps`` of a value that is plain by construction: decoded
     by ``load_json``, or built only from type-checked values.  Nothing is
     walked, so a float or an unsupported type is not refused here."""
-    return _ENCODER.encode(obj)
+    return _encode(obj)
 
 
 def split_members(obj: dict, *names: str) -> list[str]:
@@ -97,7 +116,7 @@ def split_members(obj: dict, *names: str) -> list[str]:
     for key, value in obj.items():
         if key not in names:
             runs[bisect_right(names, key)][key] = value
-    return [_ENCODER.encode(run)[1:-1] for run in runs]
+    return [_encode(run)[1:-1] for run in runs]
 
 
 def join_members(*members: str) -> str:

@@ -159,11 +159,10 @@ def attach_signature(obj: dict, key: SigningKey, *, rendered: Optional[bytes] = 
     The envelope's suite and key_id are placed before signing so they are
     covered by the signature; only the proof value stands outside it.
 
-    ``rendered``, when given, is the caller's own rendering of those bytes,
-    ``signing_bytes`` of the returned object, and is signed as it stands
-    instead of being rendered again.  A caller that already holds the
-    canonical text of the body (the audit log) passes it to skip one
-    serialisation; it is not checked, so it must be exactly those bytes.
+    ``rendered``, when given, is signed as it stands instead of
+    ``signing_bytes`` of the returned object, and is not checked against it.
+    The audit log, which renders each record itself, passes the record's
+    signing bytes with an empty ``obj`` and keeps only the signature value.
     """
     body = dict(obj)
     body["signature"] = {"suite": SUITE_ED25519, "key_id": key.key_id}

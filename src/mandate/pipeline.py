@@ -25,6 +25,7 @@ follows the failed check's entry, if any, and the trace closes with
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timedelta
@@ -118,6 +119,21 @@ _PARSED = TraceEntry("container", "parse", "PASS")
 _VERIFIED = tuple(TraceEntry("container", check, "PASS") for check in _VERIFY_CHECKS)
 _PERMITTED = TraceEntry("payload", "permission", "PASS")
 _ALLOWED = TraceEntry("decision", "decision", "ALLOW")
+_CHAIN_DEPTH = TraceEntry("chain", "depth", "PASS")
+
+
+@functools.cache
+def _chain_entries(index: int) -> tuple[TraceEntry, TraceEntry, TraceEntry, TraceEntry]:
+    """The fixed PASS entries of link ``index``, built on its first use: the
+    parse entry of a chain of ``index`` links, then the link's continuity,
+    verify and attenuation entries.  Depth is judged before any link is
+    parsed, so no index past ``max_chain_depth`` is ever asked for."""
+    return (
+        TraceEntry("chain", "parse", f"PASS: {index} links"),
+        TraceEntry("chain", f"link {index} continuity", "PASS"),
+        TraceEntry("chain", f"link {index} verify", "PASS"),
+        TraceEntry("chain", f"link {index} attenuation", "PASS"),
+    )
 
 
 def _names_currency(constraints: Sequence[Constraint]) -> bool:
@@ -661,8 +677,8 @@ class Engine:
         containers = [container for container, _ in parsed]
         notes.containers.extend(containers)
         notes.kept = parsed[-1][1]
-        trace.append(TraceEntry("chain", "parse", f"PASS: {len(containers)} links"))
-        trace.append(TraceEntry("chain", "depth", "PASS"))
+        trace.append(_chain_entries(depth)[0])
+        trace.append(_CHAIN_DEPTH)
 
         for index, container in enumerate(containers, start=1):
             problem = container.completeness
@@ -689,7 +705,7 @@ class Engine:
                     DenyCode.DELEGATION_CHAIN_BROKEN,
                     f"link {index} does not reference its parent by digest",
                 )
-            trace.append(TraceEntry("chain", check, "PASS"))
+            trace.append(_chain_entries(index)[1])
 
         leaf = containers[-1]
         for index, container in enumerate(containers, start=1):
@@ -716,7 +732,7 @@ class Engine:
                     "chain", f"link {index} verify", reason.detail,
                     reason.code, f"link {index}: {reason.detail}",
                 )
-            trace.append(TraceEntry("chain", f"link {index} verify", "PASS"))
+            trace.append(_chain_entries(index)[2])
 
         for index, (parent, child) in enumerate(zip(containers, containers[1:]), start=2):
             check = f"link {index} attenuation"
@@ -741,7 +757,7 @@ class Engine:
                 raise _Denied(
                     "chain", check, detail, DenyCode.DELEGATION_WIDENED, f"link {index}: {detail}"
                 )
-            trace.append(TraceEntry("chain", check, "PASS"))
+            trace.append(_chain_entries(index)[3])
 
         return leaf
 

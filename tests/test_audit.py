@@ -1,5 +1,6 @@
 """Hash-chained audit records: appending, persistence, and chain verification."""
 
+import gc
 import hashlib
 import json
 import tempfile
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mandate.audit import GENESIS_DIGEST, AuditError, AuditLog, Rendered, verify_audit_chain
-from mandate.canonical import CanonicalizationError, canonical_dumps, digest_object
+from mandate.audit import GENESIS_DIGEST, AuditError, AuditLog, AuditRecord, Rendered, verify_audit_chain
+from mandate.canonical import CanonicalizationError, canonical_dumps, digest_object, load_json, sha256_hex
 from mandate.keys import check_signature, generate_key
 from mandate.model import parse_timestamp
 
@@ -393,7 +394,7 @@ def test_a_rendered_member_is_checked_once_when_built_and_spliced_as_it_stands(t
                 decision_detail="", failed_constraint=None, governance=members[0],
             ))
     assert path.read_bytes() == (tmp_path / "plain.log").read_bytes()
-    # Each record holds its own copies of what was spliced in.
+    # A record's raw is decoded from its line: it shares nothing with what was spliced in.
     first, second = written[:2]
     assert first.raw["governance"] == governance.value and first.raw["governance"] is not governance.value
     assert first.raw["constraint_results"][0] is not second.raw["constraint_results"][0]
@@ -418,6 +419,81 @@ def test_a_lone_surrogate_appends_nothing(tmp_path):
     _append(log, "jobs/2", {}, "", None)
     ok, _, detail = verify_audit_chain(path.read_text("utf-8").splitlines(), AUDIT_KEY.public_hex)
     assert ok and detail == "2 records verified"
+
+
+# --- a record is the line it wrote ----------------------------------------------
+
+
+@pytest.mark.parametrize("on_disk", [False, True], ids=["in-memory", "file-backed"])
+def test_records_are_read_from_the_lines_written(tmp_path, on_disk):
+    reference = tmp_path / "reference.log"
+    append_some(AuditLog("svc:test:receiver", AUDIT_KEY, path=reference), 3)
+    lines = reference.read_text("utf-8").splitlines()
+    log = AuditLog("svc:test:receiver", AUDIT_KEY, path=tmp_path / "audit.log" if on_disk else None)
+    appended = append_some(log, 3)
+    records = log.records()
+    assert [record.dumps() for record in records] == [record.line for record in appended] == lines
+    assert records == appended
+    for record, line in zip(records, lines):
+        assert record.raw == load_json(record.dumps()) and record.digest() == sha256_hex(line)
+        assert (record.record_id, record.prev_record) == (record.raw["record_id"], record.raw["prev_record"])
+
+
+def test_changing_a_returned_raw_changes_no_other_record_nor_the_log():
+    governance = Rendered({"tier": "synchronous", "registries": [{"digest": "d", "version": 1}]})
+    log = AuditLog("svc:test:receiver", AUDIT_KEY)
+    first, second = (
+        log.append(
+            operation="evaluate", timestamp=NOW, credential_digests=[f"digest-{i}"], presenter_id=None,
+            subject_id=None, issuer_id=None, action=None, resource=None, context_snapshot={},
+            constraint_results=[], decision_outcome="ALLOW", decision_code=None,
+            decision_detail="", failed_constraint=None, governance=governance,
+        )
+        for i in range(2)
+    )
+    lines = [first.line, second.line]
+    first.raw["governance"]["registries"][0]["version"] = 2
+    first.raw["decision"]["outcome"] = "DENY"
+    assert second.raw["governance"]["registries"][0]["version"] == 1
+    assert governance.value["registries"][0]["version"] == 1
+    assert first.dumps() == lines[0] and first.digest() == second.prev_record
+    records = log.records()
+    assert [record.line for record in records] == lines
+    assert records[0].raw["governance"]["registries"][0]["version"] == 1
+    assert records[0].raw["decision"]["outcome"] == "ALLOW"
+
+
+def test_an_in_memory_log_keeps_little_more_than_its_lines():
+    log = AuditLog("svc:test:receiver", AUDIT_KEY)
+    append_some(log, 1)  # the per-log texts and the key objects are built before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for i in range(2000):
+            append_some(log, 1, resource=f"jobs-{i}")
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = [record.dumps() for record in log.records()[1:]]
+    assert len(written) == 2000
+    assert after - before <= sum(len(line.encode("utf-8")) for line in written) + 200 * len(written)
+
+
+def test_a_record_whose_line_is_not_canonical_is_refused_as_that_line_is():
+    [record] = append_some(AuditLog("svc:test:receiver", AUDIT_KEY), 1)
+    unsorted = dict(reversed(list(record.raw.items())))
+    for text in (
+        json.dumps(record.raw, indent=2, sort_keys=True),
+        json.dumps(unsorted, separators=(",", ":"), ensure_ascii=False),
+        _float_line(record),
+    ):
+        as_record = AuditRecord(record.record_id, record.prev_record, text)
+        verdict = verify_audit_chain([as_record], AUDIT_KEY.public_hex)
+        assert verdict == verify_audit_chain([text], AUDIT_KEY.public_hex)
+        assert verdict == (False, 0, "record 0 is not in canonical form")
+    assert verify_audit_chain([record], AUDIT_KEY.public_hex)[0]
 
 
 # SHA-256 of the whole log file below.  Any change to key order, escaping,

@@ -4,11 +4,13 @@ import json
 from collections import OrderedDict
 from decimal import Decimal
 from enum import IntEnum
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mandate import canonical
 from mandate.canonical import (
     CanonicalizationError,
     canonical_bytes,
@@ -145,6 +147,37 @@ def test_walk_free_renderings_equal_canonical_dumps(obj, envelope):
     signed = dict(obj, signature=envelope)
     assert render_signed(signed) == (canonical_bytes(signed), signing_bytes(signed))
     assert render_signed(members) == (canonical_bytes(members), signing_bytes(members))
+
+
+def _json_dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=PLAIN)
+def test_the_kept_encoder_renders_as_json_dumps(obj):
+    assert plain_dumps(obj) == canonical_dumps(obj) == _json_dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=PLAIN)
+def test_without_the_c_encoder_the_kept_encoder_is_json_encode(obj):
+    with mock.patch.object(json.encoder, "c_make_encoder", None):
+        encode = canonical._kept_encoder()
+        assert encode == canonical._ENCODER.encode
+        assert encode(obj) == _json_dumps(obj)
+
+
+@pytest.mark.parametrize("accelerated", [True, False], ids=["c-encoder", "pure-python"])
+def test_a_cycle_raises_recursion_error_in_either_encoder(accelerated):
+    loop: dict = {"a": []}
+    loop["a"].append(loop)
+    with mock.patch.object(json.encoder, "c_make_encoder", json.encoder.c_make_encoder if accelerated else None):
+        encode = canonical._kept_encoder()
+        with pytest.raises(RecursionError):
+            encode(loop)
+    with pytest.raises(RecursionError):
+        plain_dumps(loop)
 
 
 @pytest.mark.parametrize(

@@ -255,6 +255,23 @@ def test_a_credential_presented_once_builds_no_plan(monkeypatch):
     assert rows == [{"label": "C1", "type": "numeric_limit", "field": "core.amount", "result": "FAIL"}]
 
 
+def test_a_chain_s_fixed_trace_entries_are_built_once_per_link_index():
+    engine = Engine(_config())
+    root = _issue(SUBJECT, name="root")
+    chain = [root, _issue(DELEGATE, issuer=SUBJECT, limit="500", parent=root, name="link")]
+    traces = []
+    for i in range(2):
+        pop = make_possession_proof(chain[-1], RECEIVER, f"chain-{i}", NOW, DELEGATE)
+        decision = engine.evaluate([_wire(c) for c in chain], _context(amount="400"), DELEGATE.key_id, pop, now=NOW)
+        assert decision.allowed
+        traces.append([entry for entry in decision.trace if entry.stage == "chain"])
+    assert [(e.check, e.result) for e in traces[0]] == [
+        ("parse", "PASS: 2 links"), ("depth", "PASS"), ("link 2 continuity", "PASS"),
+        ("link 1 verify", "PASS"), ("link 2 verify", "PASS"), ("link 2 attenuation", "PASS"),
+    ]
+    assert all(first is second for first, second in zip(*traces))
+
+
 def test_every_evaluation_appends_through_the_public_append(monkeypatch):
     appends = _counting(monkeypatch, AuditLog, "append")
     engine = Engine(_config())
