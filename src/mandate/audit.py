@@ -31,7 +31,7 @@ from .canonical import (
     sha256_hex,
 )
 from .keys import SUITE_ED25519, SigningKey, attach_signature, check_signature, envelope_public_key
-from .model import render_timestamp
+from .model import expect, reading, render_timestamp
 
 # Fixed anchor for the first record of every log.
 GENESIS_DIGEST = sha256_hex(b"audit-log-genesis")
@@ -40,7 +40,11 @@ KEY_PROTECTION_CLASSES = ("hardware", "software", "unknown")
 
 
 class AuditError(RuntimeError):
-    """Appending or verifying the audit log failed."""
+    """Appending, reading or verifying the audit log failed."""
+
+    def __init__(self, *parts: object) -> None:
+        # ``reading(AuditError, context)`` raises it with the detail after the context.
+        super().__init__(": ".join(map(str, parts)))
 
 
 @dataclass(frozen=True)
@@ -53,10 +57,12 @@ class AuditRecord:
     line: str
 
     @classmethod
-    def read(cls, line: str) -> "AuditRecord":
-        """The record written as ``line``, decoded here once."""
-        raw = load_json(line)
-        record = cls(raw["record_id"], raw["prev_record"], line)
+    def read(cls, line: str, index: int) -> "AuditRecord":
+        """The record written as ``line``, decoded here once; a line that is
+        not a record raises AuditError naming its ``index`` in the log."""
+        with reading(AuditError, f"record {index} does not read"):
+            raw = load_json(line)
+            record = cls(expect(raw, "record_id", str), expect(raw, "prev_record", str), line)
         record.__dict__["raw"] = raw  # what the cached property would decode
         return record
 
@@ -281,7 +287,7 @@ class AuditLog:
                         lines = [text for text in (line.strip().decode("utf-8") for line in handle) if text]
                 except FileNotFoundError:
                     return []
-        return [AuditRecord.read(line) for line in lines]
+        return [AuditRecord.read(line, index) for index, line in enumerate(lines)]
 
 
 def verify_audit_chain(

@@ -22,7 +22,6 @@ import base64
 import hashlib
 import json
 import sys
-from bisect import bisect_right
 from typing import Any, Callable
 
 
@@ -107,23 +106,6 @@ def plain_dumps(obj: Any) -> str:
     return _encode(obj)
 
 
-def split_members(obj: dict, *names: str) -> list[str]:
-    """The canonical members of plain ``obj``, braces stripped, in runs split
-    where each of the sorted ``names`` sorts in: ``len(names) + 1`` runs.
-    Members so named are left out, for the caller to place between the runs;
-    ``join_members`` puts a rendering back together."""
-    runs: list[dict] = [{} for _ in range(len(names) + 1)]
-    for key, value in obj.items():
-        if key not in names:
-            runs[bisect_right(names, key)][key] = value
-    return [_encode(run)[1:-1] for run in runs]
-
-
-def join_members(*members: str) -> str:
-    """A JSON object from runs of canonical members, in order."""
-    return "{" + ",".join(member for member in members if member) + "}"
-
-
 def _unique_members(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
@@ -195,19 +177,25 @@ def signing_bytes(obj: dict) -> bytes:
 def render_signed(obj: dict) -> tuple[bytes, bytes]:
     """``(canonical_bytes(obj), signing_bytes(obj))`` for an ``obj`` that is
     plain by construction or has passed ``check_canonical``, from one
-    walk-free pass: the members around the signature envelope are rendered
-    once and shared by both."""
-    head, tail = split_members(obj, "signature")
+    walk-free pass: the members that sort before and after the signature
+    envelope are rendered once each and shared by both."""
+    head = _encode({k: v for k, v in obj.items() if k < "signature"})[1:-1]
+    tail = _encode({k: v for k, v in obj.items() if k > "signature"})[1:-1]
+
+    def joined(signature: str) -> bytes:
+        return ("{" + ",".join(m for m in (head, signature, tail) if m) + "}").encode("utf-8")
+
     if "signature" not in obj:
-        whole = signed = join_members(head, tail)
-    else:
-        envelope = obj["signature"]
-        whole = join_members(head, '"signature":' + plain_dumps(envelope), tail)
-        # The envelope as signed_view keeps it: without its value, or dropped
-        # altogether when it is not an object.
-        view = signed_view({"signature": envelope}).get("signature")
-        signed = join_members(head, "" if view is None else '"signature":' + plain_dumps(view), tail)
-    return whole.encode("utf-8"), signed.encode("utf-8")
+        whole = joined("")
+        return whole, whole
+    envelope = obj["signature"]
+    # The envelope as signed_view keeps it: without its value, or dropped
+    # altogether when it is not an object.
+    view = signed_view({"signature": envelope}).get("signature")
+    return (
+        joined('"signature":' + plain_dumps(envelope)),
+        joined("" if view is None else '"signature":' + plain_dumps(view)),
+    )
 
 
 def to_transport(data: bytes) -> str:

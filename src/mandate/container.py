@@ -227,10 +227,11 @@ def issue_credential(
 ) -> CredentialContainer:
     """Build and sign a container; refuses anything a verifier would have to deny structurally.
 
-    For a delegation (parent given) the issuer must be the parent's subject,
-    permissions must not grow, and constraints must pass check_attenuation.
-    Widening is refused at issue time: a delegator cannot even mint the
-    artifact, rather than minting one that every verifier rejects.
+    A delegation (parent given) is minted, then judged by the rule the chain
+    check applies: ``continuity_defect`` and ``widening`` against the parent,
+    then ``check_attenuation`` on the constraints.  Widening is refused at
+    issue time: a delegator never receives an artifact that every verifier
+    rejects.
     """
     problem = validate_payload(payload)
     if problem is not None:
@@ -240,20 +241,6 @@ def issue_credential(
         raise InvalidPayloadError("audience must be a non-empty list of identities")
     if valid_from > valid_until:
         raise InvalidPayloadError("validity window is empty")
-    if parent is not None:
-        if payload.issuer_id != parent.subject_id:
-            raise AttenuationViolation(
-                f"delegation issuer {payload.issuer_id!r} is not the parent subject {parent.subject_id!r}"
-            )
-        if valid_from < parent.valid_from or valid_until > parent.valid_until:
-            raise AttenuationViolation("delegation validity window extends beyond its parent")
-        parent_permissions = parent.payload.permissions or frozenset()
-        extra = (payload.permissions or frozenset()) - parent_permissions
-        if extra:
-            raise AttenuationViolation(f"delegation adds permissions {sorted(extra)}")
-        ok, detail = check_attenuation(payload.constraints or (), parent.payload.constraints or ())
-        if not ok:
-            raise AttenuationViolation(detail)
     body: dict = {
         "kind": "credential",
         "issuer_id": payload.issuer_id,
@@ -269,8 +256,43 @@ def issue_credential(
     if credential_id is None:
         credential_id = "cred-" + digest_object(body)[:16]
     body["credential_id"] = credential_id
-    signed = attach_signature(body, issuer_key)
-    return parse_container(signed)
+    child = parse_container(attach_signature(body, issuer_key))
+    if parent is not None:
+        defect = continuity_defect(parent, child) or widening(parent, child)
+        if defect is not None:
+            raise AttenuationViolation(f"delegation {defect[1]}")
+        ok, detail = check_attenuation(child.payload.constraints or (), parent.payload.constraints or ())
+        if not ok:
+            raise AttenuationViolation(detail)
+    return child
+
+
+# --- delegation: one rule for minting a delegation and for checking a chain ----
+# Each check returns None, or the defect's trace note and the phrase that
+# follows the child in its denial ("link 2 <phrase>", "delegation <phrase>").
+
+def continuity_defect(parent: CredentialContainer, child: CredentialContainer) -> Optional[tuple[str, str]]:
+    """``child`` must be issued by the parent's subject and name the parent by digest."""
+    if child.issuer_id != parent.subject_id:
+        return (
+            f"issuer {child.issuer_id!r} is not the parent subject",
+            f"issuer {child.issuer_id!r} is not the parent subject {parent.subject_id!r}",
+        )
+    if child.parent_digest != parent.digest():
+        return "parent digest mismatch", "does not reference its parent by digest"
+    return None
+
+
+def widening(parent: CredentialContainer, child: CredentialContainer) -> Optional[tuple[str, str]]:
+    """``child``'s validity window must nest in the parent's, and its
+    permissions must be among the parent's; constraints are judged by
+    ``check_attenuation``."""
+    if child.valid_from < parent.valid_from or child.valid_until > parent.valid_until:
+        return "validity window widened", "validity window extends beyond its parent"
+    extra = sorted((child.payload.permissions or frozenset()) - (parent.payload.permissions or frozenset()))
+    if extra:
+        return f"adds permissions {extra}", f"grants permissions its parent never held: {extra}"
+    return None
 
 
 # --- proof of possession ------------------------------------------------------

@@ -51,8 +51,10 @@ from .container import (
     NonceCache,
     PossessionProof,
     RevocationStore,
+    continuity_defect,
     parse_container,
     verify_container,
+    widening,
     DEFAULT_POP_MAX_AGE,
 )
 from .model import (
@@ -95,7 +97,7 @@ CURRENCY_FIELD = "core.currency_code"
 PARSED_CREDENTIALS_KEPT = 64
 
 # Verification sub-checks in the order verify_container performs them, so a
-# denial code can be placed on the trace at the right step.
+# denial code is placed on the trace at its step; an unlisted code raises KeyError.
 _VERIFY_CHECKS = (
     "signature",
     "issuer trust",
@@ -451,6 +453,12 @@ class _Denied(Exception):
         self.reason = DenialReason(code, detail)
         self.failed_constraint = failed_constraint
 
+    @classmethod
+    def of(cls, stage: str, check: str, reason: DenialReason, prefix: str = "", failed_constraint=None) -> "_Denied":
+        """A check's own ``reason``: its detail is the trace note and, after
+        ``prefix``, the decision's detail."""
+        return cls(stage, check, reason.detail, reason.code, prefix + reason.detail, failed_constraint)
+
     def trace_failure(self, trace: list[TraceEntry]) -> None:
         if self.note is not None:
             trace.append(TraceEntry(self.stage, self.check, f"FAIL: {self.note}"))
@@ -631,21 +639,14 @@ class Engine:
 
         # One entry per verification sub-check, stopping at the failure.
         reason = self._verify(container, presenter_id, pop, now, pop_required=True)
-        failed_at = (
-            len(_VERIFY_CHECKS)
-            if reason is None
-            else _CODE_TO_CHECK.get(reason.code, len(_VERIFY_CHECKS) - 1)
-        )
+        failed_at = len(_VERIFY_CHECKS) if reason is None else _CODE_TO_CHECK[reason.code]
         if reason is None or reason.code is not DenyCode.ISSUER_UNTRUSTED:
             # (an untrusted issuer has no key, so its signature was never checked)
             trace.extend(_VERIFIED[:failed_at])
         if reason is not None:
-            raise _Denied(
-                "container", _VERIFY_CHECKS[failed_at], reason.detail, reason.code, reason.detail
-            )
-        problem = container.completeness
-        if problem is not None:
-            raise _Denied("payload", "completeness", problem.detail, problem.code, problem.detail)
+            raise _Denied.of("container", _VERIFY_CHECKS[failed_at], reason)
+        if container.completeness is not None:
+            raise _Denied.of("payload", "completeness", container.completeness)
         return container
 
     # -- delegation chain ----------------------------------------------------
@@ -681,30 +682,17 @@ class Engine:
         trace.append(_CHAIN_DEPTH)
 
         for index, container in enumerate(containers, start=1):
-            problem = container.completeness
-            if problem is not None:
-                raise _Denied(
-                    "chain", f"link {index} payload", problem.detail,
-                    problem.code, f"link {index}: {problem.detail}",
-                )
+            if container.completeness is not None:
+                raise _Denied.of("chain", f"link {index} payload", container.completeness, f"link {index}: ")
 
         # Continuity is structural and judged before signatures, so a
         # mis-chained presentation reports the chain defect, not a key defect.
         for index, (parent, child) in enumerate(zip(containers, containers[1:]), start=2):
-            check = f"link {index} continuity"
-            if child.issuer_id != parent.subject_id:
-                raise _Denied(
-                    "chain", check, f"issuer {child.issuer_id!r} is not the parent subject",
-                    DenyCode.DELEGATION_CHAIN_BROKEN,
-                    f"link {index} issuer {child.issuer_id!r} is not the parent subject "
-                    f"{parent.subject_id!r}",
-                )
-            if child.parent_digest != parent.digest():
-                raise _Denied(
-                    "chain", check, "parent digest mismatch",
-                    DenyCode.DELEGATION_CHAIN_BROKEN,
-                    f"link {index} does not reference its parent by digest",
-                )
+            defect = continuity_defect(parent, child)
+            if defect is not None:
+                note, phrase = defect
+                check = f"link {index} continuity"
+                raise _Denied("chain", check, note, DenyCode.DELEGATION_CHAIN_BROKEN, f"link {index} {phrase}")
             trace.append(_chain_entries(index)[1])
 
         leaf = containers[-1]
@@ -728,28 +716,15 @@ class Engine:
                 use_registries=index == 1,
             )
             if reason is not None:
-                raise _Denied(
-                    "chain", f"link {index} verify", reason.detail,
-                    reason.code, f"link {index}: {reason.detail}",
-                )
+                raise _Denied.of("chain", f"link {index} verify", reason, f"link {index}: ")
             trace.append(_chain_entries(index)[2])
 
         for index, (parent, child) in enumerate(zip(containers, containers[1:]), start=2):
             check = f"link {index} attenuation"
-            if child.valid_from < parent.valid_from or child.valid_until > parent.valid_until:
-                raise _Denied(
-                    "chain", check, "validity window widened",
-                    DenyCode.DELEGATION_WIDENED,
-                    f"link {index} validity window extends beyond its parent",
-                )
-            parent_permissions = parent.payload.permissions or frozenset()
-            extra = (child.payload.permissions or frozenset()) - parent_permissions
-            if extra:
-                raise _Denied(
-                    "chain", check, f"adds permissions {sorted(extra)}",
-                    DenyCode.DELEGATION_WIDENED,
-                    f"link {index} grants permissions its parent never held: {sorted(extra)}",
-                )
+            defect = widening(parent, child)
+            if defect is not None:
+                note, phrase = defect
+                raise _Denied("chain", check, note, DenyCode.DELEGATION_WIDENED, f"link {index} {phrase}")
             ok, detail = check_attenuation(
                 child.payload.constraints or (), parent.payload.constraints or ()
             )
@@ -839,7 +814,7 @@ class Engine:
             return None
         value, reason = self._resolve(CURRENCY_FIELD, context, profile_status, notes)
         if reason is not None and reason.code is not DenyCode.CONTEXT_FIELD_MISSING:
-            raise _Denied(stage, "currency", reason.detail, reason.code, reason.detail)
+            raise _Denied.of(stage, "currency", reason)
         return value.text if value is not None else None
 
     def _evaluate_one_constraint(
@@ -888,10 +863,7 @@ class Engine:
             if not ok:
                 reason = DenialReason(DenyCode.CONSTRAINT_FAILED, detail)
         if reason is not None:
-            raise _Denied(
-                "constraints", label, reason.detail,
-                reason.code, f"{label}: {reason.detail}", failed_constraint=label,
-            )
+            raise _Denied.of("constraints", label, reason, f"{label}: ", failed_constraint=label)
 
     def _apply_local_policy(
         self,
@@ -907,10 +879,7 @@ class Engine:
         def resolved(field: str) -> TypedValue:
             value, reason = self._resolve(field, context, profile_status, notes)
             if reason is not None:
-                raise _Denied(
-                    "policy", "local policy", reason.detail,
-                    reason.code, f"local policy: {reason.detail}",
-                )
+                raise _Denied.of("policy", "local policy", reason, "local policy: ")
             return value
 
         witness = [resolved(field).text for field in policy.required_context_fields]
@@ -957,10 +926,7 @@ class Engine:
             if reason is None:
                 reason = container.completeness
             if reason is not None:
-                raise _Denied(
-                    "workflow", check, reason.detail,
-                    reason.code, f"workflow credential {index}: {reason.detail}",
-                )
+                raise _Denied.of("workflow", check, reason, f"workflow credential {index}: ")
             trace.append(TraceEntry("workflow", check, "PASS"))
 
         assignments: dict[str, str] = {}

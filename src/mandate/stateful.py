@@ -238,14 +238,13 @@ def allocate_epoch_quotas(
 class EpochLedger:
     """One enforcer's local spend: a slice per epoch index, never reset."""
 
-    def __init__(self, quota: EpochQuota, origin: datetime = _EPOCH_ORIGIN) -> None:
+    def __init__(self, quota: EpochQuota) -> None:
         self.quota = quota
-        self._origin = origin
         self._lock = threading.Lock()
         self._totals: dict[int, Decimal] = {}
 
     def reserve(self, amount: Decimal, now: datetime) -> Decimal:
-        index = (now - self._origin) // timedelta(seconds=self.quota.epoch_length_seconds)
+        index = (now - _EPOCH_ORIGIN) // timedelta(seconds=self.quota.epoch_length_seconds)
         with self._lock:
             self._totals[index] = _admit(self._totals.get(index, Decimal(0)), amount, self.quota.allocation)
             return self._totals[index]

@@ -508,3 +508,18 @@ def test_audit_bytes_are_pinned(tmp_path):
     _append(log, 'jobs/\\"1"\U0001f600', {"core.note": ',"subject_id":"x"'}, "}{", None)
     _append(log, "jobs/2", {}, "detail", {"workflow_id": "wf-1", "roles": ["a", "b"]})
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LOG_SHA256
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"x":1}', "5", "not json", '{"prev_record":"' + GENESIS_DIGEST + '","record_id":5}'],
+    ids=["no-record-id", "not-an-object", "not-json", "int-record-id"],
+)
+def test_records_names_a_line_that_is_not_a_record(tmp_path, line):
+    path = tmp_path / "audit.log"
+    log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+    append_some(log, 2)
+    with path.open("a", encoding="utf-8") as handle:  # another writer extends the opened log
+        handle.write(line + "\n")
+    with pytest.raises(AuditError, match="^record 2 does not read: "):
+        log.records()

@@ -1,5 +1,7 @@
-"""The package's flat surface: what ``from mandate import *`` binds."""
+"""The package's flat surface, and the bindings the benchmark tracer wraps."""
 
+import importlib.util
+from pathlib import Path
 from types import ModuleType
 
 import mandate
@@ -40,3 +42,22 @@ def test_the_flat_surface_exports_no_submodule():
 def test_the_flat_surface_is_unchanged():
     assert len(SURFACE) == 113
     assert mandate.__all__ == SURFACE
+
+
+def test_every_binding_the_benchmark_tracer_wraps_exists_and_is_restored():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # A class owner's own __dict__ (an inherited method would be wrapped on
+    # the subclass), a module's attributes otherwise: vars() reads either.
+    missing = [(owner.__name__, attribute) for owner, attribute, _ in tracing.TARGETS if attribute not in vars(owner)]
+    assert not missing, f"the tracer wraps bindings that are gone: {missing}"
+    originals = [(owner, attribute, vars(owner)[attribute]) for owner, attribute, _ in tracing.TARGETS]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(vars(owner)[attribute] is not original for owner, attribute, original in originals)
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attribute] is original for owner, attribute, original in originals)

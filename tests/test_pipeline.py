@@ -20,6 +20,7 @@ from mandate.constraints import (
     StringPatternConstraint,
 )
 from mandate.container import (
+    AttenuationViolation,
     RevocationStore,
     issue_credential,
     make_possession_proof,
@@ -33,6 +34,7 @@ from mandate.model import (
     DenyCode,
     RequestContext,
     SemanticType,
+    TraceEntry,
     ValueParseError,
     parse_timestamp,
     parse_typed_value,
@@ -645,6 +647,68 @@ def test_chain_widened_constraints():
     engine = make_engine()
     decision = evaluate(engine, [root, child], context(amount="100"), subject_key=DELEGATES[0])
     assert decision.reason.code is DenyCode.DELEGATION_WIDENED
+
+
+OUTSIDER = generate_key("agent:test:outsider", seed="pipeline:outsider")
+EXTRA_PERMISSION = ("task.run", "task.admin")
+
+
+@pytest.mark.parametrize(
+    "issuer_key, window, permissions, code, check, note, phrase",
+    [
+        (
+            OUTSIDER, (FROM, UNTIL), ("task.run",), DenyCode.DELEGATION_CHAIN_BROKEN, "continuity",
+            "issuer 'agent:test:outsider' is not the parent subject",
+            "issuer 'agent:test:outsider' is not the parent subject 'agent:test:worker'",
+        ),
+        (
+            SUBJECT, (FROM - timedelta(days=1), UNTIL), ("task.run",), DenyCode.DELEGATION_WIDENED,
+            "attenuation", "validity window widened", "validity window extends beyond its parent",
+        ),
+        (
+            SUBJECT, (FROM, UNTIL + timedelta(days=1)), ("task.run",), DenyCode.DELEGATION_WIDENED,
+            "attenuation", "validity window widened", "validity window extends beyond its parent",
+        ),
+        (
+            SUBJECT, (FROM, UNTIL), EXTRA_PERMISSION, DenyCode.DELEGATION_WIDENED, "attenuation",
+            "adds permissions ['task.admin']", "grants permissions its parent never held: ['task.admin']",
+        ),
+    ],
+    ids=["issuer", "window-starts-earlier", "window-ends-later", "permission-added"],
+)
+def test_issuance_and_the_chain_check_agree_on_a_delegation_defect(
+    issuer_key, window, permissions, code, check, note, phrase
+):
+    root = credential()
+    child_payload = payload(DELEGATES[0].key_id, issuer_key.key_id, permissions)
+    with pytest.raises(AttenuationViolation) as refused:
+        issue_credential(
+            payload=child_payload,
+            subject_public_key=DELEGATES[0].public_hex,
+            audience=[RECEIVER],
+            valid_from=window[0],
+            valid_until=window[1],
+            issuer_key=issuer_key,
+            parent=root,
+        )
+    assert str(refused.value) == f"delegation {phrase}"
+    # The same child, signed directly, presented as the second link.
+    body = {
+        "kind": "credential",
+        "credential_id": "cred-direct-child",
+        "issuer_id": issuer_key.key_id,
+        "subject_id": DELEGATES[0].key_id,
+        "subject_public_key": {"suite": 1, "public_key": DELEGATES[0].public_hex},
+        "audience": [RECEIVER],
+        "valid_from": render_timestamp(window[0]),
+        "valid_until": render_timestamp(window[1]),
+        "parent_digest": root.digest(),
+        "payload": child_payload.to_dict(),
+    }
+    child = parse_container(attach_signature(body, issuer_key))
+    decision = evaluate(make_engine(), [root, child], context(amount="100"), subject_key=DELEGATES[0])
+    assert (decision.reason.code, decision.reason.detail) == (code, f"link 2 {phrase}")
+    assert decision.trace[-2] == TraceEntry("chain", f"link 2 {check}", f"FAIL: {note}")
 
 
 def test_chain_leaf_constraint_governs_the_request():
