@@ -57,10 +57,13 @@ class AuditRecord:
     line: str
 
     @classmethod
-    def read(cls, line: str, index: int) -> "AuditRecord":
-        """The record written as ``line``, decoded here once; a line that is
-        not a record raises AuditError naming its ``index`` in the log."""
+    def read(cls, line: str | bytes, index: int) -> "AuditRecord":
+        """The record written as ``line`` (UTF-8 when bytes), decoded here
+        once; a line that is not a record raises AuditError naming its
+        ``index`` in the log."""
         with reading(AuditError, f"record {index} does not read"):
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
             raw = load_json(line)
             record = cls(expect(raw, "record_id", str), expect(raw, "prev_record", str), line)
         record.__dict__["raw"] = raw  # what the cached property would decode
@@ -284,7 +287,7 @@ class AuditLog:
             else:
                 try:
                     with self.path.open("rb") as handle:
-                        lines = [text for text in (line.strip().decode("utf-8") for line in handle) if text]
+                        lines = [text for text in (line.strip() for line in handle) if text]
                 except FileNotFoundError:
                     return []
         return [AuditRecord.read(line, index) for index, line in enumerate(lines)]

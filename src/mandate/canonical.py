@@ -12,6 +12,8 @@ artifact would silently break byte-stability.
 Values are typed once, where they enter.  ``load_json`` refuses floats,
 ``NaN`` and ``±Infinity`` as it decodes, so what it returns is plain by
 construction and is rendered by ``plain_dumps`` without a walk.
+``read_canonical`` decodes text that is already canonical once, without the
+duplicate-name check, and reads any other text through ``load_json``.
 ``canonical_dumps`` keeps its walk for everything else: dicts handed to the
 public API may hold any Python value.
 """
@@ -122,6 +124,8 @@ _DECODER = json.JSONDecoder(
     object_pairs_hook=_unique_members, parse_float=_refuse_number, parse_constant=_refuse_number
 )
 _LENIENT_DECODER = json.JSONDecoder(object_pairs_hook=_unique_members)
+# No duplicate-name hook: for canonical text only, whose member names are unique.
+_PLAIN_DECODER = json.JSONDecoder(parse_float=_refuse_number, parse_constant=_refuse_number)
 
 
 def load_json(data: bytes | str) -> Any:
@@ -139,6 +143,25 @@ def load_json(data: bytes | str) -> Any:
         # have without the refusal.
         check_canonical(_LENIENT_DECODER.decode(text))
         raise
+
+
+def read_canonical(data: bytes | str) -> tuple[Any, str]:
+    """``load_json(data)`` and its ``plain_dumps`` rendering, decoded and
+    rendered once.  Text equal to that rendering is canonical, so its member
+    names are unique and the duplicate-name check is skipped.  Any other text
+    is read by ``load_json``, which raises as it always does."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        obj = _PLAIN_DECODER.decode(text)
+    except ValueError:  # the strict reader refuses it too, in its own words
+        obj = load_json(text)
+        return obj, _encode(obj)
+    whole = _encode(obj)
+    if whole != text:
+        # Not canonical: a repeated name raises here.  Otherwise the strict
+        # reader returns an object equal to the one decoded, rendered as whole.
+        obj = load_json(text)
+    return obj, whole
 
 
 def canonical_bytes(obj: Any) -> bytes:
@@ -174,28 +197,41 @@ def signing_bytes(obj: dict) -> bytes:
     return canonical_bytes(signed_view(obj))
 
 
-def render_signed(obj: dict) -> tuple[bytes, bytes]:
-    """``(canonical_bytes(obj), signing_bytes(obj))`` for an ``obj`` that is
-    plain by construction or has passed ``check_canonical``, from one
-    walk-free pass: the members that sort before and after the signature
-    envelope are rendered once each and shared by both."""
-    head = _encode({k: v for k, v in obj.items() if k < "signature"})[1:-1]
-    tail = _encode({k: v for k, v in obj.items() if k > "signature"})[1:-1]
-
-    def joined(signature: str) -> bytes:
-        return ("{" + ",".join(m for m in (head, signature, tail) if m) + "}").encode("utf-8")
-
+def signing_text(obj: dict, whole: str) -> str:
+    """``signing_bytes(obj)`` as text, cut from ``whole``, which is
+    ``plain_dumps(obj)``.  What ``signed_view`` leaves out (the top-level
+    envelope's ``value`` member, or a ``signature`` member that is not an
+    object) is cut at a position computed from the renderings of the members
+    that sort after it, never searched for: a payload or an unknown member
+    can hold a ``"signature"`` object of its own."""
     if "signature" not in obj:
-        whole = joined("")
-        return whole, whole
+        return whole
     envelope = obj["signature"]
-    # The envelope as signed_view keeps it: without its value, or dropped
-    # altogether when it is not an object.
-    view = signed_view({"signature": envelope}).get("signature")
-    return (
-        joined('"signature":' + plain_dumps(envelope)),
-        joined("" if view is None else '"signature":' + plain_dumps(view)),
-    )
+    end = _member_end(obj, "signature", len(whole))
+    if not isinstance(envelope, dict):
+        return _cut(whole, end, len('"signature":') + len(_encode(envelope)))
+    if "value" not in envelope:
+        return whole
+    end = _member_end(envelope, "value", end)
+    return _cut(whole, end, len('"value":') + len(_encode(envelope["value"])))
+
+
+def _member_end(obj: dict, name: str, end: int) -> int:
+    """Where the member ``name`` ends in the rendering of ``obj`` that ends at
+    ``end``: before the members that sort after it, and the comma before them."""
+    after = {k: v for k, v in obj.items() if k > name}
+    return end - len(_encode(after)) if after else end - 1
+
+
+def _cut(text: str, end: int, size: int) -> str:
+    """``text`` without the ``size`` characters of the member that ends at
+    ``end``, and without the comma that joins it to a neighbour."""
+    start = end - size
+    if text[start - 1] == ",":
+        start -= 1
+    elif text[end] == ",":
+        end += 1
+    return text[:start] + text[end:]
 
 
 def to_transport(data: bytes) -> str:

@@ -12,7 +12,7 @@ containment check counts as a failure, never as a pass.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
 from functools import lru_cache
@@ -54,12 +54,13 @@ class _Written:
     def duplicate_key(self) -> tuple:
         """Equal for two constraints exactly when their wire forms are: the
         family's tag and its typed members, a decimal keyed by the digits it
-        is written with (``1000`` and ``1000.0`` differ, ``+5`` and ``5`` do not)."""
-        row = _BY_CLASS[type(self)]
-        return (row.tag, *(
-            format(value, "f") if isinstance(value, Decimal) else value
-            for value in (getattr(self, name) for name in (*row.required, *row.optional))
-        ))
+        is written with (``1000`` and ``1000.0`` differ, ``+5`` and ``5`` do not).
+        ``constraint_from_dict`` builds it as it reads the members."""
+        key = self.__dict__.get("_duplicate_key")
+        if key is None:
+            row = _BY_CLASS[type(self)]
+            key = _duplicate_key(row, [getattr(self, name) for name in row.members])
+        return key
 
     def to_dict(self) -> dict:
         row = _BY_CLASS[type(self)]
@@ -150,9 +151,13 @@ class StringPatternConstraint(_Written):
     match: str
     pattern: str
 
+    # The pattern as a restricted glob with its stars collapsed, for narrowing.
+    glob: str = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.match not in PATTERN_MODES:
             raise ConstraintError(f"unknown pattern mode {self.match!r}")
+        object.__setattr__(self, "glob", normalize_pattern(self))
 
 
 @dataclass(frozen=True)
@@ -395,7 +400,11 @@ def normalize_pattern(constraint: StringPatternConstraint) -> str:
         glob = "*" + pattern
     else:
         glob = pattern
-    return re.sub(r"\*{2,}", "*", glob)
+    return _collapse_stars(glob)
+
+
+def _collapse_stars(glob: str) -> str:
+    return re.sub(r"\*{2,}", "*", glob) if "**" in glob else glob
 
 
 def pattern_subsumes(parent: str, child: str) -> bool:
@@ -409,8 +418,11 @@ def pattern_subsumes(parent: str, child: str) -> bool:
     (star gaps can always be filled with characters that defeat any literal
     forced to straddle them).  Greedy leftmost embedding decides that exactly.
     """
-    parent = re.sub(r"\*{2,}", "*", parent)
-    child = re.sub(r"\*{2,}", "*", child)
+    return _glob_subsumes(_collapse_stars(parent), _collapse_stars(child))
+
+
+def _glob_subsumes(parent: str, child: str) -> bool:
+    """``pattern_subsumes`` of two globs whose stars are already collapsed."""
     if "*" not in child:
         return glob_match(parent, child)
     if "*" not in parent:
@@ -642,16 +654,16 @@ def _narrows_pattern(child_group, parent_group) -> tuple[bool, str]:
     for c in list(child_group) + list(parent_group):
         if c.match != "restricted_glob" and "*" in c.pattern:
             return False, f"literal '*' in {c.match} pattern cannot be compared"
-    parents = [normalize_pattern(c) for c in parent_group]
-    children = [normalize_pattern(c) for c in child_group]
+    parents = [c.glob for c in parent_group]
+    children = [c.glob for c in child_group]
     # Conjunctive semantics: the child's intersection must sit inside every
     # parent pattern, so each parent needs a child pattern under it, and each
     # child pattern must be under some parent.
     for p in parents:
-        if not any(pattern_subsumes(p, c) for c in children):
+        if not any(_glob_subsumes(p, c) for c in children):
             return False, f"no child pattern stays within parent pattern {p!r}"
     for c in children:
-        if not any(pattern_subsumes(p, c) for p in parents):
+        if not any(_glob_subsumes(p, c) for p in parents):
             return False, f"child pattern {c!r} escapes every parent pattern"
     return True, ""
 
@@ -698,6 +710,16 @@ class _Family:
     narrows: Callable[[Sequence, Sequence], tuple[bool, str]]
     required: dict
     optional: dict
+    # Derived: every member name in written order, and the names a wire
+    # object must hold and may hold.
+    members: tuple = field(init=False)
+    needed: frozenset = field(init=False)
+    allowed: frozenset = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "members", (*self.required, *self.optional))
+        object.__setattr__(self, "needed", frozenset((*self.required, "type")))
+        object.__setattr__(self, "allowed", self.needed | self.optional.keys())
 
 
 _FAMILIES = (
@@ -718,6 +740,12 @@ _BY_TAG = {row.tag: row for row in _FAMILIES}
 _BY_CLASS = {row.cls: row for row in _FAMILIES}
 
 
+def _duplicate_key(row: _Family, values: Iterable) -> tuple:
+    """The duplicate key of a constraint of ``row`` whose typed members, in
+    ``row.members`` order, are ``values``."""
+    return (row.tag, *(format(value, "f") if isinstance(value, Decimal) else value for value in values))
+
+
 def family_of(constraint: Constraint) -> str:
     if isinstance(constraint, UnknownConstraint):
         return f"unknown:{constraint.type_tag}"
@@ -735,13 +763,16 @@ def constraint_from_dict(obj: dict) -> Constraint:
     if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
         raise ValueParseError("constraint must be an object with a string 'type'")
     row = _BY_TAG.get(obj["type"])
-    if row is not None and obj.keys() - row.optional.keys() == row.required.keys() | {"type"}:
+    if row is not None and row.needed <= obj.keys() <= row.allowed:
         try:
             members = {name: read(obj[name]) for name, (read, _) in row.required.items()}
             for name, (read, _) in row.optional.items():
-                if obj.get(name) is not None:
-                    members[name] = read(obj[name])
-            return row.cls(**members)
+                value = obj.get(name)
+                members[name] = None if value is None else read(value)
+            constraint = row.cls(**members)
         except (ValueParseError, TypeError):
             pass
+        else:
+            object.__setattr__(constraint, "_duplicate_key", _duplicate_key(row, members.values()))
+            return constraint
     return UnknownConstraint(type_tag=obj["type"], body=canonical_dumps(obj))

@@ -24,9 +24,10 @@ from .canonical import (
     canonical_dumps,
     check_canonical,
     digest_object,
-    load_json,
-    render_signed,
+    plain_dumps,
+    read_canonical,
     sha256_hex,
+    signing_text,
 )
 from .constraints import UnknownConstraint, check_attenuation, constraint_from_dict
 from .keys import SigningKey, attach_signature, check_signature, is_ed25519
@@ -164,13 +165,16 @@ def parse_container(data: bytes | str | dict) -> CredentialContainer:
 
 
 def _parse_container(data: bytes | str | dict) -> CredentialContainer:
-    decoded = isinstance(data, (bytes, str))
-    try:
-        obj = load_json(data) if decoded else data
-    except CanonicalizationError:  # a float, named by its path as a dict's digest names it
-        raise
-    except ValueError as exc:
-        raise MalformedContainerError(f"container bytes are not canonical text: {exc}") from exc
+    whole = None
+    if isinstance(data, (bytes, str)):
+        try:
+            obj, whole = read_canonical(data)
+        except CanonicalizationError:  # a float, named by its path as a dict's digest names it
+            raise
+        except ValueError as exc:
+            raise MalformedContainerError(f"container bytes are not canonical text: {exc}") from exc
+    else:
+        obj = data
     if not isinstance(obj, dict) or obj.get("kind") != "credential":
         raise MalformedContainerError("not a credential container")
     with reading(MalformedContainerError):
@@ -193,12 +197,12 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
         raise MalformedContainerError("subject_id must equal payload.agent_id")
     if payload.issuer_id is not None and payload.issuer_id != issuer_id:
         raise MalformedContainerError("issuer_id must equal payload.issuer_id")
-    # Decoded text is plain by construction; a dict gets canonical_dumps's
-    # walk.  Either way the digest and the signing bytes come from one
-    # walk-free rendering.
-    if not decoded:
+    # Decoded text was rendered as it was read; a dict gets canonical_dumps's
+    # walk and its rendering here.  Either way the digest and the signing
+    # bytes come from that one rendering.
+    if whole is None:
         check_canonical(obj)
-    whole, rendered = render_signed(obj)
+        whole = plain_dumps(obj)
     return CredentialContainer(
         credential_id=credential_id,
         issuer_id=issuer_id,
@@ -211,7 +215,7 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
         parent_digest=parent_digest,
         raw=obj,
         digest_hex=sha256_hex(whole),
-        rendered=rendered,
+        rendered=signing_text(obj, whole).encode("utf-8"),
     )
 
 
@@ -533,6 +537,33 @@ def verify_container(
     return None
 
 
+# The members of a possession proof, and of its signature envelope, with the
+# exact type each must have for its signing bytes to be rendered without a walk.
+_PROOF_TYPES = {
+    "kind": str, "credential_digest": str, "audience": str, "nonce": str, "timestamp": str, "signature": dict,
+}
+_ENVELOPE_TYPES = {"key_id": str, "suite": int, "value": str}
+
+
+def _typed(obj: dict, types: dict) -> bool:
+    return obj.keys() == types.keys() and all(type(obj[name]) is kind for name, kind in types.items())
+
+
+def _typed_proof_bytes(raw: dict) -> Optional[bytes]:
+    """``signing_bytes(raw)`` rendered without a walk, for a proof that holds
+    exactly the members ``read_proof`` reads and an envelope of a ``str``
+    key_id, an ``int`` suite and a ``str`` value; None for any other proof,
+    whose signing bytes ``check_signature`` renders with the walk."""
+    if not (_typed(raw, _PROOF_TYPES) and _typed(raw["signature"], _ENVELOPE_TYPES)):
+        return None
+    view = dict(raw)
+    view["signature"] = {"key_id": raw["signature"]["key_id"], "suite": raw["signature"]["suite"]}
+    try:
+        return plain_dumps(view).encode("utf-8")
+    except (TypeError, ValueError):  # a lone surrogate, say: left to the walk, which refuses it
+        return None
+
+
 def _possession_failure(
     container: CredentialContainer,
     pop: Optional[PossessionProof],
@@ -549,7 +580,8 @@ def _possession_failure(
         return f"proof does not read: {exc}"
     if credential_digest != container.digest():
         return "proof is bound to a different credential"
-    if not check_signature(pop.raw, container.subject_public_key):
+    rendered = _typed_proof_bytes(pop.raw)
+    if not check_signature(pop.raw, container.subject_public_key, rendered=rendered):
         return "proof signature does not verify against the subject key"
     if audience != evaluator_id:
         return "proof was made for a different receiver"

@@ -523,3 +523,13 @@ def test_records_names_a_line_that_is_not_a_record(tmp_path, line):
         handle.write(line + "\n")
     with pytest.raises(AuditError, match="^record 2 does not read: "):
         log.records()
+
+
+def test_records_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "audit.log"
+    log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+    append_some(log, 2)
+    with path.open("ab") as handle:  # another writer extends the opened log
+        handle.write(b"\xff\n")
+    with pytest.raises(AuditError, match="^record 2 does not read: 'utf-8' codec can't decode byte 0xff"):
+        log.records()

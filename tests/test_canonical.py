@@ -17,8 +17,8 @@ from mandate.canonical import (
     canonical_dumps,
     load_json,
     plain_dumps,
-    render_signed,
     signing_bytes,
+    signing_text,
 )
 from oracles import reference_canonical_refusal
 
@@ -131,18 +131,25 @@ def test_a_cyclic_object_raises_instead_of_looping():
 
 # --- walk-free renderings of values that are plain by construction --------------------
 
-NAMES = st.sampled_from(["a", "prev_record", "record_id", "s", "signature", "sig", "z", "é"])
-PLAIN_OBJECTS = st.dictionaries(st.one_of(NAMES, st.text(max_size=4)), PLAIN, max_size=6)
+NAMES = st.sampled_from(["a", "prev_record", "record_id", "s", "signature", "sig", "value", "z", "é"])
+# Values that may hold "signature" and "value" members of their own, which
+# the cut must never be confused by.
+NESTED = st.recursive(
+    PLAIN_SCALARS, lambda children: _containers(children, st.one_of(NAMES, st.text(max_size=4))), max_leaves=12
+)
+PLAIN_OBJECTS = st.dictionaries(st.one_of(NAMES, st.text(max_size=4)), NESTED, max_size=6)
+ENVELOPES = st.one_of(NESTED, st.dictionaries(st.sampled_from(["key_id", "suite", "value", "zz", "a"]), NESTED))
 
 
 @settings(max_examples=300, deadline=None)
-@given(obj=PLAIN_OBJECTS, envelope=st.one_of(PLAIN, st.dictionaries(st.sampled_from(["key_id", "suite", "value", "zz"]), PLAIN)))
+@given(obj=PLAIN_OBJECTS, envelope=ENVELOPES)
 def test_walk_free_renderings_equal_canonical_dumps(obj, envelope):
     assert plain_dumps(obj) == canonical_dumps(obj)
     members = {k: v for k, v in obj.items() if k not in ("record_id", "signature")}
-    signed = dict(obj, signature=envelope)
-    assert render_signed(signed) == (canonical_bytes(signed), signing_bytes(signed))
-    assert render_signed(members) == (canonical_bytes(members), signing_bytes(members))
+    for signed in (dict(obj, signature=envelope), members):
+        whole = plain_dumps(signed)
+        assert whole.encode("utf-8") == canonical_bytes(signed)
+        assert signing_text(signed, whole).encode("utf-8") == signing_bytes(signed)
 
 
 def _json_dumps(obj):

@@ -8,6 +8,7 @@ readers must raise the same error or give equal objects that write the same
 members in the same order.
 """
 
+import dataclasses
 from decimal import Decimal
 from pathlib import Path
 
@@ -246,6 +247,17 @@ def _limits(*values):
         {"type": "NumericLimitConstraint", "field": "core.amount", "operator": "lte", "value": value}
         for value in values
     ]
+
+
+@settings(max_examples=500, deadline=None)
+@given(constraint_dicts())
+def test_the_key_built_while_reading_is_the_key_of_a_constraint_built_in_code(obj):
+    ours, error = _read(constraint_from_dict, obj)
+    if error is not None or isinstance(ours, UnknownConstraint):
+        return
+    in_code = reference_constraint_from_dict(obj)  # the frozen reader calls the classes itself
+    assert "_duplicate_key" in vars(ours) and "_duplicate_key" not in vars(in_code)
+    assert ours.duplicate_key() == in_code.duplicate_key() == dataclasses.replace(ours).duplicate_key()
 
 
 @pytest.mark.parametrize(
