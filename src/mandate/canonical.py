@@ -146,21 +146,25 @@ def load_json(data: bytes | str) -> Any:
 
 
 def read_canonical(data: bytes | str) -> tuple[Any, str]:
-    """``load_json(data)`` and its ``plain_dumps`` rendering, decoded and
-    rendered once.  Text equal to that rendering is canonical, so its member
-    names are unique and the duplicate-name check is skipped.  Any other text
-    is read by ``load_json``, which raises as it always does."""
+    """``load_json(data)`` and its ``plain_dumps`` rendering.  Text equal to
+    that rendering is canonical, so its member names are unique: it is decoded
+    once, without the duplicate-name check.  Any other text is read by
+    ``load_json`` as well, which raises as it always does.  Text that cannot
+    be a canonical object at a glance (not opening with a member name, not
+    closing with ``}``, or holding a line break, which canonical text escapes)
+    goes straight to ``load_json``."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        obj = _PLAIN_DECODER.decode(text)
-    except ValueError:  # the strict reader refuses it too, in its own words
+    if text[:2] != '{"' or text[-1:] != "}" or "\n" in text:
         obj = load_json(text)
         return obj, _encode(obj)
+    try:
+        obj = _PLAIN_DECODER.decode(text)
+    except ValueError:
+        load_json(text)  # refused there too, in the strict reader's words
+        raise
     whole = _encode(obj)
     if whole != text:
-        # Not canonical: a repeated name raises here.  Otherwise the strict
-        # reader returns an object equal to the one decoded, rendered as whole.
-        obj = load_json(text)
+        load_json(text)  # not canonical: a repeated member name raises here
     return obj, whole
 
 

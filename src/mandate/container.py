@@ -537,33 +537,6 @@ def verify_container(
     return None
 
 
-# The members of a possession proof, and of its signature envelope, with the
-# exact type each must have for its signing bytes to be rendered without a walk.
-_PROOF_TYPES = {
-    "kind": str, "credential_digest": str, "audience": str, "nonce": str, "timestamp": str, "signature": dict,
-}
-_ENVELOPE_TYPES = {"key_id": str, "suite": int, "value": str}
-
-
-def _typed(obj: dict, types: dict) -> bool:
-    return obj.keys() == types.keys() and all(type(obj[name]) is kind for name, kind in types.items())
-
-
-def _typed_proof_bytes(raw: dict) -> Optional[bytes]:
-    """``signing_bytes(raw)`` rendered without a walk, for a proof that holds
-    exactly the members ``read_proof`` reads and an envelope of a ``str``
-    key_id, an ``int`` suite and a ``str`` value; None for any other proof,
-    whose signing bytes ``check_signature`` renders with the walk."""
-    if not (_typed(raw, _PROOF_TYPES) and _typed(raw["signature"], _ENVELOPE_TYPES)):
-        return None
-    view = dict(raw)
-    view["signature"] = {"key_id": raw["signature"]["key_id"], "suite": raw["signature"]["suite"]}
-    try:
-        return plain_dumps(view).encode("utf-8")
-    except (TypeError, ValueError):  # a lone surrogate, say: left to the walk, which refuses it
-        return None
-
-
 def _possession_failure(
     container: CredentialContainer,
     pop: Optional[PossessionProof],
@@ -580,8 +553,7 @@ def _possession_failure(
         return f"proof does not read: {exc}"
     if credential_digest != container.digest():
         return "proof is bound to a different credential"
-    rendered = _typed_proof_bytes(pop.raw)
-    if not check_signature(pop.raw, container.subject_public_key, rendered=rendered):
+    if not check_signature(pop.raw, container.subject_public_key):
         return "proof signature does not verify against the subject key"
     if audience != evaluator_id:
         return "proof was made for a different receiver"

@@ -82,6 +82,7 @@ def _spellings(obj: dict) -> dict:
         "float": text.replace('"suite":1', '"suite":1.0', 1),
         "minus-zero": text[:-1] + ',"zz_extra":-0}',
         "bom": "\ufeff" + text,
+        "padded": text + " ",
     }
 
 
