@@ -242,7 +242,7 @@ def _cmd_evaluate(args) -> int:
     pop = _parse_file(args.pop, PossessionProof.from_dict) if args.pop else None
     vouchers = _parse_file(args.vouchers, _vouchers) if args.vouchers else None
     decision = engine.evaluate(
-        credentials if len(credentials) != 1 else credentials[0],
+        credentials,
         context,
         args.presenter,
         pop,

@@ -195,9 +195,8 @@ def _run_input(engine: Engine, now, entry: dict) -> Decision:
     pop = PossessionProof.from_dict(pop_raw) if pop_raw is not None else None
     vouchers_raw = entry.get("vouchers")
     vouchers = [StateVoucher.from_dict(v) for v in vouchers_raw] if vouchers_raw is not None else None
-    payload = credentials if len(credentials) != 1 else credentials[0]
     return engine.evaluate(
-        payload, context, expect(entry, "presenter", str), pop, now=now, vouchers=vouchers
+        credentials, context, expect(entry, "presenter", str), pop, now=now, vouchers=vouchers
     )
 
 

@@ -248,47 +248,17 @@ class EngineConfig:
     keys, profiles, and policy are loaded and verified by the operator before
     any request is consulted against them.
 
-    Pinned artifacts are immutable values, so what depends on them alone is
-    computed once, on first use, and kept on the artifact: the mapping
-    profile's duplicate-row and steward-signature verdict (per steward public
-    key), its alias index and digest, its resolution plan for the
-    vocabularies last used (each identifier's alias, or its denial), each
-    registry's digest, and the audit key's Ed25519 key object.  Public-key
-    objects are kept by hex, up to ``keys.PUBLIC_KEYS_KEPT`` (256).
+    What depends only on these pinned artifacts, or on credential bytes
+    presented more than once, is computed on first use and kept (README,
+    "The cache-hit path"); nothing is planned when the config or the engine
+    is built, and a field reassigned after construction takes effect on the
+    next evaluation.  Everything that depends on the request or on ``now``
+    runs on every evaluation.
 
-    Presented credentials are immutable values too.  The engine remembers
-    the last ``PARSED_CREDENTIALS_KEPT`` (64) distinct byte strings or texts
-    presented to it (dict and container inputs are not remembered: a
-    container object is parsed afresh from its signed ``raw``) and,
-    from the second presentation on, keeps their parsed container.  A
-    container's digest, signing bytes and payload-completeness verdict are
-    fixed when it is constructed; a kept one also holds its issuer-signature
-    verdict per issuer public key (so a re-keyed issuer or a different
-    parent link is verified afresh).  The cache entry of a kept credential
-    also holds its constraint plan: labels, trace entries, result rows, the
-    currency flag, and the rendered ALLOW ``constraint_results``; a
-    credential presented once builds none.  The audit
-    log renders its constant members once, and the engine renders the
-    ``governance`` member once per snapshot of this config and trust anchor.
-    Nothing is planned when the config or the engine is built, and a field
-    reassigned after construction takes effect on the next evaluation.
-    Everything that depends on the request or on ``now`` still runs on every
-    evaluation: proof of possession (read from the proof's signed ``raw``),
-    nonce replay, the validity window, revocation, registry window and
-    standing, audience, subject binding, the profile's ``valid_until``
-    staleness check, every context lookup and constraint, and the audit
-    record's own members, sign and write.
-
-    Every value that reaches an audit record is typed where it enters, and
-    a mistyped one raises TypeError there; ``AuditLog.append`` checks the
-    record's values once more before it writes.
-    Decoded artifacts are plain by construction (``canonical.load_json``
-    refuses floats).  This config types its identities, manifest digest and
-    trusted issuer keys; registries, the local policy, signing keys and
-    credential containers type their own fields where they are built;
-    ``AuditLog`` types its evaluator id and environment; ``Engine.evaluate``
-    and ``Engine.compose_workflow`` type the request and the workflow policy
-    before any check runs.
+    This config types its identities, manifest digest and trusted issuer
+    keys, and a mistyped one raises TypeError; registries, the local policy,
+    signing keys and credential containers type their own fields where they
+    are built.
     """
 
     evaluator_id: str
@@ -371,27 +341,34 @@ def _result_rows(constraints: Sequence[Constraint], passed: int, failed: bool) -
     ]
 
 
-class _Plan:
-    """What a kept leaf credential's constraints decide alone: each
-    constraint's label and PASS trace entry, the PASS result rows, and
-    whether a limit names a currency.  Built on the credential's first
-    evaluation as a kept leaf and held in its cache entry; it renders the
-    ALLOW ``constraint_results`` once, on the first evaluation in which every
-    constraint passed.  It holds nothing the profile or the rest of the
-    config decides, so it holds for any config.  A credential presented once
-    builds no plan: its rows are built at the end of its evaluation, for the
+class _Kept:
+    """A credential-cache entry for bytes presented more than once: the
+    parsed container and, from its first evaluation as a leaf, its
+    constraint plan, built by ``plan()``: each constraint's label and PASS
+    trace entry, the PASS result rows, and whether a limit names a
+    currency.  The ALLOW ``constraint_results`` are rendered once, on the
+    first evaluation in which every constraint passed.  The plan holds
+    nothing the profile or the rest of the config decides, so it holds for
+    any config.  A credential presented once has no entry and builds no
+    plan: its rows are built at the end of its evaluation, for the
     constraints it reached."""
 
-    __slots__ = ("steps", "rows", "needs_currency", "_allowed")
+    __slots__ = ("container", "steps", "rows", "needs_currency", "_allowed")
 
-    def __init__(self, constraints: Sequence[Constraint]) -> None:
-        self.steps = tuple(
-            (label, constraint, TraceEntry("constraints", label, "PASS"))
-            for label, constraint in ((f"C{i}", c) for i, c in enumerate(constraints, start=1))
-        )
-        self.rows = tuple(_result_rows(constraints, len(constraints), False))
-        self.needs_currency = _names_currency(constraints)
-        self._allowed: Optional[Rendered] = None
+    def __init__(self, container: CredentialContainer) -> None:
+        self.container = container
+        self.steps: Optional[tuple] = None
+
+    def plan(self) -> None:
+        if self.steps is None:
+            constraints = self.container.payload.constraints or ()
+            self.steps = tuple(
+                (label, constraint, TraceEntry("constraints", label, "PASS"))
+                for label, constraint in ((f"C{i}", c) for i, c in enumerate(constraints, start=1))
+            )
+            self.rows = tuple(_result_rows(constraints, len(constraints), False))
+            self.needs_currency = _names_currency(constraints)
+            self._allowed: Optional[Rendered] = None
 
     def results(self, passed: int, failed: bool) -> Union[list[dict], Rendered]:
         """``_result_rows`` of the planned constraints; the rendered run when
@@ -405,17 +382,6 @@ class _Plan:
         return self._allowed
 
 
-class _Kept:
-    """A credential-cache entry for bytes presented more than once: the
-    parsed container and, once it was evaluated as a leaf, its plan."""
-
-    __slots__ = ("container", "plan")
-
-    def __init__(self, container: CredentialContainer) -> None:
-        self.container = container
-        self.plan: Optional[_Plan] = None
-
-
 @dataclass
 class _Notes:
     """Working memory for one evaluation, folded into its audit record."""
@@ -423,9 +389,9 @@ class _Notes:
     containers: list[CredentialContainer] = dc_field(default_factory=list)
     resolved: dict[str, str] = dc_field(default_factory=dict)
     kept: Optional[_Kept] = None  # the leaf's cache entry, when it is kept
-    constraints: Sequence[Constraint] = ()  # the leaf's, once evaluation reaches them
-    plan: Optional[_Plan] = None  # their plan, when the leaf is kept
-    passed: int = 0  # constraints passed, in plan order
+    planned: bool = False  # whether the constraints ran from the kept entry's plan
+    profile_status: Optional[DenialReason] = None  # the mapping profile's verdict
+    passed: int = 0  # constraints passed, in payload order
     workflow: Optional[dict] = None
 
 
@@ -497,10 +463,12 @@ class Engine:
         vouchers: Optional[Sequence[StateVoucher]] = None,
     ) -> Decision:
         """Decide one request.  A list of credentials is a delegation chain,
-        presented root first; a single credential is a chain of one.  A
+        presented root first; a list of one is that credential itself.  A
         mistyped request raises TypeError, and text with no UTF-8 form
         raises ValueError, before any check runs."""
         is_chain = isinstance(credential, (list, tuple))
+        if is_chain and len(credential) == 1 and not isinstance(credential[0], (list, tuple)):
+            (credential,), is_chain = credential, False
         _admit_request(context, presenter_id)
         trace: list[TraceEntry] = []
         notes = _Notes()
@@ -553,41 +521,39 @@ class Engine:
 
     # -- parsing and verification ------------------------------------------
 
-    def _parse(self, credential: Credential) -> tuple[CredentialContainer, Optional[_Kept]]:
+    def _parse(
+        self, credential: Credential, stage: str, note="", where=""
+    ) -> tuple[CredentialContainer, Optional[_Kept]]:
         """Parse a presented credential, reusing the entry kept for the same
-        bytes or text; the entry is None for a credential not kept.  A parse
-        failure is never remembered.  A container object decides as its
-        signed ``raw``: its other fields are derived afresh, never trusted."""
+        bytes or text; the entry is None for a credential not kept.  A
+        container object decides as its signed ``raw``: its other fields are
+        derived afresh, never trusted.  A parse failure is never remembered
+        and is the one denial of a credential that does not parse, at
+        ``stage``: the ``note`` and ``where`` prefixes place it in a chain or
+        workflow set."""
         if isinstance(credential, CredentialContainer):
             credential = credential.raw
-        if not isinstance(credential, (bytes, str)):
-            return parse_container(credential), None
-        with self._parsed_lock:
-            seen = credential in self._parsed
-            if seen:  # re-inserted, so it is now the most recently presented
-                kept = self._parsed[credential] = self._parsed.pop(credential)
-                if kept is not None:
-                    return kept.container, kept
-        container = parse_container(credential)
+        try:
+            if not isinstance(credential, (bytes, str)):
+                return parse_container(credential), None
+            with self._parsed_lock:
+                seen = credential in self._parsed
+                if seen:  # re-inserted, so it is now the most recently presented
+                    kept = self._parsed[credential] = self._parsed.pop(credential)
+                    if kept is not None:
+                        return kept.container, kept
+            container = parse_container(credential)
+        except ValueError as exc:  # a MalformedContainerError among them
+            raise _Denied(
+                stage, "parse", f"{note}{exc}",
+                DenyCode.SIGNATURE_INVALID, f"malformed container{where}: {exc}",
+            )
         kept = _Kept(container) if seen else None
         with self._parsed_lock:
             self._parsed[credential] = kept
             if len(self._parsed) > PARSED_CREDENTIALS_KEPT:
                 del self._parsed[next(iter(self._parsed))]
         return container, kept
-
-    def _parse_or_deny(
-        self, credential: Credential, stage: str, note="", where=""
-    ) -> tuple[CredentialContainer, Optional[_Kept]]:
-        """The one denial of a presented credential that does not parse: the
-        ``note`` and ``where`` prefixes place it in a chain or workflow set."""
-        try:
-            return self._parse(credential)
-        except ValueError as exc:  # a MalformedContainerError among them
-            raise _Denied(
-                stage, "parse", f"{note}{exc}",
-                DenyCode.SIGNATURE_INVALID, f"malformed container{where}: {exc}",
-            )
 
     def _verify(
         self,
@@ -633,7 +599,7 @@ class Engine:
         trace: list[TraceEntry],
         notes: _Notes,
     ) -> CredentialContainer:
-        container, notes.kept = self._parse_or_deny(credential, "container")
+        container, notes.kept = self._parse(credential, "container")
         notes.containers.append(container)
         trace.append(_PARSED)
 
@@ -672,7 +638,7 @@ class Engine:
                 f"chain of {depth} links exceeds the depth limit of {limit}",
             )
         parsed = [
-            self._parse_or_deny(c, "chain", f"link {i}: ", f" in link {i}")
+            self._parse(c, "chain", f"link {i}: ", f" in link {i}")
             for i, c in enumerate(credentials, start=1)
         ]
         containers = [container for container, _ in parsed]
@@ -742,13 +708,13 @@ class Engine:
         self,
         field: str,
         context: RequestContext,
-        profile_status: Optional[DenialReason],
         notes: _Notes,
     ) -> tuple[Optional[TypedValue], Optional[DenialReason]]:
-        """Resolve one semantic field; a resolved value is noted for the audit snapshot."""
+        """Resolve one semantic field under the profile verdict noted for this
+        evaluation; a resolved value is noted for the audit snapshot."""
         cfg = self.config
         value, reason = resolve_semantic_field(
-            field, context, cfg.mapping_profile, cfg.vocabularies, profile_status
+            field, context, cfg.mapping_profile, cfg.vocabularies, notes.profile_status
         )
         if value is not None:
             notes.resolved[field] = value.text
@@ -773,46 +739,42 @@ class Engine:
             )
         trace.append(_PERMITTED)
 
-        profile_status = validate_mapping_profile(cfg.mapping_profile, now, cfg.steward_keys)
+        notes.profile_status = validate_mapping_profile(cfg.mapping_profile, now, cfg.steward_keys)
 
         # Opportunistic, for the audit snapshot only: the requested resource is
         # recorded when resolvable, and its absence never alters the decision.
-        self._resolve("core.resource_id", context, profile_status, notes)
+        self._resolve("core.resource_id", context, notes)
 
-        constraints = notes.constraints = payload.constraints or ()
         kept = notes.kept
-        if kept is not None and kept.plan is None:
-            kept.plan = _Plan(constraints)
-        plan = notes.plan = kept.plan if kept is not None else None
-        if plan is not None:
-            steps, needs_currency = plan.steps, plan.needs_currency
+        if kept is not None:
+            kept.plan()
+            steps, needs_currency, notes.planned = kept.steps, kept.needs_currency, True
         else:
+            constraints = payload.constraints or ()
             steps = ((f"C{i}", c, None) for i, c in enumerate(constraints, start=1))
             needs_currency = _names_currency(constraints)
-        context_currency = self._currency("constraints", needs_currency, context, profile_status, notes)
+        context_currency = self._currency("constraints", needs_currency, context, notes)
         for label, constraint, entry in steps:
             self._evaluate_one_constraint(
-                label, constraint, container, context, now, context_currency,
-                profile_status, vouchers, notes,
+                label, constraint, container, context, now, context_currency, vouchers, notes
             )
             trace.append(entry or TraceEntry("constraints", label, "PASS"))
             notes.passed += 1
 
-        self._apply_local_policy(context, profile_status, trace, notes)
+        self._apply_local_policy(context, trace, notes)
 
     def _currency(
         self,
         stage: str,
         needed: bool,
         context: RequestContext,
-        profile_status: Optional[DenialReason],
         notes: _Notes,
     ) -> Optional[str]:
         """The request currency when ``needed`` (a limit names one); a missing
         field reads as None, and any other resolution defect denies at ``stage``."""
         if not needed:
             return None
-        value, reason = self._resolve(CURRENCY_FIELD, context, profile_status, notes)
+        value, reason = self._resolve(CURRENCY_FIELD, context, notes)
         if reason is not None and reason.code is not DenyCode.CONTEXT_FIELD_MISSING:
             raise _Denied.of(stage, "currency", reason)
         return value.text if value is not None else None
@@ -825,7 +787,6 @@ class Engine:
         context: RequestContext,
         now: datetime,
         context_currency: Optional[str],
-        profile_status: Optional[DenialReason],
         vouchers: Optional[Sequence[StateVoucher]],
         notes: _Notes,
     ) -> None:
@@ -840,7 +801,7 @@ class Engine:
                 failed_constraint=label,
             )
 
-        value, reason = self._resolve(constraint.field, context, profile_status, notes)
+        value, reason = self._resolve(constraint.field, context, notes)
         if reason is None and isinstance(constraint, CumulativeLimitConstraint):
             reason = evaluate_cumulative(
                 constraint,
@@ -868,7 +829,6 @@ class Engine:
     def _apply_local_policy(
         self,
         context: RequestContext,
-        profile_status: Optional[DenialReason],
         trace: list[TraceEntry],
         notes: _Notes,
     ) -> None:
@@ -877,13 +837,13 @@ class Engine:
             return
 
         def resolved(field: str) -> TypedValue:
-            value, reason = self._resolve(field, context, profile_status, notes)
+            value, reason = self._resolve(field, context, notes)
             if reason is not None:
                 raise _Denied.of("policy", "local policy", reason, "local policy: ")
             return value
 
         witness = [resolved(field).text for field in policy.required_context_fields]
-        context_currency = self._currency("policy", _names_currency(policy.constraints), context, profile_status, notes)
+        context_currency = self._currency("policy", _names_currency(policy.constraints), context, notes)
         for constraint in policy.constraints:
             if isinstance(constraint, UnknownConstraint):
                 raise _Denied(
@@ -911,7 +871,7 @@ class Engine:
         notes: _Notes,
     ) -> WorkflowComposition:
         containers = [
-            self._parse_or_deny(c, "workflow", f"credential {i}: ", f" in workflow set ({i})")[0]
+            self._parse(c, "workflow", f"credential {i}: ", f" in workflow set ({i})")[0]
             for i, c in enumerate(credentials, start=1)
         ]
         notes.containers.extend(containers)
@@ -982,8 +942,9 @@ class Engine:
 
     # -- decision and audit ------------------------------------------------------
 
-    def _governance_member(self, leaf: Optional[CredentialContainer]) -> Rendered:
-        """The record's governance member: what the decision was made under.
+    def _governance_member(self, anchored: Optional[CredentialContainer]) -> Rendered:
+        """The record's governance member: what the decision was made under,
+        the trust anchor being the configured key of ``anchored``'s issuer.
         Rendered once per config snapshot and trust anchor; the snapshot is
         compared on every request, so a reassigned config field takes effect
         on the next record.  A value that is not plain JSON raises
@@ -993,7 +954,7 @@ class Engine:
             cfg.tier, cfg.profile_id, cfg.mapping_profile, tuple(cfg.registries),
             cfg.manifest_digest, cfg.local_policy,
         )
-        anchor = cfg.trusted_issuers.get(leaf.issuer_id) if leaf else None
+        anchor = cfg.trusted_issuers.get(anchored.issuer_id) if anchored else None
         kept = self._governance
         if kept is None or kept[0] != snapshot:
             kept = self._governance = (snapshot, {})
@@ -1035,7 +996,8 @@ class Engine:
         if denied is not None:
             denied.trace_failure(trace)
         leaf = notes.containers[-1] if notes.containers else None
-        plan = notes.plan
+        # A chain is anchored by its root link; a workflow set by its last credential.
+        anchored = notes.containers[0] if operation == "evaluate_chain" and leaf else leaf
         reason = denied.reason if denied is not None else None
         # Only a failing credential constraint names itself as failed.
         failed = denied is not None and denied.failed_constraint is not None
@@ -1051,14 +1013,14 @@ class Engine:
                 resource=notes.resolved.get("core.resource_id"),
                 context_snapshot=notes.resolved,
                 constraint_results=(
-                    plan.results(notes.passed, failed) if plan
-                    else _result_rows(notes.constraints, notes.passed, failed)
+                    notes.kept.results(notes.passed, failed) if notes.planned
+                    else _result_rows((leaf.payload.constraints or ()) if leaf else (), notes.passed, failed)
                 ),
                 decision_outcome=DENY if reason else ALLOW,
                 decision_code=reason.code.value if reason else None,
                 decision_detail=reason.detail if reason else "",
                 failed_constraint=denied.failed_constraint if denied is not None else None,
-                governance=self._governance_member(leaf),
+                governance=self._governance_member(anchored),
                 workflow=notes.workflow,
             )
         except (AuditError, CanonicalizationError) as exc:

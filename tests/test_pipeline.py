@@ -46,6 +46,7 @@ from mandate.pipeline import Engine, EngineConfig, LocalPolicy, WorkflowPolicy, 
 from mandate.semantics import AliasEntry, build_mapping_profile, identity_mapping_profile
 from mandate.scenarios import load_scenario
 from mandate.stateful import EpochLedger, EpochQuota, InMemoryStateAuthority
+from test_plans import _body
 
 NOW = parse_timestamp("2026-05-01T12:00:00Z")
 FROM = parse_timestamp("2026-01-01T00:00:00Z")
@@ -749,6 +750,42 @@ def test_empty_chain_is_incomplete():
     engine = make_engine()
     decision = engine.evaluate([], context(), "agent:test:worker", None, now=NOW)
     assert decision.reason.code is DenyCode.CREDENTIAL_INCOMPLETE
+
+
+def test_a_list_of_one_decides_and_records_as_the_credential_itself():
+    bundle = load_scenario("insurance_claims")
+    wire = bundle.credential.dumps().encode()
+    for label in sorted(bundle.contexts):
+        outcomes = []
+        for presented in (wire, [wire], (bundle.credential,)):
+            engine = Engine(bundle.engine_config(AuditLog(bundle.evaluator_id, bundle.keys["receiver"])))
+            pop = bundle.possession_proof(f"one-{label}")
+            decision = engine.evaluate(
+                presented, bundle.contexts[label], bundle.credential.subject_id, pop, now=bundle.now
+            )
+            outcomes.append((decision.to_dict(), _body(engine.config.audit_log)))
+        assert outcomes[1] == outcomes[0] == outcomes[2]
+        assert outcomes[0][1]["operation"] == "evaluate"
+        assert outcomes[0][0]["trace"][0]["stage"] == "container"
+    nested = Engine(bundle.engine_config(AuditLog(bundle.evaluator_id, bundle.keys["receiver"])))
+    decision = nested.evaluate([[wire]], context(), bundle.credential.subject_id, None, now=bundle.now)
+    assert decision.reason.detail.startswith("malformed container in link 1")  # a list in a list is no credential
+
+
+def test_a_delegated_decision_names_its_root_issuer_as_trust_anchor():
+    links, keys = chain_of(3)
+    engine = make_engine(max_chain_depth=3)
+    for amount, allowed in (("100", True), ("900", False)):
+        assert evaluate(engine, links, context(amount=amount), subject_key=keys[-1]).allowed is allowed
+        record = _body(engine.config.audit_log)
+        assert (record["operation"], record["governance"]["trust_anchor"]) == ("evaluate_chain", ISSUER.public_hex)
+    broken = [links[0], links[2]]  # parsed, then refused on continuity: still anchored by its root
+    assert evaluate(engine, broken, subject_key=keys[-1]).reason.code is DenyCode.DELEGATION_CHAIN_BROKEN
+    assert _body(engine.config.audit_log)["governance"]["trust_anchor"] == ISSUER.public_hex
+    too_deep, too_deep_keys = chain_of(4)  # refused before any link is parsed: no anchor
+    decision = evaluate(engine, too_deep, subject_key=too_deep_keys[-1])
+    assert decision.reason.code is DenyCode.DELEGATION_DEPTH_EXCEEDED
+    assert _body(engine.config.audit_log)["governance"]["trust_anchor"] is None
 
 
 # --- stateful constraint through the engine -----------------------------------------

@@ -160,7 +160,7 @@ def _pinned_sequence(path) -> list[str]:
 # SHA-256 of the lines above, one per record, each followed by a newline.
 # Any change to key order, escaping, record_id derivation, the signed bytes or
 # what a planned repeat records changes it.
-PINNED_AUDIT_SHA256 = "4e36c4eb0678b97fdc38db850c8d8351861d896f8d10f0bb9cb025106d965755"
+PINNED_AUDIT_SHA256 = "b465424ff696814f7a02b40c25b1e757dfe5e7c858d139e18bcc2722b75c5a38"
 
 
 def test_the_engine_audit_bytes_are_pinned(tmp_path):
@@ -240,19 +240,37 @@ def test_a_kept_credential_repeat_plans_nothing(monkeypatch):
     assert len(families) == 4
 
 
+def _plan_builds(monkeypatch) -> list[str]:
+    """The credential id of each kept entry whose plan is built, in order."""
+    builds = []
+    original = pipeline._Kept.plan
+
+    def plan(kept):
+        if kept.steps is None:
+            builds.append(kept.container.credential_id)
+        return original(kept)
+
+    monkeypatch.setattr(pipeline._Kept, "plan", plan)
+    return builds
+
+
 def test_a_credential_presented_once_builds_no_plan(monkeypatch):
-    plans = _counting(monkeypatch, pipeline, "_Plan")
+    builds = _plan_builds(monkeypatch)
     families = _counting(monkeypatch, pipeline, "family_of")
     engine = Engine(_config())
     for i in range(3):
         decision = _present_root(engine, _issue(SUBJECT, name=f"once-{i}"), f"deny-{i}", _context(amount="5000"))
         assert decision.reason.code is DenyCode.CONSTRAINT_FAILED
     assert len(families) == 3  # one row each: C1 failed, C2 was never reached
-    assert _present_root(engine, _issue(SUBJECT, name="once-allowed"), "allow").allowed
+    allowed = _issue(SUBJECT, name="once-allowed")
+    assert _present_root(engine, allowed, "allow").allowed
     assert len(families) == 5
-    assert not plans
+    assert builds == []
     rows = engine.config.audit_log.records()[0].raw["constraint_results"]
     assert rows == [{"label": "C1", "type": "numeric_limit", "field": "core.amount", "result": "FAIL"}]
+    for i in range(2):  # presented again: kept, and planned on its first evaluation as a leaf only
+        assert _present_root(engine, allowed, f"again-{i}").allowed
+    assert builds == ["cred-plans-once-allowed"]
 
 
 def test_a_chain_s_fixed_trace_entries_are_built_once_per_link_index():
@@ -362,7 +380,7 @@ def _vector_step(entry, now):
         vouchers = entry.get("vouchers")
         vouchers = [StateVoucher.from_dict(v) for v in vouchers] if vouchers is not None else None
         return engine.evaluate(
-            credentials if len(credentials) != 1 else credentials[0],
+            credentials,
             RequestContext.from_dict(entry["context"]),
             entry["presenter"],
             pop,
