@@ -18,6 +18,7 @@ import threading
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Optional, Union
 
@@ -97,8 +98,29 @@ class Rendered:
         self.value = value
 
 
-# The members placed under the lock: the chain link and the signature.
-_SLOTS = ("prev_record", "record_id", "signature")
+# A string's JSON text, as the kept encoder escapes every string it renders.
+_escape = encode_basestring
+
+
+def _text(value: object, *path: str) -> str:
+    """The canonical text of one record member's value, ``path`` its place in
+    the record.  A str, None, and a list or dict made only of str are rendered
+    here; any other value is walked by ``check_canonical``, which names an
+    offence by its path (``$.member…``), and rendered by the kept encoder."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if value is None:
+        return "null"
+    if kind is list and all(type(item) is str for item in value):
+        return f"[{','.join(map(_escape, value))}]"
+    if kind is dict and all(type(k) is str and type(v) is str for k, v in value.items()):
+        return "{" + ",".join([f"{_escape(k)}:{_escape(v)}" for k, v in sorted(value.items())]) + "}"
+    placed = value
+    for step in reversed(path):
+        placed = {step: placed}
+    check_canonical(placed)
+    return plain_dumps(value)
 
 
 def _tail(handle: BinaryIO, size: int = 8192) -> bytes:
@@ -122,11 +144,12 @@ class AuditLog:
     Appends are serialized under a lock so the chain never forks inside one
     process.
 
-    A record is rendered from a template: the members constant per log
-    (``kind``, ``evaluator_id``, ``security`` and the signature envelope) are
-    rendered once, on the first append; ``Rendered`` members are spliced in as
-    they stand; the rest are checked and rendered per record.  This log types
-    its own identities here.
+    A record is rendered in one pass over its members in canonical order:
+    the members constant per log (``evaluator_id``, ``security`` and the
+    signature envelope) are rendered once, on the first append; ``Rendered``
+    members are spliced in as they stand; the rest are rendered per record
+    by ``_text``, which walks only a value that is not a str, None, or a list
+    or dict of str.  This log types its own identities here.
     """
 
     def __init__(
@@ -156,18 +179,17 @@ class AuditLog:
                 self._last_digest = self._reopen(_tail(handle))
 
     @cached_property
-    def _constants(self) -> tuple[dict[str, str], str]:
-        """What is rendered once per log, on the first append: the texts of
-        the ``kind``, ``evaluator_id`` and ``security`` members, and the
-        signature member up to its proof value (``,"signature":{"key_id":…,"suite":1``)."""
+    def _constants(self) -> tuple[str, str, str]:
+        """What is rendered once per log, on the first append: the
+        ``evaluator_id`` and ``security`` members, and the signature member
+        up to its proof value (``,"signature":{"key_id":…,"suite":1``)."""
         security = {"key_protection": self.key_protection, "environment": self.environment}
         envelope = {"key_id": self._key.key_id, "suite": SUITE_ED25519}
-        texts = {
-            "kind": canonical_dumps("audit_record"),
-            "evaluator_id": canonical_dumps(self.evaluator_id),
-            "security": canonical_dumps(security),
-        }
-        return texts, f',"signature":{canonical_dumps(envelope)[:-1]}'
+        return (
+            f',"evaluator_id":{canonical_dumps(self.evaluator_id)}',
+            f',"security":{canonical_dumps(security)}',
+            f',"signature":{canonical_dumps(envelope)[:-1]}',
+        )
 
     def _reopen(self, data: bytes) -> str:
         """The digest the next record chains to.  The log must end in a newline
@@ -215,56 +237,49 @@ class AuditLog:
         written and the chain still ends where it did.  ``constraint_results``
         and ``governance`` may be passed as ``Rendered``, checked when built.
         """
-        members: dict = {
-            "operation": operation,
-            "timestamp": render_timestamp(timestamp),
-            "credential_digests": list(credential_digests),
-            "presenter_id": presenter_id,
-            "subject_id": subject_id,
-            "issuer_id": issuer_id,
-            "action": action,
-            "resource": resource,
-            "context": dict(context_snapshot),
-            "decision": {
-                "outcome": decision_outcome,
-                "code": decision_code,
-                "detail": decision_detail,
-                "failed_constraint": failed_constraint,
-            },
-        }
-        constants, envelope = self._constants
-        texts = dict(constants)  # member name -> its text, rendered before this record
+        evaluator, security, envelope = self._constants
         if isinstance(constraint_results, Rendered):
-            texts["constraint_results"] = constraint_results.text
+            results = constraint_results.text
         else:
-            members["constraint_results"] = [dict(r) for r in constraint_results]
+            results = _text([dict(r) for r in constraint_results], "constraint_results")
         if isinstance(governance, Rendered):
-            texts["governance"] = governance.text
+            governed = governance.text
         else:
-            members["governance"] = dict(governance)
-        if workflow is not None:
-            members["workflow"] = dict(workflow)
-        check_canonical(members)
-        texts.update((name, plain_dumps(value)) for name, value in members.items())
-        # One parts list, in canonical member order, for the record_id
-        # preimage, the signing bytes and the line; only the slots change
-        # between them.  Each member carries its leading comma but the first,
-        # "action", which always sorts first.
-        names = sorted([*texts, *_SLOTS])
-        parts = ["{", *("" if name in _SLOTS else f',"{name}":{texts[name]}' for name in names), "}"]
-        parts[1] = parts[1][1:]
-        link, named, signature = (names.index(name) + 1 for name in _SLOTS)
+            governed = _text(dict(governance), "governance")
+        # The members in canonical order, each after a leading comma but the
+        # first, around the three placed under the lock: prev_record and
+        # record_id after presenter_id, the signature after security.
+        head = [
+            f'{{"action":{_text(action, "action")},"constraint_results":{results}',
+            f',"context":{_text(dict(context_snapshot), "context")}',
+            f',"credential_digests":{_text(list(credential_digests), "credential_digests")}',
+            f',"decision":{{"code":{_text(decision_code, "decision", "code")}'
+            f',"detail":{_text(decision_detail, "decision", "detail")}'
+            f',"failed_constraint":{_text(failed_constraint, "decision", "failed_constraint")}'
+            f',"outcome":{_text(decision_outcome, "decision", "outcome")}}}',
+            f'{evaluator},"governance":{governed}',
+            f',"issuer_id":{_text(issuer_id, "issuer_id")},"kind":"audit_record"'
+            f',"operation":{_text(operation, "operation")}'
+            f',"presenter_id":{_text(presenter_id, "presenter_id")}',
+        ]
+        middle = f',"resource":{_text(resource, "resource")}{security}'
+        tail = (
+            f',"subject_id":{_text(subject_id, "subject_id")}'
+            f',"timestamp":{_escape(render_timestamp(timestamp))}'
+            + ("}" if workflow is None else f',"workflow":{_text(dict(workflow), "workflow")}}}')
+        )
         with self._lock:
             # prev_record and record_id are hex, so they need no JSON escaping.
             prev_record = self._last_digest
-            parts[link] = f',"prev_record":"{prev_record}"'
-            record_id = "rec-" + sha256_hex("".join(parts).encode("utf-8"))[:16]
-            parts[named] = f',"record_id":"{record_id}"'
-            parts[signature] = envelope + "}"
-            # The signed bytes are the rendered parts; only the value is taken.
-            signed = attach_signature({}, self._key, rendered="".join(parts).encode("utf-8"))
-            parts[signature] = f'{envelope},"value":"{signed["signature"]["value"]}"}}'
-            line = "".join(parts)
+            link = f',"prev_record":"{prev_record}"'
+            record_id = "rec-" + sha256_hex("".join([*head, link, middle, tail]).encode("utf-8"))[:16]
+            link += f',"record_id":"{record_id}"'
+            # The signed bytes are the rendered record; only the value is taken.
+            signed = attach_signature(
+                {}, self._key, rendered="".join([*head, link, middle, envelope, "}", tail]).encode("utf-8")
+            )
+            value = signed["signature"]["value"]
+            line = "".join([*head, link, middle, envelope, f',"value":"{value}"}}', tail])
             data = line.encode("utf-8")
             if self._file is not None:
                 try:

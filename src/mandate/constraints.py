@@ -360,29 +360,26 @@ def evaluate_constraint(
 def glob_match(pattern: str, text: str) -> bool:
     """Anchored match where ``*`` matches zero or more characters.
 
-    Iterative greedy two-pointer with backtracking to the last star; linear in
-    practice and never worse than O(len(pattern) * len(text)).
+    The literal segments between stars are matched in order: the first as a
+    prefix, the last as a suffix, and each one between at its leftmost place
+    after the one before (the rule ``_glob_subsumes`` uses).  Leftmost is
+    never wrong, since a star can absorb whatever lies before a later place,
+    so nothing is retried: at most O(len(pattern) * len(text)).
     """
-    p = t = 0
-    star = -1
-    mark = 0
-    while t < len(text):
-        if p < len(pattern) and pattern[p] == "*":
-            star = p
-            mark = t
-            p += 1
-        elif p < len(pattern) and pattern[p] == text[t]:
-            p += 1
-            t += 1
-        elif star >= 0:
-            mark += 1
-            t = mark
-            p = star + 1
-        else:
+    segments = pattern.split("*")
+    if len(segments) == 1:
+        return pattern == text
+    head, tail = segments[0], segments[-1]
+    end = len(text) - len(tail)
+    if end < len(head) or not text.startswith(head) or not text.endswith(tail):
+        return False
+    position = len(head)
+    for middle in segments[1:-1]:
+        found = text.find(middle, position, end)
+        if found < 0:
             return False
-    while p < len(pattern) and pattern[p] == "*":
-        p += 1
-    return p == len(pattern)
+        position = found + len(middle)
+    return True
 
 
 def normalize_pattern(constraint: StringPatternConstraint) -> str:

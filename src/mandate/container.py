@@ -27,6 +27,7 @@ from .canonical import (
     plain_dumps,
     read_canonical,
     sha256_hex,
+    signed_view,
     signing_text,
 )
 from .constraints import UnknownConstraint, check_attenuation, constraint_from_dict
@@ -334,6 +335,30 @@ def read_proof(obj: object) -> tuple[str, str, str, datetime]:
         )
 
 
+# The members ``read_proof`` types.  The rest of a proof (its signature
+# envelope and any unknown member) is walked before its signing bytes are
+# rendered, unless it is an envelope of str keys and scalar values alone.
+_PROOF_READ = frozenset({"kind", "credential_digest", "audience", "nonce", "timestamp"})
+_SCALARS = (str, int, bool, type(None))
+
+
+def _proof_signing_bytes(raw: dict) -> Optional[bytes]:
+    """``signing_bytes(raw)`` of a proof that ``read_proof`` has read,
+    rendered once; None when what ``read_proof`` has not typed is not plain
+    JSON, or the proof's text has no UTF-8 form."""
+    view = signed_view(raw)
+    rest = {k: v for k, v in view.items() if k not in _PROOF_READ}
+    envelope = rest.get("signature")
+    try:
+        if len(rest) > 1 or type(envelope) is not dict or not all(
+            type(k) is str and type(v) in _SCALARS for k, v in envelope.items()
+        ):
+            check_canonical(rest)
+        return plain_dumps(view).encode("utf-8")
+    except (ValueError, TypeError, RecursionError):
+        return None
+
+
 def make_possession_proof(
     credential: CredentialContainer | str,
     audience: str,
@@ -553,7 +578,8 @@ def _possession_failure(
         return f"proof does not read: {exc}"
     if credential_digest != container.digest():
         return "proof is bound to a different credential"
-    if not check_signature(pop.raw, container.subject_public_key):
+    rendered = _proof_signing_bytes(pop.raw)
+    if rendered is None or not check_signature(pop.raw, container.subject_public_key, rendered=rendered):
         return "proof signature does not verify against the subject key"
     if audience != evaluator_id:
         return "proof was made for a different receiver"

@@ -25,7 +25,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Protocol, Sequence, Union
 
 from .appendfile import AppendOnlyFile
-from .canonical import canonical_dumps, load_json, sha256_hex
+# canonical_dumps is not called here, but bench/tracing.py wraps it by this
+# module's name, so it stays bound.
+from .canonical import canonical_dumps, load_json, plain_dumps, sha256_hex  # noqa: F401
 from .constraints import CumulativeLimitConstraint, Period
 from .keys import SigningKey, attach_signature, check_signature
 from .model import (
@@ -166,8 +168,14 @@ class FileStateAuthority:
         return self._core.spent(key, period, now)
 
     def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
+        """``InMemoryStateAuthority.reserve``, each spend written as a row
+        first.  A key that is not a str raises TypeError before anything is
+        spent or written: its row would not read back when the file is reopened."""
+        if not isinstance(key, str):
+            raise TypeError(f"ledger key must be str, got {type(key).__name__}")
         with self._core._lock:
             total = _admit(self._core._spent(key, period, now), amount, budget)
+            # Built from values typed here and by Period: rendered without a walk.
             row = {
                 "key": key,
                 "amount": format(amount, "f"),
@@ -175,7 +183,7 @@ class FileStateAuthority:
                 "timestamp": render_timestamp(now),
             }
             try:
-                self._file.append((canonical_dumps(row) + "\n").encode("utf-8"))
+                self._file.append((plain_dumps(row) + "\n").encode("utf-8"))
             except OSError as exc:
                 raise StateUnreachableError(f"state ledger not writable: {exc}") from exc
             self._core._add(key, amount, period, now)

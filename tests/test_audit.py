@@ -1,16 +1,20 @@
 """Hash-chained audit records: appending, persistence, and chain verification."""
 
+import contextlib
 import gc
 import hashlib
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mandate import audit, canonical
 from mandate.audit import GENESIS_DIGEST, AuditError, AuditLog, AuditRecord, Rendered, verify_audit_chain
 from mandate.canonical import CanonicalizationError, canonical_dumps, digest_object, load_json, sha256_hex
 from mandate.keys import check_signature, generate_key
@@ -293,8 +297,16 @@ ADVERSARIAL = st.lists(
 ).map("".join)
 
 
-def _append(log, resource, context, detail, workflow):
-    return log.append(
+# Any plain JSON value: what a member that is not typed text may hold.
+PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | ADVERSARIAL,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ADVERSARIAL, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _append(log, resource, context, detail, workflow, **members):
+    args = dict(
         operation="evaluate",
         timestamp=NOW,
         credential_digests=["digest-0"],
@@ -312,24 +324,41 @@ def _append(log, resource, context, detail, workflow):
         governance={"registry_versions": {resource: 1}, "profile_version": 1},
         workflow=workflow,
     )
+    args.update(members)
+    return log.append(**args)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+@contextlib.contextmanager
+def _without_the_c_accelerator():
+    """Every string escaped, and every other value encoded, by json's
+    pure-Python code instead of its C accelerator."""
+    escape = json.encoder.py_encode_basestring
+    with mock.patch.object(json.encoder, "c_make_encoder", None), mock.patch.object(
+        json.encoder, "encode_basestring", escape
+    ), mock.patch.object(canonical, "_encode", canonical._ENCODER.encode), mock.patch.object(
+        audit, "_escape", escape
+    ):
+        yield
+
+
+RECORD_MEMBERS = dict(
     resource=ADVERSARIAL,
-    context=st.dictionaries(ADVERSARIAL, ADVERSARIAL, max_size=3),
-    detail=ADVERSARIAL,
+    context=st.dictionaries(ADVERSARIAL, ADVERSARIAL | PLAIN, max_size=3),
+    detail=ADVERSARIAL | PLAIN,
     environment=st.none() | ADVERSARIAL,
     workflow=st.none()
-    | st.dictionaries(ADVERSARIAL, ADVERSARIAL | st.lists(ADVERSARIAL, max_size=2), max_size=3),
+    | st.dictionaries(ADVERSARIAL, ADVERSARIAL | st.lists(ADVERSARIAL, max_size=2) | PLAIN, max_size=3),
+    issuer=PLAIN,
+    digests=st.lists(ADVERSARIAL, max_size=3) | st.lists(PLAIN, max_size=3),
 )
-def test_each_rendering_of_a_record_is_its_canonical_form(
-    resource, context, detail, environment, workflow
-):
+
+
+def _each_rendering_is_canonical(resource, context, detail, environment, workflow, issuer, digests):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "audit.log"
         log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path, environment=environment)
-        records = [_append(log, resource, context, detail, workflow) for _ in range(2)]
+        members = dict(issuer_id=issuer, credential_digests=digests)
+        records = [_append(log, resource, context, detail, workflow, **members) for _ in range(2)]
         lines = path.read_text("utf-8").split("\n")[:-1]
         assert lines == [canonical_dumps(record.raw) for record in records]
         for record in records:
@@ -339,8 +368,21 @@ def test_each_rendering_of_a_record_is_its_canonical_form(
             assert check_signature(record.raw, AUDIT_KEY.public_hex)
         assert verify_audit_chain(lines, AUDIT_KEY.public_hex)[0]
         reopened = AuditLog("svc:test:receiver", AUDIT_KEY, path=path, environment=environment)
-        _append(reopened, resource, context, detail, workflow)
+        _append(reopened, resource, context, detail, workflow, **members)
         assert verify_audit_chain(path.read_text("utf-8").split("\n")[:-1], AUDIT_KEY.public_hex)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(**RECORD_MEMBERS)
+def test_each_rendering_of_a_record_is_its_canonical_form(**members):
+    _each_rendering_is_canonical(**members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**RECORD_MEMBERS)
+def test_each_rendering_of_a_record_is_its_canonical_form_without_the_c_accelerator(**members):
+    with _without_the_c_accelerator():
+        _each_rendering_is_canonical(**members)
 
 
 # --- the public append checks every value it renders ----------------------------
@@ -353,7 +395,22 @@ _NOT_PLAIN = [
     ("workflow", {"workflow_id": ("wf", 1.5)}),
     ("presenter_id", 1.5),
     ("resource", b"jobs/1"),
+    ("context_snapshot", {5: "x"}),
+    ("credential_digests", ["digest-0", 1.5]),
+    ("decision_detail", 1.5),
+    ("workflow", {1: "wf-1"}),
 ]
+
+
+def _plain_args(**members):
+    args = dict(
+        operation="evaluate", timestamp=NOW, credential_digests=["digest-0"], presenter_id="agent:test:worker",
+        subject_id=None, issuer_id=None, action="task.run", resource=None, context_snapshot={},
+        constraint_results=[], decision_outcome="ALLOW", decision_code=None, decision_detail="",
+        failed_constraint=None, governance={}, workflow=None,
+    )
+    args.update(members)
+    return args
 
 
 @pytest.mark.parametrize("member, value", _NOT_PLAIN)
@@ -361,19 +418,30 @@ def test_a_value_that_is_not_plain_json_appends_nothing(tmp_path, member, value)
     path = _written_log(tmp_path, 1)
     log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
     before = path.read_bytes()
-    args = dict(
-        operation="evaluate", timestamp=NOW, credential_digests=["digest-0"], presenter_id="agent:test:worker",
-        subject_id=None, issuer_id=None, action="task.run", resource=None, context_snapshot={},
-        constraint_results=[], decision_outcome="ALLOW", decision_code=None, decision_detail="",
-        failed_constraint=None, governance={}, workflow=None,
-    )
-    args[member] = value
     with pytest.raises(CanonicalizationError):
-        log.append(**args)
+        log.append(**_plain_args(**{member: value}))
     assert path.read_bytes() == before
     append_some(log, 1)
     ok, _, detail = verify_audit_chain(path.read_text("utf-8").splitlines(), AUDIT_KEY.public_hex)
     assert ok and detail == "2 records verified"
+
+
+@pytest.mark.parametrize(
+    "member, value, offence",
+    [
+        ("context_snapshot", {"core.amount": 250.5}, "float at $.context.core.amount "),
+        ("context_snapshot", {5: "x"}, "non-string key at $.context"),
+        ("credential_digests", ["digest-0", 1.5], "float at $.credential_digests[1] "),
+        ("decision_detail", 1.5, "float at $.decision.detail "),
+        ("workflow", {"roles": ["a", 1.5]}, "float at $.workflow.roles[1] "),
+        ("governance", {"registries": [{"version": 1.0}]}, "float at $.governance.registries[0].version "),
+    ],
+)
+def test_an_offence_is_named_by_its_place_in_the_record(member, value, offence):
+    log = AuditLog("svc:test:receiver", AUDIT_KEY)
+    with pytest.raises(CanonicalizationError, match=f"^{re.escape(offence)}"):
+        log.append(**_plain_args(**{member: value}))
+    assert log.records() == []
 
 
 def test_a_rendered_member_is_checked_once_when_built_and_spliced_as_it_stands(tmp_path):
@@ -501,13 +569,22 @@ def test_a_record_whose_line_is_not_canonical_is_refused_as_that_line_is():
 GOLDEN_LOG_SHA256 = "fdb6f06d793a3579bdafbabbe56a1e7e3624c976616d66d3e0bacf4c0572189c"
 
 
-def test_audit_bytes_are_pinned(tmp_path):
-    path = tmp_path / "audit.log"
+def _write_the_pinned_log(path):
     log = AuditLog("svc:test:receiver", AUDIT_KEY, path=path, environment='eu "west" ')
     append_some(log, 2)
     _append(log, 'jobs/\\"1"\U0001f600', {"core.note": ',"subject_id":"x"'}, "}{", None)
     _append(log, "jobs/2", {}, "detail", {"workflow_id": "wf-1", "roles": ["a", "b"]})
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LOG_SHA256
+
+
+def test_audit_bytes_are_pinned(tmp_path):
+    _write_the_pinned_log(tmp_path / "audit.log")
+    assert hashlib.sha256((tmp_path / "audit.log").read_bytes()).hexdigest() == GOLDEN_LOG_SHA256
+
+
+def test_audit_bytes_are_pinned_without_the_c_accelerator(tmp_path):
+    with _without_the_c_accelerator():
+        _write_the_pinned_log(tmp_path / "audit.log")
+    assert hashlib.sha256((tmp_path / "audit.log").read_bytes()).hexdigest() == GOLDEN_LOG_SHA256
 
 
 @pytest.mark.parametrize(

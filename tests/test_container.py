@@ -408,3 +408,13 @@ def test_a_proof_with_a_float_member_still_fails_its_signature():
     reason = verify(c, pop=pop)
     assert reason.code is DenyCode.PROOF_OF_POSSESSION_FAILED
     assert reason.detail == "proof signature does not verify against the subject key"
+
+
+@pytest.mark.parametrize("extra", ["text", 7, {"nested": [1, True, None, "ü"]}], ids=["str", "int", "nested"])
+def test_a_proof_with_a_plain_unknown_member_verifies_over_that_member(extra):
+    c = credential()
+    pop = _resigned(make_possession_proof(c, RECEIVER_ID, "n", NOW, SUBJECT), SUBJECT, extra=extra)
+    assert verify(c, pop=pop) is None
+    changed = PossessionProof.from_dict(dict(pop.raw, extra=[extra]))
+    reason = verify(c, pop=changed)
+    assert reason.detail == "proof signature does not verify against the subject key"

@@ -12,13 +12,17 @@ credential stream and a config whose trust material is reassigned.
 import copy
 import dataclasses
 import hashlib
+import importlib
+import pkgutil
+import sys
 import threading
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from mandate import pipeline, semantics
+import mandate
+from mandate import audit, canonical, container, pipeline, semantics
 from mandate.audit import AuditLog
 from mandate.canonical import load_json, plain_dumps
 from mandate.conformance import build_engine, decode_credential, iter_vector_files
@@ -238,6 +242,36 @@ def test_a_kept_credential_repeat_plans_nothing(monkeypatch):
         assert _present_root(engine, root, f"again-{i}").allowed
         assert not _present_root(engine, root, f"deny-{i}", _context(amount="5000")).allowed
     assert len(families) == 4
+
+
+def test_a_warm_allow_walks_nothing(monkeypatch):
+    """A repeat of a kept credential renders its record and its proof's
+    signing bytes from values already typed: ``check_canonical`` is not
+    called through any module that binds it."""
+    for module in pkgutil.iter_modules(mandate.__path__):
+        importlib.import_module(f"mandate.{module.name}")
+    bound = [
+        module for name, module in sys.modules.items()
+        if name.startswith("mandate.") and vars(module).get("check_canonical") is canonical.check_canonical
+    ]
+    assert {canonical, audit, container} <= set(bound)
+    engine = Engine(_config())
+    root = _issue(SUBJECT, name="root")
+    wire, ctx = _wire(root), _context()
+    proofs = [make_possession_proof(root, RECEIVER, f"warm-{i}", NOW, SUBJECT) for i in range(5)]
+    for pop in proofs[:2]:  # kept on the second presentation, and its ALLOW results rendered
+        assert engine.evaluate(wire, ctx, SUBJECT.key_id, pop, now=NOW).allowed
+    walks, walk = [], canonical.check_canonical
+
+    def counted(obj):
+        walks.append(obj)
+        return walk(obj)
+
+    for module in bound:
+        monkeypatch.setattr(module, "check_canonical", counted)
+    for pop in proofs[2:]:
+        assert engine.evaluate(wire, ctx, SUBJECT.key_id, pop, now=NOW).allowed
+    assert walks == []
 
 
 def _plan_builds(monkeypatch) -> list[str]:

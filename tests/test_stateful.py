@@ -177,6 +177,20 @@ def test_file_ledger_splits_rows_only_at_newlines(tmp_path):
         resumed.reserve(key, Decimal("401"), Decimal("1000"), period, NOW)
 
 
+@pytest.mark.parametrize("key", [5, True, None, b"k"], ids=["int", "bool", "none", "bytes"])
+def test_a_key_that_is_not_str_spends_and_writes_nothing(tmp_path, key):
+    path = tmp_path / "ledger.jsonl"
+    period = Period(kind="per_credential")
+    ledger = FileStateAuthority(POINTER, path)
+    ledger.reserve("k", Decimal("1"), Decimal("10"), period, NOW)
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="ledger key must be str"):
+        ledger.reserve(key, Decimal("1"), Decimal("10"), period, NOW)
+    assert path.read_bytes() == before and ledger.spent(key, period, NOW) == Decimal(0)
+    # Every row written reads back, so the reopened ledger keeps the running total.
+    assert FileStateAuthority(POINTER, path).reserve("k", Decimal("9"), Decimal("10"), period, NOW) == Decimal("10")
+
+
 def test_file_ledger_write_failure_spends_nothing(tmp_path):
     path = tmp_path / "ledger.jsonl"
     period = Period(kind="per_credential")
