@@ -425,7 +425,7 @@ def _cmd_voucher_update(args) -> int:
         voucher = update_voucher(
             previous, _decimal(args.amount, "--amount"), authority_key, _parse_now(args.now)
         )
-    except (OverBudgetError, ValueError) as exc:
+    except OverBudgetError as exc:
         _emit({"error": "over_budget", "detail": str(exc)})
         _note(f"refused: {exc}")
         return 2

@@ -90,10 +90,11 @@ CURRENCY_FIELD = "core.currency_code"
 
 # Distinct presented credential bytes or texts an engine remembers, least
 # recently presented forgotten first; fixed, because presentations are
-# outside input.  Only bytes presented again keep their parsed container (and
-# its constraint plan): presentations that never repeat, such as fresh
-# delegation chains, would otherwise leave parsed objects behind that the
-# cyclic collector must scan.
+# outside input.  Only bytes presented again keep their parsed container and
+# its constraint plan; bytes presented once are parsed and planned for their
+# evaluation alone, since presentations that never repeat, such as fresh
+# delegation chains, would otherwise leave objects behind that the cyclic
+# collector must scan.
 PARSED_CREDENTIALS_KEPT = 64
 
 # Verification sub-checks in the order verify_container performs them, so a
@@ -306,14 +307,18 @@ def _expect_str(name: str, value: object) -> None:
         raise TypeError(f"{name} must be str, got {type(value).__name__}")
 
 
-def _admit_request(context: RequestContext, presenter_id: str) -> None:
-    """Type what a request brings to the audit record: checked before any
-    check runs, so a mistyped request changes no state (no nonce, no budget,
-    no record) and raises TypeError, and text that has no UTF-8 form (a lone
-    surrogate) raises ValueError."""
+def _admit_request(context: RequestContext, presenter_id: str, pop: object, vouchers: object) -> None:
+    """Type what a request brings: checked before any check runs, so a
+    mistyped request changes no state (no nonce, no budget, no record) and
+    raises TypeError, and text that has no UTF-8 form (a lone surrogate)
+    raises ValueError."""
     _expect_str("presenter_id", presenter_id)
     if not isinstance(context, RequestContext) or not isinstance(context.action, str):
         raise TypeError("context must be a RequestContext with a str action")
+    if not isinstance(pop, (PossessionProof, type(None))):
+        raise TypeError(f"pop must be a PossessionProof or None, got {type(pop).__name__}")
+    if not isinstance(vouchers, (list, tuple, type(None))) or not all(isinstance(v, StateVoucher) for v in vouchers or ()):
+        raise TypeError("vouchers must be None or a list or tuple of StateVoucher")
     texts = [presenter_id, context.action]
     for name, value in context.fields.items():
         if not isinstance(name, str) or not isinstance(value, TypedValue) or not isinstance(value.text, str):
@@ -326,32 +331,16 @@ def _admit_request(context: RequestContext, presenter_id: str) -> None:
         raise ValueError(f"request text {exc.object!r} is not UTF-8 text: {exc.reason}") from exc
 
 
-def _result_rows(constraints: Sequence[Constraint], passed: int, failed: bool) -> list[dict]:
-    """The ``constraint_results`` rows of an evaluation in which the first
-    ``passed`` of ``constraints`` passed and, when ``failed``, the next one
-    failed: each row's label, family, field and result."""
-    return [
-        {
-            "label": f"C{i}",
-            "type": c.type_tag if isinstance(c, UnknownConstraint) else family_of(c),
-            "field": "" if isinstance(c, UnknownConstraint) else c.field,
-            "result": "PASS" if i <= passed else "FAIL",
-        }
-        for i, c in enumerate(constraints[: passed + 1 if failed else passed], start=1)
-    ]
-
-
 class _Kept:
-    """A credential-cache entry for bytes presented more than once: the
-    parsed container and, from its first evaluation as a leaf, its
-    constraint plan, built by ``plan()``: each constraint's label and PASS
-    trace entry, the PASS result rows, and whether a limit names a
-    currency.  The ALLOW ``constraint_results`` are rendered once, on the
-    first evaluation in which every constraint passed.  The plan holds
-    nothing the profile or the rest of the config decides, so it holds for
-    any config.  A credential presented once has no entry and builds no
-    plan: its rows are built at the end of its evaluation, for the
-    constraints it reached."""
+    """A credential's constraint plan, built by ``plan()`` when its leaf
+    first reaches its constraints: each constraint's label and PASS trace
+    entry, the PASS result rows, and whether a limit names a currency.  It
+    holds nothing the profile or the rest of the config decides, so it holds
+    for any config.  Bytes presented more than once keep it in the
+    credential cache, beside their parsed container, and it renders their
+    ALLOW ``constraint_results`` once, on the first evaluation in which
+    every constraint passed; a credential presented once is planned for its
+    evaluation only."""
 
     __slots__ = ("container", "steps", "rows", "needs_currency", "_allowed")
 
@@ -363,19 +352,26 @@ class _Kept:
         if self.steps is None:
             constraints = self.container.payload.constraints or ()
             self.steps = tuple(
-                (label, constraint, TraceEntry("constraints", label, "PASS"))
-                for label, constraint in ((f"C{i}", c) for i, c in enumerate(constraints, start=1))
+                (f"C{i}", c, TraceEntry("constraints", f"C{i}", "PASS"))
+                for i, c in enumerate(constraints, start=1)
             )
-            self.rows = tuple(_result_rows(constraints, len(constraints), False))
+            self.rows = tuple(
+                {"label": label, "type": c.type_tag, "field": "", "result": "PASS"}
+                if isinstance(c, UnknownConstraint)
+                else {"label": label, "type": family_of(c), "field": c.field, "result": "PASS"}
+                for label, c, _ in self.steps
+            )
             self.needs_currency = _names_currency(constraints)
             self._allowed: Optional[Rendered] = None
 
-    def results(self, passed: int, failed: bool) -> Union[list[dict], Rendered]:
-        """``_result_rows`` of the planned constraints; the rendered run when
-        every one passed."""
+    def results(self, passed: int, failed: bool, kept: bool) -> Union[list[dict], Rendered]:
+        """The ``constraint_results`` rows of an evaluation in which the first
+        ``passed`` constraints passed and, when ``failed``, the next one
+        failed; the rendered run when every one passed and the plan is
+        ``kept``, since only a kept plan is written again."""
         if failed:
             return [*self.rows[:passed], dict(self.rows[passed], result="FAIL")]
-        if passed < len(self.rows):
+        if passed < len(self.rows) or not kept:
             return list(self.rows[:passed])
         if self._allowed is None:
             self._allowed = Rendered(list(self.rows))
@@ -389,7 +385,7 @@ class _Notes:
     containers: list[CredentialContainer] = dc_field(default_factory=list)
     resolved: dict[str, str] = dc_field(default_factory=dict)
     kept: Optional[_Kept] = None  # the leaf's cache entry, when it is kept
-    planned: bool = False  # whether the constraints ran from the kept entry's plan
+    plan: Optional[_Kept] = None  # the leaf's plan, once its constraints are reached
     profile_status: Optional[DenialReason] = None  # the mapping profile's verdict
     passed: int = 0  # constraints passed, in payload order
     workflow: Optional[dict] = None
@@ -469,7 +465,7 @@ class Engine:
         is_chain = isinstance(credential, (list, tuple))
         if is_chain and len(credential) == 1 and not isinstance(credential[0], (list, tuple)):
             (credential,), is_chain = credential, False
-        _admit_request(context, presenter_id)
+        _admit_request(context, presenter_id, pop, vouchers)
         trace: list[TraceEntry] = []
         notes = _Notes()
         operation = "evaluate_chain" if is_chain and len(credential) > 1 else "evaluate"
@@ -730,8 +726,7 @@ class Engine:
         notes: _Notes,
     ) -> None:
         cfg = self.config
-        payload = container.payload
-        if context.action not in (payload.permissions or frozenset()):
+        if context.action not in (container.payload.permissions or frozenset()):
             raise _Denied(
                 "payload", "permission", f"{context.action!r} not granted",
                 DenyCode.PERMISSION_DENIED,
@@ -745,20 +740,14 @@ class Engine:
         # recorded when resolvable, and its absence never alters the decision.
         self._resolve("core.resource_id", context, notes)
 
-        kept = notes.kept
-        if kept is not None:
-            kept.plan()
-            steps, needs_currency, notes.planned = kept.steps, kept.needs_currency, True
-        else:
-            constraints = payload.constraints or ()
-            steps = ((f"C{i}", c, None) for i, c in enumerate(constraints, start=1))
-            needs_currency = _names_currency(constraints)
-        context_currency = self._currency("constraints", needs_currency, context, notes)
-        for label, constraint, entry in steps:
+        plan = notes.plan = notes.kept or _Kept(container)
+        plan.plan()
+        context_currency = self._currency("constraints", plan.needs_currency, context, notes)
+        for label, constraint, entry in plan.steps:
             self._evaluate_one_constraint(
                 label, constraint, container, context, now, context_currency, vouchers, notes
             )
-            trace.append(entry or TraceEntry("constraints", label, "PASS"))
+            trace.append(entry)
             notes.passed += 1
 
         self._apply_local_policy(context, trace, notes)
@@ -1001,6 +990,7 @@ class Engine:
         reason = denied.reason if denied is not None else None
         # Only a failing credential constraint names itself as failed.
         failed = denied is not None and denied.failed_constraint is not None
+        plan = notes.plan
         try:
             cfg.audit_log.append(
                 operation=operation,
@@ -1012,10 +1002,7 @@ class Engine:
                 action=context.action if context else None,
                 resource=notes.resolved.get("core.resource_id"),
                 context_snapshot=notes.resolved,
-                constraint_results=(
-                    notes.kept.results(notes.passed, failed) if notes.planned
-                    else _result_rows((leaf.payload.constraints or ()) if leaf else (), notes.passed, failed)
-                ),
+                constraint_results=plan.results(notes.passed, failed, plan is notes.kept) if plan else [],
                 decision_outcome=DENY if reason else ALLOW,
                 decision_code=reason.code.value if reason else None,
                 decision_detail=reason.detail if reason else "",

@@ -77,7 +77,14 @@ def _bucket(period: Period, now: datetime) -> str:
 
 
 def _admit(spent: Decimal, amount: Decimal, budget: Decimal) -> Decimal:
-    """The running total after spending ``amount``; OverBudgetError past ``budget``."""
+    """The running total after spending ``amount``, checked by every ledger
+    before it spends or writes anything: an amount that is not a Decimal
+    raises TypeError, a non-finite or negative one ValueError (a ledger
+    never refunds), and a total past ``budget`` OverBudgetError."""
+    if not isinstance(amount, Decimal):
+        raise TypeError(f"ledger amount must be Decimal, got {type(amount).__name__}")
+    if not amount.is_finite() or amount < 0:
+        raise ValueError(f"ledger amount must be finite and not negative, got {amount}")
     total = spent + amount
     if total > budget:
         raise OverBudgetError(f"{format(total, 'f')} would exceed budget {format(budget, 'f')}")
@@ -169,8 +176,9 @@ class FileStateAuthority:
 
     def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
         """``InMemoryStateAuthority.reserve``, each spend written as a row
-        first.  A key that is not a str raises TypeError before anything is
-        spent or written: its row would not read back when the file is reopened."""
+        first.  A key that is not a str raises TypeError, as ``_admit``
+        refuses an amount, before anything is spent or written: its row would
+        not read back when the file is reopened."""
         if not isinstance(key, str):
             raise TypeError(f"ledger key must be str, got {type(key).__name__}")
         with self._core._lock:

@@ -718,6 +718,33 @@ def test_voucher_init_update_verify(workspace, capsys):
     assert verdict["ok"] is False
 
 
+def test_a_voucher_refund_is_refused_as_an_error_not_as_over_budget(workspace, capsys):
+    genesis_path = workspace["dir"] / "voucher-1.json"
+    code, _, _ = run(
+        capsys,
+        "voucher", "init",
+        "--key", workspace["authority_key"],
+        "--credential-digest", "d" * 64,
+        "--budget", "1000",
+        "--pointer", "https://state.cli.example/ledger",
+        "--now", "2026-05-01T11:58:00Z",
+        "--out", genesis_path,
+    )
+    assert code == 0
+    refund_path = workspace["dir"] / "voucher-refund.json"
+    code, refusal, err = run(
+        capsys,
+        "voucher", "update",
+        "--key", workspace["authority_key"],
+        "--voucher", genesis_path,
+        "--amount", "-5",
+        "--now", NOW,
+        "--out", refund_path,
+    )
+    assert code == 2 and refusal is None and not refund_path.exists()
+    assert err.strip() == "error: voucher updates never refund"
+
+
 @pytest.mark.parametrize(
     "vouchers",
     [

@@ -1421,6 +1421,29 @@ def test_a_mistyped_request_raises_before_any_state_changes(request_part):
     assert engine.evaluate(wire, context(), cred.subject_id, pop, now=NOW).allowed
 
 
+@pytest.mark.parametrize("part", ["proof dict", "proof str", "proof int", "vouchers str", "voucher dict", "voucher set"])
+def test_a_mistyped_proof_or_voucher_list_raises_before_any_state_changes(part):
+    from mandate.constraints import Period
+
+    engine, cred, authority = budget_engine()
+    wire, pop = cred.dumps().encode(), pop_for(cred)
+    mistyped = {
+        "proof dict": (pop.to_dict(), None),
+        "proof str": (pop.nonce, None),
+        "proof int": (7, None),
+        "vouchers str": (pop, "v"),
+        "voucher dict": (pop, [{"kind": "state_voucher"}]),
+        "voucher set": (pop, set()),
+    }
+    proof, vouchers = mistyped[part]
+    with pytest.raises(TypeError, match="pop must be|vouchers must be"):
+        engine.evaluate(wire, context(), cred.subject_id, proof, now=NOW, vouchers=vouchers)
+    # No record, no spend, and the proof's nonce is still unused.
+    assert engine.config.audit_log.records() == []
+    assert authority.spent(cred.digest(), Period(kind="per_credential"), NOW) == 0
+    assert engine.evaluate(wire, context(), cred.subject_id, pop, now=NOW).allowed
+
+
 @pytest.mark.parametrize("request_part", ["presenter", "action", "field text", "field name"])
 def test_request_text_that_is_not_utf8_raises_before_any_state_changes(request_part):
     from mandate.constraints import Period

@@ -288,23 +288,37 @@ def _plan_builds(monkeypatch) -> list[str]:
     return builds
 
 
-def test_a_credential_presented_once_builds_no_plan(monkeypatch):
+def test_a_credential_presented_once_is_planned_for_its_evaluation_only(monkeypatch):
     builds = _plan_builds(monkeypatch)
-    families = _counting(monkeypatch, pipeline, "family_of")
+    results, append = [], AuditLog.append
+
+    def spy(log, **members):
+        results.append(members["constraint_results"])
+        return append(log, **members)
+
+    monkeypatch.setattr(AuditLog, "append", spy)
     engine = Engine(_config())
+    early = _issue(SUBJECT, name="once-early")
+    assert _present_root(engine, early, "early", _context(action="task.delete")).reason.code is DenyCode.PERMISSION_DENIED
+    assert builds == [] and results == [[]]  # denied before its constraints: never planned
     for i in range(3):
-        decision = _present_root(engine, _issue(SUBJECT, name=f"once-{i}"), f"deny-{i}", _context(amount="5000"))
+        once = _issue(SUBJECT, name=f"once-{i}")
+        decision = _present_root(engine, once, f"deny-{i}", _context(amount="5000"))
         assert decision.reason.code is DenyCode.CONSTRAINT_FAILED
-    assert len(families) == 3  # one row each: C1 failed, C2 was never reached
+        assert engine._parsed[_wire(once)] is None  # no entry: its plan ended with its evaluation
+    rows = engine.config.audit_log.records()[1].raw["constraint_results"]
+    assert rows == [{"label": "C1", "type": "numeric_limit", "field": "core.amount", "result": "FAIL"}]
     allowed = _issue(SUBJECT, name="once-allowed")
     assert _present_root(engine, allowed, "allow").allowed
-    assert len(families) == 5
-    assert builds == []
-    rows = engine.config.audit_log.records()[0].raw["constraint_results"]
-    assert rows == [{"label": "C1", "type": "numeric_limit", "field": "core.amount", "result": "FAIL"}]
+    assert engine._parsed[_wire(allowed)] is None
+    assert builds == ["cred-plans-once-0", "cred-plans-once-1", "cred-plans-once-2", "cred-plans-once-allowed"]
+    builds.clear()
     for i in range(2):  # presented again: kept, and planned on its first evaluation as a leaf only
         assert _present_root(engine, allowed, f"again-{i}").allowed
     assert builds == ["cred-plans-once-allowed"]
+    # Only a kept plan renders its ALLOW run ahead, once, for the records that repeat it.
+    fresh, first, again = results[-3:]
+    assert type(fresh) is list and type(first) is audit.Rendered and again is first
 
 
 def test_a_chain_s_fixed_trace_entries_are_built_once_per_link_index():

@@ -191,6 +191,54 @@ def test_a_key_that_is_not_str_spends_and_writes_nothing(tmp_path, key):
     assert FileStateAuthority(POINTER, path).reserve("k", Decimal("9"), Decimal("10"), period, NOW) == Decimal("10")
 
 
+# Amounts no ledger may spend: each is refused before anything is spent or written.
+UNSPENDABLE = pytest.mark.parametrize(
+    ("amount", "error"),
+    [
+        (Decimal("-Infinity"), ValueError),
+        (Decimal("Infinity"), ValueError),
+        (Decimal("NaN"), ValueError),
+        (Decimal("-5"), ValueError),
+        (5, TypeError),
+        ("5", TypeError),
+    ],
+    ids=["-infinity", "infinity", "nan", "negative", "int", "str"],
+)
+
+
+@UNSPENDABLE
+def test_a_file_ledger_refuses_an_unspendable_amount(tmp_path, amount, error):
+    path = tmp_path / "ledger.jsonl"
+    period = Period(kind="per_credential")
+    ledger = FileStateAuthority(POINTER, path)
+    ledger.reserve("k", Decimal("1"), Decimal("10"), period, NOW)
+    before = path.read_bytes()
+    with pytest.raises(error, match="ledger amount"):
+        ledger.reserve("k", amount, Decimal("10"), period, NOW)
+    assert path.read_bytes() == before and ledger.spent("k", period, NOW) == Decimal("1")
+    assert FileStateAuthority(POINTER, path).reserve("k", Decimal("9"), Decimal("10"), period, NOW) == Decimal("10")
+
+
+@UNSPENDABLE
+def test_an_in_memory_ledger_refuses_an_unspendable_amount(amount, error):
+    for period in (Period(kind="per_credential"), Period(kind="rolling", duration_seconds=3600)):
+        ledger = InMemoryStateAuthority(POINTER)
+        ledger.reserve("k", Decimal("1"), Decimal("10"), period, NOW)
+        with pytest.raises(error, match="ledger amount"):
+            ledger.reserve("k", amount, Decimal("10"), period, NOW)
+        assert ledger.spent("k", period, NOW) == Decimal("1")
+
+
+@UNSPENDABLE
+def test_an_epoch_ledger_refuses_an_unspendable_amount(amount, error):
+    ledger = EpochLedger(EpochQuota("e1", Decimal("100"), epoch_length_seconds=600))
+    ledger.reserve(Decimal("100"), NOW)
+    with pytest.raises(error, match="ledger amount"):
+        ledger.reserve(amount, NOW)
+    with pytest.raises(OverBudgetError):  # the epoch's total is still its whole slice
+        ledger.reserve(Decimal("1"), NOW)
+
+
 def test_file_ledger_write_failure_spends_nothing(tmp_path):
     path = tmp_path / "ledger.jsonl"
     period = Period(kind="per_credential")
