@@ -104,9 +104,10 @@ _escape = encode_basestring
 
 def _text(value: object, *path: str) -> str:
     """The canonical text of one record member's value, ``path`` its place in
-    the record.  A str, None, and a list or dict made only of str are rendered
-    here; any other value is walked by ``check_canonical``, which names an
-    offence by its path (``$.member…``), and rendered by the kept encoder."""
+    the record.  A str, None, and a list made only of str are rendered here;
+    a dict made only of str, or a list of them (constraint result rows), is
+    rendered by the kept encoder; any other value is walked first by
+    ``check_canonical``, which names an offence by its path (``$.member…``)."""
     kind = type(value)
     if kind is str:
         return _escape(value)
@@ -114,12 +115,12 @@ def _text(value: object, *path: str) -> str:
         return "null"
     if kind is list and all(type(item) is str for item in value):
         return f"[{','.join(map(_escape, value))}]"
-    if kind is dict and all(type(k) is str and type(v) is str for k, v in value.items()):
-        return "{" + ",".join([f"{_escape(k)}:{_escape(v)}" for k, v in sorted(value.items())]) + "}"
-    placed = value
-    for step in reversed(path):
-        placed = {step: placed}
-    check_canonical(placed)
+    rows = value if kind is list else (value,)
+    if not all(type(row) is dict and all(type(k) is str and type(v) is str for k, v in row.items()) for row in rows):
+        placed = value
+        for step in reversed(path):
+            placed = {step: placed}
+        check_canonical(placed)
     return plain_dumps(value)
 
 

@@ -148,23 +148,23 @@ def load_json(data: bytes | str) -> Any:
 def read_canonical(data: bytes | str) -> tuple[Any, str]:
     """``load_json(data)`` and its ``plain_dumps`` rendering.  Text equal to
     that rendering is canonical, so its member names are unique: it is decoded
-    once, without the duplicate-name check.  Any other text is read by
-    ``load_json`` as well, which raises as it always does.  Text that cannot
-    be a canonical object at a glance (not opening with a member name, not
-    closing with ``}``, or holding a line break, which canonical text escapes)
-    goes straight to ``load_json``."""
+    once, by the scanner alone, without the duplicate-name check.  Any other
+    text is read by ``load_json`` as well, which raises as it always does.
+    Text that cannot be a canonical object at a glance (not opening with a
+    member name, not closing with ``}``, or holding a line break, which
+    canonical text escapes) goes straight to ``load_json``."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     if text[:2] != '{"' or text[-1:] != "}" or "\n" in text:
         obj = load_json(text)
         return obj, _encode(obj)
     try:
-        obj = _PLAIN_DECODER.decode(text)
-    except ValueError:
+        obj, _ = _PLAIN_DECODER.scan_once(text, 0)
+    except (ValueError, StopIteration):
         load_json(text)  # refused there too, in the strict reader's words
         raise
     whole = _encode(obj)
     if whole != text:
-        load_json(text)  # not canonical: a repeated member name raises here
+        load_json(text)  # not canonical: a repeated member name or trailing text raises here
     return obj, whole
 
 

@@ -59,7 +59,7 @@ class _Written:
         key = self.__dict__.get("_duplicate_key")
         if key is None:
             row = _BY_CLASS[type(self)]
-            key = _duplicate_key(row, [getattr(self, name) for name in row.members])
+            key = _duplicate_key(row, [getattr(self, name) for name, _, _ in row.readers])
         return key
 
     def to_dict(self) -> dict:
@@ -467,36 +467,30 @@ def check_attenuation(
     compared (unknown constraint types, mixed currencies, differing timezones
     under day gating, literal stars in non-glob patterns) is widened.
 
-    Returns (ok, detail); detail names the first violation found.
+    Returns (ok, detail); detail names the first violation found, unknown
+    constraints (child, then parent) before the groups in sorted order.
     """
+    sides = []
     for where, constraints in (("child", child_constraints), ("parent", parent_constraints)):
+        groups: dict = {}
         for constraint in constraints:
             if isinstance(constraint, UnknownConstraint):
                 return False, (
                     f"{where} carries unknown constraint type {constraint.type_tag!r}; "
                     "narrowing cannot be verified"
                 )
-
-    child_groups = _group(child_constraints)
-    parent_groups = _group(parent_constraints)
-
+            groups.setdefault((constraint.field, _BY_CLASS[type(constraint)].name), []).append(constraint)
+        sides.append(groups)
+    child_groups, parent_groups = sides
     for key in sorted(parent_groups):
-        field_name, family = key
-        label = f"{family} on {field_name}"
-        if key not in child_groups:
-            return False, f"child omits {label}; omission widens"
         parent_group = parent_groups[key]
-        ok, detail = _BY_CLASS[type(parent_group[0])].narrows(child_groups[key], parent_group)
-        if not ok:
-            return False, f"{label}: {detail}"
+        child_group = child_groups.get(key)
+        if child_group is None:
+            return False, f"child omits {key[1]} on {key[0]}; omission widens"
+        defect = _BY_CLASS[type(parent_group[0])].narrows(child_group, parent_group)
+        if defect is not None:
+            return False, f"{key[1]} on {key[0]}: {defect}"
     return True, ""
-
-
-def _group(constraints: Iterable[Constraint]) -> dict:
-    groups: dict = {}
-    for constraint in constraints:
-        groups.setdefault((constraint.field, family_of(constraint)), []).append(constraint)
-    return groups
 
 
 def joint_conflict(group: Sequence[Constraint]) -> Optional[str]:
@@ -553,51 +547,45 @@ def _interval_empty(lo, lo_closed, hi, hi_closed) -> bool:
     return lo == hi and not (lo_closed and hi_closed)
 
 
-def _narrows_numeric(child_group, parent_group) -> tuple[bool, str]:
+# Each narrowing check takes a (field, family) group of the child and of the
+# parent, as lists: None when the child's narrows the parent's, else the defect.
+
+def _narrows_numeric(child_group: list, parent_group: list) -> Optional[str]:
     parent_sigs = {(c.currency, c.unit) for c in parent_group}
     child_sigs = {(c.currency, c.unit) for c in child_group}
     if len(parent_sigs) > 1 or len(child_sigs) > 1:
-        return False, "mixed currencies or units are incomparable"
-    parent_sig = next(iter(parent_sigs))
-    child_sig = next(iter(child_sigs))
+        return "mixed currencies or units are incomparable"
+    (parent_sig,), (child_sig,) = parent_sigs, child_sigs
     if parent_sig != (None, None) and child_sig != parent_sig:
-        return False, (
-            f"currency/unit {child_sig} does not preserve parent {parent_sig}"
-        )
+        return f"currency/unit {child_sig} does not preserve parent {parent_sig}"
     p_lo, p_lc, p_hi, p_hc = _numeric_interval(parent_group)
     c_lo, c_lc, c_hi, c_hc = _numeric_interval(child_group)
     if _interval_empty(c_lo, c_lc, c_hi, c_hc):
-        return True, ""
+        return None
     if _interval_empty(p_lo, p_lc, p_hi, p_hc):
-        return False, "parent interval is empty but child is satisfiable"
-    if p_lo is not None:
-        if c_lo is None or c_lo < p_lo or (c_lo == p_lo and c_lc and not p_lc):
-            return False, "lower bound widened"
-    if p_hi is not None:
-        if c_hi is None or c_hi > p_hi or (c_hi == p_hi and c_hc and not p_hc):
-            return False, "upper bound widened"
-    return True, ""
+        return "parent interval is empty but child is satisfiable"
+    if p_lo is not None and (c_lo is None or c_lo < p_lo or (c_lo == p_lo and c_lc and not p_lc)):
+        return "lower bound widened"
+    if p_hi is not None and (c_hi is None or c_hi > p_hi or (c_hi == p_hi and c_hc and not p_hc)):
+        return "upper bound widened"
+    return None
 
 
-def _narrows_temporal(child_group, parent_group) -> tuple[bool, str]:
-    day_gated = any(c.allowed_days is not None for c in list(child_group) + list(parent_group))
-    if day_gated:
-        zones = {c.timezone for c in list(child_group) + list(parent_group)}
-        if len(zones) > 1:
-            return False, "day-of-week narrowing requires identical timezones"
+def _narrows_temporal(child_group: list, parent_group: list) -> Optional[str]:
+    both = child_group + parent_group
+    if any(c.allowed_days is not None for c in both) and len({c.timezone for c in both}) > 1:
+        return "day-of-week narrowing requires identical timezones"
     p_from, p_until = _window(parent_group)
     c_from, c_until = _window(child_group)
     if c_from > c_until:
-        return True, ""
+        return None
     if p_from > p_until:
-        return False, "parent window is empty but child is satisfiable"
+        return "parent window is empty but child is satisfiable"
     if c_from < p_from or c_until > p_until:
-        return False, "window widened"
-    p_days = _combined_days(parent_group)
-    c_days = _combined_days(child_group)
-    if not c_days.issubset(p_days):
-        return False, "allowed days widened"
-    return True, ""
+        return "window widened"
+    if not _combined_days(child_group) <= _combined_days(parent_group):
+        return "allowed days widened"
+    return None
 
 
 def _window(group) -> tuple[datetime, datetime]:
@@ -606,89 +594,72 @@ def _window(group) -> tuple[datetime, datetime]:
 
 
 def _combined_days(group) -> frozenset[str]:
-    days = frozenset(WEEKDAYS)
-    for c in group:
-        if c.allowed_days is not None:
-            days = days & c.allowed_days
-    return days
+    return frozenset(WEEKDAYS).intersection(*[c.allowed_days for c in group if c.allowed_days is not None])
 
 
-def _narrows_enumerated(child_group, parent_group) -> tuple[bool, str]:
+def _narrows_enumerated(child_group: list, parent_group: list) -> Optional[str]:
     p_allowed = _combined_allowed(parent_group)
-    c_allowed = _combined_allowed(child_group)
-    p_denied = _combined_denied(parent_group)
-    c_denied = _combined_denied(child_group)
     if p_allowed is not None:
+        c_allowed = _combined_allowed(child_group)
         if c_allowed is None:
-            return False, "parent restricts to an allowed set, child allows anything"
-        if not c_allowed.issubset(p_allowed):
-            return False, f"allowed set gained {sorted(c_allowed - p_allowed)}"
-    if p_denied:
-        if not p_denied.issubset(c_denied):
-            return False, f"denied set dropped {sorted(p_denied - c_denied)}"
-    return True, ""
+            return "parent restricts to an allowed set, child allows anything"
+        if not c_allowed <= p_allowed:
+            return f"allowed set gained {sorted(c_allowed - p_allowed)}"
+    dropped = _combined_denied(parent_group) - _combined_denied(child_group)
+    if dropped:
+        return f"denied set dropped {sorted(dropped)}"
+    return None
 
 
 def _combined_allowed(group) -> Optional[frozenset[str]]:
     present = [c.allowed for c in group if c.allowed is not None]
-    if not present:
-        return None
-    combined = present[0]
-    for s in present[1:]:
-        combined = combined & s
-    return combined
+    return present[0].intersection(*present[1:]) if present else None
 
 
 def _combined_denied(group) -> frozenset[str]:
-    combined: frozenset[str] = frozenset()
-    for c in group:
-        if c.denied is not None:
-            combined = combined | c.denied
-    return combined
+    return frozenset().union(*[c.denied for c in group if c.denied is not None])
 
 
-def _narrows_pattern(child_group, parent_group) -> tuple[bool, str]:
-    for c in list(child_group) + list(parent_group):
+def _narrows_pattern(child_group: list, parent_group: list) -> Optional[str]:
+    for c in child_group + parent_group:
         if c.match != "restricted_glob" and "*" in c.pattern:
-            return False, f"literal '*' in {c.match} pattern cannot be compared"
-    parents = [c.glob for c in parent_group]
-    children = [c.glob for c in child_group]
+            return f"literal '*' in {c.match} pattern cannot be compared"
     # Conjunctive semantics: the child's intersection must sit inside every
     # parent pattern, so each parent needs a child pattern under it, and each
-    # child pattern must be under some parent.
-    for p in parents:
-        if not any(_glob_subsumes(p, c) for c in children):
-            return False, f"no child pattern stays within parent pattern {p!r}"
-    for c in children:
-        if not any(_glob_subsumes(p, c) for p in parents):
-            return False, f"child pattern {c!r} escapes every parent pattern"
-    return True, ""
+    # child pattern must be under some parent.  Each (parent, child) pair is
+    # judged once.
+    covered = [False] * len(child_group)
+    for p in parent_group:
+        found = False
+        for i, c in enumerate(child_group):
+            if _glob_subsumes(p.glob, c.glob):
+                found = covered[i] = True
+        if not found:
+            return f"no child pattern stays within parent pattern {p.glob!r}"
+    if False in covered:
+        return f"child pattern {child_group[covered.index(False)].glob!r} escapes every parent pattern"
+    return None
 
 
-def _narrows_cumulative(child_group, parent_group) -> tuple[bool, str]:
+def _narrows_cumulative(child_group: list, parent_group: list) -> Optional[str]:
     p_sigs = {(c.currency, c.period, c.state_authority_pointer) for c in parent_group}
     c_sigs = {(c.currency, c.period, c.state_authority_pointer) for c in child_group}
     if len(p_sigs) > 1 or len(c_sigs) > 1:
-        return False, "mixed cumulative accounting terms are incomparable"
+        return "mixed cumulative accounting terms are incomparable"
     if p_sigs != c_sigs:
-        return False, "currency, period, and state authority must be preserved"
+        return "currency, period, and state authority must be preserved"
     if min(c.budget for c in child_group) > min(c.budget for c in parent_group):
-        return False, "budget raised"
-    return True, ""
+        return "budget raised"
+    return None
 
 
 # --- the wire form: one row per family -----------------------------------------
 
-def _text(value: object) -> str:
-    if type(value) is not str:
-        raise ValueParseError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
 # A member's (reader, writer).  The reader takes the JSON value and raises
 # ValueParseError on anything the family does not accept; the writer gives
-# the JSON value back.
-_TEXT = (_text, lambda text: text)
+# the JSON value back.  A text member's reader is ``str``: its value must be
+# exactly a str, and is taken as it is.
+_TEXT = (str, lambda text: text)
 _DECIMAL = (parse_decimal, lambda value: format(value, "f"))
 _INSTANT = (parse_timestamp, render_timestamp)
 _NAMES = (lambda names: frozenset(expect_list(names, str)), sorted)
@@ -704,19 +675,44 @@ class _Family:
     tag: str
     cls: type
     name: str
-    narrows: Callable[[Sequence, Sequence], tuple[bool, str]]
+    narrows: Callable[[list, list], Optional[str]]
     required: dict
     optional: dict
-    # Derived: every member name in written order, and the names a wire
-    # object must hold and may hold.
-    members: tuple = field(init=False)
+    # Derived: the names a wire object must hold and may hold, and each
+    # member's (name, reader, required), in written order.
     needed: frozenset = field(init=False)
     allowed: frozenset = field(init=False)
+    readers: tuple = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", (*self.required, *self.optional))
         object.__setattr__(self, "needed", frozenset((*self.required, "type")))
         object.__setattr__(self, "allowed", self.needed | self.optional.keys())
+        members = {**self.required, **self.optional}.items()
+        object.__setattr__(self, "readers", tuple((name, read, name in self.required) for name, (read, _) in members))
+
+    def read(self, obj: dict) -> Optional[Constraint]:
+        """The constraint ``obj`` writes, in one step: each member read, the
+        object built as its ``__init__`` would build it, with the duplicate
+        key of the same values.  None when ``obj`` does not fit this row."""
+        if not self.needed <= obj.keys() <= self.allowed:
+            return None
+        members = {}
+        try:
+            for name, read, required in self.readers:
+                value = obj.get(name)
+                if read is str:
+                    if type(value) is not str and (required or value is not None):
+                        return None
+                elif required or value is not None:
+                    value = read(value)
+                members[name] = value
+            members["_duplicate_key"] = _duplicate_key(self, members.values())
+            constraint = object.__new__(self.cls)
+            object.__setattr__(constraint, "__dict__", members)
+            constraint.__post_init__()
+        except (ValueParseError, TypeError):
+            return None
+        return constraint
 
 
 _FAMILIES = (
@@ -739,8 +735,8 @@ _BY_CLASS = {row.cls: row for row in _FAMILIES}
 
 def _duplicate_key(row: _Family, values: Iterable) -> tuple:
     """The duplicate key of a constraint of ``row`` whose typed members, in
-    ``row.members`` order, are ``values``."""
-    return (row.tag, *(format(value, "f") if isinstance(value, Decimal) else value for value in values))
+    ``row.readers`` order, are ``values``."""
+    return (row.tag, *[format(value, "f") if isinstance(value, Decimal) else value for value in values])
 
 
 def family_of(constraint: Constraint) -> str:
@@ -760,16 +756,7 @@ def constraint_from_dict(obj: dict) -> Constraint:
     if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
         raise ValueParseError("constraint must be an object with a string 'type'")
     row = _BY_TAG.get(obj["type"])
-    if row is not None and row.needed <= obj.keys() <= row.allowed:
-        try:
-            members = {name: read(obj[name]) for name, (read, _) in row.required.items()}
-            for name, (read, _) in row.optional.items():
-                value = obj.get(name)
-                members[name] = None if value is None else read(value)
-            constraint = row.cls(**members)
-        except (ValueParseError, TypeError):
-            pass
-        else:
-            object.__setattr__(constraint, "_duplicate_key", _duplicate_key(row, members.values()))
-            return constraint
-    return UnknownConstraint(type_tag=obj["type"], body=canonical_dumps(obj))
+    constraint = row.read(obj) if row is not None else None
+    if constraint is None:
+        return UnknownConstraint(type_tag=obj["type"], body=canonical_dumps(obj))
+    return constraint

@@ -70,11 +70,11 @@ class CredentialContainer:
     signing bytes and the issuer-signature verdicts are derived from ``raw``
     and kept, so ``raw`` must never be mutated, nested values included.
 
-    Complete when constructed, however it is built (``parse_container`` or
-    ``dataclasses.replace``): the fields an audit record carries (the ids,
-    ``digest_hex``, each constraint's field or type tag) are typed, and a
-    mistyped one raises TypeError; ``completeness`` is
-    ``validate_payload(payload)``, computed once.
+    Complete when constructed, however it is built: the fields an audit
+    record carries (the ids, ``digest_hex``, each constraint's field or type
+    tag) are typed, and ``completeness`` is ``validate_payload(payload)``,
+    computed once.  ``parse_container`` builds it from values it has typed;
+    built any other way, a mistyped field raises TypeError.
     """
 
     credential_id: str
@@ -118,12 +118,12 @@ class CredentialContainer:
         again is not re-verified, while any other key (a re-keyed issuer, a
         different parent link) gets a check of its own.
         """
-        try:
-            return self._signature_verdicts[public_hex]
-        except KeyError:
-            verdict = check_signature(self.raw, public_hex, rendered=self.rendered)
-            self._signature_verdicts[public_hex] = verdict
-            return verdict
+        verdict = self._signature_verdicts.get(public_hex)
+        if verdict is None:
+            verdict = self._signature_verdicts[public_hex] = check_signature(
+                self.raw, public_hex, rendered=self.rendered
+            )
+        return verdict
 
     def to_dict(self) -> dict:
         return dict(self.raw)
@@ -142,10 +142,10 @@ def parse_payload(obj: object) -> AuthorizationPayload:
         permissions = expect(obj, "permissions", list, optional=True)
         constraints = expect(obj, "constraints", list, optional=True)
         return AuthorizationPayload(
-            agent_id=expect(obj, "agent_id", str, optional=True),
-            issuer_id=expect(obj, "issuer_id", str, optional=True),
-            permissions=None if permissions is None else frozenset(expect_list(permissions, str)),
-            constraints=None if constraints is None else tuple(map(constraint_from_dict, constraints)),
+            expect(obj, "agent_id", str, optional=True),
+            expect(obj, "issuer_id", str, optional=True),
+            None if permissions is None else frozenset(expect_list(permissions, str)),
+            None if constraints is None else tuple(map(constraint_from_dict, constraints)),
         )
 
 
@@ -204,20 +204,25 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
     if whole is None:
         check_canonical(obj)
         whole = plain_dumps(obj)
-    return CredentialContainer(
-        credential_id=credential_id,
-        issuer_id=issuer_id,
-        subject_id=subject_id,
-        subject_public_key=public_key,
-        audience=frozenset(audience),
-        valid_from=valid_from,
-        valid_until=valid_until,
-        payload=payload,
-        parent_digest=parent_digest,
-        raw=obj,
-        digest_hex=sha256_hex(whole),
-        rendered=signing_text(obj, whole).encode("utf-8"),
-    )
+    # Typed above, so assigned at once, without ``__post_init__``'s second look.
+    container = object.__new__(CredentialContainer)
+    object.__setattr__(container, "__dict__", {
+        "credential_id": credential_id,
+        "issuer_id": issuer_id,
+        "subject_id": subject_id,
+        "subject_public_key": public_key,
+        "audience": frozenset(audience),
+        "valid_from": valid_from,
+        "valid_until": valid_until,
+        "payload": payload,
+        "parent_digest": parent_digest,
+        "raw": obj,
+        "digest_hex": sha256_hex(whole),
+        "rendered": signing_text(obj, whole).encode("utf-8"),
+        "completeness": validate_payload(payload),
+        "_signature_verdicts": {},
+    })
+    return container
 
 
 def issue_credential(

@@ -199,7 +199,7 @@ def expect_list(value: object, kind: type) -> list:
     """The one reader of a JSON list whose items all have the JSON type
     ``kind``: str for identities, fields and names, dict for rows and nested
     artifacts.  A bare string is refused, never split into characters."""
-    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+    if not isinstance(value, list) or not all(map(kind.__instancecheck__, value)):
         raise ValueParseError(f"expected a list of {kind.__name__}")
     return value
 

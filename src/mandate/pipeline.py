@@ -139,6 +139,13 @@ def _chain_entries(index: int) -> tuple[TraceEntry, TraceEntry, TraceEntry, Trac
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _constraint_step(index: int) -> tuple[str, TraceEntry]:
+    """Constraint ``index``'s label and PASS entry, kept in a bounded table:
+    unlike a chain's depth, a list of constraints has no length limit."""
+    return f"C{index}", TraceEntry("constraints", f"C{index}", "PASS")
+
+
 def _names_currency(constraints: Sequence[Constraint]) -> bool:
     """Whether a limit among ``constraints`` names a currency, so the request's must resolve."""
     return any(
@@ -334,13 +341,13 @@ def _admit_request(context: RequestContext, presenter_id: str, pop: object, vouc
 class _Kept:
     """A credential's constraint plan, built by ``plan()`` when its leaf
     first reaches its constraints: each constraint's label and PASS trace
-    entry, the PASS result rows, and whether a limit names a currency.  It
-    holds nothing the profile or the rest of the config decides, so it holds
-    for any config.  Bytes presented more than once keep it in the
-    credential cache, beside their parsed container, and it renders their
-    ALLOW ``constraint_results`` once, on the first evaluation in which
-    every constraint passed; a credential presented once is planned for its
-    evaluation only."""
+    entry (``_constraint_step``), the PASS result rows, and whether a limit
+    names a currency.  It holds nothing the profile or the rest of the
+    config decides, so it holds for any config.  Bytes presented more than
+    once keep it in the credential cache, beside their parsed container,
+    and it renders their ALLOW ``constraint_results`` once, on the first
+    evaluation in which every constraint passed; a credential presented
+    once is planned for its evaluation only."""
 
     __slots__ = ("container", "steps", "rows", "needs_currency", "_allowed")
 
@@ -351,15 +358,12 @@ class _Kept:
     def plan(self) -> None:
         if self.steps is None:
             constraints = self.container.payload.constraints or ()
-            self.steps = tuple(
-                (f"C{i}", c, TraceEntry("constraints", f"C{i}", "PASS"))
-                for i, c in enumerate(constraints, start=1)
-            )
+            self.steps = tuple((*_constraint_step(i), c) for i, c in enumerate(constraints, start=1))
             self.rows = tuple(
                 {"label": label, "type": c.type_tag, "field": "", "result": "PASS"}
                 if isinstance(c, UnknownConstraint)
                 else {"label": label, "type": family_of(c), "field": c.field, "result": "PASS"}
-                for label, c, _ in self.steps
+                for label, _, c in self.steps
             )
             self.needs_currency = _names_currency(constraints)
             self._allowed: Optional[Rendered] = None
@@ -743,7 +747,7 @@ class Engine:
         plan = notes.plan = notes.kept or _Kept(container)
         plan.plan()
         context_currency = self._currency("constraints", plan.needs_currency, context, notes)
-        for label, constraint, entry in plan.steps:
+        for label, entry, constraint in plan.steps:
             self._evaluate_one_constraint(
                 label, constraint, container, context, now, context_currency, vouchers, notes
             )

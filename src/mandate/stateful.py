@@ -76,15 +76,33 @@ def _bucket(period: Period, now: datetime) -> str:
     return local.strftime("%Y-%m")
 
 
+# The longest plain text (``format(amount, "f")``) of an amount a ledger
+# admits: a file ledger writes an amount so, and an amount written in a
+# million digits would make a million-byte row.
+_AMOUNT_TEXT_LIMIT = 64
+
+
+def _plain_length(amount: Decimal) -> int:
+    """The length of ``format(amount, "f")`` for a finite ``amount``, judged
+    from its sign, digit count and exponent without rendering it."""
+    sign, digits, exponent = amount.as_tuple()
+    if exponent >= 0:
+        return sign + (1 if amount.is_zero() else len(digits) + exponent)
+    return sign + max(len(digits), 1 - exponent) + 1
+
+
 def _admit(spent: Decimal, amount: Decimal, budget: Decimal) -> Decimal:
     """The running total after spending ``amount``, checked by every ledger
     before it spends or writes anything: an amount that is not a Decimal
-    raises TypeError, a non-finite or negative one ValueError (a ledger
-    never refunds), and a total past ``budget`` OverBudgetError."""
+    raises TypeError; a non-finite or negative one (a ledger never refunds),
+    or one whose plain text is longer than ``_AMOUNT_TEXT_LIMIT``, ValueError;
+    and a total past ``budget`` OverBudgetError."""
     if not isinstance(amount, Decimal):
         raise TypeError(f"ledger amount must be Decimal, got {type(amount).__name__}")
     if not amount.is_finite() or amount < 0:
         raise ValueError(f"ledger amount must be finite and not negative, got {amount}")
+    if _plain_length(amount) > _AMOUNT_TEXT_LIMIT:
+        raise ValueError(f"ledger amount must be written in at most {_AMOUNT_TEXT_LIMIT} characters")
     total = spent + amount
     if total > budget:
         raise OverBudgetError(f"{format(total, 'f')} would exceed budget {format(budget, 'f')}")
@@ -518,6 +536,10 @@ def evaluate_cumulative(
     spend = amount.as_decimal()
     if spend < 0:
         return DenialReason(DenyCode.CONSTRAINT_FAILED, "negative amounts cannot be reserved")
+    if _plain_length(spend) > _AMOUNT_TEXT_LIMIT:
+        return DenialReason(
+            DenyCode.CONSTRAINT_FAILED, f"amounts longer than {_AMOUNT_TEXT_LIMIT} characters cannot be reserved"
+        )
     pointer = constraint.state_authority_pointer
     permitted = any(
         r.in_window(now) and r.permits_state_authority(pointer, profile_id) for r in registries

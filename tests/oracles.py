@@ -5,8 +5,9 @@ code: a recursive reference matcher for the restricted glob language,
 language enumeration over a small alphabet for containment, per-value
 membership tests for deciding whether a conjunction of limits admits
 anything, a recursive walk that says which values canonical JSON refuses,
-a branch-per-family reader and writer of the constraint wire form, and a
-reserve ledger that keeps its admitted rows in a list and sums them afresh.
+a branch-per-family reader and writer of the constraint wire form, a
+reserve ledger that keeps its admitted rows in a list and sums them afresh,
+and the delegation narrowing check as it first read, one group at a time.
 They are frozen; when engine and oracle disagree, the engine is
 wrong until proven otherwise.
 """
@@ -22,6 +23,7 @@ from itertools import product
 
 from mandate.canonical import canonical_dumps
 from mandate.constraints import (
+    WEEKDAYS,
     CumulativeLimitConstraint,
     EnumeratedListConstraint,
     NumericLimitConstraint,
@@ -29,6 +31,8 @@ from mandate.constraints import (
     StringPatternConstraint,
     TemporalWindowConstraint,
     UnknownConstraint,
+    normalize_pattern,
+    pattern_subsumes,
 )
 from mandate.model import (
     SemanticType,
@@ -283,3 +287,192 @@ class ReferenceLedger:
             return None
         self.rows.append((key, period, now, amount))
         return total
+
+
+# --- delegation narrowing, frozen --------------------------------------------------
+
+_REFERENCE_FAMILIES = {
+    NumericLimitConstraint: "numeric_limit",
+    TemporalWindowConstraint: "temporal_window",
+    EnumeratedListConstraint: "enumerated_list",
+    StringPatternConstraint: "string_pattern",
+    CumulativeLimitConstraint: "cumulative_limit",
+}
+
+
+def reference_check_attenuation(child_constraints, parent_constraints):
+    """``constraints.check_attenuation`` and its five narrowing checks as
+    they read before their rewrite: unknown constraints first (child, then
+    parent), then each parent (field, family) group in sorted order, judged
+    against the child's group of the same key.  Returns (ok, detail)."""
+    for where, constraints in (("child", child_constraints), ("parent", parent_constraints)):
+        for constraint in constraints:
+            if isinstance(constraint, UnknownConstraint):
+                return False, (
+                    f"{where} carries unknown constraint type {constraint.type_tag!r}; "
+                    "narrowing cannot be verified"
+                )
+    child_groups = _reference_group(child_constraints)
+    parent_groups = _reference_group(parent_constraints)
+    narrows = {
+        "numeric_limit": _reference_narrows_numeric,
+        "temporal_window": _reference_narrows_temporal,
+        "enumerated_list": _reference_narrows_enumerated,
+        "string_pattern": _reference_narrows_pattern,
+        "cumulative_limit": _reference_narrows_cumulative,
+    }
+    for key in sorted(parent_groups):
+        field_name, family = key
+        label = f"{family} on {field_name}"
+        if key not in child_groups:
+            return False, f"child omits {label}; omission widens"
+        ok, detail = narrows[family](child_groups[key], parent_groups[key])
+        if not ok:
+            return False, f"{label}: {detail}"
+    return True, ""
+
+
+def _reference_group(constraints) -> dict:
+    groups: dict = {}
+    for constraint in constraints:
+        groups.setdefault((constraint.field, _REFERENCE_FAMILIES[type(constraint)]), []).append(constraint)
+    return groups
+
+
+def _reference_numeric_interval(group):
+    lo = hi = None
+    lo_closed = hi_closed = True
+    for c in group:
+        if c.operator in ("gt", "gte", "eq"):
+            closed = c.operator != "gt"
+            if lo is None or c.value > lo or (c.value == lo and lo_closed and not closed):
+                lo, lo_closed = c.value, closed
+        if c.operator in ("lt", "lte", "eq"):
+            closed = c.operator != "lt"
+            if hi is None or c.value < hi or (c.value == hi and hi_closed and not closed):
+                hi, hi_closed = c.value, closed
+    return lo, lo_closed, hi, hi_closed
+
+
+def _reference_interval_empty(lo, lo_closed, hi, hi_closed) -> bool:
+    if lo is None or hi is None:
+        return False
+    if lo > hi:
+        return True
+    return lo == hi and not (lo_closed and hi_closed)
+
+
+def _reference_narrows_numeric(child_group, parent_group):
+    parent_sigs = {(c.currency, c.unit) for c in parent_group}
+    child_sigs = {(c.currency, c.unit) for c in child_group}
+    if len(parent_sigs) > 1 or len(child_sigs) > 1:
+        return False, "mixed currencies or units are incomparable"
+    parent_sig = next(iter(parent_sigs))
+    child_sig = next(iter(child_sigs))
+    if parent_sig != (None, None) and child_sig != parent_sig:
+        return False, f"currency/unit {child_sig} does not preserve parent {parent_sig}"
+    p_lo, p_lc, p_hi, p_hc = _reference_numeric_interval(parent_group)
+    c_lo, c_lc, c_hi, c_hc = _reference_numeric_interval(child_group)
+    if _reference_interval_empty(c_lo, c_lc, c_hi, c_hc):
+        return True, ""
+    if _reference_interval_empty(p_lo, p_lc, p_hi, p_hc):
+        return False, "parent interval is empty but child is satisfiable"
+    if p_lo is not None:
+        if c_lo is None or c_lo < p_lo or (c_lo == p_lo and c_lc and not p_lc):
+            return False, "lower bound widened"
+    if p_hi is not None:
+        if c_hi is None or c_hi > p_hi or (c_hi == p_hi and c_hc and not p_hc):
+            return False, "upper bound widened"
+    return True, ""
+
+
+def _reference_window(group):
+    return max(c.valid_from for c in group), min(c.valid_until for c in group)
+
+
+def _reference_combined_days(group):
+    days = frozenset(WEEKDAYS)
+    for c in group:
+        if c.allowed_days is not None:
+            days = days & c.allowed_days
+    return days
+
+
+def _reference_narrows_temporal(child_group, parent_group):
+    day_gated = any(c.allowed_days is not None for c in list(child_group) + list(parent_group))
+    if day_gated:
+        zones = {c.timezone for c in list(child_group) + list(parent_group)}
+        if len(zones) > 1:
+            return False, "day-of-week narrowing requires identical timezones"
+    p_from, p_until = _reference_window(parent_group)
+    c_from, c_until = _reference_window(child_group)
+    if c_from > c_until:
+        return True, ""
+    if p_from > p_until:
+        return False, "parent window is empty but child is satisfiable"
+    if c_from < p_from or c_until > p_until:
+        return False, "window widened"
+    if not _reference_combined_days(child_group).issubset(_reference_combined_days(parent_group)):
+        return False, "allowed days widened"
+    return True, ""
+
+
+def _reference_combined_allowed(group):
+    present = [c.allowed for c in group if c.allowed is not None]
+    if not present:
+        return None
+    combined = present[0]
+    for s in present[1:]:
+        combined = combined & s
+    return combined
+
+
+def _reference_combined_denied(group):
+    combined = frozenset()
+    for c in group:
+        if c.denied is not None:
+            combined = combined | c.denied
+    return combined
+
+
+def _reference_narrows_enumerated(child_group, parent_group):
+    p_allowed = _reference_combined_allowed(parent_group)
+    c_allowed = _reference_combined_allowed(child_group)
+    p_denied = _reference_combined_denied(parent_group)
+    c_denied = _reference_combined_denied(child_group)
+    if p_allowed is not None:
+        if c_allowed is None:
+            return False, "parent restricts to an allowed set, child allows anything"
+        if not c_allowed.issubset(p_allowed):
+            return False, f"allowed set gained {sorted(c_allowed - p_allowed)}"
+    if p_denied:
+        if not p_denied.issubset(c_denied):
+            return False, f"denied set dropped {sorted(p_denied - c_denied)}"
+    return True, ""
+
+
+def _reference_narrows_pattern(child_group, parent_group):
+    for c in list(child_group) + list(parent_group):
+        if c.match != "restricted_glob" and "*" in c.pattern:
+            return False, f"literal '*' in {c.match} pattern cannot be compared"
+    parents = [normalize_pattern(c) for c in parent_group]
+    children = [normalize_pattern(c) for c in child_group]
+    for p in parents:
+        if not any(pattern_subsumes(p, c) for c in children):
+            return False, f"no child pattern stays within parent pattern {p!r}"
+    for c in children:
+        if not any(pattern_subsumes(p, c) for p in parents):
+            return False, f"child pattern {c!r} escapes every parent pattern"
+    return True, ""
+
+
+def _reference_narrows_cumulative(child_group, parent_group):
+    p_sigs = {(c.currency, c.period, c.state_authority_pointer) for c in parent_group}
+    c_sigs = {(c.currency, c.period, c.state_authority_pointer) for c in child_group}
+    if len(p_sigs) > 1 or len(c_sigs) > 1:
+        return False, "mixed cumulative accounting terms are incomparable"
+    if p_sigs != c_sigs:
+        return False, "currency, period, and state authority must be preserved"
+    if min(c.budget for c in child_group) > min(c.budget for c in parent_group):
+        return False, "budget raised"
+    return True, ""

@@ -1,6 +1,9 @@
 """Conformance vectors: the shipped suite, the runner, and generator determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -251,3 +254,18 @@ def test_every_audit_line_a_vector_writes_is_canonical(path, tmp_path):
     records = engine.config.audit_log.records()
     assert lines and [canonical_dumps(r.raw) for r in records] == lines
     assert verify_audit_chain(lines, load_signing_key(vector["fixtures"]["audit_key"]).public_hex)[0]
+
+
+def test_decisions_and_audit_lines_do_not_depend_on_the_hash_seed():
+    """``decision_digest.py`` hashes every decision and audit line of the
+    shipped vectors; two hash seeds must give one digest."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    digests = {
+        subprocess.run(
+            [sys.executable, str(root / "tests" / "decision_digest.py"), str(root / "vectors")],
+            env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(digests) == 1 and len(digests.pop().strip()) == 64

@@ -1641,3 +1641,22 @@ def test_a_respelled_spent_credential_opens_no_fresh_budget():
     spaced = json.dumps(original, indent=2, ensure_ascii=True).encode()
     decision = present_spelling(original, spaced)
     assert (decision.reason.code, decision.failed_constraint) == (DenyCode.STATE_LIMIT_EXCEEDED, "C1")
+
+
+def test_an_amount_too_long_to_record_denies_before_any_reserve(tmp_path):
+    """A context decimal written in 100,003 characters is tiny and within the
+    budget, but a file ledger would write it as a 100 kB row: the request
+    denies constraint_failed and the ledger file is left as it was."""
+    from mandate.stateful import FileStateAuthority
+
+    pointer = "https://state.test.example/ledger"
+    path = tmp_path / "ledger.jsonl"
+    ledger = FileStateAuthority(pointer, path)
+    engine, cred, _ = budget_engine(state_clients={pointer: ledger})
+    assert evaluate(engine, cred, context(amount="1")).allowed
+    before = path.read_bytes()
+    decision = evaluate(engine, cred, context(amount="0." + "0" * 100_000 + "1"))
+    assert decision.reason.code is DenyCode.CONSTRAINT_FAILED
+    assert decision.failed_constraint == "C1"
+    assert path.read_bytes() == before
+    assert evaluate(engine, cred, context(amount="2")).allowed

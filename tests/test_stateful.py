@@ -20,6 +20,7 @@ from mandate.keys import generate_key
 from mandate.model import DenyCode, SemanticType, parse_timestamp, parse_typed_value
 from mandate.registry import IssuerEntry, StateAuthorityEntry, build_registry
 from mandate.stateful import (
+    _AMOUNT_TEXT_LIMIT,
     EpochLedger,
     EpochQuota,
     FileStateAuthority,
@@ -201,8 +202,10 @@ UNSPENDABLE = pytest.mark.parametrize(
         (Decimal("-5"), ValueError),
         (5, TypeError),
         ("5", TypeError),
+        (Decimal("1e-1000000"), ValueError),
+        (Decimal("1" * 100_002), ValueError),
     ],
-    ids=["-infinity", "infinity", "nan", "negative", "int", "str"],
+    ids=["-infinity", "infinity", "nan", "negative", "int", "str", "million-digit-fraction", "long-integer"],
 )
 
 
@@ -760,3 +763,23 @@ def test_cumulative_currency_gate():
 def test_cumulative_rejects_negative_spend():
     reason = evaluate(constraint(), "-5")
     assert reason.code is DenyCode.CONSTRAINT_FAILED
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "-0", "0E+5", "-0E+5", "0E-3", "5E-1", "0.05", "12.5", "123.4500", "1E+3", "7E+62", "7E+63",
+     "1" * 64, "1" * 65, "0." + "0" * 61 + "1", "0." + "0" * 62 + "1", "9" * 40 + "." + "9" * 23,
+     "9" * 40 + "." + "9" * 24],
+)
+def test_an_amount_is_refused_exactly_when_its_plain_text_is_too_long(text):
+    amount = Decimal(text)
+    if amount < 0:
+        return  # refused as negative before its length is judged
+    too_long = len(format(amount, "f")) > _AMOUNT_TEXT_LIMIT
+    ledger = InMemoryStateAuthority(POINTER)
+    period = Period(kind="per_credential")
+    if too_long:
+        with pytest.raises(ValueError, match="ledger amount must be written in at most"):
+            ledger.reserve("k", amount, Decimal("1e100"), period, NOW)
+    else:
+        ledger.reserve("k", amount, Decimal("1e100"), period, NOW)
