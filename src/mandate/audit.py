@@ -31,7 +31,7 @@ from .canonical import (
     plain_dumps,
     sha256_hex,
 )
-from .keys import SUITE_ED25519, SigningKey, attach_signature, check_signature, envelope_public_key
+from .keys import SUITE_ED25519, SigningKey, attach_signature, check_signature
 from .model import expect, reading, render_timestamp
 
 # Fixed anchor for the first record of every log.
@@ -86,15 +86,15 @@ class AuditRecord:
 
 class Rendered:
     """A record member's value with its canonical text, checked and rendered
-    once, when built, for a value written into many records: the engine's
-    governance snapshot and a kept credential's ALLOW constraint results.
-    Like a credential's ``raw``, the value must never be changed afterwards;
-    a record's ``raw`` is decoded from its line."""
+    once, when built, by ``_text``, for a value a record may take as it
+    stands: the engine's governance snapshot and a credential's ALLOW
+    constraint results.  Like a credential's ``raw``, the value must never
+    be changed afterwards; a record's ``raw`` is decoded from its line."""
 
     __slots__ = ("value", "text")
 
     def __init__(self, value: object) -> None:
-        self.text = canonical_dumps(value)
+        self.text = _text(value)
         self.value = value
 
 
@@ -342,11 +342,7 @@ def verify_audit_chain(
             return False, index, f"record {index} is not in canonical form"
         if obj.get("prev_record") != expected_prev:
             return False, index, f"record {index} breaks the hash chain"
-        if isinstance(evaluator_keys, str):
-            public_hex = evaluator_keys
-        else:
-            public_hex = envelope_public_key(obj, evaluator_keys)
-        if public_hex is None or not check_signature(obj, public_hex):
+        if not check_signature(obj, evaluator_keys):
             return False, index, f"record {index} signature does not verify"
         expected_prev = sha256_hex(line)
     return True, None, f"{index + 1} records verified"

@@ -206,25 +206,24 @@ class CredentialSummary:
     credential_class: str
     identifiers: frozenset[str]  # semantic identifiers its constraints reference
     state_authorities: frozenset[str]
+    # type tags of its constraints this engine does not recognize, and denies
+    unknown_constraints: frozenset[str] = frozenset()
 
     @staticmethod
     def of(
         container: CredentialContainer, credential_class: str = DEFAULT_CREDENTIAL_CLASS
     ) -> "CredentialSummary":
-        identifiers: set[str] = set()
-        authorities: set[str] = set()
-        for constraint in container.payload.constraints or ():
-            if isinstance(constraint, UnknownConstraint):
-                continue
-            identifiers.add(constraint.field)
-            if isinstance(constraint, CumulativeLimitConstraint):
-                authorities.add(constraint.state_authority_pointer)
+        constraints = container.payload.constraints or ()
+        known = [c for c in constraints if not isinstance(c, UnknownConstraint)]
         return CredentialSummary(
             digest=container.digest(),
             issuer_id=container.issuer_id,
             credential_class=credential_class,
-            identifiers=frozenset(identifiers),
-            state_authorities=frozenset(authorities),
+            identifiers=frozenset(c.field for c in known),
+            state_authorities=frozenset(
+                c.state_authority_pointer for c in known if isinstance(c, CumulativeLimitConstraint)
+            ),
+            unknown_constraints=frozenset(c.type_tag for c in constraints if isinstance(c, UnknownConstraint)),
         )
 
 
@@ -323,6 +322,10 @@ def preflight(sender: SenderCapabilities, manifest: GovernanceManifest) -> Prefl
                         f"{summary.digest[:16]}: {identifier} is outside the receiver's vocabularies",
                     )
                 )
+        findings.update(
+            Finding("constraint_unknown", f"{summary.digest[:16]}: constraint type {tag!r} is not recognized")
+            for tag in summary.unknown_constraints
+        )
         for pointer in sorted(summary.state_authorities):
             if pointer not in manifest.accepted_state_authorities:
                 findings.add(

@@ -171,16 +171,10 @@ def attach_signature(obj: dict, key: SigningKey, *, rendered: Optional[bytes] = 
     return body
 
 
-def envelope_public_key(obj: dict, keys_by_id: Mapping[str, str]) -> Optional[str]:
-    """The public key hex ``keys_by_id`` holds for the key_id named in the
-    signature envelope of ``obj``; None when there is no such key."""
-    envelope = obj.get("signature")
-    key_id = envelope.get("key_id") if isinstance(envelope, dict) else None
-    return keys_by_id.get(key_id) if isinstance(key_id, str) else None
-
-
-def check_signature(obj: dict, public_hex: str, *, rendered: Optional[bytes] = None) -> bool:
-    """Verify the detached signature envelope on ``obj`` against one public key.
+def check_signature(obj: dict, keys: str | Mapping[str, str], *, rendered: Optional[bytes] = None) -> bool:
+    """Verify the detached signature envelope on ``obj`` against ``keys``:
+    one public key hex, or a map from key id to public key hex in which the
+    envelope's ``key_id`` (a str the map holds, or nothing verifies) names it.
 
     ``rendered``, when given, is ``signing_bytes(obj)`` as the caller already
     rendered it (a credential decoded from text), verified as it stands, as
@@ -189,6 +183,13 @@ def check_signature(obj: dict, public_hex: str, *, rendered: Optional[bytes] = N
     envelope = obj.get("signature")
     if not isinstance(envelope, dict):
         return False
+    if isinstance(keys, str):
+        public_hex = keys
+    else:
+        key_id = envelope.get("key_id")
+        public_hex = keys.get(key_id) if isinstance(key_id, str) else None
+        if public_hex is None:
+            return False
     suite = envelope.get("suite")
     value = envelope.get("value")
     if not isinstance(value, str):

@@ -90,11 +90,11 @@ CURRENCY_FIELD = "core.currency_code"
 
 # Distinct presented credential bytes or texts an engine remembers, least
 # recently presented forgotten first; fixed, because presentations are
-# outside input.  Only bytes presented again keep their parsed container and
-# its constraint plan; bytes presented once are parsed and planned for their
-# evaluation alone, since presentations that never repeat, such as fresh
-# delegation chains, would otherwise leave objects behind that the cyclic
-# collector must scan.
+# outside input.  Only bytes presented again keep their entry (parsed
+# container and constraint plan); bytes presented once get an entry for
+# their evaluation alone, since presentations that never repeat, such as
+# fresh delegation chains, would otherwise leave objects behind that the
+# cyclic collector must scan.
 PARSED_CREDENTIALS_KEPT = 64
 
 # Verification sub-checks in the order verify_container performs them, so a
@@ -338,16 +338,16 @@ def _admit_request(context: RequestContext, presenter_id: str, pop: object, vouc
         raise ValueError(f"request text {exc.object!r} is not UTF-8 text: {exc.reason}") from exc
 
 
-class _Kept:
-    """A credential's constraint plan, built by ``plan()`` when its leaf
-    first reaches its constraints: each constraint's label and PASS trace
-    entry (``_constraint_step``), the PASS result rows, and whether a limit
-    names a currency.  It holds nothing the profile or the rest of the
-    config decides, so it holds for any config.  Bytes presented more than
-    once keep it in the credential cache, beside their parsed container,
-    and it renders their ALLOW ``constraint_results`` once, on the first
-    evaluation in which every constraint passed; a credential presented
-    once is planned for its evaluation only."""
+class _Entry:
+    """A presented credential's parsed container and its constraint plan,
+    built by ``plan()`` when its leaf first reaches its constraints: each
+    constraint's label and PASS trace entry (``_constraint_step``), the PASS
+    result rows, and whether a limit names a currency.  It holds nothing the
+    profile or the rest of the config decides, so it holds for any config.
+    It renders its ALLOW ``constraint_results`` once, on the first
+    evaluation in which every constraint passed.  Bytes presented more than
+    once keep their entry in the credential cache; any other credential's
+    entry lives for its evaluation only."""
 
     __slots__ = ("container", "steps", "rows", "needs_currency", "_allowed")
 
@@ -368,14 +368,13 @@ class _Kept:
             self.needs_currency = _names_currency(constraints)
             self._allowed: Optional[Rendered] = None
 
-    def results(self, passed: int, failed: bool, kept: bool) -> Union[list[dict], Rendered]:
+    def results(self, passed: int, failed: bool) -> Union[list[dict], Rendered]:
         """The ``constraint_results`` rows of an evaluation in which the first
         ``passed`` constraints passed and, when ``failed``, the next one
-        failed; the rendered run when every one passed and the plan is
-        ``kept``, since only a kept plan is written again."""
+        failed; the rendered run when every one passed."""
         if failed:
             return [*self.rows[:passed], dict(self.rows[passed], result="FAIL")]
-        if passed < len(self.rows) or not kept:
+        if passed < len(self.rows):
             return list(self.rows[:passed])
         if self._allowed is None:
             self._allowed = Rendered(list(self.rows))
@@ -388,8 +387,7 @@ class _Notes:
 
     containers: list[CredentialContainer] = dc_field(default_factory=list)
     resolved: dict[str, str] = dc_field(default_factory=dict)
-    kept: Optional[_Kept] = None  # the leaf's cache entry, when it is kept
-    plan: Optional[_Kept] = None  # the leaf's plan, once its constraints are reached
+    plan: Optional[_Entry] = None  # the leaf's entry, once its constraints are reached
     profile_status: Optional[DenialReason] = None  # the mapping profile's verdict
     passed: int = 0  # constraints passed, in payload order
     workflow: Optional[dict] = None
@@ -447,7 +445,7 @@ class Engine:
         self.voucher_memory = VoucherMemory()
         # Presented bytes or text -> cache entry (None when presented once),
         # least recently presented first.
-        self._parsed: dict[Union[bytes, str], Optional[_Kept]] = {}
+        self._parsed: dict[Union[bytes, str], Optional[_Entry]] = {}
         self._parsed_lock = threading.Lock()
 
     # -- public operations -----------------------------------------------
@@ -521,39 +519,36 @@ class Engine:
 
     # -- parsing and verification ------------------------------------------
 
-    def _parse(
-        self, credential: Credential, stage: str, note="", where=""
-    ) -> tuple[CredentialContainer, Optional[_Kept]]:
-        """Parse a presented credential, reusing the entry kept for the same
-        bytes or text; the entry is None for a credential not kept.  A
-        container object decides as its signed ``raw``: its other fields are
-        derived afresh, never trusted.  A parse failure is never remembered
-        and is the one denial of a credential that does not parse, at
-        ``stage``: the ``note`` and ``where`` prefixes place it in a chain or
-        workflow set."""
+    def _parse(self, credential: Credential, stage: str, note="", where="") -> _Entry:
+        """A presented credential's entry: the one kept for the same bytes or
+        text, else a fresh one, kept when the bytes or text were presented
+        before.  A container object decides as its signed ``raw``: its other
+        fields are derived afresh, never trusted.  A parse failure is never
+        remembered and is the one denial of a credential that does not
+        parse, at ``stage``: the ``note`` and ``where`` prefixes place it in
+        a chain or workflow set."""
         if isinstance(credential, CredentialContainer):
             credential = credential.raw
         try:
             if not isinstance(credential, (bytes, str)):
-                return parse_container(credential), None
+                return _Entry(parse_container(credential))
             with self._parsed_lock:
                 seen = credential in self._parsed
                 if seen:  # re-inserted, so it is now the most recently presented
-                    kept = self._parsed[credential] = self._parsed.pop(credential)
-                    if kept is not None:
-                        return kept.container, kept
-            container = parse_container(credential)
+                    entry = self._parsed[credential] = self._parsed.pop(credential)
+                    if entry is not None:
+                        return entry
+            entry = _Entry(parse_container(credential))
         except ValueError as exc:  # a MalformedContainerError among them
             raise _Denied(
                 stage, "parse", f"{note}{exc}",
                 DenyCode.SIGNATURE_INVALID, f"malformed container{where}: {exc}",
             )
-        kept = _Kept(container) if seen else None
         with self._parsed_lock:
-            self._parsed[credential] = kept
+            self._parsed[credential] = entry if seen else None
             if len(self._parsed) > PARSED_CREDENTIALS_KEPT:
                 del self._parsed[next(iter(self._parsed))]
-        return container, kept
+        return entry
 
     def _verify(
         self,
@@ -598,8 +593,9 @@ class Engine:
         now: datetime,
         trace: list[TraceEntry],
         notes: _Notes,
-    ) -> CredentialContainer:
-        container, notes.kept = self._parse(credential, "container")
+    ) -> _Entry:
+        entry = self._parse(credential, "container")
+        container = entry.container
         notes.containers.append(container)
         trace.append(_PARSED)
 
@@ -613,7 +609,7 @@ class Engine:
             raise _Denied.of("container", _VERIFY_CHECKS[failed_at], reason)
         if container.completeness is not None:
             raise _Denied.of("payload", "completeness", container.completeness)
-        return container
+        return entry
 
     # -- delegation chain ----------------------------------------------------
 
@@ -625,7 +621,7 @@ class Engine:
         now: datetime,
         trace: list[TraceEntry],
         notes: _Notes,
-    ) -> CredentialContainer:
+    ) -> _Entry:
         if not credentials:
             raise _Denied(None, None, None, DenyCode.CREDENTIAL_INCOMPLETE, "no credentials presented")
         # Judged on the count alone, so an over-deep chain costs no parse; a
@@ -637,13 +633,12 @@ class Engine:
                 DenyCode.DELEGATION_DEPTH_EXCEEDED,
                 f"chain of {depth} links exceeds the depth limit of {limit}",
             )
-        parsed = [
+        entries = [
             self._parse(c, "chain", f"link {i}: ", f" in link {i}")
             for i, c in enumerate(credentials, start=1)
         ]
-        containers = [container for container, _ in parsed]
+        containers = [entry.container for entry in entries]
         notes.containers.extend(containers)
-        notes.kept = parsed[-1][1]
         trace.append(_chain_entries(depth)[0])
         trace.append(_CHAIN_DEPTH)
 
@@ -661,9 +656,8 @@ class Engine:
                 raise _Denied("chain", check, note, DenyCode.DELEGATION_CHAIN_BROKEN, f"link {index} {phrase}")
             trace.append(_chain_entries(index)[1])
 
-        leaf = containers[-1]
         for index, container in enumerate(containers, start=1):
-            is_leaf = container is leaf
+            is_leaf = index == depth
             expected_presenter = presenter_id if is_leaf else container.subject_id
             # The root is signed by a configured issuer and subject to registry
             # vetting; every later link is signed by its parent's subject.
@@ -700,7 +694,7 @@ class Engine:
                 )
             trace.append(_chain_entries(index)[3])
 
-        return leaf
+        return entries[-1]
 
     # -- payload evaluation ---------------------------------------------------
 
@@ -722,7 +716,7 @@ class Engine:
 
     def _evaluate_payload(
         self,
-        container: CredentialContainer,
+        entry: _Entry,
         context: RequestContext,
         now: datetime,
         vouchers: Optional[Sequence[StateVoucher]],
@@ -730,6 +724,7 @@ class Engine:
         notes: _Notes,
     ) -> None:
         cfg = self.config
+        container = entry.container
         if context.action not in (container.payload.permissions or frozenset()):
             raise _Denied(
                 "payload", "permission", f"{context.action!r} not granted",
@@ -744,14 +739,14 @@ class Engine:
         # recorded when resolvable, and its absence never alters the decision.
         self._resolve("core.resource_id", context, notes)
 
-        plan = notes.plan = notes.kept or _Kept(container)
-        plan.plan()
-        context_currency = self._currency("constraints", plan.needs_currency, context, notes)
-        for label, entry, constraint in plan.steps:
+        notes.plan = entry
+        entry.plan()
+        context_currency = self._currency("constraints", entry.needs_currency, context, notes)
+        for label, step, constraint in entry.steps:
             self._evaluate_one_constraint(
                 label, constraint, container, context, now, context_currency, vouchers, notes
             )
-            trace.append(entry)
+            trace.append(step)
             notes.passed += 1
 
         self._apply_local_policy(context, trace, notes)
@@ -864,7 +859,7 @@ class Engine:
         notes: _Notes,
     ) -> WorkflowComposition:
         containers = [
-            self._parse(c, "workflow", f"credential {i}: ", f" in workflow set ({i})")[0]
+            self._parse(c, "workflow", f"credential {i}: ", f" in workflow set ({i})").container
             for i, c in enumerate(credentials, start=1)
         ]
         notes.containers.extend(containers)
@@ -1006,7 +1001,7 @@ class Engine:
                 action=context.action if context else None,
                 resource=notes.resolved.get("core.resource_id"),
                 context_snapshot=notes.resolved,
-                constraint_results=plan.results(notes.passed, failed, plan is notes.kept) if plan else [],
+                constraint_results=plan.results(notes.passed, failed) if plan else [],
                 decision_outcome=DENY if reason else ALLOW,
                 decision_code=reason.code.value if reason else None,
                 decision_detail=reason.detail if reason else "",

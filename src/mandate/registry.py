@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .canonical import digest_object, load_json
-from .keys import SigningKey, attach_signature, check_signature, envelope_public_key
+from .keys import SigningKey, attach_signature, check_signature
 from .model import (
     expect,
     expect_list,
@@ -185,8 +185,7 @@ def load_registry(
     with reading(RegistryError, "malformed"):
         obj = load_json(data) if isinstance(data, (bytes, str)) else data
     registry = _parse_registry(obj)
-    public_hex = envelope_public_key(registry.raw, steward_keys)
-    if public_hex is None or not check_signature(registry.raw, public_hex):
+    if not check_signature(registry.raw, steward_keys):
         raise RegistryError("bad_signature", "registry signature does not verify against any steward key")
     if now is not None and not registry.in_window(now):
         raise RegistryError("out_of_window", "registry outside its validity window")

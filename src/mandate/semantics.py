@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .canonical import canonical_dumps, digest_object
-from .keys import attach_signature, check_signature, envelope_public_key
+from .keys import attach_signature, check_signature
 from .model import (
     DenialReason,
     DenyCode,
@@ -172,8 +172,8 @@ class MappingProfile:
     valid_until: datetime
     aliases: tuple[AliasEntry, ...]
     raw: dict  # original object, kept for signature verification and digests
-    # steward public hex (None: no steward key for the envelope's key_id) ->
-    # duplicate-row and signature verdict; filled by validate_mapping_profile.
+    # steward keys (the map's items) -> duplicate-row and signature verdict;
+    # filled by validate_mapping_profile.
     _trust_verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (the vocabularies last asked about, as a tuple; their resolution plan);
     # set by resolution_plan.
@@ -273,7 +273,7 @@ def identity_mapping_profile(
     return build_mapping_profile(profile_id, version, valid_until, aliases, steward_key)
 
 
-def _profile_trust(mapping: MappingProfile, public_hex: Optional[str]) -> Optional[DenialReason]:
+def _profile_trust(mapping: MappingProfile, steward_keys: Mapping[str, str]) -> Optional[DenialReason]:
     """The time-independent half of validation: duplicate rows, then the steward signature."""
     seen: set[str] = set()
     for alias in mapping.aliases:
@@ -283,7 +283,7 @@ def _profile_trust(mapping: MappingProfile, public_hex: Optional[str]) -> Option
                 DenyCode.MAPPING_PROFILE_INVALID, f"duplicate alias row for {alias.identifier}"
             )
         seen.add(rendered)
-    if public_hex is None or not check_signature(mapping.raw, public_hex):
+    if not check_signature(mapping.raw, steward_keys):
         return DenialReason(
             DenyCode.MAPPING_PROFILE_INVALID, "profile signature does not verify against any steward key"
         )
@@ -302,16 +302,16 @@ def validate_mapping_profile(
     as semantic_alias_conflict at resolution time, not here.  None means valid.
 
     The duplicate-row and signature verdict is computed once per profile and
-    steward public key and kept on the profile; staleness against ``now`` is
+    set of steward keys and kept on the profile; staleness against ``now`` is
     checked on every call.
     """
     if mapping is None:
         return DenialReason(DenyCode.MAPPING_PROFILE_MISSING, "no mapping profile configured")
-    public_hex = envelope_public_key(mapping.raw, steward_keys)
+    keys = tuple(steward_keys.items())
     try:
-        trust = mapping._trust_verdicts[public_hex]
+        trust = mapping._trust_verdicts[keys]
     except KeyError:
-        trust = mapping._trust_verdicts[public_hex] = _profile_trust(mapping, public_hex)
+        trust = mapping._trust_verdicts[keys] = _profile_trust(mapping, steward_keys)
     if trust is not None:
         return trust
     if now > mapping.valid_until:

@@ -1,5 +1,6 @@
 """Governance manifests and sender preflight."""
 
+import dataclasses
 import json
 from datetime import timedelta
 from decimal import Decimal
@@ -27,6 +28,7 @@ from mandate.discovery import (
 from mandate.keys import attach_signature, generate_key
 from mandate.model import (
     AuthorizationPayload,
+    DenyCode,
     SemanticType,
     parse_timestamp,
 )
@@ -246,6 +248,18 @@ def test_preflight_compatible_when_nothing_is_missing():
     report = preflight(compatible_sender(), manifest())
     assert report.compatible
     assert report.findings == ()
+
+
+def test_preflight_reports_an_unknown_constraint_the_engine_would_deny():
+    body = summary_credential().to_dict()
+    del body["signature"]
+    body["payload"]["constraints"].append({"type": "FancyConstraint", "field": "x.y"})
+    summary = CredentialSummary.of(parse_container(attach_signature(body, ISSUER)))
+    assert summary.unknown_constraints == frozenset({"FancyConstraint"})
+    report = preflight(dataclasses.replace(compatible_sender(), credentials=(summary,)), manifest())
+    assert not report.compatible
+    assert [f.code for f in report.findings] == [DenyCode.CONSTRAINT_UNKNOWN.value]
+    assert "'FancyConstraint'" in report.findings[0].detail
 
 
 def test_preflight_profile_unsupported():

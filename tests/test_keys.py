@@ -9,7 +9,6 @@ from mandate.keys import (
     KeyError_,
     SigningKey,
     check_signature,
-    envelope_public_key,
     generate_key,
     load_signing_key,
     read_hex,
@@ -58,13 +57,16 @@ def test_warmed_key_equals_fresh_key():
     assert warmed != generate_key("steward:test", seed="keys:other")
 
 
-def test_envelope_public_key_looks_up_the_named_key():
+def test_a_key_map_verifies_with_the_key_the_envelope_names():
+    signed = envelope_signed_with_suite(1)
     keys = {KEY.key_id: KEY.public_hex}
-    assert envelope_public_key(envelope_signed_with_suite(1), keys) == KEY.public_hex
-    assert envelope_public_key({"kind": "probe"}, keys) is None
-    assert envelope_public_key({"signature": "not-an-envelope"}, keys) is None
-    assert envelope_public_key({"signature": {"key_id": 7}}, {7: KEY.public_hex}) is None
-    assert envelope_public_key({"signature": {"key_id": "steward:other"}}, keys) is None
+    assert check_signature(signed, keys)
+    assert not check_signature({"kind": "probe"}, keys)
+    assert not check_signature({"signature": "not-an-envelope"}, keys)
+    # A key_id that is not a str is never looked up, even where the map holds it.
+    non_str = dict(signed, signature=dict(signed["signature"], key_id=7))
+    assert not check_signature(non_str, {7: KEY.public_hex})
+    assert not check_signature(signed, {"steward:other": KEY.public_hex})
 
 
 # --- one spelling of hex ----------------------------------------------------------

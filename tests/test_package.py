@@ -1,10 +1,14 @@
-"""The package's flat surface, and the bindings the benchmark tracer wraps."""
+"""The package's flat surface, its modules' imports, and the bindings the
+benchmark tracer wraps."""
 
+import ast
 import importlib.util
 from pathlib import Path
 from types import ModuleType
 
 import mandate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SURFACE = """
 ALLOW AliasEntry AttenuationViolation AuditError AuditLog AuditRecord AuthorizationPayload
@@ -44,11 +48,15 @@ def test_the_flat_surface_is_unchanged():
     assert mandate.__all__ == SURFACE
 
 
-def test_every_binding_the_benchmark_tracer_wraps_exists_and_is_restored():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+def _tracing() -> ModuleType:
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_binding_the_benchmark_tracer_wraps_exists_and_is_restored():
+    tracing = _tracing()
     # A class owner's own __dict__ (an inherited method would be wrapped on
     # the subclass), a module's attributes otherwise: vars() reads either.
     missing = [(owner.__name__, attribute) for owner, attribute, _ in tracing.TARGETS if attribute not in vars(owner)]
@@ -61,3 +69,24 @@ def test_every_binding_the_benchmark_tracer_wraps_exists_and_is_restored():
     finally:
         tracer.uninstall()
     assert all(vars(owner)[attribute] is original for owner, attribute, original in originals)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Outside ``__init__``, a module uses every name it imports, unless the
+    benchmark tracer wraps that binding, which must then stay in place."""
+    wrapped = {(owner.__name__, attribute) for owner, attribute, _ in _tracing().TARGETS}
+    unused = []
+    for path in sorted((ROOT / "src" / "mandate").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = f"mandate.{path.stem}"
+        unused += [f"{module}.{name}" for name in imported if name not in used and (module, name) not in wrapped]
+    assert unused == []

@@ -277,14 +277,14 @@ def test_a_warm_allow_walks_nothing(monkeypatch):
 def _plan_builds(monkeypatch) -> list[str]:
     """The credential id of each kept entry whose plan is built, in order."""
     builds = []
-    original = pipeline._Kept.plan
+    original = pipeline._Entry.plan
 
     def plan(kept):
         if kept.steps is None:
             builds.append(kept.container.credential_id)
         return original(kept)
 
-    monkeypatch.setattr(pipeline._Kept, "plan", plan)
+    monkeypatch.setattr(pipeline._Entry, "plan", plan)
     return builds
 
 
@@ -316,9 +316,15 @@ def test_a_credential_presented_once_is_planned_for_its_evaluation_only(monkeypa
     for i in range(2):  # presented again: kept, and planned on its first evaluation as a leaf only
         assert _present_root(engine, allowed, f"again-{i}").allowed
     assert builds == ["cred-plans-once-allowed"]
-    # Only a kept plan renders its ALLOW run ahead, once, for the records that repeat it.
+    # Every plan renders its ALLOW run once; a kept plan's rendering serves the records that repeat it.
     fresh, first, again = results[-3:]
-    assert type(fresh) is list and type(first) is audit.Rendered and again is first
+    assert again is first
+    assert fresh.text == first.text == (
+        '[{"field":"core.amount","label":"C1","result":"PASS","type":"numeric_limit"},'
+        '{"field":"core.resource_id","label":"C2","result":"PASS","type":"enumerated_list"}]'
+    )
+    lines = [record.line for record in engine.config.audit_log.records()[-3:]]
+    assert all(f'"constraint_results":{first.text},' in line for line in lines)
 
 
 def test_a_chain_s_fixed_trace_entries_are_built_once_per_link_index():
@@ -496,6 +502,7 @@ def test_more_credentials_than_are_kept_decide_alike_warm_and_cold():
 def _reassignments():
     """Each assigns one config field after plans exist, as a name and a function of the config."""
     other_issuer = generate_key(ISSUER.key_id, seed="plans:issuer:rekeyed")
+    other_steward = generate_key(STEWARD.key_id, seed="plans:steward:rekeyed")
     retyped = Vocabulary("plans", 2, {"plans.region": VocabularyEntry("plans.region", SemanticType.STRING_CODE, "conditional")})
     renamed = [a for a in identity_mapping_profile([REGION], UNTIL, STEWARD).aliases if a.identifier != "core.amount"]
     renamed.append(AliasEntry("core.amount", "amount_usd", SemanticType.DECIMAL))
@@ -520,6 +527,8 @@ def _reassignments():
         ("vocabularies copied", assign(vocabularies=(Vocabulary.from_dict(REGION.to_dict()),))),
         ("issuer rekeyed", assign(trusted_issuers={ISSUER.key_id: other_issuer.public_hex})),
         ("issuer dropped in place", lambda config: config.trusted_issuers.pop(ISSUER.key_id)),
+        ("steward key dropped in place", lambda config: config.steward_keys.pop(STEWARD.key_id)),
+        ("steward re-keyed", assign(steward_keys={STEWARD.key_id: other_steward.public_hex})),
         ("registries unvetted", assign(registries=(unvetted,))),
         ("registries vetted", assign(registries=(vetted,))),
         ("registries vetted in a list", assign(registries=[vetted])),

@@ -159,9 +159,9 @@ def test_profile_duplicate_rows_invalid():
 def test_profile_trust_verdict_is_kept_per_steward_key(monkeypatch):
     calls = []
 
-    def counting_check(obj, public_hex):
-        calls.append(public_hex)
-        return check_signature(obj, public_hex)
+    def counting_check(obj, keys):
+        calls.append(dict(keys))
+        return check_signature(obj, keys)
 
     monkeypatch.setattr(mandate.semantics, "check_signature", counting_check)
     impostor = generate_key("steward:test", seed="semantics:impostor")
@@ -170,8 +170,9 @@ def test_profile_trust_verdict_is_kept_per_steward_key(monkeypatch):
     for _ in range(2):
         assert validate_mapping_profile(p, NOW, wrong_keys).code is DenyCode.MAPPING_PROFILE_INVALID
         assert validate_mapping_profile(p, NOW, STEWARD_KEYS) is None
-    # One signature check per distinct steward key, however often the profile is validated.
-    assert calls == [impostor.public_hex, STEWARD.public_hex]
+        assert validate_mapping_profile(p, NOW, dict(STEWARD_KEYS)) is None  # an equal map, not the same one
+    # One signature check per distinct steward key map, however often the profile is validated.
+    assert calls == [wrong_keys, STEWARD_KEYS]
 
 
 def test_profile_round_trip_preserves_signature():
