@@ -381,10 +381,19 @@ class _Entry:
         return self._allowed
 
 
-@dataclass
-class _Notes:
-    """Working memory for one evaluation, folded into its audit record."""
+@dataclass(slots=True)
+class _Evaluation:
+    """One evaluation, carried through the engine: its operation and ``now``,
+    the request (none for a workflow composition), its trace, and the
+    working memory folded into its audit record."""
 
+    operation: str
+    now: datetime
+    context: Optional[RequestContext] = None
+    presenter_id: Optional[str] = None
+    pop: Optional[PossessionProof] = None
+    vouchers: Optional[Sequence[StateVoucher]] = None
+    trace: list[TraceEntry] = dc_field(default_factory=list)
     containers: list[CredentialContainer] = dc_field(default_factory=list)
     resolved: dict[str, str] = dc_field(default_factory=dict)
     plan: Optional[_Entry] = None  # the leaf's entry, once its constraints are reached
@@ -468,20 +477,19 @@ class Engine:
         if is_chain and len(credential) == 1 and not isinstance(credential[0], (list, tuple)):
             (credential,), is_chain = credential, False
         _admit_request(context, presenter_id, pop, vouchers)
-        trace: list[TraceEntry] = []
-        notes = _Notes()
         operation = "evaluate_chain" if is_chain and len(credential) > 1 else "evaluate"
+        ev = _Evaluation(operation, now, context, presenter_id, pop, vouchers)
         try:
             if is_chain:
-                leaf = self._verify_chain(list(credential), presenter_id, pop, now, trace, notes)
+                leaf = self._verify_chain(ev, list(credential))
             else:
-                leaf = self._verify_single(credential, presenter_id, pop, now, trace, notes)
-            self._evaluate_payload(leaf, context, now, vouchers, trace, notes)
+                leaf = self._verify_single(ev, credential)
+            self._evaluate_payload(ev, leaf)
         except _Denied as denied:
             # Concluded inside the handler, so no frame keeps the exception
             # (and the frames its traceback holds) alive in a reference cycle.
-            return self._conclude(operation, trace, denied, context, presenter_id, now, notes)
-        return self._conclude(operation, trace, None, context, presenter_id, now, notes)
+            return self._conclude(ev, denied)
+        return self._conclude(ev, None)
 
     def compose_workflow(
         self,
@@ -508,13 +516,12 @@ class Engine:
             _expect_str("role_id", role.role_id)
         for field in policy.shared_fields:
             _expect_str("shared field", field)
-        trace: list[TraceEntry] = []
-        notes = _Notes()
+        ev = _Evaluation("compose_workflow", now)
         try:
-            composition = self._compose(policy, credentials, now, trace, notes)
+            composition = self._compose(ev, policy, credentials)
         except _Denied as denied:
-            return self._conclude("compose_workflow", trace, denied, None, None, now, notes), None
-        decision = self._conclude("compose_workflow", trace, None, None, None, now, notes)
+            return self._conclude(ev, denied), None
+        decision = self._conclude(ev, None)
         return decision, composition if decision.allowed else None
 
     # -- parsing and verification ------------------------------------------
@@ -552,59 +559,49 @@ class Engine:
 
     def _verify(
         self,
+        ev: _Evaluation,
         container: CredentialContainer,
-        presenter_id: str,
-        pop: Optional[PossessionProof],
-        now: datetime,
-        *,
-        pop_required: bool,
-        trusted_issuers: Optional[Mapping[str, str]] = None,
-        use_registries: bool = True,
+        leaf: bool,
+        parent: Optional[CredentialContainer] = None,
     ) -> Optional[DenialReason]:
-        """Run the container gate.  Chain links override the trust source:
-        a delegated link is signed by its parent's subject, so its key comes
-        from the parent container, and registry vetting applies only to the
-        root issuer."""
+        """Run the container gate.  The ``leaf`` is presented with the
+        request's proof of possession; any other container is bound to its
+        own subject, its possession left unchecked.  A delegated link (one
+        with a ``parent``) is signed by its parent's subject, so its key
+        comes from the parent container, and registry vetting applies only
+        to the root issuer."""
         cfg = self.config
         return verify_container(
             container,
-            presenter_id,
-            pop,
+            ev.presenter_id if leaf else container.subject_id,
+            ev.pop if leaf else None,
             evaluator_id=cfg.evaluator_id,
-            trusted_issuers=cfg.trusted_issuers if trusted_issuers is None else trusted_issuers,
-            now=now,
+            trusted_issuers=cfg.trusted_issuers if parent is None else {container.issuer_id: parent.subject_public_key},
+            now=ev.now,
             nonce_cache=self.nonce_cache,
-            registries=cfg.registries if use_registries else (),
+            registries=cfg.registries if parent is None else (),
             credential_class=cfg.credential_class,
             profile_id=cfg.profile_id,
             revocations=cfg.revocations,
-            pop_required=pop_required and cfg.pop_required,
+            pop_required=leaf and cfg.pop_required,
             pop_max_age=cfg.pop_max_age,
             clock_skew=cfg.clock_skew,
         )
 
     # -- single credential --------------------------------------------------
 
-    def _verify_single(
-        self,
-        credential: Credential,
-        presenter_id: str,
-        pop: Optional[PossessionProof],
-        now: datetime,
-        trace: list[TraceEntry],
-        notes: _Notes,
-    ) -> _Entry:
+    def _verify_single(self, ev: _Evaluation, credential: Credential) -> _Entry:
         entry = self._parse(credential, "container")
         container = entry.container
-        notes.containers.append(container)
-        trace.append(_PARSED)
+        ev.containers.append(container)
+        ev.trace.append(_PARSED)
 
         # One entry per verification sub-check, stopping at the failure.
-        reason = self._verify(container, presenter_id, pop, now, pop_required=True)
+        reason = self._verify(ev, container, leaf=True)
         failed_at = len(_VERIFY_CHECKS) if reason is None else _CODE_TO_CHECK[reason.code]
         if reason is None or reason.code is not DenyCode.ISSUER_UNTRUSTED:
             # (an untrusted issuer has no key, so its signature was never checked)
-            trace.extend(_VERIFIED[:failed_at])
+            ev.trace.extend(_VERIFIED[:failed_at])
         if reason is not None:
             raise _Denied.of("container", _VERIFY_CHECKS[failed_at], reason)
         if container.completeness is not None:
@@ -613,15 +610,7 @@ class Engine:
 
     # -- delegation chain ----------------------------------------------------
 
-    def _verify_chain(
-        self,
-        credentials: list[Credential],
-        presenter_id: str,
-        pop: Optional[PossessionProof],
-        now: datetime,
-        trace: list[TraceEntry],
-        notes: _Notes,
-    ) -> _Entry:
+    def _verify_chain(self, ev: _Evaluation, credentials: list[Credential]) -> _Entry:
         if not credentials:
             raise _Denied(None, None, None, DenyCode.CREDENTIAL_INCOMPLETE, "no credentials presented")
         # Judged on the count alone, so an over-deep chain costs no parse; a
@@ -638,9 +627,9 @@ class Engine:
             for i, c in enumerate(credentials, start=1)
         ]
         containers = [entry.container for entry in entries]
-        notes.containers.extend(containers)
-        trace.append(_chain_entries(depth)[0])
-        trace.append(_CHAIN_DEPTH)
+        ev.containers.extend(containers)
+        ev.trace.append(_chain_entries(depth)[0])
+        ev.trace.append(_CHAIN_DEPTH)
 
         for index, container in enumerate(containers, start=1):
             if container.completeness is not None:
@@ -654,30 +643,16 @@ class Engine:
                 note, phrase = defect
                 check = f"link {index} continuity"
                 raise _Denied("chain", check, note, DenyCode.DELEGATION_CHAIN_BROKEN, f"link {index} {phrase}")
-            trace.append(_chain_entries(index)[1])
+            ev.trace.append(_chain_entries(index)[1])
 
         for index, container in enumerate(containers, start=1):
-            is_leaf = index == depth
-            expected_presenter = presenter_id if is_leaf else container.subject_id
             # The root is signed by a configured issuer and subject to registry
             # vetting; every later link is signed by its parent's subject.
-            overrides = (
-                None
-                if index == 1
-                else {container.issuer_id: containers[index - 2].subject_public_key}
-            )
-            reason = self._verify(
-                container,
-                expected_presenter,
-                pop if is_leaf else None,
-                now,
-                pop_required=is_leaf,
-                trusted_issuers=overrides,
-                use_registries=index == 1,
-            )
+            parent = containers[index - 2] if index > 1 else None
+            reason = self._verify(ev, container, index == depth, parent)
             if reason is not None:
                 raise _Denied.of("chain", f"link {index} verify", reason, f"link {index}: ")
-            trace.append(_chain_entries(index)[2])
+            ev.trace.append(_chain_entries(index)[2])
 
         for index, (parent, child) in enumerate(zip(containers, containers[1:]), start=2):
             check = f"link {index} attenuation"
@@ -692,94 +667,69 @@ class Engine:
                 raise _Denied(
                     "chain", check, detail, DenyCode.DELEGATION_WIDENED, f"link {index}: {detail}"
                 )
-            trace.append(_chain_entries(index)[3])
+            ev.trace.append(_chain_entries(index)[3])
 
         return entries[-1]
 
     # -- payload evaluation ---------------------------------------------------
 
-    def _resolve(
-        self,
-        field: str,
-        context: RequestContext,
-        notes: _Notes,
-    ) -> tuple[Optional[TypedValue], Optional[DenialReason]]:
+    def _resolve(self, ev: _Evaluation, field: str) -> tuple[Optional[TypedValue], Optional[DenialReason]]:
         """Resolve one semantic field under the profile verdict noted for this
         evaluation; a resolved value is noted for the audit snapshot."""
         cfg = self.config
         value, reason = resolve_semantic_field(
-            field, context, cfg.mapping_profile, cfg.vocabularies, notes.profile_status
+            field, ev.context, cfg.mapping_profile, cfg.vocabularies, ev.profile_status
         )
         if value is not None:
-            notes.resolved[field] = value.text
+            ev.resolved[field] = value.text
         return value, reason
 
-    def _evaluate_payload(
-        self,
-        entry: _Entry,
-        context: RequestContext,
-        now: datetime,
-        vouchers: Optional[Sequence[StateVoucher]],
-        trace: list[TraceEntry],
-        notes: _Notes,
-    ) -> None:
+    def _evaluate_payload(self, ev: _Evaluation, entry: _Entry) -> None:
         cfg = self.config
-        container = entry.container
-        if context.action not in (container.payload.permissions or frozenset()):
+        action = ev.context.action
+        if action not in (entry.container.payload.permissions or frozenset()):
             raise _Denied(
-                "payload", "permission", f"{context.action!r} not granted",
+                "payload", "permission", f"{action!r} not granted",
                 DenyCode.PERMISSION_DENIED,
-                f"action {context.action!r} is not among the granted permissions",
+                f"action {action!r} is not among the granted permissions",
             )
-        trace.append(_PERMITTED)
+        ev.trace.append(_PERMITTED)
 
-        notes.profile_status = validate_mapping_profile(cfg.mapping_profile, now, cfg.steward_keys)
+        ev.profile_status = validate_mapping_profile(cfg.mapping_profile, ev.now, cfg.steward_keys)
 
         # Opportunistic, for the audit snapshot only: the requested resource is
         # recorded when resolvable, and its absence never alters the decision.
-        self._resolve("core.resource_id", context, notes)
+        self._resolve(ev, "core.resource_id")
 
-        notes.plan = entry
+        ev.plan = entry
         entry.plan()
-        context_currency = self._currency("constraints", entry.needs_currency, context, notes)
+        context_currency = self._currency(ev, "constraints", entry.needs_currency)
         for label, step, constraint in entry.steps:
-            self._evaluate_one_constraint(
-                label, constraint, container, context, now, context_currency, vouchers, notes
-            )
-            trace.append(step)
-            notes.passed += 1
+            self._evaluate_one_constraint(ev, label, constraint, context_currency)
+            ev.trace.append(step)
+            ev.passed += 1
 
-        self._apply_local_policy(context, trace, notes)
+        self._apply_local_policy(ev)
 
-    def _currency(
-        self,
-        stage: str,
-        needed: bool,
-        context: RequestContext,
-        notes: _Notes,
-    ) -> Optional[str]:
+    def _currency(self, ev: _Evaluation, stage: str, needed: bool) -> Optional[str]:
         """The request currency when ``needed`` (a limit names one); a missing
         field reads as None, and any other resolution defect denies at ``stage``."""
         if not needed:
             return None
-        value, reason = self._resolve(CURRENCY_FIELD, context, notes)
+        value, reason = self._resolve(ev, CURRENCY_FIELD)
         if reason is not None and reason.code is not DenyCode.CONTEXT_FIELD_MISSING:
             raise _Denied.of(stage, "currency", reason)
         return value.text if value is not None else None
 
     def _evaluate_one_constraint(
         self,
+        ev: _Evaluation,
         label: str,
         constraint: Constraint,
-        container: CredentialContainer,
-        context: RequestContext,
-        now: datetime,
         context_currency: Optional[str],
-        vouchers: Optional[Sequence[StateVoucher]],
-        notes: _Notes,
     ) -> None:
-        """Return when the constraint passes; a failure raises ``_Denied``
-        naming it as the failed constraint."""
+        """Return when the leaf's constraint passes; a failure raises
+        ``_Denied`` naming it as the failed constraint."""
         cfg = self.config
         if isinstance(constraint, UnknownConstraint):
             raise _Denied(
@@ -789,20 +739,20 @@ class Engine:
                 failed_constraint=label,
             )
 
-        value, reason = self._resolve(constraint.field, context, notes)
+        value, reason = self._resolve(ev, constraint.field)
         if reason is None and isinstance(constraint, CumulativeLimitConstraint):
             reason = evaluate_cumulative(
                 constraint,
                 value,
-                container.digest(),
+                ev.plan.container.digest(),
                 tier=cfg.tier,
                 registries=cfg.registries,
                 profile_id=cfg.profile_id,
-                now=now,
+                now=ev.now,
                 context_currency=context_currency,
                 state_clients=cfg.state_clients,
                 epoch_ledger=cfg.epoch_ledger,
-                vouchers=vouchers,
+                vouchers=ev.vouchers,
                 authority_keys=cfg.state_authority_keys,
                 voucher_memory=self.voucher_memory,
                 freshness=cfg.state_freshness,
@@ -814,24 +764,19 @@ class Engine:
         if reason is not None:
             raise _Denied.of("constraints", label, reason, f"{label}: ", failed_constraint=label)
 
-    def _apply_local_policy(
-        self,
-        context: RequestContext,
-        trace: list[TraceEntry],
-        notes: _Notes,
-    ) -> None:
+    def _apply_local_policy(self, ev: _Evaluation) -> None:
         policy = self.config.local_policy
         if policy is None:
             return
 
         def resolved(field: str) -> TypedValue:
-            value, reason = self._resolve(field, context, notes)
+            value, reason = self._resolve(ev, field)
             if reason is not None:
                 raise _Denied.of("policy", "local policy", reason, "local policy: ")
             return value
 
         witness = [resolved(field).text for field in policy.required_context_fields]
-        context_currency = self._currency("policy", _names_currency(policy.constraints), context, notes)
+        context_currency = self._currency(ev, "policy", _names_currency(policy.constraints))
         for constraint in policy.constraints:
             if isinstance(constraint, UnknownConstraint):
                 raise _Denied(
@@ -846,36 +791,29 @@ class Engine:
                     DenyCode.LOCAL_POLICY_DENIED, f"policy {policy.policy_id!r}: {detail}",
                 )
         suffix = f": {', '.join(witness)}" if witness else ""
-        trace.append(TraceEntry("policy", "local policy", f"PASS{suffix}"))
+        ev.trace.append(TraceEntry("policy", "local policy", f"PASS{suffix}"))
 
     # -- workflow composition ---------------------------------------------------
 
-    def _compose(
-        self,
-        policy: WorkflowPolicy,
-        credentials: Sequence[Credential],
-        now: datetime,
-        trace: list[TraceEntry],
-        notes: _Notes,
-    ) -> WorkflowComposition:
+    def _compose(self, ev: _Evaluation, policy: WorkflowPolicy, credentials: Sequence[Credential]) -> WorkflowComposition:
         containers = [
             self._parse(c, "workflow", f"credential {i}: ", f" in workflow set ({i})").container
             for i, c in enumerate(credentials, start=1)
         ]
-        notes.containers.extend(containers)
-        trace.append(TraceEntry("workflow", "parse", f"PASS: {len(containers)} credentials"))
+        ev.containers.extend(containers)
+        ev.trace.append(TraceEntry("workflow", "parse", f"PASS: {len(containers)} credentials"))
 
         # Composition is a planning step: each credential is verified as an
         # artifact (signature, trust, window, revocation) with possession
         # deferred to the per-step evaluations that follow.
         for index, container in enumerate(containers, start=1):
             check = f"credential {index} verify"
-            reason = self._verify(container, container.subject_id, None, now, pop_required=False)
+            reason = self._verify(ev, container, leaf=False)
             if reason is None:
                 reason = container.completeness
             if reason is not None:
                 raise _Denied.of("workflow", check, reason, f"workflow credential {index}: ")
-            trace.append(TraceEntry("workflow", check, "PASS"))
+            ev.trace.append(TraceEntry("workflow", check, "PASS"))
 
         assignments: dict[str, str] = {}
         for role in policy.roles:
@@ -896,7 +834,7 @@ class Engine:
                     f"role {role.role_id!r} is not filled by any presented credential",
                 )
             assignments[role.role_id] = filled.digest()
-            trace.append(
+            ev.trace.append(
                 TraceEntry("workflow", f"role {role.role_id}", f"PASS: {filled.subject_id}")
             )
 
@@ -915,9 +853,9 @@ class Engine:
                     "workflow", f"shared field {field}", conflict,
                     DenyCode.WORKFLOW_POLICY_DENIED, f"{field}: {conflict}",
                 )
-            trace.append(TraceEntry("workflow", f"shared field {field}", "PASS"))
+            ev.trace.append(TraceEntry("workflow", f"shared field {field}", "PASS"))
 
-        notes.workflow = {
+        ev.workflow = {
             "workflow_id": policy.workflow_id,
             "assignments": dict(assignments),
             "shared_fields": list(policy.shared_fields),
@@ -962,16 +900,7 @@ class Engine:
             })
         return rendered
 
-    def _conclude(
-        self,
-        operation: str,
-        trace: list[TraceEntry],
-        denied: Optional[_Denied],
-        context: Optional[RequestContext],
-        presenter_id: Optional[str],
-        now: datetime,
-        notes: _Notes,
-    ) -> Decision:
+    def _conclude(self, ev: _Evaluation, denied: Optional[_Denied]) -> Decision:
         """Write the audit record, close the trace and build the decision.
 
         This is the only place a decision is made.  ``denied`` is the failed
@@ -982,32 +911,32 @@ class Engine:
         """
         cfg = self.config
         if denied is not None:
-            denied.trace_failure(trace)
-        leaf = notes.containers[-1] if notes.containers else None
+            denied.trace_failure(ev.trace)
+        leaf = ev.containers[-1] if ev.containers else None
         # A chain is anchored by its root link; a workflow set by its last credential.
-        anchored = notes.containers[0] if operation == "evaluate_chain" and leaf else leaf
+        anchored = ev.containers[0] if ev.operation == "evaluate_chain" and leaf else leaf
         reason = denied.reason if denied is not None else None
         # Only a failing credential constraint names itself as failed.
         failed = denied is not None and denied.failed_constraint is not None
-        plan = notes.plan
+        plan = ev.plan
         try:
             cfg.audit_log.append(
-                operation=operation,
-                timestamp=now,
-                credential_digests=[c.digest() for c in notes.containers],
-                presenter_id=presenter_id,
+                operation=ev.operation,
+                timestamp=ev.now,
+                credential_digests=[c.digest() for c in ev.containers],
+                presenter_id=ev.presenter_id,
                 subject_id=leaf.subject_id if leaf else None,
                 issuer_id=leaf.issuer_id if leaf else None,
-                action=context.action if context else None,
-                resource=notes.resolved.get("core.resource_id"),
-                context_snapshot=notes.resolved,
-                constraint_results=plan.results(notes.passed, failed) if plan else [],
+                action=ev.context.action if ev.context else None,
+                resource=ev.resolved.get("core.resource_id"),
+                context_snapshot=ev.resolved,
+                constraint_results=plan.results(ev.passed, failed) if plan else [],
                 decision_outcome=DENY if reason else ALLOW,
                 decision_code=reason.code.value if reason else None,
                 decision_detail=reason.detail if reason else "",
                 failed_constraint=denied.failed_constraint if denied is not None else None,
                 governance=self._governance_member(anchored),
-                workflow=notes.workflow,
+                workflow=ev.workflow,
             )
         except (AuditError, CanonicalizationError) as exc:
             denied = _Denied(
@@ -1015,10 +944,10 @@ class Engine:
                 DenyCode.LOCAL_POLICY_DENIED,
                 f"audit append failed, refusing to decide without a record: {exc}",
             )
-            denied.trace_failure(trace)
+            denied.trace_failure(ev.trace)
         if denied is None:
-            trace.append(_ALLOWED)
-            return allow(trace)
+            ev.trace.append(_ALLOWED)
+            return allow(ev.trace)
         code = denied.reason.code
-        trace.append(TraceEntry("decision", "decision", f"DENY: {code.value}"))
-        return deny(code, denied.reason.detail, trace, denied.failed_constraint)
+        ev.trace.append(TraceEntry("decision", "decision", f"DENY: {code.value}"))
+        return deny(code, denied.reason.detail, ev.trace, denied.failed_constraint)
