@@ -356,17 +356,21 @@ class _Entry:
         self.steps: Optional[tuple] = None
 
     def plan(self) -> None:
+        """Build the plan, unless it is built.  ``steps`` is assigned last, so
+        an evaluation of the same bytes that starts meanwhile builds a plan
+        of its own instead of reading this one half built."""
         if self.steps is None:
             constraints = self.container.payload.constraints or ()
-            self.steps = tuple((*_constraint_step(i), c) for i, c in enumerate(constraints, start=1))
+            steps = tuple((*_constraint_step(i), c) for i, c in enumerate(constraints, start=1))
             self.rows = tuple(
                 {"label": label, "type": c.type_tag, "field": "", "result": "PASS"}
                 if isinstance(c, UnknownConstraint)
                 else {"label": label, "type": family_of(c), "field": c.field, "result": "PASS"}
-                for label, _, c in self.steps
+                for label, _, c in steps
             )
             self.needs_currency = _names_currency(constraints)
             self._allowed: Optional[Rendered] = None
+            self.steps = steps
 
     def results(self, passed: int, failed: bool) -> Union[list[dict], Rendered]:
         """The ``constraint_results`` rows of an evaluation in which the first

@@ -23,11 +23,11 @@ import pytest
 
 import mandate
 from mandate import audit, canonical, container, pipeline, semantics
-from mandate.audit import AuditLog
+from mandate.audit import AuditLog, verify_audit_chain
 from mandate.canonical import load_json, plain_dumps
 from mandate.conformance import build_engine, decode_credential, iter_vector_files
 from mandate.constraints import EnumeratedListConstraint, NumericLimitConstraint
-from mandate.container import NonceCache, PossessionProof, issue_credential, make_possession_proof
+from mandate.container import NonceCache, PossessionProof, issue_credential, make_possession_proof, parse_container
 from mandate.keys import generate_key, load_signing_key
 from mandate.model import AuthorizationPayload, DenyCode, RequestContext, SemanticType, parse_timestamp, parse_typed_value
 from mandate.pipeline import PARSED_CREDENTIALS_KEPT, Engine, EngineConfig, LocalPolicy, WorkflowPolicy, WorkflowRole
@@ -327,6 +327,26 @@ def test_a_credential_presented_once_is_planned_for_its_evaluation_only(monkeypa
     assert all(f'"constraint_results":{first.text},' in line for line in lines)
 
 
+def test_an_evaluation_that_starts_while_a_kept_plan_is_built_reads_no_half_built_plan(monkeypatch):
+    """Another evaluation of the same bytes starts while the first builds the
+    kept entry's plan, as another thread may: both decide and are recorded."""
+    engine = Engine(_config())
+    root = _issue(SUBJECT, name="root")
+    assert _present_root(engine, root, "first").allowed  # presented once: nothing kept
+    names_currency, started, nested = pipeline._names_currency, [], []
+
+    def interleaved(constraints):
+        if not started:  # the kept entry's plan is half built: another evaluation starts
+            started.append(True)
+            nested.append(_present_root(engine, root, "nested"))
+        return names_currency(constraints)
+
+    monkeypatch.setattr(pipeline, "_names_currency", interleaved)
+    assert _present_root(engine, root, "second").allowed
+    assert nested[0].allowed
+    assert len(engine.config.audit_log.records()) == 3
+
+
 def test_a_chain_s_fixed_trace_entries_are_built_once_per_link_index():
     engine = Engine(_config())
     root = _issue(SUBJECT, name="root")
@@ -497,6 +517,53 @@ def test_more_credentials_than_are_kept_decide_alike_warm_and_cold():
     for i, cred in enumerate(stream):
         _same_as_cold(engine, AUDIT, present(cred, "150" if i % 3 else "5000"))
     assert len(engine._parsed) == PARSED_CREDENTIALS_KEPT
+
+
+def test_one_engine_evaluated_from_four_threads_decides_as_cold_engines_do():
+    """Four threads share one engine over repeated bytes (kept from their
+    second presentation) and bytes presented once, allows and denies mixed.
+    Each decision equals a cold engine's for the same request, and the log
+    holds one verifiable record per evaluation."""
+    engine = Engine(_config())
+    shared = [_wire(_issue(SUBJECT, limit=str(500 + i), name=f"shared-{i}")) for i in range(3)]
+    plans = []  # per thread: (bytes, amount, proof) for each request, each with its own nonce
+    for t in range(4):
+        plan = []
+        for i in range(24):
+            wire = _wire(_issue(SUBJECT, name=f"own-{t}-{i}")) if i % 4 == 0 else shared[i % 3]
+            proof = make_possession_proof(parse_container(wire), RECEIVER, f"thread-{t}-{i}", NOW, SUBJECT)
+            plan.append((wire, "5000" if i % 5 == 0 else "250", proof))
+        plans.append(plan)
+    got, errors = [[] for _ in plans], []
+
+    def run(t):
+        try:
+            for wire, amount, proof in plans[t]:
+                got[t].append(engine.evaluate(wire, _context(amount=amount), SUBJECT.key_id, proof, now=NOW).to_dict())
+        except Exception as exc:  # reported below: a thread's exception does not fail the test by itself
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the engine's steps
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    for plan, decisions in zip(plans, got):
+        expected = [
+            Engine(_config()).evaluate(wire, _context(amount=amount), SUBJECT.key_id, proof, now=NOW).to_dict()
+            for wire, amount, proof in plan
+        ]
+        assert decisions == expected
+    assert {d["outcome"] for decisions in got for d in decisions} == {"ALLOW", "DENY"}
+    records = engine.config.audit_log.records()
+    assert len(records) == 4 * 24
+    assert verify_audit_chain(records, AUDIT.public_hex)[0]
 
 
 def _reassignments():
