@@ -760,3 +760,11 @@ def constraint_from_dict(obj: dict) -> Constraint:
     if constraint is None:
         return UnknownConstraint(type_tag=obj["type"], body=canonical_dumps(obj))
     return constraint
+
+
+def unknown_constraint_detail(type_tag: str) -> str:
+    """Why an UnknownConstraint of ``type_tag`` is denied: a known family
+    whose body does not read, or a tag that no family has."""
+    if type_tag in _BY_TAG:
+        return f"constraint of known type {type_tag!r} has a body that does not read"
+    return f"constraint type {type_tag!r} is not recognized"

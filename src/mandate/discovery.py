@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Union
 
 from .canonical import canonical_dumps, digest_object, load_json
 from .container import DEFAULT_CREDENTIAL_CLASS, CredentialContainer
-from .constraints import CumulativeLimitConstraint, UnknownConstraint
+from .constraints import CumulativeLimitConstraint, UnknownConstraint, unknown_constraint_detail
 from .keys import SigningKey, attach_signature, check_signature
 from .model import (
     ValueParseError,
@@ -323,7 +323,7 @@ def preflight(sender: SenderCapabilities, manifest: GovernanceManifest) -> Prefl
                     )
                 )
         findings.update(
-            Finding("constraint_unknown", f"{summary.digest[:16]}: constraint type {tag!r} is not recognized")
+            Finding("constraint_unknown", f"{summary.digest[:16]}: {unknown_constraint_detail(tag)}")
             for tag in summary.unknown_constraints
         )
         for pointer in sorted(summary.state_authorities):

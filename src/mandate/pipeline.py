@@ -44,6 +44,7 @@ from .constraints import (
     family_of,
     glob_match,
     joint_conflict,
+    unknown_constraint_detail,
 )
 from .container import (
     DEFAULT_CREDENTIAL_CLASS,
@@ -739,7 +740,7 @@ class Engine:
             raise _Denied(
                 "constraints", label, f"unrecognized type {constraint.type_tag!r}",
                 DenyCode.CONSTRAINT_UNKNOWN,
-                f"{label}: constraint type {constraint.type_tag!r} is not recognized",
+                f"{label}: {unknown_constraint_detail(constraint.type_tag)}",
                 failed_constraint=label,
             )
 

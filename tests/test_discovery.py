@@ -262,6 +262,19 @@ def test_preflight_reports_an_unknown_constraint_the_engine_would_deny():
     assert "'FancyConstraint'" in report.findings[0].detail
 
 
+def test_preflight_says_a_known_constraint_type_whose_body_does_not_read_is_known():
+    body = summary_credential().to_dict()
+    del body["signature"]
+    body["payload"]["constraints"][0]["extra"] = "x"
+    summary = CredentialSummary.of(parse_container(attach_signature(body, ISSUER)))
+    assert summary.unknown_constraints == frozenset({"NumericLimitConstraint"})
+    report = preflight(dataclasses.replace(compatible_sender(), credentials=(summary,)), manifest())
+    assert [(f.code, f.detail) for f in report.findings] == [(
+        DenyCode.CONSTRAINT_UNKNOWN.value,
+        f"{summary.digest[:16]}: constraint of known type 'NumericLimitConstraint' has a body that does not read",
+    )]
+
+
 def test_preflight_profile_unsupported():
     sender = compatible_sender()
     sender = SenderCapabilities(

@@ -215,6 +215,25 @@ def test_constraint_order_defines_labels():
     assert labels == ["C1", "C2"]  # C3 never ran
 
 
+@pytest.mark.parametrize(
+    "row, detail",
+    [
+        ({"type": "FancyConstraint", "field": "core.amount"}, "C1: constraint type 'FancyConstraint' is not recognized"),
+        (
+            {"type": "NumericLimitConstraint", "field": "core.amount", "operator": "lte", "value": "1000", "extra": "x"},
+            "C1: constraint of known type 'NumericLimitConstraint' has a body that does not read",
+        ),
+    ],
+    ids=["unknown tag", "known tag, extra member"],
+)
+def test_an_unreadable_constraint_is_denied_naming_its_defect(row, detail):
+    body = credential().to_dict()
+    del body["signature"]
+    body["payload"]["constraints"] = [row]
+    decision = evaluate(make_engine(), parse_container(attach_signature(body, ISSUER)))
+    assert (decision.reason.code, decision.reason.detail) == (DenyCode.CONSTRAINT_UNKNOWN, detail)
+
+
 def test_permission_denied():
     engine = make_engine()
     decision = evaluate(engine, credential(), context(action="task.admin"))
