@@ -121,7 +121,8 @@ def build_manifest(
     authorities: list[str] = []
     for registry in config.registries:
         for entry in registry.state_authorities:
-            if entry.pointer not in authorities:
+            # The engine's cumulative check asks the same of a pointer.
+            if entry.pointer not in authorities and registry.permits_state_authority(entry.pointer, config.profile_id):
                 authorities.append(entry.pointer)
     required = (
         config.local_policy.required_context_fields if config.local_policy is not None else ()

@@ -5,7 +5,8 @@ Each test asserts the behaviour the engine should have and is marked
 stands for.  While the fault stands the test fails on its assertion, as
 expected (any other exception is a real failure); the change that mends it
 makes the test pass, which strict mode reports as a failure until that
-change takes the marker off.
+change takes the marker off.  A mended fault's test stays here, unmarked,
+and guards the mend.
 """
 
 from decimal import Decimal
@@ -105,11 +106,6 @@ def test_sibling_delegations_share_their_root_budget():
     assert spent <= 1000
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 14: build_manifest advertises a state authority the registry scopes to another profile",
-)
 def test_the_manifest_advertises_no_state_authority_the_engine_refuses():
     registry = build_registry(
         registry_id="registry:test",
