@@ -203,7 +203,7 @@ class AuditLog:
             raise AuditError(f"audit log {self.path} ends in a partial line")
         start = data.rfind(b"\n", 0, -1) + 1
         previous = data[data.rfind(b"\n", 0, start - 1) + 1 : start - 1] if start else None
-        line = data[start:-1].decode("utf-8", "replace").strip()
+        line = data[start:-1].strip()
         after = sha256_hex(previous.strip()) if previous is not None else GENESIS_DIGEST
         ok, _, detail = verify_audit_chain([line], self._key.public_hex, after=after)
         if not ok:
@@ -310,7 +310,7 @@ class AuditLog:
 
 
 def verify_audit_chain(
-    lines_or_records: Iterable[Union[str, dict, AuditRecord]],
+    lines_or_records: Iterable[Union[str, bytes, dict, AuditRecord]],
     evaluator_keys: Union[str, Mapping[str, str]],
     after: str = GENESIS_DIGEST,
 ) -> tuple[bool, Optional[int], str]:
@@ -319,7 +319,8 @@ def verify_audit_chain(
     Returns (ok, first_bad_index, detail).  ``evaluator_keys`` is one public
     key hex or a map of key_id to public key hex.  ``after`` is the digest
     the first record links to: genesis for a whole log.  A record is checked
-    as its line, and a dict as its canonical rendering.
+    as its line, a line's bytes as UTF-8 text, and a dict as its canonical
+    rendering.
     """
     expected_prev = after
     index = -1
@@ -329,6 +330,11 @@ def verify_audit_chain(
                 item = canonical_dumps(item)
             except CanonicalizationError:  # a float or another value JSON records never hold
                 return False, index, f"record {index} is not in canonical form"
+        elif isinstance(item, bytes):
+            try:
+                item = item.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return False, index, f"record {index} is not UTF-8 text: {exc.reason} at byte {exc.start}"
         line = (item.line if isinstance(item, AuditRecord) else item).strip()
         try:
             obj = load_json(line)

@@ -377,10 +377,8 @@ def _cmd_registry_check(args) -> int:
 
 
 def _cmd_audit_verify(args) -> int:
-    try:
-        lines = [
-            line for line in Path(args.log).read_text("utf-8").split("\n") if line.strip()
-        ]
+    try:  # read as bytes, so a line that is not UTF-8 fails as the record it is
+        lines = [line for line in Path(args.log).read_bytes().split(b"\n") if line.strip()]
     except OSError as exc:
         raise CliError(f"cannot read {args.log}: {exc}") from exc
     ok, bad_index, detail = verify_audit_chain(lines, _parse_file(args.keys, parse_key_map))

@@ -112,6 +112,16 @@ def test_a_torn_tail_refuses_to_reopen(tmp_path, tear):
     assert path.read_bytes() == torn  # nothing is appended or repaired
 
 
+def test_a_tail_that_is_not_utf8_refuses_to_reopen_even_where_its_replacement_would_verify(tmp_path):
+    path = tmp_path / "audit.log"
+    append_some(AuditLog("svc:test:receiver", AUDIT_KEY, path=path), resource="jobs/\ufffd")
+    data = path.read_bytes()
+    at = data.rindex("\ufffd".encode("utf-8"))
+    path.write_bytes(data[:at] + b"\xff" + data[at + 3 :])  # decoded with replacement, the record as signed
+    with pytest.raises(AuditError, match="not UTF-8 text"):
+        AuditLog("svc:test:receiver", AUDIT_KEY, path=path)
+
+
 def test_a_tail_that_does_not_link_or_verify_refuses_to_reopen(tmp_path):
     path = _written_log(tmp_path)
     lines = path.read_text().splitlines()

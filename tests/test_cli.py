@@ -447,6 +447,27 @@ def test_audit_verify_reports_a_float_line_at_its_index(workspace, capsys):
     assert report["detail"] == "record 1 is not in canonical form"
 
 
+def test_audit_verify_reports_a_line_that_is_not_utf8_at_its_index(workspace, capsys):
+    log_path = workspace["dir"] / "audit.log"
+    log = AuditLog(RECEIVER_ID, AUDIT, path=log_path)
+    for resource in ("jobs/1", "jobs/2", "jobs/3"):
+        log.append(
+            operation="evaluate", timestamp=parse_timestamp(NOW), credential_digests=[],
+            presenter_id=None, subject_id=None, issuer_id=None, action="task.run",
+            resource=resource, context_snapshot={}, constraint_results=[],
+            decision_outcome="ALLOW", decision_code=None, decision_detail="",
+            failed_constraint=None, governance={},
+        )
+    lines = log_path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b"jobs/2", b"jobs/\xff", 1)
+    log_path.write_bytes(b"\n".join(lines))
+    keys_path = write(workspace["dir"] / "audit-keys.json", {AUDIT.key_id: AUDIT.public_hex})
+    code, report, _ = run(capsys, "audit", "verify", "--log", log_path, "--keys", keys_path)
+    assert code == 1
+    assert (report["kind"], report["ok"], report["bad_index"], report["records"]) == ("audit_verification", False, 1, 3)
+    assert report["detail"].startswith("record 1 is not UTF-8 text")
+
+
 # --- manifest and preflight ---------------------------------------------------------
 
 def build_registry_file(workspace, capsys):
