@@ -90,3 +90,32 @@ def test_no_module_imports_a_name_it_never_uses():
         module = f"mandate.{path.stem}"
         unused += [f"{module}.{name}" for name in imported if name not in used and (module, name) not in wrapped]
     assert unused == []
+
+
+def _is_stub(body: list) -> bool:
+    """A protocol stub: ``...``, after a docstring if there is one."""
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+        body = body[1:]
+    return len(body) == 1 and isinstance(body[0], ast.Expr) and getattr(body[0].value, "value", None) is Ellipsis
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    """Every parameter of a function under ``src/mandate/`` is read in its
+    body, so a value threaded through a call chain cannot outlive its use.
+    Protocol stubs, dunder methods, ``self`` and ``cls`` are exempt."""
+    unread = []
+    for path in sorted((ROOT / "src" / "mandate").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_stub(node.body):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+            read = {n.id for n in ast.walk(ast.Module(node.body, [])) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [
+                f"{path.stem}.{node.name}({p.arg})"
+                for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")
+            ]
+    assert unread == []
