@@ -550,9 +550,10 @@ def test_one_engine_evaluated_from_four_threads_decides_as_cold_engines_do():
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     for plan, decisions in zip(plans, got):
         expected = [
