@@ -24,6 +24,7 @@ import base64
 import hashlib
 import json
 import sys
+from functools import cached_property
 from typing import Any, Callable
 
 
@@ -181,6 +182,27 @@ def sha256_hex(data: bytes | str) -> str:
 def digest_object(obj: Any) -> str:
     """Digest of the canonical serialization of ``obj``."""
     return sha256_hex(canonical_bytes(obj))
+
+
+class Signed:
+    """A signed artifact is its ``raw`` object: it is written, rendered and
+    digested as ``raw``, which must never be mutated.  A plain base with no
+    fields, so the dataclasses built on it keep their own fields, equality
+    and hashing."""
+
+    def to_dict(self) -> dict:
+        return dict(self.raw)
+
+    def dumps(self) -> str:
+        return canonical_dumps(self.raw)
+
+    @cached_property
+    def _digest_hex(self) -> str:
+        return digest_object(self.raw)
+
+    def digest(self) -> str:
+        """Digest of ``raw``, computed once and kept."""
+        return self._digest_hex
 
 
 def signed_view(obj: dict) -> dict:

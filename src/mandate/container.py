@@ -19,8 +19,11 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Mapping, Optional, Sequence
 
-from .canonical import (
+# canonical_dumps is not called here, but bench/tracing.py wraps it by this
+# module's name, so it stays bound.
+from .canonical import (  # noqa: F401
     CanonicalizationError,
+    Signed,
     canonical_dumps,
     check_canonical,
     digest_object,
@@ -65,7 +68,7 @@ class AttenuationViolation(ContainerError):
 
 
 @dataclass(frozen=True)
-class CredentialContainer:
+class CredentialContainer(Signed):
     """A parsed credential.  Immutable, ``raw`` included: the digest, the
     signing bytes and the issuer-signature verdicts are derived from ``raw``
     and kept, so ``raw`` must never be mutated, nested values included.
@@ -124,12 +127,6 @@ class CredentialContainer:
                 self.raw, public_hex, rendered=self.rendered
             )
         return verdict
-
-    def to_dict(self) -> dict:
-        return dict(self.raw)
-
-    def dumps(self) -> str:
-        return canonical_dumps(self.raw)
 
 
 def parse_payload(obj: object) -> AuthorizationPayload:
@@ -308,7 +305,7 @@ def widening(parent: CredentialContainer, child: CredentialContainer) -> Optiona
 # --- proof of possession ------------------------------------------------------
 
 @dataclass(frozen=True)
-class PossessionProof:
+class PossessionProof(Signed):
     """The presenter's signature over a receiver-chosen nonce, bound to one credential."""
 
     credential_digest: str
@@ -316,9 +313,6 @@ class PossessionProof:
     nonce: str
     timestamp: datetime
     raw: dict
-
-    def to_dict(self) -> dict:
-        return dict(self.raw)
 
     @staticmethod
     def from_dict(obj: dict) -> "PossessionProof":
@@ -404,15 +398,12 @@ class RevocationError(ValueError):
 
 
 @dataclass(frozen=True)
-class RevocationList:
+class RevocationList(Signed):
     issuer_id: str
     version: int
     revoked: frozenset[str]
     updated_at: datetime
     raw: dict
-
-    def to_dict(self) -> dict:
-        return dict(self.raw)
 
     @staticmethod
     def from_dict(obj: dict) -> "RevocationList":

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from datetime import datetime
 from typing import Mapping, Optional, Union
 
-from .canonical import canonical_dumps, digest_object, load_json
+from .canonical import Signed, load_json
 from .container import DEFAULT_CREDENTIAL_CLASS, CredentialContainer
 from .constraints import CumulativeLimitConstraint, UnknownConstraint, unknown_constraint_detail
 from .keys import SigningKey, attach_signature, check_signature
@@ -59,13 +59,6 @@ class VocabularyRange:
     def accepts(self, version: int) -> bool:
         return self.min_version <= version <= self.max_version
 
-    def to_dict(self) -> dict:
-        return {
-            "profile_id": self.profile_id,
-            "min_version": self.min_version,
-            "max_version": self.max_version,
-        }
-
     @staticmethod
     def from_dict(obj: dict) -> "VocabularyRange":
         with reading(ValueParseError):
@@ -77,7 +70,7 @@ class VocabularyRange:
 
 
 @dataclass(frozen=True)
-class GovernanceManifest:
+class GovernanceManifest(Signed):
     receiver_id: str
     version: int
     valid_from: datetime
@@ -88,15 +81,6 @@ class GovernanceManifest:
     required_context_fields: frozenset[str]
     accepted_state_authorities: tuple[str, ...]
     raw: dict
-
-    def digest(self) -> str:
-        return digest_object(self.raw)
-
-    def to_dict(self) -> dict:
-        return dict(self.raw)
-
-    def dumps(self) -> str:
-        return canonical_dumps(self.raw)
 
     def vocabulary_range(self, profile_id: str) -> Optional[VocabularyRange]:
         for row in self.supported_vocabularies:

@@ -27,7 +27,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import canonical_dumps, signing_bytes
+from .canonical import signing_bytes
 from .model import expect, reading
 
 SUITE_ED25519 = 1
@@ -101,9 +101,6 @@ class SigningKey:
             "public_key": self.public_hex,
             "private_key": self.private_bytes.hex(),
         }
-
-    def dumps(self) -> str:
-        return canonical_dumps(self.to_dict())
 
 
 def generate_key(key_id: str, seed: bytes | str | None = None) -> SigningKey:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .canonical import digest_object, load_json
+from .canonical import Signed, load_json
 from .keys import SigningKey, attach_signature, check_signature
 from .model import (
     expect,
@@ -51,7 +50,7 @@ class StateAuthorityEntry:
 
 
 @dataclass(frozen=True)
-class TrustRegistry:
+class TrustRegistry(Signed):
     registry_id: str
     version: int
     valid_from: datetime
@@ -65,14 +64,6 @@ class TrustRegistry:
         # Both reach every audit record, rendered there without a walk.
         if not isinstance(self.registry_id, str) or type(self.version) is not int:
             raise TypeError("a registry's registry_id must be str and its version int")
-
-    @cached_property
-    def _digest_hex(self) -> str:
-        return digest_object(self.raw)
-
-    def digest(self) -> str:
-        """Digest of the signed registry, computed once: the registry is an immutable value."""
-        return self._digest_hex
 
     def in_window(self, now: datetime) -> bool:
         return self.valid_from <= now <= self.valid_until
@@ -90,9 +81,6 @@ class TrustRegistry:
             if entry.pointer == pointer and (profile_id in entry.profiles or "*" in entry.profiles):
                 return True
         return False
-
-    def to_dict(self) -> dict:
-        return dict(self.raw)
 
 
 def build_registry(

@@ -22,7 +22,7 @@ from datetime import datetime
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .canonical import canonical_dumps, digest_object
+from .canonical import Signed, canonical_dumps
 from .keys import attach_signature, check_signature
 from .model import (
     DenialReason,
@@ -160,7 +160,7 @@ class AliasEntry:
 
 
 @dataclass(frozen=True)
-class MappingProfile:
+class MappingProfile(Signed):
     """Steward-signed aliases from semantic identifiers to one receiver's local fields.
 
     The profile is an immutable value: its digest, alias index and trust
@@ -186,10 +186,6 @@ class MappingProfile:
             index.setdefault(alias.identifier, []).append(alias)
         return {identifier: tuple(rows) for identifier, rows in index.items()}
 
-    @cached_property
-    def _digest_hex(self) -> str:
-        return digest_object(self.raw)
-
     def aliases_for(self, identifier: str) -> tuple[AliasEntry, ...]:
         return self._alias_index.get(identifier, ())
 
@@ -206,12 +202,6 @@ class MappingProfile:
             kept = (held, plan_resolution(self, held))
             object.__setattr__(self, "_plan", kept)  # a frozen dataclass's cache
         return kept[1]
-
-    def digest(self) -> str:
-        return self._digest_hex
-
-    def to_dict(self) -> dict:
-        return dict(self.raw)
 
     @staticmethod
     def from_dict(obj: dict) -> "MappingProfile":

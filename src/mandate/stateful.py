@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Protocol, Sequence, Union
 from .appendfile import AppendOnlyFile
 # canonical_dumps is not called here, but bench/tracing.py wraps it by this
 # module's name, so it stays bound.
-from .canonical import canonical_dumps, load_json, plain_dumps, sha256_hex  # noqa: F401
+from .canonical import Signed, canonical_dumps, load_json, plain_dumps, sha256_hex  # noqa: F401
 from .constraints import CumulativeLimitConstraint, Period
 from .keys import SigningKey, attach_signature, check_signature
 from .model import (
@@ -287,7 +287,7 @@ class EpochLedger:
 # --- state vouchers -----------------------------------------------------------
 
 @dataclass(frozen=True)
-class StateVoucher:
+class StateVoucher(Signed):
     """A signed attestation of one credential's running total at a point in time."""
 
     authority_id: str
@@ -307,9 +307,6 @@ class StateVoucher:
     def link_digest(self) -> str:
         """What the next voucher's prev_signature must equal."""
         return sha256_hex(self.signature_value)
-
-    def to_dict(self) -> dict:
-        return dict(self.raw)
 
     @staticmethod
     def from_dict(obj: dict) -> "StateVoucher":
