@@ -102,8 +102,11 @@ def build_manifest(
     Everything in the manifest is read off the config so the published
     contract cannot drift from what evaluation will actually enforce.
     """
+    # A registry only when its window covers the manifest's: the engine
+    # refuses a registry at any instant outside the registry's own window.
+    registries = [r for r in config.registries if r.valid_from <= valid_from and valid_until <= r.valid_until]
     authorities: list[str] = []
-    for registry in config.registries:
+    for registry in registries:
         for entry in registry.state_authorities:
             # The engine's cumulative check asks the same of a pointer.
             if entry.pointer not in authorities and registry.permits_state_authority(entry.pointer, config.profile_id):
@@ -121,7 +124,7 @@ def build_manifest(
             {"profile_id": v.profile_id, "min_version": v.version, "max_version": v.version}
             for v in config.vocabularies
         ],
-        "accepted_registries": [r.registry_id for r in config.registries],
+        "accepted_registries": [r.registry_id for r in registries],
         "accepted_credential_classes": sorted({config.credential_class}),
         "required_context_fields": sorted(required),
         "accepted_state_authorities": authorities,

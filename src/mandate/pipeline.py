@@ -406,6 +406,11 @@ class _Evaluation:
     passed: int = 0  # constraints passed, in payload order
     workflow: Optional[dict] = None
 
+    def __post_init__(self) -> None:
+        # The clock is typed with the request, before any check compares it.
+        if not isinstance(self.now, datetime) or self.now.utcoffset() is None:
+            raise TypeError(f"now must be an aware datetime, got {self.now!r}")
+
 
 class _Denied(Exception):
     """A failed check, raised where it fails and turned into a decision once.
@@ -737,12 +742,8 @@ class Engine:
         ``_Denied`` naming it as the failed constraint."""
         cfg = self.config
         if isinstance(constraint, UnknownConstraint):
-            raise _Denied(
-                "constraints", label, f"unrecognized type {constraint.type_tag!r}",
-                DenyCode.CONSTRAINT_UNKNOWN,
-                f"{label}: {unknown_constraint_detail(constraint.type_tag)}",
-                failed_constraint=label,
-            )
+            reason = DenialReason(DenyCode.CONSTRAINT_UNKNOWN, unknown_constraint_detail(constraint.type_tag))
+            raise _Denied.of("constraints", label, reason, f"{label}: ", failed_constraint=label)
 
         value, reason = self._resolve(ev, constraint.field)
         if reason is None and isinstance(constraint, CumulativeLimitConstraint):

@@ -340,6 +340,19 @@ def test_preflight_manifest_without_registries():
     assert [f.code for f in report.findings] == ["no_trust_anchor"]
 
 
+@pytest.mark.parametrize(
+    "window",
+    [(FROM, UNTIL + timedelta(days=1)), (FROM - timedelta(seconds=1), UNTIL)],
+    ids=["outlives the registry", "starts before the registry"],
+)
+def test_a_manifest_lists_no_registry_whose_window_does_not_cover_its_own(window):
+    m = build_manifest(receiver_config(), RECEIVER, version=1, valid_from=window[0], valid_until=window[1])
+    assert m.accepted_registries == () and m.accepted_state_authorities == ()
+    report = preflight(compatible_sender(), m)
+    assert "no_trust_anchor" in [f.code for f in report.findings]
+    assert not report.compatible
+
+
 def test_preflight_required_field_unproducible():
     sender = compatible_sender()
     sender = SenderCapabilities(

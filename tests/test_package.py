@@ -1,12 +1,14 @@
-"""The package's flat surface, its modules' imports, and the bindings the
-benchmark tracer wraps."""
+"""The package's flat surface, its modules' imports, the bindings the
+benchmark tracer wraps, and the one base of its signed artifacts."""
 
 import ast
 import importlib.util
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from types import ModuleType
 
 import mandate
+from mandate.canonical import Signed
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,3 +121,23 @@ def test_no_function_takes_a_parameter_it_never_reads():
                 if p.arg not in read and p.arg not in ("self", "cls")
             ]
     assert unread == []
+
+
+def test_every_signed_artifact_is_written_rendered_and_digested_by_one_base():
+    """A dataclass holding a ``raw`` signed object takes ``to_dict``,
+    ``dumps`` and ``digest`` from ``canonical.Signed``; only a credential
+    keeps its own ``digest``, the one taken from its parse-time rendering."""
+    artifacts = {}
+    for path in sorted((ROOT / "src" / "mandate").glob("*.py")):
+        module = importlib.import_module(f"mandate.{path.stem}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and is_dataclass(cls):
+                if "raw" in {f.name for f in fields(cls)}:
+                    artifacts[cls.__name__] = cls
+    assert sorted(artifacts) == [
+        "CredentialContainer", "GovernanceManifest", "MappingProfile", "PossessionProof",
+        "RevocationList", "StateVoucher", "TrustRegistry",
+    ]
+    assert [name for name, cls in artifacts.items() if not issubclass(cls, Signed)] == []
+    assert [(name, m) for name, cls in artifacts.items() for m in ("to_dict", "dumps") if m in vars(cls)] == []
+    assert [name for name, cls in artifacts.items() if "digest" in vars(cls)] == ["CredentialContainer"]

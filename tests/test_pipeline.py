@@ -232,6 +232,8 @@ def test_an_unreadable_constraint_is_denied_naming_its_defect(row, detail):
     body["payload"]["constraints"] = [row]
     decision = evaluate(make_engine(), parse_container(attach_signature(body, ISSUER)))
     assert (decision.reason.code, decision.reason.detail) == (DenyCode.CONSTRAINT_UNKNOWN, detail)
+    # The trace note names the same defect, in the same words.
+    assert TraceEntry("constraints", "C1", f"FAIL: {detail.removeprefix('C1: ')}") in decision.trace
 
 
 def test_permission_denied():
@@ -1460,6 +1462,24 @@ def test_a_mistyped_proof_or_voucher_list_raises_before_any_state_changes(part):
     # No record, no spend, and the proof's nonce is still unused.
     assert engine.config.audit_log.records() == []
     assert authority.spent(cred.digest(), Period(kind="per_credential"), NOW) == 0
+    assert engine.evaluate(wire, context(), cred.subject_id, pop, now=NOW).allowed
+
+
+@pytest.mark.parametrize("clock", ["naive", "text", "date"])
+def test_a_mistyped_clock_raises_before_any_state_changes(clock):
+    from mandate.constraints import Period
+
+    engine, cred, authority = budget_engine()
+    wire, pop = cred.dumps().encode(), pop_for(cred)
+    now = {"naive": NOW.replace(tzinfo=None), "text": "2026-04-18T14:32:00Z", "date": NOW.date()}[clock]
+    with pytest.raises(TypeError, match="now must be"):
+        engine.evaluate(wire, context(), cred.subject_id, pop, now=now)
+    with pytest.raises(TypeError, match="now must be"):
+        engine.compose_workflow(workflow_policy(), [credential(), reviewer_credential()], now=now)
+    # No record, no spend, nothing parsed, and the proof's nonce is still unused.
+    assert engine.config.audit_log.records() == []
+    assert authority.spent(cred.digest(), Period(kind="per_credential"), NOW) == 0
+    assert engine._parsed == {}
     assert engine.evaluate(wire, context(), cred.subject_id, pop, now=NOW).allowed
 
 

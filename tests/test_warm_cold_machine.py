@@ -6,8 +6,10 @@ text, a dict, a container object or a list of one; fresh or repeated;
 re-spelled with shuffled keys, with one byte flipped, or as a container
 object whose fields were replaced.  Between presentations it revokes a
 credential, moves ``now`` across the window edge that two credentials
-share, re-keys the issuer, replays a nonce and presents 70 distinct
-credentials, so that every kept credential is evicted.
+share, re-keys the issuer, replays a nonce, presents 70 distinct
+credentials, so that every kept credential is evicted, and reassigns the
+config's mapping profile and registries, as an operator may between two
+evaluations.
 
 Each step runs as well on a cold ``Engine`` built afresh over the same
 config, with a copy of the nonce state.  The cold engine is presented the
@@ -43,6 +45,7 @@ from mandate.container import (
 from mandate.keys import generate_key
 from mandate.model import AuthorizationPayload, RequestContext, SemanticType, parse_timestamp, parse_typed_value
 from mandate.pipeline import Engine, EngineConfig, LocalPolicy
+from mandate.registry import IssuerEntry, build_registry
 from mandate.semantics import MappingProfile, identity_mapping_profile
 from test_plans import _cold, _outcome
 
@@ -59,6 +62,11 @@ DELEGATE = generate_key("agent:machine:delegate", seed="machine:delegate")
 STEWARD = generate_key("steward:machine", seed="machine:steward")
 AUDIT = generate_key("svc:machine:receiver#audit", seed="machine:audit")
 PROFILE = identity_mapping_profile([], UNTIL, STEWARD)
+EDGE_PROFILE = identity_mapping_profile([], EDGE, STEWARD, version=2)  # stale past the edge
+# Vouches for the issuer up to the edge; outside its window it vouches for no one.
+EDGE_REGISTRY = build_registry(
+    "registry:machine", 1, FROM, EDGE, [IssuerEntry(ISSUER.key_id, "active", frozenset({"*"}), frozenset({"*"}))], STEWARD
+)
 
 
 def _issue(name, subject=SUBJECT, issuer=ISSUER, limit="1000", parent=None, valid_from=FROM, valid_until=UNTIL):
@@ -174,12 +182,14 @@ class WarmAgainstCold(RuleBasedStateMachine):
         super().__init__()
         self.revocations = RevocationStore()
         self.revocation_lists = {}  # issuer id -> its latest list
+        # Two pinned profiles, each kept with its own verdicts and plan across swaps.
+        self.profiles = (MappingProfile.from_dict(PROFILE.raw), MappingProfile.from_dict(EDGE_PROFILE.raw))
         self.engine = Engine(EngineConfig(
             evaluator_id=RECEIVER,
             audit_log=_LastRecordLog(RECEIVER, AUDIT),
             trusted_issuers={ISSUER.key_id: ISSUER.public_hex},
             steward_keys={STEWARD.key_id: STEWARD.public_hex},
-            mapping_profile=MappingProfile.from_dict(PROFILE.raw),
+            mapping_profile=self.profiles[0],
             revocations=self.revocations,
             local_policy=LocalPolicy("machine-policy", ("core.amount",)),
         ))
@@ -245,6 +255,16 @@ class WarmAgainstCold(RuleBasedStateMachine):
     def rekey_the_issuer(self):
         trusted = self.engine.config.trusted_issuers
         trusted[ISSUER.key_id] = ISSUER.public_hex if trusted[ISSUER.key_id] != ISSUER.public_hex else REKEYED.public_hex
+
+    @rule()
+    def swap_the_mapping_profile(self):
+        cfg = self.engine.config
+        cfg.mapping_profile = self.profiles[cfg.mapping_profile is self.profiles[0]]
+
+    @rule()
+    def swap_the_registries(self):
+        cfg = self.engine.config
+        cfg.registries = () if cfg.registries else (EDGE_REGISTRY,)
 
     @precondition(lambda self: self.last is not None)
     @rule()
