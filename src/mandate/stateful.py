@@ -91,18 +91,26 @@ def _plain_length(amount: Decimal) -> int:
     return sign + max(len(digits), 1 - exponent) + 1
 
 
+def _amount_defect(amount: Decimal) -> Optional[str]:
+    """The amount rule of every ledger and the cumulative check: what is wrong
+    with a Decimal ``amount``, or None.  It must be finite and not negative (a
+    ledger never refunds), its plain text at most ``_AMOUNT_TEXT_LIMIT`` long."""
+    if not amount.is_finite() or amount < 0:
+        return "ledger amount must be finite and not negative"
+    if _plain_length(amount) > _AMOUNT_TEXT_LIMIT:
+        return f"ledger amount must be written in at most {_AMOUNT_TEXT_LIMIT} characters"
+    return None
+
+
 def _admit(spent: Decimal, amount: Decimal, budget: Decimal) -> Decimal:
     """The running total after spending ``amount``, checked by every ledger
-    before it spends or writes anything: an amount that is not a Decimal
-    raises TypeError; a non-finite or negative one (a ledger never refunds),
-    or one whose plain text is longer than ``_AMOUNT_TEXT_LIMIT``, ValueError;
-    and a total past ``budget`` OverBudgetError."""
+    before it spends or writes anything: a non-Decimal amount raises TypeError,
+    one the amount rule refuses ValueError, a total past ``budget`` OverBudgetError."""
     if not isinstance(amount, Decimal):
         raise TypeError(f"ledger amount must be Decimal, got {type(amount).__name__}")
-    if not amount.is_finite() or amount < 0:
-        raise ValueError(f"ledger amount must be finite and not negative, got {amount}")
-    if _plain_length(amount) > _AMOUNT_TEXT_LIMIT:
-        raise ValueError(f"ledger amount must be written in at most {_AMOUNT_TEXT_LIMIT} characters")
+    defect = _amount_defect(amount)
+    if defect is not None:
+        raise ValueError(defect)
     total = spent + amount
     if total > budget:
         raise OverBudgetError(f"{format(total, 'f')} would exceed budget {format(budget, 'f')}")
@@ -138,10 +146,16 @@ class InMemoryStateAuthority:
         bucket = (key, _bucket(period, now))
         self._totals[bucket] = self._totals.get(bucket, Decimal(0)) + amount
 
+    # In memory, keeping an admitted spend is counting it; a file ledger writes its row first.
+    _keep = _add
+
     def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
+        """Type the key (a non-str key's row would not read back), admit, keep."""
+        if not isinstance(key, str):
+            raise TypeError(f"ledger key must be str, got {type(key).__name__}")
         with self._lock:
             total = _admit(self._spent(key, period, now), amount, budget)
-            self._add(key, amount, period, now)
+            self._keep(key, amount, period, now)
             return total
 
     def replay(self, rows: Iterable[Mapping]) -> None:
@@ -163,23 +177,21 @@ class InMemoryStateAuthority:
             return self._spent(key, period, now)
 
 
-class FileStateAuthority:
+class FileStateAuthority(InMemoryStateAuthority):
     """Reserve ledger persisted as canonical append-only lines.
 
     Reservations are replayed at load, so restarts keep their running totals;
     a ledger that does not end in a newline has a torn last line and is
     refused, untouched.  Rows are written through one kept handle
-    (``appendfile``), opened on the first reserve.  A reserve is admitted,
-    written, then added to the private in-memory core, all under the core's
-    lock: a line that cannot be written spends nothing, so memory never holds
-    a spend that a reopened ledger would not.  After a failed write every
-    reserve is refused; a fresh ledger must reopen the file.
+    (``appendfile``), opened on the first reserve.  Keeping an admitted spend
+    writes its row, then counts it, under the one reserve body's lock: a line
+    that cannot be written spends nothing, so memory never holds a spend that
+    a reopened ledger would not.  After a failed write every reserve is refused.
     """
 
     def __init__(self, authority_id: str, path: Union[str, Path]) -> None:
-        self.authority_id = authority_id
+        super().__init__(authority_id)
         self.path = Path(path)
-        self._core = InMemoryStateAuthority(authority_id)
         self._file = AppendOnlyFile(self.path)
         if self.path.exists():
             data = self.path.read_bytes()
@@ -187,33 +199,24 @@ class FileStateAuthority:
                 raise StateUnreachableError(f"state ledger {self.path} ends in a partial line")
             # Rows are decoded one at a time, so a long ledger never holds
             # every row's objects at once.
-            self._core.replay(load_json(line) for line in data.split(b"\n") if line.strip())
+            self.replay(load_json(line) for line in data.split(b"\n") if line.strip())
 
-    def spent(self, key: str, period: Period, now: datetime) -> Decimal:
-        return self._core.spent(key, period, now)
+    # bench/tracing.py wraps this class's own binding, so it stays bound here.
+    reserve = InMemoryStateAuthority.reserve
 
-    def reserve(self, key: str, amount: Decimal, budget: Decimal, period: Period, now: datetime) -> Decimal:
-        """``InMemoryStateAuthority.reserve``, each spend written as a row
-        first.  A key that is not a str raises TypeError, as ``_admit``
-        refuses an amount, before anything is spent or written: its row would
-        not read back when the file is reopened."""
-        if not isinstance(key, str):
-            raise TypeError(f"ledger key must be str, got {type(key).__name__}")
-        with self._core._lock:
-            total = _admit(self._core._spent(key, period, now), amount, budget)
-            # Built from values typed here and by Period: rendered without a walk.
-            row = {
-                "key": key,
-                "amount": format(amount, "f"),
-                "period": period.to_dict(),
-                "timestamp": render_timestamp(now),
-            }
-            try:
-                self._file.append((plain_dumps(row) + "\n").encode("utf-8"))
-            except OSError as exc:
-                raise StateUnreachableError(f"state ledger not writable: {exc}") from exc
-            self._core._add(key, amount, period, now)
-            return total
+    def _keep(self, key: str, amount: Decimal, period: Period, now: datetime) -> None:
+        # Built from values typed here and by Period: rendered without a walk.
+        row = {
+            "key": key,
+            "amount": format(amount, "f"),
+            "period": period.to_dict(),
+            "timestamp": render_timestamp(now),
+        }
+        try:
+            self._file.append((plain_dumps(row) + "\n").encode("utf-8"))
+        except OSError as exc:
+            raise StateUnreachableError(f"state ledger not writable: {exc}") from exc
+        self._add(key, amount, period, now)
 
 
 # --- epoch-bound quotas -------------------------------------------------------
@@ -531,12 +534,9 @@ def evaluate_cumulative(
             DenyCode.CONSTRAINT_FAILED, f"field {constraint.field} is {amount.kind.value}, not numeric"
         )
     spend = amount.as_decimal()
-    if spend < 0:
-        return DenialReason(DenyCode.CONSTRAINT_FAILED, "negative amounts cannot be reserved")
-    if _plain_length(spend) > _AMOUNT_TEXT_LIMIT:
-        return DenialReason(
-            DenyCode.CONSTRAINT_FAILED, f"amounts longer than {_AMOUNT_TEXT_LIMIT} characters cannot be reserved"
-        )
+    defect = _amount_defect(spend)
+    if defect is not None:
+        return DenialReason(DenyCode.CONSTRAINT_FAILED, defect)
     pointer = constraint.state_authority_pointer
     permitted = any(
         r.in_window(now) and r.permits_state_authority(pointer, profile_id) for r in registries

@@ -192,6 +192,15 @@ def test_a_key_that_is_not_str_spends_and_writes_nothing(tmp_path, key):
     assert FileStateAuthority(POINTER, path).reserve("k", Decimal("9"), Decimal("10"), period, NOW) == Decimal("10")
 
 
+@pytest.mark.parametrize("key", [5, None, b"k"], ids=["int", "none", "bytes"])
+def test_an_in_memory_ledger_types_its_key_as_the_file_ledger_does(key):
+    period = Period(kind="per_credential")
+    ledger = InMemoryStateAuthority(POINTER)
+    with pytest.raises(TypeError, match="ledger key must be str"):
+        ledger.reserve(key, Decimal("1"), Decimal("10"), period, NOW)
+    assert ledger.spent(key, period, NOW) == Decimal(0)
+
+
 # Amounts no ledger may spend: each is refused before anything is spent or written.
 UNSPENDABLE = pytest.mark.parametrize(
     ("amount", "error"),
