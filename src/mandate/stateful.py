@@ -20,7 +20,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation
+from functools import reduce
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Protocol, Sequence, Union
 
@@ -91,6 +92,12 @@ def _plain_length(amount: Decimal) -> int:
     return sign + max(len(digits), 1 - exponent) + 1
 
 
+# Ledger totals and voucher arithmetic are exact: the default context rounds
+# at 28 significant digits, so 1000 + 1E-25 would read back as 1000 and a
+# spent budget would keep admitting.  A result that would round raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[InvalidOperation, Inexact])
+
+
 def _amount_defect(amount: Decimal) -> Optional[str]:
     """The amount rule of every ledger and the cumulative check: what is wrong
     with a Decimal ``amount``, or None.  It must be finite and not negative (a
@@ -111,7 +118,7 @@ def _admit(spent: Decimal, amount: Decimal, budget: Decimal) -> Decimal:
     defect = _amount_defect(amount)
     if defect is not None:
         raise ValueError(defect)
-    total = spent + amount
+    total = _EXACT.add(spent, amount)
     if total > budget:
         raise OverBudgetError(f"{format(total, 'f')} would exceed budget {format(budget, 'f')}")
     return total
@@ -136,7 +143,7 @@ class InMemoryStateAuthority:
     def _spent(self, key: str, period: Period, now: datetime) -> Decimal:
         if period.kind == "rolling":
             since = now - timedelta(seconds=period.duration_seconds or 0)
-            return sum((spend for at, spend in self._events.get(key, ()) if at >= since), Decimal(0))
+            return reduce(_EXACT.add, (spend for at, spend in self._events.get(key, ()) if at >= since), Decimal(0))
         return self._totals.get((key, _bucket(period, now)), Decimal(0))
 
     def _add(self, key: str, amount: Decimal, period: Period, now: datetime) -> None:
@@ -144,7 +151,7 @@ class InMemoryStateAuthority:
             self._events.setdefault(key, []).append((now, amount))
             return
         bucket = (key, _bucket(period, now))
-        self._totals[bucket] = self._totals.get(bucket, Decimal(0)) + amount
+        self._totals[bucket] = _EXACT.add(self._totals.get(bucket, Decimal(0)), amount)
 
     # In memory, keeping an admitted spend is counting it; a file ledger writes its row first.
     _keep = _add
@@ -354,8 +361,14 @@ def update_voucher(
     authority_key: SigningKey,
     now: datetime,
 ) -> StateVoucher:
-    if amount < 0:
-        raise ValueError("voucher updates never refund")
+    """The voucher after spending ``amount``, signed only for an amount the
+    ledgers' amount rule admits: a non-Decimal one raises TypeError, a
+    negative one (a refund) or any other it refuses ValueError."""
+    if not isinstance(amount, Decimal):
+        raise TypeError(f"voucher amount must be Decimal, got {type(amount).__name__}")
+    defect = _amount_defect(amount)
+    if defect is not None:
+        raise ValueError("voucher updates never refund" if amount.is_finite() and amount < 0 else defect)
     if amount > previous.remaining:
         raise OverBudgetError(
             f"{format(amount, 'f')} exceeds remaining {format(previous.remaining, 'f')}"
@@ -365,8 +378,8 @@ def update_voucher(
         "authority_id": previous.authority_id,
         "credential_digest": previous.credential_digest,
         "sequence": previous.sequence + 1,
-        "spent": format(previous.spent + amount, "f"),
-        "remaining": format(previous.remaining - amount, "f"),
+        "spent": format(_EXACT.add(previous.spent, amount), "f"),
+        "remaining": format(_EXACT.subtract(previous.remaining, amount), "f"),
         "observed_at": render_timestamp(now),
         "prev_signature": previous.link_digest(),
     }
@@ -478,7 +491,7 @@ def verify_voucher_chain(
     budget = constraint.budget
     previous_spent = None
     for voucher in vouchers:
-        if voucher.spent < 0 or voucher.remaining < 0 or voucher.spent + voucher.remaining != budget:
+        if voucher.spent < 0 or voucher.remaining < 0 or _EXACT.add(voucher.spent, voucher.remaining) != budget:
             return None, DenialReason(
                 DenyCode.STATE_SIGNATURE_INVALID,
                 f"voucher {voucher.sequence} arithmetic does not reconcile with the budget",

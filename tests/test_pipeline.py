@@ -857,6 +857,19 @@ def test_cumulative_constraint_spends_through_state_client():
     assert decision.failed_constraint == "C1"
 
 
+def test_a_spent_budget_denies_a_spend_the_default_decimal_context_would_round_away():
+    """1000 + 1E-25 has 29 significant digits: rounded at 28, it reads 1000
+    and fits the budget of 1000."""
+    from mandate.constraints import Period
+
+    engine, cred, authority = budget_engine()
+    assert evaluate(engine, cred, context(amount="1000")).allowed
+    for text in ("0.0000000000000000000000001", "0.0000000000000000000000004"):
+        decision = evaluate(engine, cred, context(amount=text))
+        assert decision.reason.code is DenyCode.STATE_LIMIT_EXCEEDED
+    assert str(authority.spent(cred.digest(), Period(kind="per_credential"), NOW)) == "1000"
+
+
 def test_an_epoch_bound_engine_keeps_one_slice_per_epoch_out_of_order():
     quota = EpochQuota("enforcer-1", Decimal("100"), epoch_length_seconds=3600)
     engine, cred, _ = budget_engine(tier="epoch_bound", epoch_ledger=EpochLedger(quota))

@@ -251,6 +251,37 @@ def test_an_epoch_ledger_refuses_an_unspendable_amount(amount, error):
         ledger.reserve(Decimal("1"), NOW)
 
 
+# 1000 + TINY has 29 significant digits; the default decimal context rounds
+# it back to 1000, which would fit a budget of 1000.
+TINY = Decimal("0.0000000000000000000000001")
+PERIODS = pytest.mark.parametrize(
+    "period", [Period(kind="per_credential"), Period(kind="rolling", duration_seconds=3600)], ids=["bucket", "rolling"]
+)
+
+
+@PERIODS
+def test_every_ledger_refuses_a_spend_the_default_decimal_context_would_round_away(tmp_path, period):
+    for ledger in (InMemoryStateAuthority(POINTER), FileStateAuthority(POINTER, tmp_path / f"{period.kind}.jsonl")):
+        assert ledger.reserve("k", Decimal("1000"), Decimal("1000"), period, NOW) == Decimal("1000")
+        with pytest.raises(OverBudgetError):
+            ledger.reserve("k", TINY, Decimal("1000"), period, NOW)
+    epoch = EpochLedger(EpochQuota("e1", Decimal("1000"), epoch_length_seconds=600))
+    epoch.reserve(Decimal("1000"), NOW)
+    with pytest.raises(OverBudgetError):
+        epoch.reserve(TINY, NOW)
+
+
+@PERIODS
+def test_ledger_totals_are_exact_live_and_reopened(tmp_path, period):
+    path = tmp_path / "ledger.jsonl"
+    live = FileStateAuthority(POINTER, path)
+    for spend in (Decimal("1000"), TINY, TINY * 3):
+        live.reserve("k", spend, Decimal("2000"), period, NOW)
+    exact = "1000.0000000000000000000000004"
+    assert str(live.spent("k", period, NOW)) == exact
+    assert str(FileStateAuthority(POINTER, path).spent("k", period, NOW)) == exact
+
+
 def test_file_ledger_write_failure_spends_nothing(tmp_path):
     path = tmp_path / "ledger.jsonl"
     period = Period(kind="per_credential")
@@ -571,6 +602,31 @@ def test_voucher_update_refuses_overdraft_and_refunds():
         update_voucher(first, Decimal("-5"), AUTHORITY, NOW)
 
 
+@pytest.mark.parametrize(
+    ("amount", "error"),
+    [
+        (Decimal("1e-100000"), ValueError),
+        (Decimal("1" * 65), ValueError),
+        (Decimal("NaN"), ValueError),
+        (Decimal("Infinity"), ValueError),
+        (5, TypeError),
+    ],
+    ids=["hundred-thousand-digit-fraction", "long-integer", "nan", "infinity", "int"],
+)
+def test_a_voucher_update_refuses_what_the_ledgers_amount_rule_refuses(amount, error):
+    first = make_voucher("digest-1", Decimal("100"), POINTER, AUTHORITY, NOW)
+    with pytest.raises(error, match="amount must be"):
+        update_voucher(first, amount, AUTHORITY, NOW)
+
+
+def test_voucher_arithmetic_is_exact():
+    first = make_voucher("digest-1", Decimal("1000"), POINTER, AUTHORITY, NOW)
+    second = update_voucher(first, Decimal("1e-30"), AUTHORITY, NOW)
+    assert second.raw["remaining"] == "999." + "9" * 30
+    terminal, problem = verify([first, second])
+    assert problem is None and terminal is not None
+
+
 def test_voucher_wrong_authority_key():
     impostor = generate_key(POINTER, seed="stateful:impostor")
     terminal, problem = verify(chain("100", key=impostor))
@@ -685,6 +741,27 @@ def test_voucher_arithmetic_must_reconcile():
         "sequence": 1,
         "spent": "300",
         "remaining": "800",  # 300 + 800 != 1000
+        "observed_at": render_timestamp(NOW),
+        "prev_signature": VOUCHER_GENESIS,
+    }
+    voucher = StateVoucher.from_dict(attach_signature(body, AUTHORITY))
+    terminal, problem = verify([voucher])
+    assert problem.code is DenyCode.STATE_SIGNATURE_INVALID
+    assert "reconcile" in problem.detail
+
+
+def test_a_voucher_that_reconciles_only_when_rounded_is_refused():
+    from mandate.keys import attach_signature
+    from mandate.model import render_timestamp
+    from mandate.stateful import VOUCHER_GENESIS, StateVoucher
+
+    body = {
+        "kind": "state_voucher",
+        "authority_id": POINTER,
+        "credential_digest": "digest-1",
+        "sequence": 1,
+        "spent": "0." + "0" * 29 + "1",
+        "remaining": "1000",  # the sum rounds to 1000 at 28 significant digits
         "observed_at": render_timestamp(NOW),
         "prev_signature": VOUCHER_GENESIS,
     }
