@@ -100,8 +100,12 @@ def build_manifest(
     """Derive the receiver's governance contract from its live configuration.
 
     Everything in the manifest is read off the config so the published
-    contract cannot drift from what evaluation will actually enforce.
+    contract cannot drift from what evaluation will actually enforce.  A
+    window that ends before it begins is refused unsigned, as ``malformed``:
+    no instant could verify the manifest.
     """
+    if valid_from > valid_until:
+        raise ManifestError("malformed", "valid_from is after valid_until; no instant is in the window")
     # A registry only when its window covers the manifest's: the engine
     # refuses a registry at any instant outside the registry's own window.
     registries = [r for r in config.registries if r.valid_from <= valid_from and valid_until <= r.valid_until]

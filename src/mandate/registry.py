@@ -93,6 +93,10 @@ def build_registry(
     state_authorities: Sequence[StateAuthorityEntry] = (),
     vocabulary_refs: Sequence[dict] = (),
 ) -> TrustRegistry:
+    """Sign a registry; a window that ends before it begins is refused
+    unsigned, as ``malformed``: no instant could verify the registry."""
+    if valid_from > valid_until:
+        raise RegistryError("malformed", "valid_from is after valid_until; no instant is in the window")
     body = {
         "kind": "trust_registry",
         "registry_id": registry_id,

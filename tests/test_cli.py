@@ -632,6 +632,37 @@ def test_registry_build_refuses_a_string_for_a_list(workspace, capsys):
     assert "malformed" in err
 
 
+def test_registry_and_manifest_build_refuse_a_window_that_ends_before_it_begins(workspace, capsys):
+    issuers_path = write(
+        workspace["dir"] / "issuers.json",
+        {ISSUER.key_id: {"standing": "active", "credential_classes": ["*"], "profiles": ["*"]}},
+    )
+    registry_out, manifest_out = workspace["dir"] / "registry-inverted.json", workspace["dir"] / "manifest-inverted.json"
+    code, _, err = run(
+        capsys,
+        "registry", "build",
+        "--key", write(workspace["dir"] / "steward.json", STEWARD.to_dict()),
+        "--registry-id", "registry:cli",
+        "--version", "1",
+        "--valid-from", UNTIL,
+        "--valid-until", FROM,
+        "--issuers", issuers_path,
+        "--out", registry_out,
+    )
+    assert code == 2 and not registry_out.exists() and "malformed" in err
+    code, _, err = run(
+        capsys,
+        "manifest", "build",
+        "--config", workspace["config"],
+        "--key", workspace["receiver_key"],
+        "--version", "1",
+        "--valid-from", UNTIL,
+        "--valid-until", FROM,
+        "--out", manifest_out,
+    )
+    assert code == 2 and not manifest_out.exists() and "malformed" in err
+
+
 @pytest.mark.parametrize(
     "row", [{"pointer": "https://ledger.example/a"}, {"pointer": 5, "profiles": ["*"]}]
 )

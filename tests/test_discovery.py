@@ -353,6 +353,15 @@ def test_a_manifest_lists_no_registry_whose_window_does_not_cover_its_own(window
     assert not report.compatible
 
 
+def test_a_manifest_window_that_ends_before_it_begins_is_refused_unsigned():
+    with pytest.raises(ManifestError) as err:
+        build_manifest(receiver_config(), RECEIVER, version=1, valid_from=UNTIL, valid_until=FROM)
+    assert err.value.code == "malformed"
+    # A window of one instant still verifies at that instant.
+    m = build_manifest(receiver_config(), RECEIVER, version=1, valid_from=NOW, valid_until=NOW)
+    assert verify_manifest(m.to_dict(), RECEIVER_KEYS, NOW).digest() == m.digest()
+
+
 def test_preflight_required_field_unproducible():
     sender = compatible_sender()
     sender = SenderCapabilities(

@@ -113,6 +113,15 @@ def test_window_checks():
     assert exc.value.code == "out_of_window"
 
 
+def test_a_registry_window_that_ends_before_it_begins_is_refused_unsigned():
+    with pytest.raises(RegistryError) as exc:
+        registry(valid_from="2026-12-31T23:59:59Z", valid_until="2026-01-01T00:00:00Z")
+    assert exc.value.code == "malformed"
+    # A window of one instant still verifies at that instant.
+    r = registry(valid_from="2026-05-01T12:00:00Z", valid_until="2026-05-01T12:00:00Z")
+    assert load_registry(r.to_dict(), STEWARD_KEYS, NOW).digest() == r.digest()
+
+
 def test_load_rejects_unknown_steward_and_tampering():
     r = registry()
     with pytest.raises(RegistryError) as exc:
