@@ -173,7 +173,7 @@ class MappingProfile(Signed):
     aliases: tuple[AliasEntry, ...]
     raw: dict  # original object, kept for signature verification and digests
     # steward keys (the map's items) -> duplicate-row and signature verdict;
-    # filled by validate_mapping_profile.
+    # filled by trust_verdict.
     _trust_verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (the vocabularies last asked about, as a tuple; their resolution plan);
     # set by resolution_plan.
@@ -188,6 +188,15 @@ class MappingProfile(Signed):
 
     def aliases_for(self, identifier: str) -> tuple[AliasEntry, ...]:
         return self._alias_index.get(identifier, ())
+
+    def trust_verdict(self, steward_keys: Mapping[str, str]) -> Optional[DenialReason]:
+        """``_profile_trust(self, steward_keys)``, kept per set of steward keys."""
+        keys = tuple(steward_keys.items())
+        try:
+            return self._trust_verdicts[keys]
+        except KeyError:
+            verdict = self._trust_verdicts[keys] = _profile_trust(self, steward_keys)
+            return verdict
 
     def resolution_plan(self, vocabularies: Sequence[Vocabulary]) -> Mapping[str, AliasEntry | DenialReason]:
         """``plan_resolution(self, vocabularies)``, kept for the vocabularies
@@ -297,11 +306,7 @@ def validate_mapping_profile(
     """
     if mapping is None:
         return DenialReason(DenyCode.MAPPING_PROFILE_MISSING, "no mapping profile configured")
-    keys = tuple(steward_keys.items())
-    try:
-        trust = mapping._trust_verdicts[keys]
-    except KeyError:
-        trust = mapping._trust_verdicts[keys] = _profile_trust(mapping, steward_keys)
+    trust = mapping.trust_verdict(steward_keys)
     if trust is not None:
         return trust
     if now > mapping.valid_until:

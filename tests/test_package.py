@@ -1,5 +1,6 @@
 """The package's flat surface, its modules' imports, the bindings the
-benchmark tracer wraps, and the one base of its signed artifacts."""
+benchmark tracer wraps, private state reached only through its owner, and
+the one base of its signed artifacts."""
 
 import ast
 import importlib.util
@@ -121,6 +122,26 @@ def test_no_function_takes_a_parameter_it_never_reads():
                 if p.arg not in read and p.arg not in ("self", "cls")
             ]
     assert unread == []
+
+
+def test_no_module_reaches_into_another_objects_private_attributes():
+    """Under ``src/mandate/``, a ``_private`` attribute (a dunder is not one)
+    is read or set only on ``self``, ``cls`` or ``super()``: another object's
+    private state is reached through a method of its own."""
+    reached = []
+    for path in sorted((ROOT / "src" / "mandate").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            if node.attr.startswith("__") and node.attr.endswith("__"):
+                continue
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in ("self", "cls"):
+                continue
+            if isinstance(owner, ast.Call) and isinstance(owner.func, ast.Name) and owner.func.id == "super":
+                continue
+            reached.append(f"{path.stem}:{node.lineno} {ast.unparse(node)}")
+    assert reached == []
 
 
 def test_every_signed_artifact_is_written_rendered_and_digested_by_one_base():
