@@ -4,7 +4,9 @@ A hypothesis state machine drives one long-lived engine through
 presentations of three credentials and two delegation chains: as bytes,
 text, a dict, a container object or a list of one; fresh or repeated;
 re-spelled with shuffled keys, with one byte flipped, or as a container
-object whose fields were replaced.  Between presentations it revokes a
+object whose fields were replaced.  A fourth credential spends a cumulative
+budget on an in-memory ledger, up to three times a step, so its spends cross
+the budget.  Between presentations it revokes a
 credential, moves ``now`` across the window edge that two credentials
 share, re-keys the issuer, replays a nonce, presents 70 distinct
 credentials, so that every kept credential is evicted, and reassigns the
@@ -12,13 +14,13 @@ config's mapping profile and registries, as an operator may between two
 evaluations.
 
 Each step runs as well on a cold ``Engine`` built afresh over the same
-config, with a copy of the nonce state.  The cold engine is presented the
+config, with copies of the nonce state and of the ledger.  The cold engine is presented the
 canonical bytes of the credential the long-lived engine was given (the very
 same input when a byte was flipped), so the same credential must decide,
 and be recorded, the same way however it is presented and whatever the
 long-lived engine keeps: ``Decision.to_dict()`` must be equal, and so must
 the audit record body without ``prev_record``, ``record_id`` and
-``signature``.
+``signature``; and after the step both ledgers must hold the same total.
 """
 
 import dataclasses
@@ -32,7 +34,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from mandate.audit import AuditLog
-from mandate.constraints import EnumeratedListConstraint, NumericLimitConstraint
+from mandate.constraints import CumulativeLimitConstraint, EnumeratedListConstraint, NumericLimitConstraint, Period
 from mandate.container import (
     CredentialContainer,
     RevocationStore,
@@ -45,8 +47,9 @@ from mandate.container import (
 from mandate.keys import generate_key
 from mandate.model import AuthorizationPayload, RequestContext, SemanticType, parse_timestamp, parse_typed_value
 from mandate.pipeline import Engine, EngineConfig, LocalPolicy
-from mandate.registry import IssuerEntry, build_registry
+from mandate.registry import IssuerEntry, StateAuthorityEntry, build_registry
 from mandate.semantics import MappingProfile, identity_mapping_profile
+from mandate.stateful import InMemoryStateAuthority
 from test_plans import _cold, _outcome
 
 FROM = parse_timestamp("2026-01-01T00:00:00Z")
@@ -63,13 +66,20 @@ STEWARD = generate_key("steward:machine", seed="machine:steward")
 AUDIT = generate_key("svc:machine:receiver#audit", seed="machine:audit")
 PROFILE = identity_mapping_profile([], UNTIL, STEWARD)
 EDGE_PROFILE = identity_mapping_profile([], EDGE, STEWARD, version=2)  # stale past the edge
-# Vouches for the issuer up to the edge; outside its window it vouches for no one.
+LEDGER = "https://state.machine.example/ledger"
+PER_CREDENTIAL = Period(kind="per_credential")
+# Vouches for the issuer and permits the ledger up to the edge; outside its
+# window it vouches for no one and permits nothing.
 EDGE_REGISTRY = build_registry(
-    "registry:machine", 1, FROM, EDGE, [IssuerEntry(ISSUER.key_id, "active", frozenset({"*"}), frozenset({"*"}))], STEWARD
+    "registry:machine", 1, FROM, EDGE, [IssuerEntry(ISSUER.key_id, "active", frozenset({"*"}), frozenset({"*"}))], STEWARD,
+    state_authorities=[StateAuthorityEntry(LEDGER, frozenset({"*"}))],
 )
 
 
-def _issue(name, subject=SUBJECT, issuer=ISSUER, limit="1000", parent=None, valid_from=FROM, valid_until=UNTIL):
+def _issue(
+    name, subject=SUBJECT, issuer=ISSUER, limit="1000", parent=None, valid_from=FROM, valid_until=UNTIL, budget=None
+):
+    spent = (CumulativeLimitConstraint("core.amount", Decimal(budget), LEDGER, PER_CREDENTIAL),) if budget else ()
     return issue_credential(
         AuthorizationPayload(
             agent_id=subject.key_id,
@@ -78,6 +88,7 @@ def _issue(name, subject=SUBJECT, issuer=ISSUER, limit="1000", parent=None, vali
             constraints=(
                 NumericLimitConstraint(field="core.amount", operator="lte", value=Decimal(limit), currency="USD"),
                 EnumeratedListConstraint(field="core.resource_id", denied=frozenset({"jobs/forbidden"})),
+                *spent,
             ),
         ),
         subject_public_key=subject.public_hex,
@@ -102,6 +113,9 @@ PRESENTABLE = {
     "chain": [ROOT, LINK],
     "short chain": [SHORT, SHORT_LINK],
 }
+# Spends 250 or 700 of 1000 per allowed request, so a few requests cross it.
+BUDGETED = _issue("budgeted", budget="1000")
+BUDGETED_WIRE = BUDGETED.dumps().encode("utf-8")
 HOLDERS = {SUBJECT.key_id: SUBJECT, DELEGATE.key_id: DELEGATE}
 SIGNERS = {ISSUER.key_id: ISSUER, SUBJECT.key_id: SUBJECT}
 REVOCABLE = {c.credential_id: c for c in (ROOT, SHORT, LATE, LINK)}
@@ -192,6 +206,7 @@ class WarmAgainstCold(RuleBasedStateMachine):
             mapping_profile=self.profiles[0],
             revocations=self.revocations,
             local_policy=LocalPolicy("machine-policy", ("core.amount",)),
+            state_clients={LEDGER: InMemoryStateAuthority(LEDGER)},
         ))
         self.now = MOMENTS[0]
         self.nonces = itertools.count()
@@ -211,6 +226,8 @@ class WarmAgainstCold(RuleBasedStateMachine):
             assert got == expected
             written += [_unlinked(log.last)] if log.last is not None else []
         assert written == [_unlinked(record) for record in cold.config.audit_log.records()]
+        ledgers = (self.engine.config.state_clients[LEDGER], cold.config.state_clients[LEDGER])
+        assert len({ledger.spent(BUDGETED.digest(), PER_CREDENTIAL, self.now) for ledger in ledgers}) == 1
         self.last = presentations[-1]
 
     @rule(
@@ -235,6 +252,16 @@ class WarmAgainstCold(RuleBasedStateMachine):
         leaf = links[-1]
         pop = make_possession_proof(leaf, RECEIVER, f"machine-{next(self.nonces)}", self.now, HOLDERS[leaf.subject_id])
         self._run((warm_input, cold_input, ctx, leaf.subject_id, pop))
+
+    @rule(ctxs=st.lists(st.sampled_from(CONTEXTS), min_size=1, max_size=3))
+    def spend_the_budget(self, ctxs):
+        """Present the budgeted credential's bytes once per context.  Where a
+        registry in its window permits the ledger, each allowed request
+        spends its amount; the cold twin spends on its copy of the ledger."""
+        pops = [
+            make_possession_proof(BUDGETED, RECEIVER, f"machine-{next(self.nonces)}", self.now, SUBJECT) for _ in ctxs
+        ]
+        self._run(*((BUDGETED_WIRE, BUDGETED_WIRE, ctx, SUBJECT.key_id, pop) for ctx, pop in zip(ctxs, pops)))
 
     @rule(credential_id=st.sampled_from(sorted(REVOCABLE)))
     def revoke(self, credential_id):
