@@ -602,20 +602,10 @@ def test_voucher_update_refuses_overdraft_and_refunds():
         update_voucher(first, Decimal("-5"), AUTHORITY, NOW)
 
 
-@pytest.mark.parametrize(
-    ("amount", "error"),
-    [
-        (Decimal("1e-100000"), ValueError),
-        (Decimal("1" * 65), ValueError),
-        (Decimal("NaN"), ValueError),
-        (Decimal("Infinity"), ValueError),
-        (5, TypeError),
-    ],
-    ids=["hundred-thousand-digit-fraction", "long-integer", "nan", "infinity", "int"],
-)
-def test_a_voucher_update_refuses_what_the_ledgers_amount_rule_refuses(amount, error):
+@UNSPENDABLE
+def test_a_voucher_update_refuses_an_unspendable_amount_before_signing(amount, error):
     first = make_voucher("digest-1", Decimal("100"), POINTER, AUTHORITY, NOW)
-    with pytest.raises(error, match="amount must be"):
+    with pytest.raises(error):
         update_voucher(first, amount, AUTHORITY, NOW)
 
 
