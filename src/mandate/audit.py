@@ -77,9 +77,6 @@ class AuditRecord:
     def digest(self) -> str:
         return sha256_hex(self.line)
 
-    def to_dict(self) -> dict:
-        return dict(self.raw)
-
     def dumps(self) -> str:
         return self.line
 
@@ -310,7 +307,7 @@ class AuditLog:
 
 
 def verify_audit_chain(
-    lines_or_records: Iterable[Union[str, bytes, dict, AuditRecord]],
+    lines_or_records: Iterable[Union[str, bytes, AuditRecord]],
     evaluator_keys: Union[str, Mapping[str, str]],
     after: str = GENESIS_DIGEST,
 ) -> tuple[bool, Optional[int], str]:
@@ -318,19 +315,13 @@ def verify_audit_chain(
 
     Returns (ok, first_bad_index, detail).  ``evaluator_keys`` is one public
     key hex or a map of key_id to public key hex.  ``after`` is the digest
-    the first record links to: genesis for a whole log.  A record is checked
-    as its line, a line's bytes as UTF-8 text, and a dict as its canonical
-    rendering.
+    the first record links to: genesis for a whole log.  Each item is a line
+    as text, a line as UTF-8 bytes, or an ``AuditRecord``, checked as its line.
     """
     expected_prev = after
     index = -1
     for index, item in enumerate(lines_or_records):
-        if isinstance(item, dict):
-            try:
-                item = canonical_dumps(item)
-            except CanonicalizationError:  # a float or another value JSON records never hold
-                return False, index, f"record {index} is not in canonical form"
-        elif isinstance(item, bytes):
+        if isinstance(item, bytes):
             try:
                 item = item.decode("utf-8")
             except UnicodeDecodeError as exc:

@@ -740,8 +740,7 @@ def _duplicate_key(row: _Family, values: Iterable) -> tuple:
 
 
 def family_of(constraint: Constraint) -> str:
-    if isinstance(constraint, UnknownConstraint):
-        return f"unknown:{constraint.type_tag}"
+    """The family name of a known constraint; an unknown one has none."""
     return _BY_CLASS[type(constraint)].name
 
 

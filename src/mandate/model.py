@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 ALLOW = "ALLOW"
 DENY = "DENY"
@@ -102,11 +102,6 @@ class DenialReason:
 
     def to_dict(self) -> dict:
         return {"code": self.code.value, "detail": self.detail}
-
-    @staticmethod
-    def from_dict(obj: dict) -> "DenialReason":
-        detail = expect(obj, "detail", str, optional=True) or ""
-        return DenialReason(DenyCode(expect(obj, "code", str)), detail)
 
 
 # --- timestamps -------------------------------------------------------------
@@ -365,10 +360,6 @@ class TraceEntry:
     def to_dict(self) -> dict:
         return {"stage": self.stage, "check": self.check, "result": self.result}
 
-    @staticmethod
-    def from_dict(obj: dict) -> "TraceEntry":
-        return TraceEntry(*(expect(obj, key, str) for key in ("stage", "check", "result")))
-
 
 @dataclass(frozen=True)
 class Decision:
@@ -405,32 +396,3 @@ class Decision:
             "failed_constraint": self.failed_constraint,
             "trace": [entry.to_dict() for entry in self.trace],
         }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "Decision":
-        with reading(ValueParseError):
-            reason = obj.get("reason")
-            return Decision(
-                outcome=expect(obj, "outcome", str),
-                reason=DenialReason.from_dict(reason) if reason else None,
-                trace=tuple(TraceEntry.from_dict(e) for e in obj.get("trace", [])),
-                failed_constraint=expect(obj, "failed_constraint", str, optional=True),
-            )
-
-
-def allow(trace: Sequence[TraceEntry] = ()) -> Decision:
-    return Decision(outcome=ALLOW, trace=tuple(trace))
-
-
-def deny(
-    code: DenyCode,
-    detail: str = "",
-    trace: Sequence[TraceEntry] = (),
-    failed_constraint: Optional[str] = None,
-) -> Decision:
-    return Decision(
-        outcome=DENY,
-        reason=DenialReason(code, detail),
-        trace=tuple(trace),
-        failed_constraint=failed_constraint,
-    )

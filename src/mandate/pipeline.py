@@ -68,8 +68,6 @@ from .model import (
     TraceEntry,
     TypedValue,
     ValueParseError,
-    allow,
-    deny,
     expect,
     expect_list,
     reading,
@@ -953,7 +951,6 @@ class Engine:
             denied.trace_failure(ev.trace)
         if denied is None:
             ev.trace.append(_ALLOWED)
-            return allow(ev.trace)
-        code = denied.reason.code
-        ev.trace.append(TraceEntry("decision", "decision", f"DENY: {code.value}"))
-        return deny(code, denied.reason.detail, ev.trace, denied.failed_constraint)
+            return Decision(ALLOW, trace=tuple(ev.trace))
+        ev.trace.append(TraceEntry("decision", "decision", f"DENY: {denied.reason.code.value}"))
+        return Decision(DENY, denied.reason, tuple(ev.trace), denied.failed_constraint)

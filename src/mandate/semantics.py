@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .canonical import Signed, canonical_dumps
@@ -163,8 +162,8 @@ class AliasEntry:
 class MappingProfile(Signed):
     """Steward-signed aliases from semantic identifiers to one receiver's local fields.
 
-    The profile is an immutable value: its digest, alias index and trust
-    verdicts are computed once, on first use, and kept on the instance.
+    The profile is an immutable value: its digest, trust verdicts and
+    resolution plan are computed on first use and kept on the instance.
     """
 
     profile_id: str
@@ -178,16 +177,6 @@ class MappingProfile(Signed):
     # (the vocabularies last asked about, as a tuple; their resolution plan);
     # set by resolution_plan.
     _plan: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    @cached_property
-    def _alias_index(self) -> Mapping[str, tuple[AliasEntry, ...]]:
-        index: dict[str, list[AliasEntry]] = {}
-        for alias in self.aliases:
-            index.setdefault(alias.identifier, []).append(alias)
-        return {identifier: tuple(rows) for identifier, rows in index.items()}
-
-    def aliases_for(self, identifier: str) -> tuple[AliasEntry, ...]:
-        return self._alias_index.get(identifier, ())
 
     def trust_verdict(self, steward_keys: Mapping[str, str]) -> Optional[DenialReason]:
         """``_profile_trust(self, steward_keys)``, kept per set of steward keys."""
@@ -322,12 +311,15 @@ def plan_resolution(
     agrees with the vocabulary), or the denial it resolves to, checked in
     resolution order: alias conflict, alias presence, declared type
     agreement.  An identifier the plan does not hold is unknown."""
+    by_identifier: dict[str, list[AliasEntry]] = {}
+    for alias in mapping.aliases:
+        by_identifier.setdefault(alias.identifier, []).append(alias)
     plan: dict[str, AliasEntry | DenialReason] = {}
     for identifier in (*CORE_VOCABULARY, *(name for v in vocabularies for name in v.entries)):
         entry = lookup_identifier(identifier, vocabularies)
         if entry is None or identifier in plan:
             continue
-        aliases = mapping.aliases_for(identifier)
+        aliases = by_identifier.get(identifier, ())
         if len({(a.field, a.declared_type) for a in aliases}) > 1:
             plan[identifier] = DenialReason(
                 DenyCode.SEMANTIC_ALIAS_CONFLICT, f"{identifier} maps to multiple local fields"

@@ -276,8 +276,6 @@ def test_a_float_line_fails_at_its_index():
     lines = [records[0].dumps(), _float_line(records[1])]
     ok, bad, detail = verify_audit_chain(lines, AUDIT_KEY.public_hex)
     assert (ok, bad, detail) == (False, 1, "record 1 is not in canonical form")
-    as_dicts = [records[0].raw, json.loads(lines[1])]
-    assert verify_audit_chain(as_dicts, AUDIT_KEY.public_hex) == (False, 1, detail)
 
 
 def test_a_float_tail_refuses_to_reopen(tmp_path):

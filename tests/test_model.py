@@ -8,14 +8,13 @@ import pytest
 from mandate.model import (
     AuthorizationPayload,
     Decision,
+    DenialReason,
     DenyCode,
     RequestContext,
     SemanticType,
     TraceEntry,
     TypedValue,
     ValueParseError,
-    allow,
-    deny,
     parse_timestamp,
     parse_typed_value,
     render_timestamp,
@@ -159,23 +158,25 @@ def test_deny_code_catalog_is_closed():
     assert {c.value for c in DenyCode} == {c.value.lower() for c in DenyCode}
 
 
-def test_decision_round_trip():
+def test_decision_serializes_its_reason_label_and_trace():
     trace = (TraceEntry("container", "parse", "PASS"),)
-    decision = deny(
-        DenyCode.CONSTRAINT_FAILED, "too big", trace=trace, failed_constraint="C2"
-    )
-    again = Decision.from_dict(decision.to_dict())
-    assert again.outcome == "DENY"
-    assert again.reason.code is DenyCode.CONSTRAINT_FAILED
-    assert again.failed_constraint == "C2"
-    assert again.trace == trace
-
-    ok = allow(trace)
-    assert Decision.from_dict(ok.to_dict()).reason is None
+    decision = Decision("DENY", DenialReason(DenyCode.CONSTRAINT_FAILED, "too big"), trace, "C2")
+    assert decision.to_dict() == {
+        "kind": "decision",
+        "outcome": "DENY",
+        "reason": {"code": "constraint_failed", "detail": "too big"},
+        "failed_constraint": "C2",
+        "trace": [{"stage": "container", "check": "parse", "result": "PASS"}],
+    }
+    assert Decision("ALLOW", trace=trace).to_dict()["reason"] is None
 
 
 def test_allow_carries_no_reason_and_deny_exactly_one():
-    ok = allow((TraceEntry("decision", "decision", "ALLOW"),))
+    ok = Decision("ALLOW", trace=(TraceEntry("decision", "decision", "ALLOW"),))
     assert ok.outcome == "ALLOW" and ok.reason is None
-    bad = deny(DenyCode.PERMISSION_DENIED)
+    with pytest.raises(ValueError, match="ALLOW carries no denial reason"):
+        Decision("ALLOW", DenialReason(DenyCode.PERMISSION_DENIED))
+    with pytest.raises(ValueError, match="DENY requires a typed reason"):
+        Decision("DENY")
+    bad = Decision("DENY", DenialReason(DenyCode.PERMISSION_DENIED))
     assert bad.outcome == "DENY" and bad.reason.code is DenyCode.PERMISSION_DENIED

@@ -34,14 +34,10 @@ from mandate.discovery import ManifestError, VocabularyRange, build_manifest, ve
 from mandate.keys import KeyError_, generate_key, load_signing_key
 from mandate.model import (
     AuthorizationPayload,
-    Decision,
-    DenyCode,
     RequestContext,
     SemanticType,
-    TraceEntry,
     TypedValue,
     ValueParseError,
-    deny,
     parse_timestamp,
 )
 from mandate.pipeline import EngineConfig, LocalPolicy, WorkflowPolicy, WorkflowRole
@@ -150,11 +146,6 @@ PAYLOAD = AuthorizationPayload(
 CREDENTIAL = issue_credential(PAYLOAD, KEY.public_hex, ["svc:a"], NOW, UNTIL, KEY).to_dict()
 
 
-def _decision() -> dict:
-    trace = (TraceEntry("constraint", "C1", "FAIL: over"),)
-    return deny(DenyCode.CONSTRAINT_FAILED, "over", trace, "C1").to_dict()
-
-
 # reader, valid object, typed error
 READERS = {
     "credential_container": (parse_container, lambda: copy.deepcopy(CREDENTIAL), MalformedContainerError),
@@ -197,7 +188,6 @@ READERS = {
     "capabilities": (_preflight_capabilities, _capabilities_file, CliError),
     "request_context": (RequestContext.from_dict, lambda: copy.deepcopy(CONTEXT), ValueParseError),
     "typed_value": (TypedValue.from_dict, lambda: {"type": "decimal", "value": "5"}, ValueParseError),
-    "decision": (Decision.from_dict, _decision, ValueParseError),
 }
 
 # reader, path to the field, wrong value (MISSING: left out)
@@ -300,10 +290,6 @@ CASES = [
     ("request_context", ("fields", "core.amount", "value"), MISSING),
     ("typed_value", ("value",), "1e3"),
     ("typed_value", ("type",), 5),
-    ("decision", ("outcome",), 5),
-    ("decision", ("trace", 0, "check"), 1),
-    ("decision", ("failed_constraint",), ["C1"]),
-    ("decision", ("reason", "detail"), 5),
 ]
 
 
