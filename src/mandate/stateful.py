@@ -235,6 +235,13 @@ class EpochQuota:
     epoch_length_seconds: int
 
     def __post_init__(self) -> None:
+        # EpochLedger.reserve compares every total with the allocation, and a
+        # NaN one raises there, after the request's nonce is spent.  Zero is
+        # a slice allocate_epoch_quotas may hand out.
+        if not isinstance(self.allocation, Decimal):
+            raise TypeError(f"epoch allocation must be Decimal, got {type(self.allocation).__name__}")
+        if not self.allocation.is_finite() or self.allocation < 0:
+            raise ValueError("epoch allocation must be finite and not negative")
         # A zero length divides by zero in EpochLedger.reserve; a negative one
         # counts epochs backwards.
         if self.epoch_length_seconds <= 0:
@@ -259,24 +266,23 @@ def allocate_epoch_quotas(
     """
     if not enforcer_ids:
         raise ValueError("at least one enforcer required")
+    # Integer quanta of the budget's own exponent, so nothing is rounded at
+    # the default context's 28 digits; a non-finite budget has no quanta.
     exponent = budget.as_tuple().exponent
-    quantum = Decimal(1).scaleb(exponent if isinstance(exponent, int) else 0)
-    total_quanta = int(budget / quantum)
-    n = len(enforcer_ids)
-    base, leftover = divmod(total_quanta, n)
-    quotas = []
-    for i, enforcer_id in enumerate(enforcer_ids):
-        quanta = base + (1 if i < leftover else 0)
-        quotas.append(
-            EpochQuota(
-                enforcer_id=enforcer_id,
-                allocation=quantum * quanta,
-                epoch_length_seconds=epoch_length_seconds,
-            )
+    if not isinstance(exponent, int):
+        raise ValueError("epoch budget must be finite")
+    base, leftover = divmod(int(_EXACT.scaleb(budget, -exponent)), len(enforcer_ids))
+    quotas = tuple(
+        EpochQuota(
+            enforcer_id=enforcer_id,
+            allocation=_EXACT.scaleb(Decimal(base + (i < leftover)), exponent),
+            epoch_length_seconds=epoch_length_seconds,
         )
-    allocated = sum((q.allocation for q in quotas), Decimal(0))
+        for i, enforcer_id in enumerate(enforcer_ids)
+    )
+    allocated = reduce(_EXACT.add, (q.allocation for q in quotas), Decimal(0))
     assert allocated == budget, "epoch allocation must be exact"
-    return EpochAllocation(quotas=tuple(quotas), max_concurrent_exposure=allocated)
+    return EpochAllocation(quotas=quotas, max_concurrent_exposure=allocated)
 
 
 class EpochLedger:
@@ -342,6 +348,14 @@ def make_voucher(
     authority_key: SigningKey,
     now: datetime,
 ) -> StateVoucher:
+    """The genesis voucher, signed only for a budget the ledgers' amount rule
+    admits and that is not zero: a non-Decimal one raises TypeError, any other
+    refused one ValueError."""
+    if not isinstance(budget, Decimal):
+        raise TypeError(f"voucher budget must be Decimal, got {type(budget).__name__}")
+    defect = _amount_defect(budget)
+    if defect is not None or budget.is_zero():
+        raise ValueError(f"voucher budget refused: {defect or 'it is zero'}")
     body = {
         "kind": "state_voucher",
         "authority_id": authority_id,

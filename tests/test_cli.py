@@ -797,6 +797,22 @@ def test_a_voucher_refund_is_refused_as_an_error_not_as_over_budget(workspace, c
     assert err.strip() == "error: voucher updates never refund"
 
 
+def test_voucher_init_refuses_a_negative_budget_and_writes_nothing(workspace, capsys):
+    out = workspace["dir"] / "voucher-negative.json"
+    code, minted, err = run(
+        capsys,
+        "voucher", "init",
+        "--key", workspace["authority_key"],
+        "--credential-digest", "d" * 64,
+        "--budget", "-5",
+        "--pointer", "https://state.cli.example/ledger",
+        "--now", NOW,
+        "--out", out,
+    )
+    assert code == 2 and minted is None and not out.exists()
+    assert err.strip() == "error: voucher budget refused: ledger amount must be finite and not negative"
+
+
 @pytest.mark.parametrize(
     "vouchers",
     [

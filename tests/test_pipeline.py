@@ -18,6 +18,7 @@ from mandate.constraints import (
     NumericLimitConstraint,
     Period,
     StringPatternConstraint,
+    constraint_from_dict,
 )
 from mandate.container import (
     AttenuationViolation,
@@ -136,6 +137,15 @@ def evaluate(engine, cred, ctx=None, presenter=None, subject_key=SUBJECT, **kwar
         now=NOW,
         **kwargs,
     )
+
+
+def assert_audited_denial(engine, decision, code, detail):
+    """``decision`` denies with ``code`` and ``detail``, and the engine wrote
+    exactly one audit record, which records the same denial."""
+    assert (decision.reason.code, decision.reason.detail) == (code, detail)
+    [record] = engine.config.audit_log.records()
+    written = record.raw["decision"]
+    assert (written["outcome"], written["code"], written["detail"]) == ("DENY", code.value, detail)
 
 
 # --- single credential path -----------------------------------------------------
@@ -436,6 +446,15 @@ def test_a_cumulative_limit_in_a_local_policy_always_denies():
     decision = evaluate(engine, credential())
     assert decision.reason.code is DenyCode.LOCAL_POLICY_DENIED
     assert "stateful evaluation" in decision.reason.detail
+
+
+def test_a_local_policy_holding_an_unknown_constraint_denies():
+    unknown = constraint_from_dict({"type": "geo_fence", "field": "core.region"})
+    engine = make_engine(local_policy=LocalPolicy(policy_id="geo", constraints=(unknown,)))
+    decision = evaluate(engine, credential())
+    assert_audited_denial(
+        engine, decision, DenyCode.LOCAL_POLICY_DENIED, "policy 'geo' holds an unrecognized constraint type"
+    )
 
 
 # --- delegation chains ---------------------------------------------------------------
@@ -773,6 +792,17 @@ def test_empty_chain_is_incomplete():
     assert decision.reason.code is DenyCode.CREDENTIAL_INCOMPLETE
 
 
+def test_an_incomplete_later_link_denies_at_its_payload_check():
+    root = credential()
+    empty = manual_link(SUBJECT, SUBJECT.key_id, DELEGATES[0], root, permissions=())
+    engine = make_engine()
+    decision = evaluate(engine, [root, empty], subject_key=DELEGATES[0])
+    assert_audited_denial(
+        engine, decision, DenyCode.CREDENTIAL_INCOMPLETE, "link 2: payload permissions absent or empty"
+    )
+    assert decision.trace[-2] == TraceEntry("chain", "link 2 payload", "FAIL: payload permissions absent or empty")
+
+
 def test_a_list_of_one_decides_and_records_as_the_credential_itself():
     bundle = load_scenario("insurance_claims")
     wire = bundle.credential.dumps().encode()
@@ -884,6 +914,33 @@ def test_an_epoch_bound_engine_keeps_one_slice_per_epoch_out_of_order():
     decision = spend("100", timedelta(hours=2, seconds=20))  # the 02:00 epoch is already spent
     assert decision.reason.code is DenyCode.STATE_LIMIT_EXCEEDED
     assert decision.failed_constraint == "C1"
+
+
+def test_an_epoch_bound_engine_without_a_ledger_denies_unreachable():
+    engine, cred, _ = budget_engine(tier="epoch_bound")
+    decision = evaluate(engine, cred, context(amount="10"))
+    assert_audited_denial(
+        engine, decision, DenyCode.STATE_AUTHORITY_UNREACHABLE, "C1: no epoch quota allocated to this enforcer"
+    )
+
+
+def test_a_tier_reassigned_to_an_unknown_value_denies_unreachable():
+    # EngineConfig checks its tier when built; a later assignment is judged per request.
+    engine, cred, authority = budget_engine()
+    engine.config.tier = "quorum"
+    decision = evaluate(engine, cred, context(amount="10"))
+    assert_audited_denial(engine, decision, DenyCode.STATE_AUTHORITY_UNREACHABLE, "C1: unknown tier 'quorum'")
+    assert authority.spent(cred.digest(), Period(kind="per_credential"), NOW) == 0
+
+
+def test_a_cumulative_limit_on_a_string_field_fails():
+    engine, budgeted, _ = budget_engine()
+    [limit] = budgeted.payload.constraints
+    cred = credential(payload=payload(constraints=(dataclasses.replace(limit, field="core.currency_code"),)))
+    decision = evaluate(engine, cred, context(**{"core.currency_code": (SemanticType.STRING_CODE, "USD")}))
+    assert_audited_denial(
+        engine, decision, DenyCode.CONSTRAINT_FAILED, "C1: field core.currency_code is string_code, not numeric"
+    )
 
 
 # --- workflow composition -------------------------------------------------------------

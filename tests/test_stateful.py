@@ -16,9 +16,10 @@ from oracles import ReferenceLedger
 
 from mandate.conformance import FixtureError, build_engine
 from mandate.constraints import CumulativeLimitConstraint, Period
-from mandate.keys import generate_key
+from mandate.keys import attach_signature, generate_key
 from mandate.model import DenyCode, SemanticType, parse_timestamp, parse_typed_value
 from mandate.registry import IssuerEntry, StateAuthorityEntry, build_registry
+from mandate import stateful
 from mandate.stateful import (
     _AMOUNT_TEXT_LIMIT,
     EpochLedger,
@@ -31,6 +32,7 @@ from mandate.stateful import (
     allocate_epoch_quotas,
     evaluate_cumulative,
     make_voucher,
+    StateVoucher,
     update_voucher,
     verify_voucher_chain,
 )
@@ -492,6 +494,36 @@ def test_allocation_respects_budget_granularity():
     assert slices == [Decimal("0.04"), Decimal("0.03"), Decimal("0.03")]
 
 
+def test_allocation_is_exact_past_the_default_decimal_precision():
+    # 30 digits: the default context would round the slices' sum at 28.
+    allocation = allocate_epoch_quotas(Decimal("1" * 30), ["a", "b"], 60)
+    assert [q.allocation for q in allocation.quotas] == [Decimal("5" * 28 + "6"), Decimal("5" * 29)]
+    assert allocation.max_concurrent_exposure == Decimal("1" * 30)
+
+
+@pytest.mark.parametrize(
+    ("allocation", "error"),
+    [
+        (Decimal("NaN"), ValueError),
+        (Decimal("Infinity"), ValueError),
+        (Decimal("-1"), ValueError),
+        (100, TypeError),
+        ("100", TypeError),
+    ],
+    ids=["nan", "infinity", "negative", "int", "str"],
+)
+def test_an_epoch_allocation_must_be_a_finite_decimal_not_below_zero(allocation, error):
+    with pytest.raises(error, match="epoch allocation"):
+        EpochQuota("e1", allocation, epoch_length_seconds=3600)
+
+
+def test_a_zero_epoch_allocation_admits_only_zero():
+    ledger = EpochLedger(EpochQuota("e3", Decimal("0"), epoch_length_seconds=60))
+    assert ledger.reserve(Decimal("0"), NOW) == 0
+    with pytest.raises(OverBudgetError):
+        ledger.reserve(Decimal("0.01"), NOW)
+
+
 @pytest.mark.parametrize("length", [0, -60])
 def test_an_epoch_length_must_be_positive(length):
     with pytest.raises(ValueError, match="epoch length must be positive"):
@@ -609,6 +641,25 @@ def test_a_voucher_update_refuses_an_unspendable_amount_before_signing(amount, e
         update_voucher(first, amount, AUTHORITY, NOW)
 
 
+@pytest.mark.parametrize(
+    ("budget", "error"),
+    [
+        (Decimal("-5"), ValueError),
+        (Decimal("1e-100000"), ValueError),
+        (5, TypeError),
+        (Decimal("NaN"), ValueError),
+        (Decimal("0"), ValueError),
+    ],
+    ids=["negative", "hundred-thousand-digit-fraction", "int", "nan", "zero"],
+)
+def test_a_genesis_voucher_refuses_an_unusable_budget_before_signing(monkeypatch, budget, error):
+    signed = []
+    monkeypatch.setattr(stateful, "attach_signature", lambda *args: signed.append(args))
+    with pytest.raises(error, match="voucher budget"):
+        make_voucher("digest-1", budget, POINTER, AUTHORITY, NOW)
+    assert signed == []
+
+
 def test_voucher_arithmetic_is_exact():
     first = make_voucher("digest-1", Decimal("1000"), POINTER, AUTHORITY, NOW)
     second = update_voucher(first, Decimal("1e-30"), AUTHORITY, NOW)
@@ -639,18 +690,45 @@ def test_voucher_broken_linkage():
     assert problem.code is DenyCode.STATE_SEQUENCE_INVALID
 
 
+def resigned(voucher, **fields):
+    """``voucher`` with ``fields`` rewritten, signed again by the authority."""
+    body = {k: v for k, v in voucher.raw.items() if k != "signature"}
+    body.update(fields)
+    return StateVoucher.from_dict(attach_signature(body, AUTHORITY))
+
+
 def test_voucher_genesis_anchor_required():
     vouchers = chain("100", "50")
     # Presenting a sequence-1 voucher that does not anchor at genesis.
-    raw = dict(vouchers[1].raw)
-    raw["sequence"] = 1
-    from mandate.keys import attach_signature
-    from mandate.stateful import StateVoucher
-
-    del raw["signature"]
-    forged = StateVoucher.from_dict(attach_signature(raw, AUTHORITY))
-    terminal, problem = verify([forged])
+    terminal, problem = verify([resigned(vouchers[1], sequence=1)])
     assert problem.code is DenyCode.STATE_SEQUENCE_INVALID
+
+
+def test_a_voucher_chain_needs_a_key_for_its_authority():
+    terminal, problem = verify(chain("100"), authority_keys={})
+    assert terminal is None
+    assert (problem.code, problem.detail) == (
+        DenyCode.STATE_SIGNATURE_INVALID, f"no key held for state authority {POINTER!r}"
+    )
+
+
+def test_voucher_sequences_must_strictly_increase():
+    first, second = chain("100")
+    terminal, problem = verify([first, resigned(second, sequence=1)])
+    assert terminal is None
+    assert (problem.code, problem.detail) == (
+        DenyCode.STATE_SEQUENCE_INVALID, "voucher sequence numbers must strictly increase"
+    )
+
+
+def test_attested_spend_must_never_decrease():
+    vouchers = chain("100", "50")
+    vouchers[-1] = resigned(vouchers[-1], spent="50", remaining="950")
+    terminal, problem = verify(vouchers)
+    assert terminal is None
+    assert (problem.code, problem.detail) == (
+        DenyCode.STATE_SIGNATURE_INVALID, "attested spend decreases at voucher 3"
+    )
 
 
 def test_voucher_replay_and_rollback_protection():
