@@ -97,6 +97,7 @@ class Rendered:
 
 # A string's JSON text, as the kept encoder escapes every string it renders.
 _escape = encode_basestring
+_is_str = str.__instancecheck__
 
 
 def _text(value: object, *path: str) -> str:
@@ -110,10 +111,10 @@ def _text(value: object, *path: str) -> str:
         return _escape(value)
     if value is None:
         return "null"
-    if kind is list and all(type(item) is str for item in value):
+    if kind is list and all(map(_is_str, value)):
         return f"[{','.join(map(_escape, value))}]"
     rows = value if kind is list else (value,)
-    if not all(type(row) is dict and all(type(k) is str and type(v) is str for k, v in row.items()) for row in rows):
+    if not all(type(row) is dict and all(map(_is_str, row)) and all(map(_is_str, row.values())) for row in rows):
         placed = value
         for step in reversed(path):
             placed = {step: placed}

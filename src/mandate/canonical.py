@@ -25,6 +25,7 @@ import hashlib
 import json
 import sys
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import Any, Callable
 
 
@@ -227,19 +228,26 @@ def signing_text(obj: dict, whole: str) -> str:
     """``signing_bytes(obj)`` as text, cut from ``whole``, which is
     ``plain_dumps(obj)``.  What ``signed_view`` leaves out (the top-level
     envelope's ``value`` member, or a ``signature`` member that is not an
-    object) is cut at a position computed from the renderings of the members
-    that sort after it, never searched for: a payload or an unknown member
-    can hold a ``"signature"`` object of its own."""
+    object) is rendered and cut where its text occurs in ``whole``.  It
+    occurs there at least once, so where it occurs only once, that is its
+    place.  A payload or an unknown member can hold a copy of it; then its
+    place is computed from the renderings of the members that sort after it."""
     if "signature" not in obj:
         return whole
     envelope = obj["signature"]
-    end = _member_end(obj, "signature", len(whole))
     if not isinstance(envelope, dict):
-        return _cut(whole, end, len('"signature":') + len(_encode(envelope)))
-    if "value" not in envelope:
+        member = '"signature":' + _encode(envelope)
+    elif "value" in envelope:
+        value = envelope["value"]
+        member = '"value":' + (encode_basestring(value) if type(value) is str else _encode(value))
+    else:
         return whole
-    end = _member_end(envelope, "value", end)
-    return _cut(whole, end, len('"value":') + len(_encode(envelope["value"])))
+    end = whole.find(member) + len(member)
+    if whole.find(member, end - len(member) + 1) >= 0:
+        end = _member_end(obj, "signature", len(whole))
+        if isinstance(envelope, dict):
+            end = _member_end(envelope, "value", end)
+    return _cut(whole, end, len(member))
 
 
 def _member_end(obj: dict, name: str, end: int) -> int:

@@ -59,7 +59,7 @@ class _Written:
         key = self.__dict__.get("_duplicate_key")
         if key is None:
             row = _BY_CLASS[type(self)]
-            key = _duplicate_key(row, [getattr(self, name) for name, _, _ in row.readers])
+            key = _duplicate_key(row, [getattr(self, name) for name in row.names])
         return key
 
     def to_dict(self) -> dict:
@@ -362,19 +362,18 @@ def glob_match(pattern: str, text: str) -> bool:
 
     The literal segments between stars are matched in order: the first as a
     prefix, the last as a suffix, and each one between at its leftmost place
-    after the one before (the rule ``_glob_subsumes`` uses).  Leftmost is
+    after the one before (the rule ``pattern_subsumes`` uses).  Leftmost is
     never wrong, since a star can absorb whatever lies before a later place,
     so nothing is retried: at most O(len(pattern) * len(text)).
     """
-    segments = pattern.split("*")
-    if len(segments) == 1:
+    if "*" not in pattern:
         return pattern == text
-    head, tail = segments[0], segments[-1]
+    head, *middles, tail = pattern.split("*")
     end = len(text) - len(tail)
     if end < len(head) or not text.startswith(head) or not text.endswith(tail):
         return False
     position = len(head)
-    for middle in segments[1:-1]:
+    for middle in middles:
         found = text.find(middle, position, end)
         if found < 0:
             return False
@@ -414,42 +413,12 @@ def pattern_subsumes(parent: str, child: str) -> bool:
     literals embed in order, disjointly, into the child's literal segments
     (star gaps can always be filled with characters that defeat any literal
     forced to straddle them).  Greedy leftmost embedding decides that exactly.
+
+    That is ``glob_match`` of the parent against the child read as text, its
+    stars as characters: no parent literal holds a star, so none is placed
+    across one of the child's, and a star-free parent matches only itself.
     """
-    return _glob_subsumes(_collapse_stars(parent), _collapse_stars(child))
-
-
-def _glob_subsumes(parent: str, child: str) -> bool:
-    """``pattern_subsumes`` of two globs whose stars are already collapsed."""
-    if "*" not in child:
-        return glob_match(parent, child)
-    if "*" not in parent:
-        return False
-    p_segments = parent.split("*")
-    c_segments = child.split("*")
-    p_head, p_tail = p_segments[0], p_segments[-1]
-    c_head, c_tail = c_segments[0], c_segments[-1]
-    if not c_head.startswith(p_head):
-        return False
-    if not c_tail.endswith(p_tail):
-        return False
-    middles = p_segments[1:-1]
-    if not middles:
-        return True
-    segments = [c_head[len(p_head):]]
-    segments.extend(c_segments[1:-1])
-    segments.append(c_tail[: len(c_tail) - len(p_tail)] if p_tail else c_tail)
-    i = 0
-    for segment in segments:
-        position = 0
-        while i < len(middles):
-            found = segment.find(middles[i], position)
-            if found < 0:
-                break
-            position = found + len(middles[i])
-            i += 1
-        if i == len(middles):
-            break
-    return i == len(middles)
+    return glob_match(_collapse_stars(parent), _collapse_stars(child))
 
 
 # --- attenuation ------------------------------------------------------------
@@ -605,7 +574,8 @@ def _narrows_enumerated(child_group: list, parent_group: list) -> Optional[str]:
             return "parent restricts to an allowed set, child allows anything"
         if not c_allowed <= p_allowed:
             return f"allowed set gained {sorted(c_allowed - p_allowed)}"
-    dropped = _combined_denied(parent_group) - _combined_denied(child_group)
+    denied = _combined_denied(parent_group)
+    dropped = denied and denied - _combined_denied(child_group)
     if dropped:
         return f"denied set dropped {sorted(dropped)}"
     return None
@@ -632,7 +602,7 @@ def _narrows_pattern(child_group: list, parent_group: list) -> Optional[str]:
     for p in parent_group:
         found = False
         for i, c in enumerate(child_group):
-            if _glob_subsumes(p.glob, c.glob):
+            if glob_match(p.glob, c.glob):  # pattern_subsumes of collapsed globs
                 found = covered[i] = True
         if not found:
             return f"no child pattern stays within parent pattern {p.glob!r}"
@@ -678,35 +648,46 @@ class _Family:
     narrows: Callable[[list, list], Optional[str]]
     required: dict
     optional: dict
-    # Derived: the names a wire object must hold and may hold, and each
-    # member's (name, reader, required), in written order.
+    # Derived: the names a wire object must hold and may hold; each text
+    # member's (name, required), then each other member's (name, reader,
+    # required), in written order; and ``names``, every member's in that order.
     needed: frozenset = field(init=False)
     allowed: frozenset = field(init=False)
-    readers: tuple = field(init=False)
+    texts: tuple = field(init=False)
+    typed: tuple = field(init=False)
+    names: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "needed", frozenset((*self.required, "type")))
         object.__setattr__(self, "allowed", self.needed | self.optional.keys())
-        members = {**self.required, **self.optional}.items()
-        object.__setattr__(self, "readers", tuple((name, read, name in self.required) for name, (read, _) in members))
+        members = [(name, read, name in self.required) for name, (read, _) in {**self.required, **self.optional}.items()]
+        object.__setattr__(self, "texts", tuple((name, required) for name, read, required in members if read is str))
+        object.__setattr__(self, "typed", tuple((name, read, required) for name, read, required in members if read is not str))
+        object.__setattr__(self, "names", tuple(name for name, *_ in (*self.texts, *self.typed)))
 
     def read(self, obj: dict) -> Optional[Constraint]:
-        """The constraint ``obj`` writes, in one step: each member read, the
-        object built as its ``__init__`` would build it, with the duplicate
-        key of the same values.  None when ``obj`` does not fit this row."""
+        """The constraint ``obj`` writes, in one step: each member read, and
+        its duplicate key built, in one pass; the object built as its
+        ``__init__`` would build it.  None when ``obj`` does not fit this row."""
         if not self.needed <= obj.keys() <= self.allowed:
             return None
         members = {}
+        for name, required in self.texts:
+            value = obj.get(name)
+            if type(value) is not str and (required or value is not None):
+                return None
+            members[name] = value
+        key = [self.tag, *members.values()]  # the duplicate key, as ``_duplicate_key`` builds it
         try:
-            for name, read, required in self.readers:
+            for name, read, required in self.typed:
                 value = obj.get(name)
-                if read is str:
-                    if type(value) is not str and (required or value is not None):
-                        return None
-                elif required or value is not None:
+                if required or value is not None:
                     value = read(value)
+                    key.append(format(value, "f") if read is parse_decimal else value)
+                else:
+                    key.append(None)
                 members[name] = value
-            members["_duplicate_key"] = _duplicate_key(self, members.values())
+            members["_duplicate_key"] = tuple(key)
             constraint = object.__new__(self.cls)
             object.__setattr__(constraint, "__dict__", members)
             constraint.__post_init__()
@@ -734,8 +715,8 @@ _BY_CLASS = {row.cls: row for row in _FAMILIES}
 
 
 def _duplicate_key(row: _Family, values: Iterable) -> tuple:
-    """The duplicate key of a constraint of ``row`` whose typed members, in
-    ``row.readers`` order, are ``values``."""
+    """The duplicate key of a constraint of ``row`` whose member values, in
+    ``row.names`` order, are ``values``."""
     return (row.tag, *[format(value, "f") if isinstance(value, Decimal) else value for value in values])
 
 
@@ -752,13 +733,12 @@ def constraint_from_dict(obj: dict) -> Constraint:
     guessing: the evaluator then denies with constraint_unknown instead of
     enforcing a meaning the issuer may not have intended.
     """
-    if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
+    tag = obj.get("type") if isinstance(obj, dict) else None
+    if not isinstance(tag, str):
         raise ValueParseError("constraint must be an object with a string 'type'")
-    row = _BY_TAG.get(obj["type"])
+    row = _BY_TAG.get(tag)
     constraint = row.read(obj) if row is not None else None
-    if constraint is None:
-        return UnknownConstraint(type_tag=obj["type"], body=canonical_dumps(obj))
-    return constraint
+    return constraint if constraint is not None else UnknownConstraint(tag, canonical_dumps(obj))
 
 
 def unknown_constraint_detail(type_tag: str) -> str:

@@ -59,6 +59,11 @@ class MalformedContainerError(ContainerError):
     """Bytes or structure that cannot be a credential container."""
 
 
+# How a credential's or a proof's field that does not read is raised; the
+# reader keeps no state, so one serves every read.
+_FIELDS = reading(MalformedContainerError)
+
+
 class InvalidPayloadError(ContainerError):
     """Issuing was refused because the payload is incomplete or self-contradictory."""
 
@@ -135,15 +140,23 @@ def parse_payload(obj: object) -> AuthorizationPayload:
     but a field that is present must have its exact type."""
     if not isinstance(obj, dict):
         raise MalformedContainerError("payload must be an object")
-    with reading(MalformedContainerError):
-        permissions = expect(obj, "permissions", list, optional=True)
-        constraints = expect(obj, "constraints", list, optional=True)
-        return AuthorizationPayload(
-            expect(obj, "agent_id", str, optional=True),
-            expect(obj, "issuer_id", str, optional=True),
-            None if permissions is None else frozenset(expect_list(permissions, str)),
-            None if constraints is None else tuple(map(constraint_from_dict, constraints)),
-        )
+    with _FIELDS:
+        return _read_payload(obj)
+
+
+def _read_payload(obj: dict) -> AuthorizationPayload:
+    """``parse_payload`` of an object, inside its caller's ``reading`` block."""
+    permissions = expect(obj, "permissions", list, optional=True)
+    constraints = expect(obj, "constraints", list, optional=True)
+    # Typed here, so assigned at once, as a container is.
+    payload = object.__new__(AuthorizationPayload)
+    object.__setattr__(payload, "__dict__", {
+        "agent_id": expect(obj, "agent_id", str, optional=True),
+        "issuer_id": expect(obj, "issuer_id", str, optional=True),
+        "permissions": None if permissions is None else frozenset(expect_list(permissions, str)),
+        "constraints": None if constraints is None else tuple(map(constraint_from_dict, constraints)),
+    })
+    return payload
 
 
 def parse_container(data: bytes | str | dict) -> CredentialContainer:
@@ -175,11 +188,12 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
         obj = data
     if not isinstance(obj, dict) or obj.get("kind") != "credential":
         raise MalformedContainerError("not a credential container")
-    with reading(MalformedContainerError):
-        ids = [expect(obj, name, str) for name in ("credential_id", "issuer_id", "subject_id")]
-        if not all(ids):
+    with _FIELDS:
+        credential_id = expect(obj, "credential_id", str)
+        issuer_id = expect(obj, "issuer_id", str)
+        subject_id = expect(obj, "subject_id", str)
+        if not (credential_id and issuer_id and subject_id):
             raise MalformedContainerError("credential_id, issuer_id and subject_id must be non-empty")
-        credential_id, issuer_id, subject_id = ids
         subject_key = expect(obj, "subject_public_key", dict)
         public_key = expect(subject_key, "public_key", str)
         if not is_ed25519(subject_key.get("suite")):
@@ -189,7 +203,7 @@ def _parse_container(data: bytes | str | dict) -> CredentialContainer:
             raise MalformedContainerError("audience must be a non-empty list of identities")
         valid_from = parse_timestamp(obj["valid_from"])
         valid_until = parse_timestamp(obj["valid_until"])
-        payload = parse_payload(expect(obj, "payload", dict))
+        payload = _read_payload(expect(obj, "payload", dict))
         parent_digest = expect(obj, "parent_digest", str, optional=True)
     if payload.agent_id is not None and payload.agent_id != subject_id:
         raise MalformedContainerError("subject_id must equal payload.agent_id")
@@ -285,7 +299,7 @@ def continuity_defect(parent: CredentialContainer, child: CredentialContainer) -
             f"issuer {child.issuer_id!r} is not the parent subject",
             f"issuer {child.issuer_id!r} is not the parent subject {parent.subject_id!r}",
         )
-    if child.parent_digest != parent.digest():
+    if child.parent_digest != parent.digest_hex:
         return "parent digest mismatch", "does not reference its parent by digest"
     return None
 
@@ -325,7 +339,7 @@ def read_proof(obj: object) -> tuple[str, str, str, datetime]:
     signed ``raw`` through it, so the object's own fields are never trusted."""
     if not isinstance(obj, dict) or obj.get("kind") != "possession_proof":
         raise MalformedContainerError("not a possession proof")
-    with reading(MalformedContainerError):
+    with _FIELDS:
         return (
             expect(obj, "credential_digest", str),
             expect(obj, "audience", str),
@@ -346,13 +360,13 @@ def _proof_signing_bytes(raw: dict) -> Optional[bytes]:
     rendered once; None when what ``read_proof`` has not typed is not plain
     JSON, or the proof's text has no UTF-8 form."""
     view = signed_view(raw)
-    rest = {k: v for k, v in view.items() if k not in _PROOF_READ}
-    envelope = rest.get("signature")
+    envelope = view.get("signature")
     try:
-        if len(rest) > 1 or type(envelope) is not dict or not all(
+        # ``read_proof`` found its members, so one more can only be the envelope.
+        if len(view) > len(_PROOF_READ) + 1 or type(envelope) is not dict or not all(
             type(k) is str and type(v) in _SCALARS for k, v in envelope.items()
         ):
-            check_canonical(rest)
+            check_canonical({k: v for k, v in view.items() if k not in _PROOF_READ})
         return plain_dumps(view).encode("utf-8")
     except (ValueError, TypeError, RecursionError):
         return None

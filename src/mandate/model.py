@@ -114,12 +114,14 @@ def parse_timestamp(text: str) -> datetime:
         raise ValueParseError(f"timestamp {text!r} is not RFC 3339 date-time text")
     fraction, offset = match.groups()
     microsecond = int(fraction[:6].ljust(6, "0")) if fraction else 0
-    zone = parse_offset(offset) if offset else timezone.utc
     try:
-        return datetime(
+        instant = datetime(
             int(text[:4]), _TWO_DIGITS[text[5:7]], _TWO_DIGITS[text[8:10]], _TWO_DIGITS[text[11:13]],
-            _TWO_DIGITS[text[14:16]], _TWO_DIGITS[text[17:19]], microsecond, zone,
-        ).astimezone(timezone.utc)
+            _TWO_DIGITS[text[14:16]], _TWO_DIGITS[text[17:19]], microsecond,
+            timezone.utc if offset is None else parse_offset(offset),
+        )
+        # A Z instant is built in UTC, so only an offset one is converted.
+        return instant if offset is None else instant.astimezone(timezone.utc)
     except (ValueError, OverflowError) as exc:
         raise ValueParseError(f"invalid timestamp {text!r}: {exc}") from exc
 
@@ -136,7 +138,7 @@ def render_timestamp(value: datetime) -> str:
     """Canonical UTC text form, 'Z' suffix, sub-second digits only when present."""
     if value.tzinfo is None:
         raise ValueParseError("cannot render a naive timestamp")
-    text = value.astimezone(timezone.utc).replace(tzinfo=None).isoformat()
+    text = value.astimezone(timezone.utc).isoformat()[:-6]  # without its "+00:00"
     return (text.rstrip("0") if "." in text else text) + "Z"
 
 

@@ -116,6 +116,14 @@ _CODE_TO_CHECK = {
     DenyCode.CREDENTIAL_REVOKED: 4,
 }
 
+# Where a credential that does not parse is placed, by stage: its trace
+# note's prefix and its detail's suffix, each formatted with its index.
+_PARSE_PLACES = {
+    "container": ("", ""),
+    "chain": ("link {}: ", " in link {}"),
+    "workflow": ("credential {}: ", " in workflow set ({})"),
+}
+
 # Trace entries that read the same on every request, built once.
 _PARSED = TraceEntry("container", "parse", "PASS")
 _VERIFIED = tuple(TraceEntry("container", check, "PASS") for check in _VERIFY_CHECKS)
@@ -360,16 +368,19 @@ class _Entry:
         of its own instead of reading this one half built."""
         if self.steps is None:
             constraints = self.container.payload.constraints or ()
-            steps = tuple((*_constraint_step(i), c) for i, c in enumerate(constraints, start=1))
-            self.rows = tuple(
-                {"label": label, "type": c.type_tag, "field": "", "result": "PASS"}
-                if isinstance(c, UnknownConstraint)
-                else {"label": label, "type": family_of(c), "field": c.field, "result": "PASS"}
-                for label, _, c in steps
-            )
+            steps, rows = [], []
+            for index, c in enumerate(constraints, start=1):
+                label, step = _constraint_step(index)
+                steps.append((label, step, c))
+                unknown = isinstance(c, UnknownConstraint)
+                rows.append({
+                    "label": label, "type": c.type_tag if unknown else family_of(c),
+                    "field": "" if unknown else c.field, "result": "PASS",
+                })
+            self.rows = rows
             self.needs_currency = _names_currency(constraints)
             self._allowed: Optional[Rendered] = None
-            self.steps = steps
+            self.steps = tuple(steps)
 
     def results(self, passed: int, failed: bool) -> Union[list[dict], Rendered]:
         """The ``constraint_results`` rows of an evaluation in which the first
@@ -378,9 +389,9 @@ class _Entry:
         if failed:
             return [*self.rows[:passed], dict(self.rows[passed], result="FAIL")]
         if passed < len(self.rows):
-            return list(self.rows[:passed])
+            return self.rows[:passed]
         if self._allowed is None:
-            self._allowed = Rendered(list(self.rows))
+            self._allowed = Rendered(self.rows)
         return self._allowed
 
 
@@ -534,14 +545,13 @@ class Engine:
 
     # -- parsing and verification ------------------------------------------
 
-    def _parse(self, credential: Credential, stage: str, note="", where="") -> _Entry:
+    def _parse(self, credential: Credential, stage: str, index: int = 0) -> _Entry:
         """A presented credential's entry: the one kept for the same bytes or
         text, else a fresh one, kept when the bytes or text were presented
         before.  A container object decides as its signed ``raw``: its other
         fields are derived afresh, never trusted.  A parse failure is never
         remembered and is the one denial of a credential that does not
-        parse, at ``stage``: the ``note`` and ``where`` prefixes place it in
-        a chain or workflow set."""
+        parse, at ``stage``, placed by ``index`` in a chain or workflow set."""
         if isinstance(credential, CredentialContainer):
             credential = credential.raw
         try:
@@ -555,6 +565,7 @@ class Engine:
                         return entry
             entry = _Entry(parse_container(credential))
         except ValueError as exc:  # a MalformedContainerError among them
+            note, where = (place.format(index) for place in _PARSE_PLACES[stage])
             raise _Denied(
                 stage, "parse", f"{note}{exc}",
                 DenyCode.SIGNATURE_INVALID, f"malformed container{where}: {exc}",
@@ -630,14 +641,10 @@ class Engine:
                 DenyCode.DELEGATION_DEPTH_EXCEEDED,
                 f"chain of {depth} links exceeds the depth limit of {limit}",
             )
-        entries = [
-            self._parse(c, "chain", f"link {i}: ", f" in link {i}")
-            for i, c in enumerate(credentials, start=1)
-        ]
+        entries = [self._parse(c, "chain", i) for i, c in enumerate(credentials, start=1)]
         containers = [entry.container for entry in entries]
-        ev.containers.extend(containers)
-        ev.trace.append(_chain_entries(depth)[0])
-        ev.trace.append(_CHAIN_DEPTH)
+        ev.containers += containers
+        ev.trace += (_chain_entries(depth)[0], _CHAIN_DEPTH)
 
         for index, container in enumerate(containers, start=1):
             if container.completeness is not None:
@@ -653,17 +660,16 @@ class Engine:
                 raise _Denied("chain", check, note, DenyCode.DELEGATION_CHAIN_BROKEN, f"link {index} {phrase}")
             ev.trace.append(_chain_entries(index)[1])
 
-        for index, container in enumerate(containers, start=1):
-            # The root is signed by a configured issuer and subject to registry
-            # vetting; every later link is signed by its parent's subject.
-            parent = containers[index - 2] if index > 1 else None
+        # The root is signed by a configured issuer and subject to registry
+        # vetting; every later link is signed by its parent's subject.
+        for index, (parent, container) in enumerate(zip([None, *containers], containers), start=1):
             reason = self._verify(ev, container, index == depth, parent)
             if reason is not None:
                 raise _Denied.of("chain", f"link {index} verify", reason, f"link {index}: ")
             ev.trace.append(_chain_entries(index)[2])
 
         for index, (parent, child) in enumerate(zip(containers, containers[1:]), start=2):
-            check = f"link {index} attenuation"
+            check = _chain_entries(index)[3].check
             defect = widening(parent, child)
             if defect is not None:
                 note, phrase = defect
@@ -738,13 +744,13 @@ class Engine:
     ) -> None:
         """Return when the leaf's constraint passes; a failure raises
         ``_Denied`` naming it as the failed constraint."""
-        cfg = self.config
         if isinstance(constraint, UnknownConstraint):
             reason = DenialReason(DenyCode.CONSTRAINT_UNKNOWN, unknown_constraint_detail(constraint.type_tag))
             raise _Denied.of("constraints", label, reason, f"{label}: ", failed_constraint=label)
 
         value, reason = self._resolve(ev, constraint.field)
         if reason is None and isinstance(constraint, CumulativeLimitConstraint):
+            cfg = self.config
             reason = evaluate_cumulative(
                 constraint,
                 value,
@@ -801,7 +807,7 @@ class Engine:
 
     def _compose(self, ev: _Evaluation, policy: WorkflowPolicy, credentials: Sequence[Credential]) -> WorkflowComposition:
         containers = [
-            self._parse(c, "workflow", f"credential {i}: ", f" in workflow set ({i})").container
+            self._parse(c, "workflow", i).container
             for i, c in enumerate(credentials, start=1)
         ]
         ev.containers.extend(containers)
@@ -927,7 +933,7 @@ class Engine:
             cfg.audit_log.append(
                 operation=ev.operation,
                 timestamp=ev.now,
-                credential_digests=[c.digest() for c in ev.containers],
+                credential_digests=[c.digest_hex for c in ev.containers],
                 presenter_id=ev.presenter_id,
                 subject_id=leaf.subject_id if leaf else None,
                 issuer_id=leaf.issuer_id if leaf else None,

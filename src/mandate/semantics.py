@@ -365,7 +365,7 @@ def resolve_semantic_field(
         )
     if isinstance(planned, DenialReason):
         return None, planned
-    value = ctx.get(planned.field)
+    value = ctx.fields.get(planned.field)
     if value is None:
         return None, DenialReason(
             DenyCode.CONTEXT_FIELD_MISSING, f"context has no field {planned.field!r} for {field}"

@@ -7,7 +7,8 @@ membership tests for deciding whether a conjunction of limits admits
 anything, a recursive walk that says which values canonical JSON refuses,
 a branch-per-family reader and writer of the constraint wire form, a
 reserve ledger that keeps its admitted rows in a list and sums them afresh,
-and the delegation narrowing check as it first read, one group at a time.
+the delegation narrowing check as it first read, one group at a time, and
+the timestamp reader as it read before it built ``Z`` instants directly.
 They are frozen; when engine and oracle disagree, the engine is
 wrong until proven otherwise.
 """
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import json
 import operator
-from datetime import timedelta, timezone
+import re
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from functools import lru_cache
 from itertools import product
@@ -39,6 +41,7 @@ from mandate.model import (
     ValueParseError,
     expect,
     expect_list,
+    parse_offset,
     parse_timestamp,
     parse_typed_value,
     render_timestamp,
@@ -476,3 +479,31 @@ def _reference_narrows_cumulative(child_group, parent_group):
     if min(c.budget for c in child_group) > min(c.budget for c in parent_group):
         return False, "budget raised"
     return True, ""
+
+
+# --- the timestamp reader, frozen ----------------------------------------------
+
+_REFERENCE_DATE_TIME = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt][0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.([0-9]+))?"
+    r"(?:[Zz]|([+-](?:[01][0-9]|2[0-3]):[0-5][0-9]))"
+)
+_REFERENCE_TWO_DIGITS = {f"{n:02}": n for n in range(100)}
+
+
+def reference_parse_timestamp(text: str) -> datetime:
+    """``model.parse_timestamp`` as it read before it built a ``Z`` instant
+    directly in UTC: every instant is built in its own zone, then converted."""
+    match = _REFERENCE_DATE_TIME.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueParseError(f"timestamp {text!r} is not RFC 3339 date-time text")
+    fraction, offset = match.groups()
+    microsecond = int(fraction[:6].ljust(6, "0")) if fraction else 0
+    zone = parse_offset(offset) if offset else timezone.utc
+    digits = _REFERENCE_TWO_DIGITS
+    try:
+        return datetime(
+            int(text[:4]), digits[text[5:7]], digits[text[8:10]], digits[text[11:13]],
+            digits[text[14:16]], digits[text[17:19]], microsecond, zone,
+        ).astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
+        raise ValueParseError(f"invalid timestamp {text!r}: {exc}") from exc

@@ -296,6 +296,29 @@ def test_verify_pop_freshness_window_inclusive():
     assert verify(c, pop=too_old).code is DenyCode.PROOF_OF_POSSESSION_FAILED
 
 
+def test_verify_pop_future_bound_inclusive():
+    """A proof dated ahead of the receiver's clock is fresh up to ``pop_max_age``
+    ahead and no further: a pre-minted proof stays usable no longer than that."""
+    c = credential()
+    at_edge = make_possession_proof(c, RECEIVER_ID, "ahead-edge", NOW + timedelta(seconds=300), SUBJECT)
+    assert verify(c, pop=at_edge) is None
+    too_early = make_possession_proof(c, RECEIVER_ID, "ahead-past", NOW + timedelta(seconds=301), SUBJECT)
+    reason = verify(c, pop=too_early)
+    assert reason.code is DenyCode.PROOF_OF_POSSESSION_FAILED
+    assert reason.detail == "proof timestamp outside the freshness window"
+
+
+@pytest.mark.parametrize("skew", [timedelta(0), timedelta(seconds=90)])
+def test_verify_window_start_inclusive_with_and_without_skew(skew):
+    c = credential()
+    edge = FROM - skew
+    cases = (("start-edge", edge, None), ("start-early", edge - timedelta(microseconds=1), DenyCode.CREDENTIAL_EXPIRED))
+    for nonce, now, code in cases:
+        pop = make_possession_proof(c, RECEIVER_ID, nonce, now, SUBJECT)
+        reason = verify(c, pop=pop, now=now, clock_skew=skew)
+        assert (reason and reason.code) is code
+
+
 def test_verify_pop_not_required_skips_the_check():
     c = credential()
     assert verify(c, pop=None, pop_required=False) is None
@@ -372,6 +395,18 @@ def test_stale_revocation_list_counts_against_the_credential():
     reason = verify(c, pop="fresh", revocations=store)
     assert reason.code is DenyCode.CREDENTIAL_REVOKED
     assert "stale" in reason.detail
+
+
+def test_revocation_list_stale_only_past_max_age():
+    """A list exactly ``max_age`` old still reads; one second older is stale."""
+    c = credential()
+    cases = (("age-edge", timedelta(hours=1), None), ("age-past", timedelta(hours=1, seconds=1), DenyCode.CREDENTIAL_REVOKED))
+    for nonce, age, code in cases:
+        store = RevocationStore(max_age=timedelta(hours=1))
+        store.update(new_revocation_list(ISSUER.key_id, ISSUER, now=NOW - age), ISSUER.public_hex)
+        reason = verify(c, pop=make_possession_proof(c, RECEIVER_ID, nonce, NOW, SUBJECT), revocations=store)
+        assert (reason and reason.code) is code
+        assert code is None or "stale" in reason.detail
 
 
 def test_no_list_for_issuer_reads_as_ok():

@@ -4,6 +4,8 @@ from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mandate.model import (
     AuthorizationPayload,
@@ -21,6 +23,7 @@ from mandate.model import (
     validate_payload,
 )
 from mandate.constraints import NumericLimitConstraint
+from oracles import reference_parse_timestamp
 
 
 def test_parse_timestamp_accepts_z_and_offsets():
@@ -180,3 +183,44 @@ def test_allow_carries_no_reason_and_deny_exactly_one():
         Decision("DENY")
     bad = Decision("DENY", DenialReason(DenyCode.PERMISSION_DENIED))
     assert bad.outcome == "DENY" and bad.reason.code is DenyCode.PERMISSION_DENIED
+
+
+# RFC 3339 date-time spellings, valid and not: any year, month and day
+# (Feb 29 and day 31 of short months among them), hours past 23, fractions of
+# 0-9 digits, either case of T and Z, and offsets.
+_TIMESTAMPS = st.builds(
+    "{:04}-{:02}-{:02}{}{:02}:{:02}:{:02}{}{}".format,
+    st.integers(0, 9999) | st.sampled_from([1900, 2000, 2024, 2026]),
+    st.integers(0, 13),
+    st.integers(0, 32) | st.just(29),
+    st.sampled_from("Tt"),
+    st.integers(0, 25),
+    st.integers(0, 60),
+    st.integers(0, 61),
+    st.just("") | st.text("0123456789", min_size=1, max_size=9).map(".".__add__),
+    st.sampled_from(["Z", "z"]) | st.builds("{}{:02}:{:02}".format, st.sampled_from("+-"), st.integers(0, 24), st.integers(0, 60)),
+)
+
+
+def _outcome(read, text):
+    try:
+        instant = read(text)
+    except ValueParseError as exc:
+        return type(exc), str(exc)
+    return instant, instant.tzinfo
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_TIMESTAMPS)
+@example("2024-02-29T23:59:59.123456789Z")
+@example("2026-02-29T00:00:00Z")
+@example("2026-04-31T00:00:00Z")
+@example("2026-01-01T24:00:00Z")
+@example("0000-01-01T00:00:00Z")
+@example("0001-01-01T00:00:00+00:01")
+@example("9999-12-31T23:59:59-00:01")
+@example("2026-05-01t12:00:00.5z")
+@example("2026-05-01T12:00:00+14:00")
+def test_parse_timestamp_agrees_with_its_frozen_reference(text):
+    """The same UTC instant, or the same error type and message, for every spelling."""
+    assert _outcome(parse_timestamp, text) == _outcome(reference_parse_timestamp, text)

@@ -4,6 +4,7 @@ the one base of its signed artifacts."""
 
 import ast
 import importlib.util
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from types import ModuleType
@@ -94,6 +95,29 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{module}.{name}" for name in imported if name not in used and (module, name) not in wrapped]
     assert unused == []
 
+
+
+def test_the_package_imports_only_the_standard_library_and_its_declared_dependency():
+    """Every import under ``src/mandate/`` names the standard library,
+    ``cryptography`` (the one dependency ``pyproject.toml`` declares) or the
+    package itself.  A module that is merely installed, such as a faster JSON
+    library, would break a clean install and the promise that the same bytes
+    decide the same way in every parser."""
+    foreign = []
+    for path in sorted((ROOT / "src" / "mandate").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [
+                f"{path.stem}:{node.lineno} {root}"
+                for root in roots
+                if root not in sys.stdlib_module_names and root not in ("cryptography", "mandate")
+            ]
+    assert foreign == []
 
 def _is_stub(body: list) -> bool:
     """A protocol stub: ``...``, after a docstring if there is one."""

@@ -273,6 +273,47 @@ def test_a_warm_allow_walks_nothing(monkeypatch):
     assert walks == []
 
 
+
+def test_a_fresh_chain_decodes_each_link_once_and_checks_four_signatures(monkeypatch):
+    """A never-seen depth-3 chain of canonical bytes costs one decode per
+    link, by one scanner call and nothing else (``load_json`` and
+    ``check_canonical`` never run), four signature checks (three links and
+    the proof of possession) and one signature (the audit record)."""
+    for module in pkgutil.iter_modules(mandate.__path__):
+        importlib.import_module(f"mandate.{module.name}")
+    engine = Engine(_config())
+    warm = _issue(SUBJECT, name="fresh-warm")  # renders the governance member, which walks once
+    assert _present_root(engine, warm, "fresh-warm", _context()).allowed
+    root = _issue(SUBJECT, name="fresh-root")
+    middle = _issue(DELEGATE, issuer=SUBJECT, parent=root, name="fresh-middle")
+    leaf = _issue(REVIEWER, issuer=DELEGATE, parent=middle, name="fresh-leaf")
+    wires = [_wire(c) for c in (root, middle, leaf)]
+    pop = make_possession_proof(leaf, RECEIVER, "fresh-chain", NOW, REVIEWER)
+    calls: dict = {"check_signature": [], "attach_signature": [], "load_json": [], "check_canonical": []}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name].append(args[0])
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        original = getattr(canonical, name, None) or getattr(mandate.keys, name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("mandate.")]:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    decoded, scan = [], canonical._PLAIN_DECODER.scan_once
+
+    def scanned(text, index):
+        decoded.append(text)
+        return scan(text, index)
+
+    monkeypatch.setattr(canonical._PLAIN_DECODER, "scan_once", scanned)
+    assert engine.evaluate(wires, _context(), REVIEWER.key_id, pop, now=NOW).allowed
+    assert decoded == [wire.decode("utf-8") for wire in wires]
+    assert calls["load_json"] == [] and calls["check_canonical"] == []
+    assert len(calls["check_signature"]) == 4 and len(calls["attach_signature"]) == 1
+
 def _plan_builds(monkeypatch) -> list[str]:
     """The credential id of each kept entry whose plan is built, in order."""
     builds = []
